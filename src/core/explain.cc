@@ -1,6 +1,7 @@
 #include "core/explain.h"
 
 #include <set>
+#include <type_traits>
 
 #include "common/string_util.h"
 #include "obs/export.h"
@@ -207,26 +208,19 @@ std::string JobProfileJson(const JobResult& result) {
   w.Key("compile_seconds").Double(result.compile_seconds);
   w.Key("metadata_lookup_seconds").Double(result.metadata_lookup_seconds);
   w.Key("estimated_cost").Double(result.estimated_cost);
-  w.Key("views_reused").Int(result.views_reused);
-  w.Key("views_materialized").Int(result.views_materialized);
-  w.Key("reuse_rejected_by_cost").Int(result.reuse_rejected_by_cost);
-  w.Key("materialize_lock_denied").Int(result.materialize_lock_denied);
-  w.Key("candidates_filtered").Int(result.candidates_filtered);
-  w.Key("containment_verified").Int(result.containment_verified);
-  w.Key("containment_rejected").Int(result.containment_rejected);
-  w.Key("views_reused_subsumed").Int(result.views_reused_subsumed);
-  w.Key("compensation_nodes_added").Int(result.compensation_nodes_added);
-  w.Key("views_fallback").Int(result.views_fallback);
-  w.Key("lookup_degraded").Bool(result.lookup_degraded);
+  ForEachJobCounter(result, [&w](size_t i, auto value) {
+    w.Key(kJobCounterInfo[i].field);
+    if constexpr (std::is_same_v<decltype(value), bool>) {
+      w.Bool(value);
+    } else {
+      w.Int(value);
+    }
+  });
   w.Key("plan_cache_hit").Bool(result.plan_cache_hit);
   w.Key("catalog_epoch").Uint(result.catalog_epoch);
   w.Key("shared_execution").Bool(result.shared_execution);
   w.Key("share_leader_job_id").Uint(result.share_leader_job_id);
   w.Key("share_followers").Int(result.share_followers);
-  w.Key("piggyback_waits").Int(result.piggyback_waits);
-  w.Key("piggyback_hits").Int(result.piggyback_hits);
-  w.Key("piggyback_timeouts").Int(result.piggyback_timeouts);
-  w.Key("piggyback_abandoned").Int(result.piggyback_abandoned);
   w.Key("run").BeginObject();
   w.Key("latency_seconds").Double(result.run_stats.latency_seconds);
   w.Key("cpu_seconds").Double(result.run_stats.cpu_seconds);

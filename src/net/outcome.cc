@@ -33,21 +33,11 @@ Hash128 FingerprintStream(const StreamData& stream) {
 JobOutcome OutcomeFromJobResult(const JobResult& result,
                                 const StorageManager* storage) {
   JobOutcome o;
+  static_cast<JobCounters&>(o) = result;
   o.job_id = result.job_id;
   o.catalog_epoch = result.catalog_epoch;
   o.output_rows = result.run_stats.output_rows;
   o.output_bytes = result.run_stats.output_bytes;
-  o.views_reused = result.views_reused;
-  o.views_materialized = result.views_materialized;
-  o.reuse_rejected_by_cost = result.reuse_rejected_by_cost;
-  o.materialize_lock_denied = result.materialize_lock_denied;
-  o.candidates_filtered = result.candidates_filtered;
-  o.containment_verified = result.containment_verified;
-  o.containment_rejected = result.containment_rejected;
-  o.views_reused_subsumed = result.views_reused_subsumed;
-  o.compensation_nodes_added = result.compensation_nodes_added;
-  o.views_fallback = result.views_fallback;
-  o.lookup_degraded = result.lookup_degraded;
   o.plan_cache_hit = result.plan_cache_hit;
   if (storage != nullptr && result.executed_plan != nullptr &&
       result.executed_plan->kind() == OpKind::kOutput) {

@@ -442,12 +442,13 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     WireTimings timings = TimingsFromJobResult(*result);
     timings.queue_seconds = queue_seconds;
     RecordDone(ticket, outcome, timings, std::move(profile_json));
-    completed_.fetch_add(1, std::memory_order_relaxed);
     request_seconds_->Observe(MonotonicNowSeconds() - admit_seconds);
-    // Release before the response goes out: once a client holds a reply,
-    // its in-flight slot is observably free (tests and retry loops rely on
-    // that ordering).
+    // Release before the job counts as completed and before the response
+    // goes out: once a client holds a reply, or Stats() shows the job
+    // completed, its in-flight slot is observably free (tests and retry
+    // loops rely on that ordering).
     token->Release();
+    completed_.fetch_add(1, std::memory_order_relaxed);
     if (wait) {
       SubmitResultResponse resp;
       resp.ticket = ticket;
@@ -459,9 +460,9 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     }
   } else {
     RecordFailed(ticket, result.status(), std::move(profile_json));
-    failed_.fetch_add(1, std::memory_order_relaxed);
     request_seconds_->Observe(MonotonicNowSeconds() - admit_seconds);
     token->Release();
+    failed_.fetch_add(1, std::memory_order_relaxed);
     if (wait) {
       (void)SendError(conn.get(), result.status());
     }

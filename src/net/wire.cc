@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <type_traits>
 
 namespace cloudviews {
 namespace net {
@@ -294,25 +295,15 @@ void AppendOutcome(const JobOutcome& o, WireWriter* w) {
   w->I64(o.output_bytes);
   w->U64(o.output_fingerprint.hi);
   w->U64(o.output_fingerprint.lo);
-  w->U32(static_cast<uint32_t>(o.views_reused));
-  w->U32(static_cast<uint32_t>(o.views_materialized));
-  w->U32(static_cast<uint32_t>(o.reuse_rejected_by_cost));
-  w->U32(static_cast<uint32_t>(o.materialize_lock_denied));
-  w->U32(static_cast<uint32_t>(o.candidates_filtered));
-  w->U32(static_cast<uint32_t>(o.containment_verified));
-  w->U32(static_cast<uint32_t>(o.containment_rejected));
-  w->U32(static_cast<uint32_t>(o.views_reused_subsumed));
-  w->U32(static_cast<uint32_t>(o.compensation_nodes_added));
-  w->U32(static_cast<uint32_t>(o.views_fallback));
-  w->Bool(o.lookup_degraded);
+  // Counters in CV_JOB_COUNTERS order: tallies as u32, flags as bool.
+  ForEachJobCounter(o, [w](size_t, auto value) {
+    if constexpr (std::is_same_v<decltype(value), bool>) {
+      w->Bool(value);
+    } else {
+      w->U32(static_cast<uint32_t>(value));
+    }
+  });
   w->Bool(o.plan_cache_hit);
-}
-
-Status ReadCounter(WireReader* r, int32_t* v) {
-  uint32_t raw = 0;
-  CV_RETURN_NOT_OK(r->U32(&raw));
-  *v = static_cast<int32_t>(raw);
-  return Status::OK();
 }
 
 void AppendTimings(const WireTimings& t, WireWriter* w) {
@@ -349,19 +340,19 @@ Status DecodeJobOutcome(WireReader* r, JobOutcome* out) {
   CV_RETURN_NOT_OK(r->I64(&out->output_bytes));
   CV_RETURN_NOT_OK(r->U64(&out->output_fingerprint.hi));
   CV_RETURN_NOT_OK(r->U64(&out->output_fingerprint.lo));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->views_reused));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->views_materialized));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->reuse_rejected_by_cost));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->materialize_lock_denied));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->candidates_filtered));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->containment_verified));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->containment_rejected));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->views_reused_subsumed));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->compensation_nodes_added));
-  CV_RETURN_NOT_OK(ReadCounter(r, &out->views_fallback));
-  CV_RETURN_NOT_OK(r->Bool(&out->lookup_degraded));
-  CV_RETURN_NOT_OK(r->Bool(&out->plan_cache_hit));
-  return Status::OK();
+  Status read;
+  ForEachJobCounter(*out, [r, &read](size_t, auto& value) {
+    if (!read.ok()) return;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, bool>) {
+      read = r->Bool(&value);
+    } else {
+      uint32_t raw = 0;
+      read = r->U32(&raw);
+      value = static_cast<int32_t>(raw);
+    }
+  });
+  CV_RETURN_NOT_OK(read);
+  return r->Bool(&out->plan_cache_hit);
 }
 
 void EncodeSubmitResultResponse(const SubmitResultResponse& resp,

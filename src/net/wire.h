@@ -10,6 +10,7 @@
 #include "common/hash.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "optimizer/job_counters.h"
 
 namespace cloudviews {
 namespace net {
@@ -32,7 +33,7 @@ namespace net {
 
 inline constexpr char kMagic0 = 'C';
 inline constexpr char kMagic1 = 'V';
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 8;
 /// Generous for scripts and profiles, small enough to bound per-connection
 /// memory: 8 MiB.
@@ -179,7 +180,10 @@ struct ProfileFetchRequest {
 /// in-process SubmitJob against identically seeded services encode to
 /// byte-identical strings. That is the acceptance check for the front
 /// door: the wire adds transport, never semantics.
-struct JobOutcome {
+///
+/// The JobCounters block is the job's JobResult counters, every
+/// CV_JOB_COUNTERS row in table order.
+struct JobOutcome : JobCounters {
   uint64_t job_id = 0;
   uint64_t catalog_epoch = 0;
   /// Output stream shape + content fingerprint (HashBuilder over schema
@@ -187,18 +191,6 @@ struct JobOutcome {
   int64_t output_rows = 0;
   int64_t output_bytes = 0;
   Hash128 output_fingerprint;
-  // Reuse funnel counters (JobResult field order).
-  int32_t views_reused = 0;
-  int32_t views_materialized = 0;
-  int32_t reuse_rejected_by_cost = 0;
-  int32_t materialize_lock_denied = 0;
-  int32_t candidates_filtered = 0;
-  int32_t containment_verified = 0;
-  int32_t containment_rejected = 0;
-  int32_t views_reused_subsumed = 0;
-  int32_t compensation_nodes_added = 0;
-  int32_t views_fallback = 0;
-  bool lookup_degraded = false;
   bool plan_cache_hit = false;
 };
 

@@ -99,16 +99,15 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
   ViewRewriter rewriter(&cost_model_, ctx.view_catalog);
 
   // 4. Reuse pass first (Fig 10): never materialize what can be read.
-  ViewRewriter::ReuseStats reuse_stats;
   {
     obs::Span span = parent->StartChild("reuse");
     ViewRewriter::ReuseOptions reuse_options;
     reuse_options.enable_containment = config_.enable_containment_matching;
     reuse_options.parent_span = &span;
-    root = rewriter.ApplyReuse(std::move(root), annotations, &reuse_stats,
+    root = rewriter.ApplyReuse(std::move(root), annotations, &out,
                                reuse_options);
     CV_RETURN_NOT_OK(root->Bind());
-    if (reuse_stats.views_reused > 0) {
+    if (out.views_reused > 0) {
       // A substituted view may not deliver the properties its parent
       // needs; add the extra partitioning/sorting (Sec 7.1 factor iii).
       CV_ASSIGN_OR_RETURN(
@@ -117,28 +116,26 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
       // (Sec 6.3).
       cost_model_.Annotate(root.get(), ctx.feedback, ctx.storage);
     }
-    span.SetAttribute("views_reused",
-                      static_cast<int64_t>(reuse_stats.views_reused));
+    span.SetAttribute("views_reused", static_cast<int64_t>(out.views_reused));
     span.SetAttribute("rejected_by_cost",
-                      static_cast<int64_t>(reuse_stats.rejected_by_cost));
+                      static_cast<int64_t>(out.reuse_rejected_by_cost));
     // Only stamp funnel attributes when the containment tiers actually
     // ran, so exact-only compiles keep a byte-identical span tree.
-    if (reuse_stats.funnel.candidates_filtered > 0) {
-      span.SetAttribute(
-          "views_reused_subsumed",
-          static_cast<int64_t>(reuse_stats.funnel.views_reused_subsumed));
+    if (out.candidates_filtered > 0) {
+      span.SetAttribute("views_reused_subsumed",
+                        static_cast<int64_t>(out.views_reused_subsumed));
     }
   }
 
   // 5. Follow-up optimization: propose online materializations (Fig 10,
   //    lower half), then final annotation & ids.
-  ViewRewriter::MaterializeStats mat_stats;
   {
     obs::Span span = parent->StartChild("materialize");
     root = rewriter.ApplyMaterialization(
         std::move(root), annotations, ctx.job_id,
         config_.max_materialized_views_per_job, root->estimates().cost,
-        config_.max_materialize_cost_fraction, &mat_stats);
+        config_.max_materialize_cost_fraction, &out,
+        &out.lock_denied_signatures);
     Status bound = root->Bind();
     if (!bound.ok()) {
       // The plan now carries build locks taken by ApplyMaterialization;
@@ -159,26 +156,15 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
     cost_model_.Annotate(root.get(), ctx.feedback, ctx.storage);
     AssignNodeIds(root.get());
     span.SetAttribute("views_materialized",
-                      static_cast<int64_t>(mat_stats.views_materialized));
+                      static_cast<int64_t>(out.views_materialized));
     span.SetAttribute("lock_denied",
-                      static_cast<int64_t>(mat_stats.lock_denied));
+                      static_cast<int64_t>(out.materialize_lock_denied));
     span.SetAttribute("skipped_by_cost",
-                      static_cast<int64_t>(mat_stats.skipped_by_cost));
+                      static_cast<int64_t>(out.materialize_skipped_by_cost));
   }
 
   out.root = std::move(root);
   out.estimated_cost = out.root->estimates().cost;
-  out.views_reused = reuse_stats.views_reused;
-  out.reuse_rejected_by_cost = reuse_stats.rejected_by_cost;
-  out.candidates_filtered = reuse_stats.funnel.candidates_filtered;
-  out.containment_verified = reuse_stats.funnel.containment_verified;
-  out.containment_rejected = reuse_stats.funnel.containment_rejected;
-  out.views_reused_subsumed = reuse_stats.funnel.views_reused_subsumed;
-  out.compensation_nodes_added = reuse_stats.funnel.compensation_nodes_added;
-  out.views_materialized = mat_stats.views_materialized;
-  out.materialize_lock_denied = mat_stats.lock_denied;
-  out.materialize_skipped_by_cost = mat_stats.skipped_by_cost;
-  out.lock_denied_signatures = std::move(mat_stats.lock_denied_sigs);
   out.optimize_seconds = clock->NowSeconds() - start;
   return out;
 }

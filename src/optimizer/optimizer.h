@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/job_counters.h"
 #include "optimizer/physical_planner.h"
 #include "optimizer/view_interfaces.h"
 #include "optimizer/view_rewriter.h"
@@ -58,25 +59,18 @@ struct OptimizeContext {
   PlanNodePtr* skeleton_out = nullptr;
 };
 
-struct OptimizedPlan {
+/// A compiled plan plus the rewrite counters of the compile that produced
+/// it: the reuse and materialization passes write their JobCounters rows
+/// (views_reused through compensation_nodes_added) directly into this
+/// block. The containment funnel is all zeros for exact-only compiles and
+/// for plans served from the plan cache; the runtime rows stay zero.
+struct OptimizedPlan : JobCounters {
   PlanNodePtr root;
   double estimated_cost = 0;
-  int views_reused = 0;
-  int views_materialized = 0;
-  int reuse_rejected_by_cost = 0;
-  int materialize_lock_denied = 0;
-  int materialize_skipped_by_cost = 0;
   /// (normalized, precise) signature of every lock-denied materialization
   /// proposal — the work-sharing piggyback layer waits on these builders
   /// and re-optimizes once their views register.
   std::vector<std::pair<Hash128, Hash128>> lock_denied_signatures;
-  /// Containment-match funnel (see MatchFunnel); all zeros for exact-only
-  /// compiles and for plans served from the plan cache.
-  int candidates_filtered = 0;
-  int containment_verified = 0;
-  int containment_rejected = 0;
-  int views_reused_subsumed = 0;
-  int compensation_nodes_added = 0;
   /// Wall time spent optimizing (reported in the overheads study, Sec 7.3).
   double optimize_seconds = 0;
 };

@@ -113,8 +113,11 @@ CandidateMatcher::CandidateMatcher(
     const std::unordered_map<Hash128, ViewAnnotation, Hash128Hasher>&
         annotations,
     ViewCatalogInterface* catalog, const CostModel* cost_model,
-    obs::Span* parent_span)
-    : catalog_(catalog), cost_model_(cost_model), parent_span_(parent_span) {
+    JobCounters* counters, obs::Span* parent_span)
+    : catalog_(catalog),
+      cost_model_(cost_model),
+      counters_(counters),
+      parent_span_(parent_span) {
   // order-insensitive: this pass only buckets candidates by table-set
   // key; each bucket is sorted just below, before any iteration.
   for (const auto& [sig, ann] : annotations) {
@@ -136,21 +139,21 @@ CandidateMatcher::CandidateMatcher(
 void CandidateMatcher::FinishSpan() {
   if (!span_opened_) return;
   verify_span_.SetAttribute("candidates_filtered",
-                            int64_t{funnel_.candidates_filtered});
+                            int64_t{counters_->candidates_filtered});
   verify_span_.SetAttribute("containment_verified",
-                            int64_t{funnel_.containment_verified});
+                            int64_t{counters_->containment_verified});
   verify_span_.SetAttribute("containment_rejected",
-                            int64_t{funnel_.containment_rejected});
+                            int64_t{counters_->containment_rejected});
   verify_span_.SetAttribute("views_reused_subsumed",
-                            int64_t{funnel_.views_reused_subsumed});
+                            int64_t{counters_->views_reused_subsumed});
   verify_span_.SetAttribute("compensation_nodes_added",
-                            int64_t{funnel_.compensation_nodes_added});
+                            int64_t{counters_->compensation_nodes_added});
   verify_span_.End();
 }
 
 PlanNodePtr CandidateMatcher::TryContainment(
     const PlanNodePtr& node, const Hash128& node_normalized,
-    const std::vector<const PlanNode*>& ancestors, int* rejected_by_cost) {
+    const std::vector<const PlanNode*>& ancestors) {
   CapDecomposition qcap = DecomposeCap(*node);
   // With no cap the subtree equals its core and only the exact tier can
   // match; with no aggregate-compensation possibility a view with a
@@ -182,7 +185,7 @@ PlanNodePtr CandidateMatcher::TryContainment(
     if (!feasible) continue;
     if (vf.predicate.opaque.size() > qf.predicate.conjuncts.size()) continue;
 
-    ++funnel_.candidates_filtered;
+    ++counters_->candidates_filtered;
     if (!span_opened_) {
       span_opened_ = true;
       if (parent_span_ != nullptr) {
@@ -190,9 +193,9 @@ PlanNodePtr CandidateMatcher::TryContainment(
       }
     }
     PlanNodePtr result =
-        TryCandidate(node, *ann, ancestors, qcap, qf, rejected_by_cost);
+        TryCandidate(node, *ann, ancestors, qcap, qf);
     if (result != nullptr) return result;
-    ++funnel_.containment_rejected;
+    ++counters_->containment_rejected;
   }
   return nullptr;
 }
@@ -200,8 +203,7 @@ PlanNodePtr CandidateMatcher::TryContainment(
 PlanNodePtr CandidateMatcher::TryCandidate(
     const PlanNodePtr& node, const ViewAnnotation& ann,
     const std::vector<const PlanNode*>& ancestors,
-    const CapDecomposition& qcap, const ViewFeatures& qf,
-    int* rejected_by_cost) {
+    const CapDecomposition& qcap, const ViewFeatures& qf) {
   // ---- Tier 2: structural verification against the definition skeleton.
   ViewSide vs;
   vs.cap = DecomposeCap(*ann.definition);
@@ -457,7 +459,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
     if (!rf->predicate.Contains(qf.predicate)) continue;
     if (!verified_counted) {
       verified_counted = true;
-      ++funnel_.containment_verified;
+      ++counters_->containment_verified;
     }
 
     // Residual filter: the query conjuncts the view did not already
@@ -486,7 +488,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
     double read_cost = cost_model_->ViewReadCost(info.rows, info.bytes) /
                        std::max(1, cost_model_->config().default_dop);
     if (read_cost >= node->estimates().cost) {
-      ++*rejected_by_cost;
+      ++counters_->reuse_rejected_by_cost;
       continue;
     }
 
@@ -525,8 +527,8 @@ PlanNodePtr CandidateMatcher::TryCandidate(
       // schema is discarded rather than risked.
       continue;
     }
-    ++funnel_.views_reused_subsumed;
-    funnel_.compensation_nodes_added += comp_nodes;
+    ++counters_->views_reused_subsumed;
+    counters_->compensation_nodes_added += comp_nodes;
     return comp;
   }
   return nullptr;

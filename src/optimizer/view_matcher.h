@@ -8,40 +8,12 @@
 
 #include "obs/trace.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/job_counters.h"
 #include "optimizer/view_interfaces.h"
 #include "plan/plan_node.h"
 #include "signature/containment.h"
 
 namespace cloudviews {
-
-/// \brief The containment-match funnel: how many candidates each tier of
-/// the staged matcher let through. Exported through metrics, explain, and
-/// the job profile (docs/job_profile_schema.md).
-struct MatchFunnel {
-  /// Tier-1 survivors: candidates that passed the cheap feature filter and
-  /// entered structural verification.
-  int candidates_filtered = 0;
-  /// Candidates whose containment was proven (structure + a live instance
-  /// whose predicate contains the query's).
-  int containment_verified = 0;
-  /// Tier-1 survivors rejected during verification (structure mismatch, no
-  /// live instance, predicate not contained, cost, or an unsafe
-  /// compensation).
-  int containment_rejected = 0;
-  /// Verified matches actually applied as compensated view reads.
-  int views_reused_subsumed = 0;
-  /// Filter / Aggregate / Project compensation nodes added around the
-  /// subsumed view reads.
-  int compensation_nodes_added = 0;
-
-  void AddTo(MatchFunnel* other) const {
-    other->candidates_filtered += candidates_filtered;
-    other->containment_verified += containment_verified;
-    other->containment_rejected += containment_rejected;
-    other->views_reused_subsumed += views_reused_subsumed;
-    other->compensation_nodes_added += compensation_nodes_added;
-  }
-};
 
 /// \brief Tiers 1-3 of the staged view-matching pipeline (tier 0 — the
 /// exact normalized/precise hash probe — stays in ViewRewriter).
@@ -66,7 +38,9 @@ struct MatchFunnel {
 /// restricted to int64 arguments (float addition is not associative).
 class CandidateMatcher {
  public:
-  /// `annotations` / `catalog` / `cost_model` must outlive the matcher.
+  /// `annotations` / `catalog` / `cost_model` / `counters` must outlive
+  /// the matcher, which adds its funnel (candidates_filtered through
+  /// compensation_nodes_added) and cost rejections into `counters`.
   /// `parent_span` (may be null) hosts the lazily-created
   /// `containment_verify` child span — it is only created when at least
   /// one candidate reaches tier 2, so exact-only jobs keep their span
@@ -74,7 +48,7 @@ class CandidateMatcher {
   CandidateMatcher(const std::unordered_map<Hash128, ViewAnnotation,
                                             Hash128Hasher>& annotations,
                    ViewCatalogInterface* catalog, const CostModel* cost_model,
-                   obs::Span* parent_span);
+                   JobCounters* counters, obs::Span* parent_span);
 
   /// True when any annotation carries containment features; when false the
   /// rewriter skips the containment path entirely.
@@ -85,17 +59,15 @@ class CandidateMatcher {
   /// used by the order-safety gate for aggregate compensation.
   /// `node_normalized` is the node's already-computed normalized hash.
   /// On success returns the bound compensation subtree (schema-identical
-  /// to `node`); on failure returns null. `rejected_by_cost` is bumped for
-  /// matches discarded by the cost model.
+  /// to `node`); on failure returns null. Matches discarded by the cost
+  /// model count as reuse_rejected_by_cost.
   PlanNodePtr TryContainment(const PlanNodePtr& node,
                              const Hash128& node_normalized,
-                             const std::vector<const PlanNode*>& ancestors,
-                             int* rejected_by_cost);
-
-  const MatchFunnel& funnel() const { return funnel_; }
+                             const std::vector<const PlanNode*>& ancestors);
 
   /// Ends the containment_verify span (if one was opened), stamping the
-  /// funnel counters as attributes. Called once after the reuse walk.
+  /// funnel rows of `counters` as attributes. Called once after the reuse
+  /// walk.
   void FinishSpan();
 
  private:
@@ -104,18 +76,17 @@ class CandidateMatcher {
   PlanNodePtr TryCandidate(const PlanNodePtr& node, const ViewAnnotation& ann,
                            const std::vector<const PlanNode*>& ancestors,
                            const CapDecomposition& qcap,
-                           const ViewFeatures& qf,
-                           int* rejected_by_cost);
+                           const ViewFeatures& qf);
 
   std::unordered_map<Hash128, std::vector<const ViewAnnotation*>,
                      Hash128Hasher>
       buckets_;
   ViewCatalogInterface* catalog_;
   const CostModel* cost_model_;
+  JobCounters* counters_;
   obs::Span* parent_span_;
   obs::Span verify_span_;  // inactive until the first tier-2 entry
   bool span_opened_ = false;
-  MatchFunnel funnel_;
 };
 
 /// True when output row order at a node is provably immaterial: walking

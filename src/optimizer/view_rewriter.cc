@@ -18,28 +18,26 @@ AnnotationIndex IndexAnnotations(const std::vector<ViewAnnotation>& anns) {
 
 PlanNodePtr ViewRewriter::ApplyReuse(PlanNodePtr root,
                                      const AnnotationIndex& annotations,
-                                     ReuseStats* stats,
+                                     JobCounters* counters,
                                      const ReuseOptions& options) {
   if (annotations.empty() || catalog_ == nullptr) return root;
   std::unique_ptr<CandidateMatcher> matcher;
   if (options.enable_containment) {
     matcher = std::make_unique<CandidateMatcher>(
-        annotations, catalog_, cost_model_, options.parent_span);
+        annotations, catalog_, cost_model_, counters, options.parent_span);
     if (!matcher->has_candidates()) matcher.reset();
   }
   std::vector<const PlanNode*> ancestors;
-  root = ReuseInternal(std::move(root), annotations, stats, matcher.get(),
+  root = ReuseInternal(std::move(root), annotations, counters, matcher.get(),
                        &ancestors);
-  if (matcher != nullptr) {
-    matcher->FinishSpan();
-    matcher->funnel().AddTo(&stats->funnel);
-  }
+  if (matcher != nullptr) matcher->FinishSpan();
   return root;
 }
 
 PlanNodePtr ViewRewriter::ReuseInternal(
-    PlanNodePtr node, const AnnotationIndex& annotations, ReuseStats* stats,
-    CandidateMatcher* matcher, std::vector<const PlanNode*>* ancestors) {
+    PlanNodePtr node, const AnnotationIndex& annotations,
+    JobCounters* counters, CandidateMatcher* matcher,
+    std::vector<const PlanNode*>* ancestors) {
   // Top-down: try the largest subgraph first (Sec 6.3).
   if (IsReusableRoot(*node) && node->kind() != OpKind::kOutput) {
     Hash128 normalized = node->SubtreeHash(SignatureMode::kNormalized);
@@ -64,27 +62,27 @@ PlanNodePtr ViewRewriter::ReuseInternal(
               view->design, view->rows, view->bytes);
           Status st = replacement->Bind();
           if (st.ok()) {
-            ++stats->views_reused;
+            ++counters->views_reused;
             return replacement;
           }
         } else {
-          ++stats->rejected_by_cost;
+          ++counters->reuse_rejected_by_cost;
         }
       }
     }
     // Tier 0 missed: try the staged containment matcher (tiers 1-3).
     if (matcher != nullptr) {
-      PlanNodePtr compensated = matcher->TryContainment(
-          node, normalized, *ancestors, &stats->rejected_by_cost);
+      PlanNodePtr compensated =
+          matcher->TryContainment(node, normalized, *ancestors);
       if (compensated != nullptr) {
-        ++stats->views_reused;
+        ++counters->views_reused;
         return compensated;
       }
     }
   }
   ancestors->push_back(node.get());
   for (auto& c : node->mutable_children()) {
-    c = ReuseInternal(c, annotations, stats, matcher, ancestors);
+    c = ReuseInternal(c, annotations, counters, matcher, ancestors);
   }
   ancestors->pop_back();
   return node;
@@ -93,7 +91,8 @@ PlanNodePtr ViewRewriter::ReuseInternal(
 PlanNodePtr ViewRewriter::ApplyMaterialization(
     PlanNodePtr root, const AnnotationIndex& annotations, uint64_t job_id,
     int max_per_job, double job_cost, double max_cost_fraction,
-    MaterializeStats* stats) {
+    JobCounters* counters,
+    std::vector<std::pair<Hash128, Hash128>>* lock_denied) {
   if (annotations.empty() || catalog_ == nullptr || max_per_job <= 0) {
     return root;
   }
@@ -102,18 +101,18 @@ PlanNodePtr ViewRewriter::ApplyMaterialization(
                               ? max_cost_fraction * job_cost
                               : 0;  // 0 = no gate
   return MaterializeInternal(std::move(root), annotations, job_id,
-                             max_per_job, max_spool_cost, &budget, stats);
+                             max_spool_cost, &budget, counters, lock_denied);
 }
 
 PlanNodePtr ViewRewriter::MaterializeInternal(
     PlanNodePtr node, const AnnotationIndex& annotations, uint64_t job_id,
-    int max_per_job, double max_spool_cost, int* budget,
-    MaterializeStats* stats) {
+    double max_spool_cost, int* budget, JobCounters* counters,
+    std::vector<std::pair<Hash128, Hash128>>* lock_denied) {
   // Bottom-up: smaller views first, as they typically have more overlaps
   // (Sec 6.2).
   for (auto& c : node->mutable_children()) {
-    c = MaterializeInternal(c, annotations, job_id, max_per_job,
-                            max_spool_cost, budget, stats);
+    c = MaterializeInternal(c, annotations, job_id, max_spool_cost, budget,
+                            counters, lock_denied);
   }
   if (*budget <= 0) return node;
   if (!IsReusableRoot(*node) || node->kind() == OpKind::kOutput) return node;
@@ -136,7 +135,7 @@ PlanNodePtr ViewRewriter::MaterializeInternal(
          bytes * cost_model_->config().bytes_weight) /
         std::max(1, cost_model_->config().default_dop);
     if (spool_cost > max_spool_cost) {
-      ++stats->skipped_by_cost;
+      ++counters->materialize_skipped_by_cost;
       return node;
     }
   }
@@ -149,8 +148,8 @@ PlanNodePtr ViewRewriter::MaterializeInternal(
   }
   if (!catalog_->ProposeMaterialize(normalized, precise, job_id,
                                     ann.avg_runtime_seconds)) {
-    ++stats->lock_denied;
-    stats->lock_denied_sigs.emplace_back(normalized, precise);
+    ++counters->materialize_lock_denied;
+    lock_denied->emplace_back(normalized, precise);
     return node;
   }
   std::string path = EncodeViewPath(normalized, precise, job_id);
@@ -160,7 +159,7 @@ PlanNodePtr ViewRewriter::MaterializeInternal(
                                            ann.design);
   spool->set_lifetime_seconds(ann.lifetime_seconds);
   --*budget;
-  ++stats->views_materialized;
+  ++counters->views_materialized;
   return spool;
 }
 

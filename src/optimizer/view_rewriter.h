@@ -33,17 +33,6 @@ class ViewRewriter {
   ViewRewriter(const CostModel* cost_model, ViewCatalogInterface* catalog)
       : cost_model_(cost_model), catalog_(catalog) {}
 
-  struct ReuseStats {
-    /// All reuses applied: exact (tier 0) plus subsumed (containment).
-    int views_reused = 0;
-    /// Matches rejected by the cost model (view read too expensive), from
-    /// either tier.
-    int rejected_by_cost = 0;
-    /// Containment-match funnel (tiers 1-3); all zeros when only the exact
-    /// tier ran.
-    MatchFunnel funnel;
-  };
-
   struct ReuseOptions {
     /// When false only the exact tier-0 hash probe runs (the pre-staged
     /// behavior).
@@ -57,51 +46,47 @@ class ViewRewriter {
   /// staged CandidateMatcher tries containment with a compensation plan.
   /// The plan must be bound with estimates annotated. Returns the (possibly
   /// new) root; the caller re-binds and repairs physical properties.
+  /// Adds views_reused (exact plus subsumed), reuse_rejected_by_cost (from
+  /// either tier) and the containment funnel into `counters`.
   PlanNodePtr ApplyReuse(PlanNodePtr root, const AnnotationIndex& annotations,
-                         ReuseStats* stats, const ReuseOptions& options);
+                         JobCounters* counters, const ReuseOptions& options);
   /// Default-options overload (an in-class `= ReuseOptions{}` default would
   /// need the nested type complete at the declaration).
   PlanNodePtr ApplyReuse(PlanNodePtr root, const AnnotationIndex& annotations,
-                         ReuseStats* stats) {
-    return ApplyReuse(std::move(root), annotations, stats, ReuseOptions{});
+                         JobCounters* counters) {
+    return ApplyReuse(std::move(root), annotations, counters, ReuseOptions{});
   }
-
-  struct MaterializeStats {
-    int views_materialized = 0;
-    /// Proposals denied because another job holds the build lock or the
-    /// view already exists.
-    int lock_denied = 0;
-    /// (normalized, precise) signature of every denied proposal, in plan
-    /// order — the piggyback layer waits on these builders (work sharing).
-    std::vector<std::pair<Hash128, Hash128>> lock_denied_sigs;
-    /// Matches skipped because writing the view would cost more than
-    /// `max_cost_fraction` of this job (a later, larger job builds it).
-    int skipped_by_cost = 0;
-  };
 
   /// Wraps matching, not-yet-materialized subgraphs in Spool nodes (after
   /// winning the metadata-service lock). Bottom-up, smaller views first,
   /// at most `max_per_job` spools (Sec 6.2). `job_cost` is the estimated
   /// cost of the whole job; a spool whose write cost exceeds
   /// `max_cost_fraction` of it is skipped (Sec 4: the optimizer may deem a
-  /// view too expensive).
+  /// view too expensive; a later, larger job builds it). Adds
+  /// views_materialized, materialize_lock_denied (another job holds the
+  /// build lock) and materialize_skipped_by_cost into `counters`, and
+  /// appends every denied proposal to `lock_denied`, in plan order — the
+  /// piggyback layer waits on these builders (work sharing).
   PlanNodePtr ApplyMaterialization(PlanNodePtr root,
                                    const AnnotationIndex& annotations,
                                    uint64_t job_id, int max_per_job,
                                    double job_cost,
                                    double max_cost_fraction,
-                                   MaterializeStats* stats);
+                                   JobCounters* counters,
+                                   std::vector<std::pair<Hash128, Hash128>>*
+                                       lock_denied);
 
  private:
   PlanNodePtr ReuseInternal(PlanNodePtr node,
                             const AnnotationIndex& annotations,
-                            ReuseStats* stats, CandidateMatcher* matcher,
+                            JobCounters* counters, CandidateMatcher* matcher,
                             std::vector<const PlanNode*>* ancestors);
   PlanNodePtr MaterializeInternal(PlanNodePtr node,
                                   const AnnotationIndex& annotations,
-                                  uint64_t job_id, int max_per_job,
-                                  double max_spool_cost, int* budget,
-                                  MaterializeStats* stats);
+                                  uint64_t job_id, double max_spool_cost,
+                                  int* budget, JobCounters* counters,
+                                  std::vector<std::pair<Hash128, Hash128>>*
+                                      lock_denied);
 
   const CostModel* cost_model_;
   ViewCatalogInterface* catalog_;

@@ -1,5 +1,8 @@
 #include "parser/parser.h"
 
+#include <charconv>
+#include <system_error>
+
 #include "common/string_util.h"
 #include "expr/function_registry.h"
 
@@ -32,6 +35,21 @@ class ParserImpl {
     return Status::ParseError(
         StrFormat("%s at line %d (near '%s')", msg.c_str(), Cur().line,
                   Cur().text.c_str()));
+  }
+  /// Converts the current number token and advances past it. A literal
+  /// that does not fit T is a ParseError: scripts arrive over the wire, so
+  /// no conversion here may throw.
+  template <typename T>
+  Result<T> ConsumeNumber() {
+    const std::string& text = Cur().text;
+    T value{};
+    auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      return Fail("numeric literal out of range");
+    }
+    Advance();
+    return value;
   }
   bool AcceptSymbol(const std::string& s) {
     if (Cur().IsSymbol(s)) {
@@ -353,8 +371,7 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
 
   if (AcceptKeyword("TOP")) {
     if (!Cur().Is(TokenType::kInt)) return Fail("TOP needs an integer");
-    int64_t limit = std::stoll(Cur().text);
-    Advance();
+    CV_ASSIGN_OR_RETURN(int64_t limit, ConsumeNumber<int64_t>());
     plan = std::make_shared<TopNode>(plan, limit);
   }
   return plan;
@@ -400,8 +417,8 @@ Result<PlanNodePtr> ParserImpl::ParseScript() {
         design.partitioning.scheme = PartitionScheme::kHash;
         if (AcceptKeyword("INTO")) {
           if (!Cur().Is(TokenType::kInt)) return Fail("INTO needs an integer");
-          design.partitioning.partition_count = std::stoi(Cur().text);
-          Advance();
+          CV_ASSIGN_OR_RETURN(design.partitioning.partition_count,
+                              ConsumeNumber<int>());
         }
       }
       if (AcceptKeyword("SORTED")) {
@@ -532,13 +549,11 @@ Result<ExprPtr> ParserImpl::ParsePrimary() {
     return inner;
   }
   if (Cur().Is(TokenType::kInt)) {
-    int64_t v = std::stoll(Cur().text);
-    Advance();
+    CV_ASSIGN_OR_RETURN(int64_t v, ConsumeNumber<int64_t>());
     return Lit(v);
   }
   if (Cur().Is(TokenType::kFloat)) {
-    double v = std::stod(Cur().text);
-    Advance();
+    CV_ASSIGN_OR_RETURN(double v, ConsumeNumber<double>());
     return Lit(v);
   }
   if (Cur().Is(TokenType::kString)) {

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/operator_stats.h"
+#include "optimizer/job_counters.h"
 #include "plan/plan_node.h"
 
 namespace cloudviews {
@@ -66,8 +67,12 @@ class InflightSharing {
   };
 
   /// What the leader hands its followers. The plan tree is immutable after
-  /// execution, so sharing the pointer across followers is safe.
-  struct Outcome {
+  /// execution, so sharing the pointer across followers is safe. The
+  /// JobCounters block holds what an adopting follower reports: the reuse
+  /// shape of the plan that ran (views_reused, views_reused_subsumed,
+  /// compensation_nodes_added) and zero for the rest — the leader's
+  /// builds, lock denials and waits are not the follower's.
+  struct Outcome : JobCounters {
     /// False until a successful publish; failed leaders publish ok=false
     /// with `status` carrying the reason (followers degrade, they do not
     /// propagate this status).
@@ -76,13 +81,6 @@ class InflightSharing {
     uint64_t leader_job_id = 0;
     PlanNodePtr executed_plan;
     JobRunStats run_stats;
-    // Rewrite-side stats of the plan that actually ran, copied so a
-    // follower's job profile describes the execution it adopted. No
-    // views_materialized: the leader built those views, the follower
-    // must not claim the builds as its own.
-    int views_reused = 0;
-    int views_reused_subsumed = 0;
-    int compensation_nodes_added = 0;
     double estimated_cost = 0;
   };
 

@@ -49,53 +49,14 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
   obs_.stage_record = metrics->GetHistogram(
       "cv_job_stage_seconds", {{"stage", "record"}}, {},
       "Per-stage wall time of the job pipeline");
-  obs_.views_reused =
-      metrics->GetCounter("cv_rewrite_views_reused_total", {},
-                          "Subgraphs replaced by materialized-view scans");
-  obs_.views_materialized =
-      metrics->GetCounter("cv_rewrite_views_materialized_total", {},
-                          "Online view materializations injected");
-  obs_.reuse_rejected = metrics->GetCounter(
-      "cv_rewrite_reuse_rejected_by_cost_total", {},
-      "Reuse opportunities rejected by the cost model (Sec 6.3)");
-  obs_.candidates_filtered = metrics->GetCounter(
-      "cv_containment_candidates_filtered_total", {},
-      "Containment candidates that passed the tier-1 feature filter and "
-      "entered structural verification");
-  obs_.containment_verified = metrics->GetCounter(
-      "cv_containment_verified_total", {},
-      "Containment candidates proven (structure + a live instance whose "
-      "predicate contains the query's)");
-  obs_.containment_rejected = metrics->GetCounter(
-      "cv_containment_rejected_total", {},
-      "Tier-1 containment survivors rejected during verification (structure "
-      "mismatch, no live instance, predicate, cost, or unsafe compensation)");
-  obs_.views_subsumed = metrics->GetCounter(
-      "cv_rewrite_views_reused_subsumed_total", {},
-      "Subgraphs served from a subsuming view through a compensation plan "
-      "(subset of cv_rewrite_views_reused_total)");
-  obs_.compensation_nodes = metrics->GetCounter(
-      "cv_containment_compensation_nodes_total", {},
-      "Filter/Aggregate/Project compensation operators added around "
-      "subsumed view reads");
-  obs_.lock_denied = metrics->GetCounter(
-      "cv_rewrite_materialize_lock_denied_total", {},
-      "Materializations skipped because another job holds the build lock");
-  obs_.mat_skipped = metrics->GetCounter(
-      "cv_rewrite_materialize_skipped_by_cost_total", {},
-      "Materializations skipped by the write-cost gate");
-  obs_.views_fallback = metrics->GetCounter(
-      "cv_jobs_views_fallback_total", {},
-      "View reads abandoned because the view was unavailable; the job "
-      "re-ran its original plan (do-no-harm fallback)");
+  for (size_t i = 0; i < kNumJobCounters; ++i) {
+    obs_.job_counters[i] = metrics->GetCounter(
+        kJobCounterInfo[i].metric, {}, kJobCounterInfo[i].help);
+  }
   obs_.fallback_jobs =
       metrics->GetCounter("cv_jobs_fallback_total", {},
                           "Jobs that fell back to their original plan "
                           "after a view-read failure");
-  obs_.lookup_degraded =
-      metrics->GetCounter("cv_jobs_lookup_degraded_total", {},
-                          "Jobs that ran without reuse information after "
-                          "persistent metadata-lookup failures");
   obs_.views_abandoned =
       metrics->GetCounter("cv_views_abandoned_total", {},
                           "Partially materialized views discarded after a "
@@ -120,21 +81,6 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
       "cv_sharing_follower_degraded_total", {},
       "Followers that fell back to full independent execution (leader "
       "failure or wait timeout); the job still succeeds");
-  obs_.piggyback_waits = metrics->GetCounter(
-      "cv_sharing_piggyback_waits_total", {},
-      "Build-lock denials the job waited out hoping to reuse the "
-      "in-flight builder's view (one per denied signature)");
-  obs_.piggyback_hits = metrics->GetCounter(
-      "cv_sharing_piggyback_hits_total", {},
-      "Piggyback waits that ended with the view registered; the job "
-      "re-optimized against it instead of running reuse-blind");
-  obs_.piggyback_timeouts = metrics->GetCounter(
-      "cv_sharing_piggyback_timeouts_total", {},
-      "Piggyback waits that timed out; the job kept its reuse-blind plan");
-  obs_.piggyback_abandoned = metrics->GetCounter(
-      "cv_sharing_piggyback_abandoned_total", {},
-      "Piggyback waits cut short because the builder abandoned its lock "
-      "(or its lease lapsed); the job kept its reuse-blind plan");
   plan_cache_.SetMetrics(metrics);
 }
 
@@ -202,6 +148,69 @@ void JobService::RegisterMaterializedView(const SpoolNode& spool,
       obs_.stale_registrations->Increment();
     }
   }
+}
+
+JobResult JobService::FinishJob(JobResult result, obs::Span* job_span,
+                                double latency_seconds) {
+  if (obs_.succeeded != nullptr) {
+    ForEachJobCounter(result, [this](size_t i, auto value) {
+      if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));
+    });
+    obs_.succeeded->Increment();
+    obs_.latency->Observe(latency_seconds);
+  }
+  result.trace = job_span->Finish();
+  return result;
+}
+
+void JobService::RecordJob(const JobDefinition& def, const JobResult& result,
+                           obs::Span* job_span) {
+  obs::Span record_span = job_span->StartChild("record");
+  JobRecord record;
+  record.job_id = result.job_id;
+  record.cluster = def.cluster;
+  record.business_unit = def.business_unit;
+  record.vc = def.vc;
+  record.user = def.user;
+  record.template_id = def.template_id;
+  record.recurring_instance = def.recurring_instance;
+  record.recurrence_period = def.recurrence_period;
+  record.submit_time = clock_->Now();
+  record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
+  record.plan = result.executed_plan;
+  record.run_stats = result.run_stats;
+  repository_->AddJob(std::move(record));
+  record_span.End();
+}
+
+ExecContext JobService::MakeExecContext(uint64_t job_id,
+                                        const ExecOptions& options,
+                                        MonotonicClock* clock) {
+  ExecContext exec_ctx;
+  exec_ctx.storage = storage_;
+  exec_ctx.job_id = job_id;
+  exec_ctx.metrics = metrics_;
+  exec_ctx.clock = clock;
+  exec_ctx.options = options;
+  exec_ctx.pool = ExecutionPool(exec_ctx.options);
+  exec_ctx.fault = fault_;
+  exec_ctx.retry = retry_;
+  exec_ctx.sleeper = sleeper_;
+  if (metadata_ != nullptr) {
+    exec_ctx.on_view_materialized = [this, job_id](const SpoolNode& spool,
+                                                   const StreamData& view) {
+      RegisterMaterializedView(spool, view, job_id);
+    };
+    exec_ctx.on_view_abandoned = [this, job_id](const SpoolNode& spool,
+                                                const Status&) {
+      // Do-no-harm path: the view write failed, the partial is gone, the
+      // job keeps running — hand the build lock back so another instance
+      // can retry the materialization.
+      metadata_->AbandonLock(spool.precise_signature(), job_id);
+      if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
+    };
+  }
+  return exec_ctx;
 }
 
 Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
@@ -293,36 +302,15 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
         result.share_leader_job_id = shared.leader_job_id;
         result.executed_plan = shared.executed_plan;
         result.run_stats = shared.run_stats;
-        result.views_reused = shared.views_reused;
-        result.views_reused_subsumed = shared.views_reused_subsumed;
-        result.compensation_nodes_added = shared.compensation_nodes_added;
+        static_cast<JobCounters&>(result) = shared;
         result.estimated_cost = shared.estimated_cost;
         job_span.SetAttribute("shared_execution", true);
         job_span.SetAttribute("share_leader_job_id", shared.leader_job_id);
         if (options.record_in_repository && repository_ != nullptr) {
-          obs::Span record_span = job_span.StartChild("record");
-          JobRecord record;
-          record.job_id = result.job_id;
-          record.cluster = def.cluster;
-          record.business_unit = def.business_unit;
-          record.vc = def.vc;
-          record.user = def.user;
-          record.template_id = def.template_id;
-          record.recurring_instance = def.recurring_instance;
-          record.recurrence_period = def.recurrence_period;
-          record.submit_time = clock_->Now();
-          record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
-          record.plan = result.executed_plan;
-          record.run_stats = result.run_stats;
-          repository_->AddJob(std::move(record));
-          record_span.End();
+          RecordJob(def, result, &job_span);
         }
-        if (obs_.succeeded != nullptr) {
-          obs_.succeeded->Increment();
-          obs_.latency->Observe(wall->NowSeconds() - submit_start);
-        }
-        result.trace = job_span.Finish();
-        return result;
+        return FinishJob(std::move(result), &job_span,
+                         wall->NowSeconds() - submit_start);
       }
       // "Do no harm": the leader failed or the wait timed out — run the
       // job independently below, exactly as if sharing were off.
@@ -413,7 +401,6 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
       ctx.annotations.clear();
       ctx.view_catalog = nullptr;
       result.lookup_degraded = true;
-      if (obs_.lookup_degraded != nullptr) obs_.lookup_degraded->Increment();
       span.SetAttribute("degraded", true);
       span.SetAttribute("error", lookup.ToString());
     } else if (optimizer_.config().enable_containment_matching) {
@@ -505,7 +492,6 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
          optimized.lock_denied_signatures) {
       (void)denied_norm;
       ++result.piggyback_waits;
-      if (obs_.piggyback_waits != nullptr) obs_.piggyback_waits->Increment();
       // One shared budget across all denied signatures of this job.
       double remaining = deadline - real->NowSeconds();
       Status waited =
@@ -514,17 +500,10 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
               : metadata_->WaitForMaterialized(denied_precise, remaining);
       if (waited.ok()) {
         ++result.piggyback_hits;
-        if (obs_.piggyback_hits != nullptr) obs_.piggyback_hits->Increment();
       } else if (waited.IsNotFound()) {
         ++result.piggyback_abandoned;
-        if (obs_.piggyback_abandoned != nullptr) {
-          obs_.piggyback_abandoned->Increment();
-        }
       } else {
         ++result.piggyback_timeouts;
-        if (obs_.piggyback_timeouts != nullptr) {
-          obs_.piggyback_timeouts->Increment();
-        }
       }
     }
     if (result.piggyback_hits > 0) {
@@ -551,66 +530,18 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
 
   if (obs_.stage_optimize != nullptr) {
     obs_.stage_optimize->Observe(wall->NowSeconds() - optimize_start);
-    obs_.views_reused->Increment(
-        static_cast<uint64_t>(optimized.views_reused));
-    obs_.views_materialized->Increment(
-        static_cast<uint64_t>(optimized.views_materialized));
-    obs_.reuse_rejected->Increment(
-        static_cast<uint64_t>(optimized.reuse_rejected_by_cost));
-    obs_.lock_denied->Increment(
-        static_cast<uint64_t>(optimized.materialize_lock_denied));
-    obs_.mat_skipped->Increment(
-        static_cast<uint64_t>(optimized.materialize_skipped_by_cost));
-    obs_.candidates_filtered->Increment(
-        static_cast<uint64_t>(optimized.candidates_filtered));
-    obs_.containment_verified->Increment(
-        static_cast<uint64_t>(optimized.containment_verified));
-    obs_.containment_rejected->Increment(
-        static_cast<uint64_t>(optimized.containment_rejected));
-    obs_.views_subsumed->Increment(
-        static_cast<uint64_t>(optimized.views_reused_subsumed));
-    obs_.compensation_nodes->Increment(
-        static_cast<uint64_t>(optimized.compensation_nodes_added));
   }
   result.compile_seconds = optimized.optimize_seconds;
-  result.views_reused = optimized.views_reused;
-  result.views_materialized = optimized.views_materialized;
-  result.reuse_rejected_by_cost = optimized.reuse_rejected_by_cost;
-  result.materialize_lock_denied = optimized.materialize_lock_denied;
-  result.candidates_filtered = optimized.candidates_filtered;
-  result.containment_verified = optimized.containment_verified;
-  result.containment_rejected = optimized.containment_rejected;
-  result.views_reused_subsumed = optimized.views_reused_subsumed;
-  result.compensation_nodes_added = optimized.compensation_nodes_added;
+  // The optimizer's rows join the runtime's (lookup, piggyback): each side
+  // leaves the other's rows zero.
+  result.Add(optimized);
   result.estimated_cost = optimized.estimated_cost;
 
   // --- Execute with early view publication (Sec 6.4) -----------------------
   double execute_start = wall->NowSeconds();
   obs::Span execute_span = job_span.StartChild("execute");
-  ExecContext exec_ctx;
-  exec_ctx.storage = storage_;
-  exec_ctx.job_id = result.job_id;
-  exec_ctx.metrics = metrics_;
-  exec_ctx.clock = wall;
-  exec_ctx.options = options.exec.value_or(exec_options_);
-  exec_ctx.pool = ExecutionPool(exec_ctx.options);
-  exec_ctx.fault = fault_;
-  exec_ctx.retry = retry_;
-  exec_ctx.sleeper = sleeper_;
-  if (metadata_ != nullptr) {
-    exec_ctx.on_view_materialized = [this, &result](const SpoolNode& spool,
-                                                    const StreamData& view) {
-      RegisterMaterializedView(spool, view, result.job_id);
-    };
-    exec_ctx.on_view_abandoned = [this, &result](const SpoolNode& spool,
-                                                 const Status&) {
-      // Do-no-harm path: the view write failed, the partial is gone, the
-      // job keeps running — hand the build lock back so another instance
-      // can retry the materialization.
-      metadata_->AbandonLock(spool.precise_signature(), result.job_id);
-      if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
-    };
-  }
+  ExecContext exec_ctx = MakeExecContext(
+      result.job_id, options.exec.value_or(exec_options_), wall);
   Executor executor(exec_ctx);
   auto run = executor.Execute(optimized.root);
   if (!run.ok() && run.status().IsViewUnavailable() && metadata_ != nullptr) {
@@ -624,11 +555,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     execute_span.SetAttribute("views_fallback",
                               static_cast<int64_t>(result.views_fallback));
     execute_span.SetAttribute("fallback_cause", run.status().ToString());
-    if (obs_.views_fallback != nullptr) {
-      obs_.views_fallback->Increment(
-          static_cast<uint64_t>(result.views_fallback));
-      obs_.fallback_jobs->Increment();
-    }
+    if (obs_.fallback_jobs != nullptr) obs_.fallback_jobs->Increment();
     // The cached entry (if any) led to or coexists with a plan reading a
     // dead view — drop it so the next occurrence replans from scratch.
     if (cache_on) plan_cache_.Invalidate(cache_key);
@@ -695,6 +622,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
       out.leader_job_id = result.job_id;
       out.executed_plan = result.executed_plan;
       out.run_stats = result.run_stats;
+      // What an adopting follower reports (see InflightSharing::Outcome).
       out.views_reused = result.views_reused;
       out.views_reused_subsumed = result.views_reused_subsumed;
       out.compensation_nodes_added = result.compensation_nodes_added;
@@ -742,33 +670,13 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
   // --- Record in the workload repository (feedback loop) -------------------
   if (options.record_in_repository && repository_ != nullptr) {
     double record_start = wall->NowSeconds();
-    obs::Span record_span = job_span.StartChild("record");
-    JobRecord record;
-    record.job_id = result.job_id;
-    record.cluster = def.cluster;
-    record.business_unit = def.business_unit;
-    record.vc = def.vc;
-    record.user = def.user;
-    record.template_id = def.template_id;
-    record.recurring_instance = def.recurring_instance;
-    record.recurrence_period = def.recurrence_period;
-    record.submit_time = clock_->Now();
-    record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
-    record.plan = optimized.root;
-    record.run_stats = result.run_stats;
-    repository_->AddJob(std::move(record));
-    record_span.End();
+    RecordJob(def, result, &job_span);
     if (obs_.stage_record != nullptr) {
       obs_.stage_record->Observe(wall->NowSeconds() - record_start);
     }
   }
-
-  if (obs_.succeeded != nullptr) {
-    obs_.succeeded->Increment();
-    obs_.latency->Observe(wall->NowSeconds() - submit_start);
-  }
-  result.trace = job_span.Finish();
-  return result;
+  return FinishJob(std::move(result), &job_span,
+                   wall->NowSeconds() - submit_start);
 }
 
 Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
@@ -825,27 +733,13 @@ Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
       return bound;
     }
     AssignNodeIds(standalone.get());
-    ExecContext exec_ctx;
-    exec_ctx.storage = storage_;
-    exec_ctx.job_id = job_id;
-    exec_ctx.metrics = metrics_;
-    exec_ctx.clock = wall_clock_;
-    exec_ctx.options = exec_options_;
-    exec_ctx.pool = ExecutionPool(exec_ctx.options);
-    exec_ctx.fault = fault_;
-    exec_ctx.retry = retry_;
-    exec_ctx.sleeper = sleeper_;
+    ExecContext exec_ctx = MakeExecContext(job_id, exec_options_, wall_clock_);
     bool materialized = false;
     exec_ctx.on_view_materialized = [this, job_id, &materialized](
                                         const SpoolNode& node,
                                         const StreamData& view) {
       materialized = true;
       RegisterMaterializedView(node, view, job_id);
-    };
-    exec_ctx.on_view_abandoned = [this, job_id](const SpoolNode& node,
-                                                const Status&) {
-      metadata_->AbandonLock(node.precise_signature(), job_id);
-      if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
     };
     Executor executor(exec_ctx);
     auto run = executor.Execute(standalone);

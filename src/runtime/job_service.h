@@ -1,6 +1,7 @@
 #ifndef CLOUDVIEWS_RUNTIME_JOB_SERVICE_H_
 #define CLOUDVIEWS_RUNTIME_JOB_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "metadata/metadata_service.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "optimizer/job_counters.h"
 #include "optimizer/optimizer.h"
 #include "runtime/inflight_sharing.h"
 #include "runtime/plan_cache.h"
@@ -38,34 +40,24 @@ struct JobDefinition {
   std::vector<std::string> tags;
 };
 
-/// Outcome of one job run.
-struct JobResult {
+/// Outcome of one job run. The JobCounters block reports what reuse did
+/// for this job (docs/job_profile_schema.md): the counters of the compile
+/// whose plan ran, plus the runtime rows — views_fallback (view reads
+/// abandoned mid-run: the views were unavailable, so the job transparently
+/// re-ran its original plan; views_reused, views_materialized and the
+/// subsumption rows then describe that plan), lookup_degraded (the
+/// metadata lookup failed persistently and the job ran without reuse
+/// information) and the piggyback funnel (build-lock denials this job
+/// waited out, and how each wait ended: a hit triggers one re-optimize
+/// against the freshly registered view; timeouts and abandoned builders
+/// keep the reuse-blind plan). An adopted follower reports the leader's
+/// reuse shape only (see InflightSharing::Outcome).
+struct JobResult : JobCounters {
   uint64_t job_id = 0;
   PlanNodePtr executed_plan;
   JobRunStats run_stats;
   double compile_seconds = 0;           // optimizer wall time
   double metadata_lookup_seconds = 0;   // simulated service latency
-  int views_reused = 0;
-  int views_materialized = 0;
-  int reuse_rejected_by_cost = 0;
-  int materialize_lock_denied = 0;
-  /// Containment-match funnel (docs/job_profile_schema.md): all zeros for
-  /// exact-only compiles and for plans served from the plan cache (the
-  /// matching work done for a cached submission is zero).
-  int candidates_filtered = 0;
-  int containment_verified = 0;
-  int containment_rejected = 0;
-  /// Subset of views_reused served through containment + compensation.
-  int views_reused_subsumed = 0;
-  int compensation_nodes_added = 0;
-  /// View reads abandoned mid-run: the rewritten plan's views were
-  /// unavailable, so the job transparently re-ran its original plan
-  /// (ReStore-style fallback). The job still succeeded; views_reused is
-  /// reset to 0 for the plan that actually executed.
-  int views_fallback = 0;
-  /// The metadata lookup failed persistently and the job ran without any
-  /// reuse information instead of failing.
-  bool lookup_degraded = false;
   /// The plan came from the plan cache (full or skeleton tier): parse +
   /// logical optimize were skipped — the recurring-job fast path.
   bool plan_cache_hit = false;
@@ -82,14 +74,6 @@ struct JobResult {
   uint64_t share_leader_job_id = 0;
   /// Leader side: followers that adopted this job's execution.
   int share_followers = 0;
-  /// Piggyback funnel (work sharing on the materialization path): build-
-  /// lock denials this job waited out, and how each wait ended. hits
-  /// trigger one re-optimize against the freshly registered view;
-  /// timeouts/abandoned keep the reuse-blind plan ("do no harm").
-  int piggyback_waits = 0;
-  int piggyback_hits = 0;
-  int piggyback_timeouts = 0;
-  int piggyback_abandoned = 0;
   double estimated_cost = 0;
   /// The job's finished lifecycle trace (root span "job" with
   /// metadata_lookup / optimize / execute / record children); null when
@@ -221,30 +205,33 @@ class JobService {
     obs::Histogram* stage_optimize = nullptr;
     obs::Histogram* stage_execute = nullptr;
     obs::Histogram* stage_record = nullptr;
-    obs::Counter* views_reused = nullptr;
-    obs::Counter* views_materialized = nullptr;
-    obs::Counter* reuse_rejected = nullptr;
-    obs::Counter* candidates_filtered = nullptr;
-    obs::Counter* containment_verified = nullptr;
-    obs::Counter* containment_rejected = nullptr;
-    obs::Counter* views_subsumed = nullptr;
-    obs::Counter* compensation_nodes = nullptr;
-    obs::Counter* lock_denied = nullptr;
-    obs::Counter* mat_skipped = nullptr;
-    obs::Counter* views_fallback = nullptr;
+    /// One counter per CV_JOB_COUNTERS row, in table order.
+    std::array<obs::Counter*, kNumJobCounters> job_counters{};
     obs::Counter* fallback_jobs = nullptr;
-    obs::Counter* lookup_degraded = nullptr;
     obs::Counter* views_abandoned = nullptr;
     obs::Counter* stale_registrations = nullptr;
     obs::Counter* sharing_leaders = nullptr;
     obs::Counter* sharing_followers = nullptr;
     obs::Counter* sharing_leader_failures = nullptr;
     obs::Counter* sharing_degraded = nullptr;
-    obs::Counter* piggyback_waits = nullptr;
-    obs::Counter* piggyback_hits = nullptr;
-    obs::Counter* piggyback_timeouts = nullptr;
-    obs::Counter* piggyback_abandoned = nullptr;
   };
+
+  /// Success tail of every SubmitJob path: advances each job-counter
+  /// metric by `result`'s value, counts the job as succeeded with
+  /// `latency_seconds`, and finishes the job's trace into `result`.
+  JobResult FinishJob(JobResult result, obs::Span* job_span,
+                      double latency_seconds);
+
+  /// Adds the finished job to the workload repository (the feedback loop)
+  /// under a "record" child of `job_span`.
+  void RecordJob(const JobDefinition& def, const JobResult& result,
+                 obs::Span* job_span);
+
+  /// Execution context for one run of `job_id`: storage, the shared pool,
+  /// the fault seams, and (with a metadata service) the view publish and
+  /// abandon callbacks of Sec 6.4.
+  ExecContext MakeExecContext(uint64_t job_id, const ExecOptions& options,
+                              MonotonicClock* clock);
 
   /// Releases the build locks held by every Spool node under `root` that
   /// `job_id` still owns (idempotent per lock). Called whenever a plan

@@ -125,6 +125,15 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
     }
   };
 
+  // Per table row, the sum of that counter over every JobResult the
+  // faulted instance returned.
+  std::vector<uint64_t> counter_sums(kNumJobCounters, 0);
+  auto tally = [&counter_sums](const JobResult& r) {
+    ForEachJobCounter(r, [&counter_sums](size_t i, auto value) {
+      counter_sums[i] += static_cast<uint64_t>(value);
+    });
+  };
+
   // Day 0: seed recurring history on the faulted instance and mine it.
   write_day(0);
   {
@@ -134,6 +143,7 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
       ASSERT_TRUE(b.ok()) << b.status().ToString();
       auto r = cv.Submit(def, false);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
+      tally(*r);
     }
   }
   cv.RunAnalyzerAndLoad();
@@ -210,6 +220,7 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
       fallbacks += r->views_fallback;
       degraded_lookups += r->lookup_degraded ? 1 : 0;
       reused += r->views_reused;
+      tally(*r);
     }
     for (const char* prefix : {"A_", "B_", "C_"}) {
       std::string stream = prefix + date;
@@ -245,6 +256,14 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
     EXPECT_GT(counter_value("cv_sharing_leader_total"), 0u);
     EXPECT_EQ(cv.job_service()->inflight_sharing().NumPending(), 0u)
         << "in-flight sharing entries leaked at shutdown";
+
+    // Every job-counter metric advanced by exactly what the jobs reported
+    // (fallbacks, degraded lookups, adopted followers and piggybacks
+    // included): one increment pass per successful job.
+    for (size_t i = 0; i < kNumJobCounters; ++i) {
+      EXPECT_EQ(counter_value(kJobCounterInfo[i].metric), counter_sums[i])
+          << kJobCounterInfo[i].metric;
+    }
 
     // Shutdown hygiene: no leaked build locks, and every surviving view
     // stream is complete and registered (torn partials and stale copies

@@ -11,6 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/mutex.h"
+#include "fault/backoff.h"
+#include "fault/fault_injector.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/outcome.h"
@@ -269,15 +272,80 @@ TEST(NetE2E, AsyncTicketLifecycleAndProfile) {
   EXPECT_NE(profile->profile_json.find("job"), std::string::npos);
 }
 
+TEST(NetE2E, OutOfRangeLiteralIsATypedErrorAndTheServerKeepsServing) {
+  // The server parses wire scripts in its own process: a literal that does
+  // not fit its type must come back as a typed parse error, not abort it.
+  ServerFixture fx = StartServerFixture();
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  SubmitRequest hostile = NetSubmit("tmpl-hostile", "h", "2024-01-01", 1);
+  hostile.script = R"(
+clicks = EXTRACT user:int, page:string, latency:int, when:date
+         FROM "clicks_{date}";
+slow   = SELECT page FROM clicks WHERE latency > 99999999999999999999;
+OUTPUT slow TO "hostile_{tag}_{date}";
+)";
+  auto refused = client->Submit(hostile);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  ASSERT_EQ(refused->kind, Client::SubmitReply::Kind::kError);
+  EXPECT_EQ(refused->error.code,
+            static_cast<uint8_t>(StatusCode::kParseError));
+  EXPECT_NE(refused->error.message.find("out of range"), std::string::npos)
+      << refused->error.message;
+
+  // Same server, same connection: a well-formed job still runs.
+  auto served = client->Submit(NetSubmit("tmpl-ok", "ok", "2024-01-01", 1));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->kind, Client::SubmitReply::Kind::kResult);
+  EXPECT_GT(served->result.outcome.output_rows, 0);
+}
+
+/// A Sleeper that parks every caller until Release().
+class GateSleeper : public fault::Sleeper {
+ public:
+  void Sleep(double) override EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (!released_) cv_.Wait(mu_);
+  }
+  void Release() EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool released_ GUARDED_BY(mu_) = false;
+};
+
 TEST(NetE2E, StopDrainsAdmittedWorkAndRefusesNew) {
-  ServerFixture fx = StartServerFixture([](CloudViewsConfig* config) {
+  // The single worker parks inside the first backlog job until the client
+  // has seen a kDraining shed: that job's metadata lookup fails once, and
+  // its retry backoff sleeps on `gate`. Without this, Stop() could finish
+  // the backlog and close the sockets before any late submit arrived.
+  fault::FaultInjector injector;
+  GateSleeper gate;
+  ServerFixture fx = StartServerFixture([&](CloudViewsConfig* config) {
     config->net.submission_workers = 1;
     config->net.submission_queue_capacity = 64;
     config->net.per_connection_inflight_cap = 64;
+    config->fault = &injector;
+    config->sleeper = &gate;
   });
+  // Released on every exit path, before ~ServerFixture drains the queue.
+  struct ReleaseOnExit {
+    GateSleeper* gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{&gate};
+  fault::FaultSpec once;
+  once.trigger_every = 1;
+  once.max_fires = 1;
+  injector.Arm(fault::points::kMetadataLookup, once);
+
   auto client = Client::Connect("127.0.0.1", fx.port);
   ASSERT_TRUE(client.ok());
-  // Queue up a backlog of async jobs so the drain window is wide.
+  // Queue up a backlog of async jobs behind the parked one.
   constexpr int kBacklog = 12;
   for (int i = 0; i < kBacklog; ++i) {
     SubmitRequest req =
@@ -292,7 +360,9 @@ TEST(NetE2E, StopDrainsAdmittedWorkAndRefusesNew) {
 
   // Stop in the background; submissions racing the drain must be refused
   // with a typed kDraining RETRY_AFTER (or a closed connection once the
-  // teardown reaches the sockets) — never silently queued.
+  // teardown reaches the sockets) — never silently queued. Before the
+  // drain gate flips, late submits are admitted until the per-connection
+  // cap sheds them; from the first kDraining shed on, every shed is one.
   std::thread stopper([&fx] { fx.server->Stop(); });
   int draining_sheds = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -301,8 +371,13 @@ TEST(NetE2E, StopDrainsAdmittedWorkAndRefusesNew) {
     auto reply = client->Submit(req);
     if (!reply.ok()) break;  // sockets torn down: refusal by close
     if (reply->kind == Client::SubmitReply::Kind::kRetryAfter) {
-      EXPECT_EQ(reply->retry.reason, ShedReason::kDraining);
-      ++draining_sheds;
+      if (draining_sheds > 0) {
+        EXPECT_EQ(reply->retry.reason, ShedReason::kDraining);
+      }
+      if (reply->retry.reason == ShedReason::kDraining) {
+        ++draining_sheds;
+        gate.Release();  // the drain window was observed; let it close
+      }
     } else if (reply->kind == Client::SubmitReply::Kind::kAccepted) {
       // This submit raced ahead of the drain gate flipping — legitimately
       // admitted, so Stop() owes it completion like the rest.
@@ -312,8 +387,10 @@ TEST(NetE2E, StopDrainsAdmittedWorkAndRefusesNew) {
       break;
     }
   }
+  gate.Release();
   stopper.join();
   EXPECT_GE(draining_sheds, 1);
+  EXPECT_EQ(injector.fires(fault::points::kMetadataLookup), 1u);
 
   // Everything admitted before the drain ran to completion.
   ServerStatsResponse stats = fx.server->Stats();

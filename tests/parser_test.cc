@@ -357,5 +357,64 @@ OUTPUT f TO "x";
   EXPECT_TRUE(r.status().IsParseError());
 }
 
+// Out-of-range numeric literals at each conversion site — integer and
+// float literals, TOP and CLUSTERED ... INTO — are parse errors, never
+// exceptions (scripts arrive over the wire and parse inside the server).
+TEST(ParserErrorTest, OutOfRangeIntegerLiteral) {
+  ScopeScriptParser parser;
+  auto r = parser.Parse(R"(
+a = EXTRACT k:int, latency:int FROM "a";
+f = SELECT k FROM a WHERE latency > 99999999999999999999;
+OUTPUT f TO "x";
+)",
+                        {});
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("out of range"), std::string::npos);
+}
+
+TEST(ParserErrorTest, OutOfRangeFloatLiteral) {
+  ScopeScriptParser parser;
+  auto r = parser.Parse("a = EXTRACT k:int, v:double FROM \"a\";\n"
+                        "f = SELECT k FROM a WHERE v > " +
+                            std::string(400, '9') +
+                            ".5;\n"
+                            "OUTPUT f TO \"x\";\n",
+                        {});
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+}
+
+TEST(ParserErrorTest, OutOfRangeTopCount) {
+  ScopeScriptParser parser;
+  auto r = parser.Parse(R"(
+a = EXTRACT k:int, v:int FROM "a";
+s = SELECT * FROM a ORDER BY v TOP 99999999999999999999;
+OUTPUT s TO "out";
+)",
+                        {});
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+}
+
+TEST(ParserErrorTest, OutOfRangePartitionCount) {
+  ScopeScriptParser parser;
+  auto r = parser.Parse(R"(
+a = EXTRACT k:int, v:int FROM "a";
+OUTPUT a TO "out" CLUSTERED BY k INTO 99999999999;
+)",
+                        {});
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+}
+
+TEST(ParserTest, NumericLiteralsAtTheirLimits) {
+  ScopeScriptParser parser;
+  auto r = parser.Parse(R"(
+a = EXTRACT k:int, v:double FROM "a";
+f = SELECT k FROM a WHERE k > 9223372036854775807 AND v > 1.5
+    ORDER BY k TOP 2147483647;
+OUTPUT f TO "x" CLUSTERED BY k INTO 2147483647;
+)",
+                        {});
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+}
+
 }  // namespace
 }  // namespace cloudviews

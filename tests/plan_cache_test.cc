@@ -294,13 +294,15 @@ class PlanCacheServiceTest : public ::testing::Test {
 
   /// Day-1 history for the shared aggregate + analysis load, so later
   /// submissions materialize and reuse views.
-  static void SeedHistory(CloudViews* cv) {
+  /// `seeded` (optional) receives the analysis that was loaded.
+  static void SeedHistory(CloudViews* cv, AnalysisResult* seeded = nullptr) {
     WriteClickStream(cv->storage(), "clicks_2018-01-01", 1500, 1,
                      "2018-01-01");
     ASSERT_TRUE(cv->Submit(JobA("2018-01-01"), false).ok());
     ASSERT_TRUE(cv->Submit(JobB("2018-01-01"), false).ok());
-    cv->RunAnalyzerAndLoad();
+    AnalysisResult analysis = cv->RunAnalyzerAndLoad();
     ASSERT_GE(cv->metadata()->NumAnnotations(), 1u);
+    if (seeded != nullptr) *seeded = std::move(analysis);
   }
 };
 
@@ -407,7 +409,8 @@ TEST_F(PlanCacheServiceTest, CacheOffTakesTheLegacyPath) {
 
 TEST_F(PlanCacheServiceTest, NewViewRegistrationInvalidatesFullHit) {
   CloudViews cv(Config());
-  SeedHistory(&cv);
+  AnalysisResult seeded;
+  SeedHistory(&cv, &seeded);
   WriteClickStream(cv.storage(), "clicks_2018-01-02", 1500, 2, "2018-01-02");
 
   // Occurrence 1: builds the view (side effects — rewritten tier not
@@ -426,10 +429,13 @@ TEST_F(PlanCacheServiceTest, NewViewRegistrationInvalidatesFullHit) {
   auto before = cv.job_service()->plan_cache().stats();
   EXPECT_GE(before.hits_full, 1u);
 
-  // Re-running the analyzer reloads the catalog => epoch bump => the
-  // cached rewrite must not be served at the stale epoch.
+  // Reloading the analysis bumps the catalog epoch => the cached rewrite
+  // must not be served at the stale epoch. The seeded selection is
+  // reloaded as-is: re-running the analyzer would re-rank candidates by
+  // measured wall time and could select a subgraph other than the view
+  // that was built.
   uint64_t epoch_before = cv.metadata()->CatalogEpoch();
-  cv.RunAnalyzerAndLoad();
+  cv.metadata()->LoadAnalysis(seeded.annotations);
   EXPECT_GT(cv.metadata()->CatalogEpoch(), epoch_before);
 
   auto fourth = cv.Submit(JobA("2018-01-02"));

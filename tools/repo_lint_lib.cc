@@ -210,6 +210,26 @@ void RuleRawSocket(const FileCtx& ctx, std::vector<Violation>* out) {
   }
 }
 
+void RuleThrowingConversion(const FileCtx& ctx, std::vector<Violation>* out) {
+  // Tests may convert their own fixtures; everything else can see input
+  // from a client, where a throw would take the whole server down.
+  if (ctx.rel_path.rfind("tests/", 0) == 0) return;
+  const auto& code = ctx.code;
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (code[i].kind != TokenKind::kIdentifier) continue;
+    const std::string& s = code[i].text;
+    if (s != "stoi" && s != "stol" && s != "stoll" && s != "stoul" &&
+        s != "stoull" && s != "stof" && s != "stod" && s != "stold") {
+      continue;
+    }
+    if (!IsStdQualified(code, i)) continue;
+    out->push_back({ctx.display_path, code[i].line, "throwing-conversion",
+                    "'std::" + s +
+                        "' throws on malformed or out-of-range input; use "
+                        "std::from_chars and return a Status"});
+  }
+}
+
 void RuleNakedNew(const FileCtx& ctx, std::vector<Violation>* out) {
   const auto& code = ctx.code;
   for (size_t i = 0; i < code.size(); ++i) {
@@ -392,6 +412,10 @@ const std::vector<LintRule>& AllRules() {
        "raw BSD socket calls outside net/socket.cc — use the Socket RAII "
        "wrapper",
        "bad_socket.cc", RuleRawSocket},
+      {"throwing-conversion",
+       "std::stoi/stol/stoll/stoul/stoull/stof/stod/stold outside tests/ "
+       "— use std::from_chars and return a Status",
+       "bad_conversion.cc", RuleThrowingConversion},
       {"naked-new",
        "naked 'new' — use std::make_unique/std::make_shared",
        "bad_new.cc", RuleNakedNew},

@@ -54,6 +54,8 @@ struct LintRule {
 ///                     outside fault/backoff (use RetryWithBackoff)
 ///  banned-sync        raw std sync primitives outside common/mutex.h
 ///                     (use the annotated Mutex / MutexLock / CondVar)
+///  throwing-conversion std::sto* outside tests/ (use std::from_chars and
+///                     return a Status)
 ///  naked-new          `new` outside a smart-pointer factory
 ///  mutex-guarded      a header declaring a Mutex member must annotate the
 ///                     state it protects with GUARDED_BY / PT_GUARDED_BY

@@ -121,6 +121,23 @@ TEST(RepoLintTest, RawSocketSkipsMembersAndQualifiedNames) {
                   .empty());
 }
 
+TEST(RepoLintTest, ThrowingConversionFires) {
+  auto violations = LintFixture("bad_conversion.cc");
+  EXPECT_EQ(Rules(violations), std::set<std::string>{"throwing-conversion"});
+  // std::stoll, std::stoi, std::stod; the member and other-namespace
+  // names stay clean.
+  EXPECT_EQ(violations.size(), 3u);
+}
+
+TEST(RepoLintTest, ThrowingConversionScopedOutOfTests) {
+  EXPECT_EQ(Rules(LintFile("parser.cc", "src/parser/parser.cc",
+                           ReadFixture("bad_conversion.cc"))),
+            std::set<std::string>{"throwing-conversion"});
+  EXPECT_TRUE(LintFile("parser_test.cc", "tests/parser_test.cc",
+                       ReadFixture("bad_conversion.cc"))
+                  .empty());
+}
+
 TEST(RepoLintTest, NakedNewFires) {
   auto violations = LintFixture("bad_new.cc");
   EXPECT_EQ(Rules(violations), std::set<std::string>{"naked-new"});
