@@ -59,6 +59,7 @@ void ThreadPool::Enqueue(std::function<void()> task) {
     MutexLock lock(mu_);
     queue_.push_back(std::move(queued));
   }
+  // NOLINTNEXTLINE(nullable-instrument): pool instruments are opt-in.
   if (obs_.queue_depth != nullptr) obs_.queue_depth->Add(1);
   cv_.NotifyOne();
 }
@@ -85,6 +86,7 @@ bool ThreadPool::RunOne() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
+  // NOLINTNEXTLINE(nullable-instrument): pool instruments are opt-in.
   if (obs_.queue_depth != nullptr) obs_.queue_depth->Add(-1);
   RunTask(std::move(task));
   return true;
@@ -100,6 +102,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
+    // NOLINTNEXTLINE(nullable-instrument): pool instruments are opt-in.
     if (obs_.queue_depth != nullptr) obs_.queue_depth->Add(-1);
     RunTask(std::move(task));
   }

@@ -20,7 +20,7 @@ CloudViews::CloudViews(CloudViewsConfig config)
     metadata_->SetFaultInjector(config_.fault);
   }
   if (config_.enable_observability) {
-    storage_->SetMetrics(&metrics_);
+    storage_->SetMetrics(&metrics_, config_.wall_clock);
     metadata_->SetMetrics(&metrics_, config_.wall_clock);
     repository_->SetMetrics(&metrics_);
     job_service_->SetObservability(&metrics_, &tracer_,

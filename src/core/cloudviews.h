@@ -23,9 +23,11 @@ struct CloudViewsConfig {
   /// shared morsel-driven engine; the default runs single-threaded.
   ExecOptions exec;
   LogicalTime clock_start = 0;
-  /// Wires the owned MetricsRegistry/Tracer through every component
-  /// (storage, metadata, repository, job service, executor, thread pool).
-  /// Off disables all instrumentation — the null-pointer fast paths.
+  /// Moves every component's counters and gauges into metrics() and turns
+  /// on the opt-in instruments: the tracer, the histograms, the executor's
+  /// per-operator counters and the thread pool's instruments. Off, each
+  /// component counts into a registry of its own (its snapshot accessors
+  /// report the same values either way) and no clock is read for them.
   bool enable_observability = true;
   /// Wall-time source for metrics/spans AND for the metadata service's
   /// build-lock leases; null uses the real monotonic clock. Tests inject a

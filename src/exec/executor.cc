@@ -334,6 +334,7 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   // job latency >= root inclusive >= any exclusive still holds.
   op_stats.inclusive_seconds = end - subtree_start;
   op_stats.cpu_seconds = cpu.seconds();
+  // NOLINTNEXTLINE(nullable-instrument): per-operator counters are opt-in.
   if (state->morsels != nullptr) {
     state->morsels->Increment(total_morsels);
     state->rows->Increment(static_cast<uint64_t>(op_stats.rows));

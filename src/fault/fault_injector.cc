@@ -79,6 +79,7 @@ Status FaultInjector::MaybeInject(const std::string& point,
 
   ++state.fire_count;
   ++total_fires_;
+  // NOLINTNEXTLINE(nullable-instrument): per-point counters are opt-in.
   if (state.fires_counter != nullptr) state.fires_counter->Increment();
   if (events_.size() < kMaxEvents) {
     events_.push_back(Event{total_fires_, point, key, state.hit_count,

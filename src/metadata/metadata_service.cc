@@ -12,6 +12,21 @@ void MetadataService::SetMetrics(obs::MetricsRegistry* metrics,
   if (metrics == nullptr) return;
   // Keep a constructor-injected lease clock unless explicitly overridden.
   if (wall_clock != nullptr) wall_clock_ = wall_clock;
+  Register(metrics);
+  obs_.lock_wait = metrics->GetHistogram(
+      "cv_metadata_lock_wait_seconds", {}, {},
+      "Wall time waiting for any metadata-service mutex (aggregate over "
+      "the shard stripes and the analysis-snapshot lock)");
+  for (size_t i = 0; i < kNumShards; ++i) {
+    shards_[i].lock_wait = metrics->GetHistogram(
+        "cv_metadata_shard_lock_wait_seconds",
+        {{"shard", std::to_string(i)}}, {},
+        "Wall time waiting for one signature-keyed metadata shard stripe "
+        "(the per-shard contention signal)");
+  }
+}
+
+void MetadataService::Register(obs::MetricsRegistry* metrics) {
   obs_.lookups = metrics->GetCounter("cv_metadata_lookups_total", {},
                                      "Tag-inverted-index lookups (one per "
                                      "submitted job, Fig 9 step 1)");
@@ -21,6 +36,13 @@ void MetadataService::SetMetrics(obs::MetricsRegistry* metrics,
   obs_.misses = metrics->GetCounter(
       "cv_metadata_view_misses_total", {},
       "FindMaterialized calls that found no usable view");
+  obs_.propose_attempts = metrics->GetCounter(
+      "cv_metadata_propose_attempts_total", {},
+      "ProposeMaterialize calls, including those answered by an injected "
+      "fault before reaching the service (a retry is a new attempt)");
+  obs_.proposals = metrics->GetCounter(
+      "cv_metadata_proposals_total", {},
+      "Build-lock proposals the service decided (granted + denied)");
   obs_.locks_granted =
       metrics->GetCounter("cv_metadata_build_locks_granted_total", {},
                           "Exclusive build locks granted (Sec 6.1)");
@@ -38,6 +60,10 @@ void MetadataService::SetMetrics(obs::MetricsRegistry* metrics,
       "cv_metadata_stale_registrations_total", {},
       "ReportMaterialized calls rejected by lease fencing or because "
       "another producer already registered the view");
+  obs_.orphans_cleaned = metrics->GetCounter(
+      "cv_metadata_orphans_cleaned_total", {},
+      "Unregistered view files of a reclaimed build lease deleted before "
+      "the new build");
   obs_.views_registered =
       metrics->GetCounter("cv_metadata_views_registered_total", {},
                           "Materialized views registered");
@@ -46,17 +72,6 @@ void MetadataService::SetMetrics(obs::MetricsRegistry* metrics,
   obs_.registered_views =
       metrics->GetGauge("cv_metadata_registered_views", {},
                         "Currently registered materialized views");
-  obs_.lock_wait = metrics->GetHistogram(
-      "cv_metadata_lock_wait_seconds", {}, {},
-      "Wall time waiting for any metadata-service mutex (aggregate over "
-      "the shard stripes and the analysis-snapshot lock)");
-  for (size_t i = 0; i < kNumShards; ++i) {
-    shards_[i].lock_wait = metrics->GetHistogram(
-        "cv_metadata_shard_lock_wait_seconds",
-        {{"shard", std::to_string(i)}}, {},
-        "Wall time waiting for one signature-keyed metadata shard stripe "
-        "(the per-shard contention signal)");
-  }
 }
 
 void MetadataService::LoadAnalysis(
@@ -86,13 +101,6 @@ MetadataService::AnalysisView() const {
   return analysis_;
 }
 
-void MetadataService::UpdateViewsGauge() {
-  if (obs_.registered_views != nullptr) {
-    obs_.registered_views->Set(
-        static_cast<double>(total_views_.load(std::memory_order_relaxed)));
-  }
-}
-
 double MetadataService::SimulatedLookupLatency() const {
   // Calibrated to the paper's measurement: ~19ms with one service thread,
   // ~14.3ms with five (Sec 7.3) — a fixed fraction of the work
@@ -105,8 +113,7 @@ double MetadataService::SimulatedLookupLatency() const {
 
 std::vector<ViewAnnotation> MetadataService::GetRelevantViews(
     const std::vector<std::string>& tags, double* latency_seconds) const {
-  counters_.lookups.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.lookups != nullptr) obs_.lookups->Increment();
+  obs_.lookups->Increment();
   if (latency_seconds != nullptr) {
     *latency_seconds = SimulatedLookupLatency();
   }
@@ -204,25 +211,20 @@ std::optional<MaterializedViewInfo> MetadataService::FindMaterialized(
   Shard& shard = ShardFor(precise);
   obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
                            wall_clock_);
-  // Instrument pointers are set once before concurrent use, so the lambda
-  // touches no shard-guarded state.
-  auto record_miss = [this] {
-    if (obs_.misses != nullptr) obs_.misses->Increment();
-  };
   auto it = shard.views.find(precise);
   if (it == shard.views.end()) {
-    record_miss();
+    obs_.misses->Increment();
     return std::nullopt;
   }
   if (!(it->second.info.normalized_signature == normalized)) {
-    record_miss();
+    obs_.misses->Increment();
     return std::nullopt;
   }
   if (it->second.expires_at != 0 && it->second.expires_at <= clock_->Now()) {
-    record_miss();
+    obs_.misses->Increment();
     return std::nullopt;  // expired but not yet purged
   }
-  if (obs_.hits != nullptr) obs_.hits->Increment();
+  obs_.hits->Increment();
   return it->second.info;
 }
 
@@ -234,7 +236,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
   // counts only decisions the service actually made, so one logical
   // proposal retried across injected faults never double-counts (see
   // docs/job_profile_schema.md).
-  counters_.propose_attempts.fetch_add(1, std::memory_order_relaxed);
+  obs_.propose_attempts->Increment();
   if (fault_ != nullptr) {
     Status injected =
         fault_->MaybeInject(fault::points::kMetadataPropose, precise.ToHex());
@@ -247,7 +249,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
       return false;
     }
   }
-  counters_.proposals.fetch_add(1, std::memory_order_relaxed);
+  obs_.proposals->Increment();
   // Orphaned files of a reclaimed lease are deleted after the shard mutex
   // is released (same metadata-first ordering as PurgeExpired, Sec 5.4).
   std::string orphan_prefix;
@@ -256,8 +258,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
     obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
                              wall_clock_);
     if (shard.views.count(precise) > 0) {
-      counters_.locks_denied.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.locks_denied != nullptr) obs_.locks_denied->Increment();
+      obs_.locks_denied->Increment();
       return false;  // already materialized
     }
     LogicalTime now = clock_->Now();
@@ -265,8 +266,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
     auto it = shard.locks.find(precise);
     if (it != shard.locks.end()) {
       if (!LockExpired(it->second, now, wall_now)) {
-        counters_.locks_denied.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.locks_denied != nullptr) obs_.locks_denied->Increment();
+        obs_.locks_denied->Increment();
         return false;  // a concurrent job is building this view
       }
       // Lease takeover: the previous build attempt is presumed dead.
@@ -277,12 +277,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
       // files are just as orphaned and leaked forever if skipped.
       orphan_prefix =
           "/views/" + normalized.ToHex() + "/" + precise.ToHex() + "_";
-      if (it->second.job_id != job_id) {
-        counters_.leases_reclaimed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.leases_reclaimed != nullptr) {
-          obs_.leases_reclaimed->Increment();
-        }
-      }
+      if (it->second.job_id != job_id) obs_.leases_reclaimed->Increment();
     }
     double expiry_seconds =
         std::max(config_.min_lock_seconds,
@@ -290,21 +285,18 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
     shard.locks[precise] =
         BuildLock{job_id, now + static_cast<LogicalTime>(expiry_seconds),
                   wall_now + expiry_seconds};
-    counters_.locks_granted.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.locks_granted != nullptr) obs_.locks_granted->Increment();
+    obs_.locks_granted->Increment();
   }
   // A granted lock is catalog state a cached plan depends on (a cached
   // plan holding a Spool for this signature would double-build).
   BumpEpoch();
   if (!orphan_prefix.empty()) {
-    size_t cleaned = 0;
     for (const auto& name : storage_->ListStreams(orphan_prefix)) {
       // Intentional drop: racing deletions of an unregistered orphan are
       // harmless — someone removed it, which is all we need.
       (void)storage_->DeleteStream(name);
-      ++cleaned;
+      obs_.orphans_cleaned->Increment();
     }
-    counters_.orphans_cleaned.fetch_add(cleaned, std::memory_order_relaxed);
   }
   return true;
 }
@@ -312,11 +304,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
 Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
                                           LogicalTime expires_at) {
   auto reject = [this](Status status) {
-    counters_.stale_registrations_rejected.fetch_add(
-        1, std::memory_order_relaxed);
-    if (obs_.stale_registrations != nullptr) {
-      obs_.stale_registrations->Increment();
-    }
+    obs_.stale_registrations->Increment();
     return status;
   };
   {
@@ -346,10 +334,8 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
     }
     if (lit != shard.locks.end()) shard.locks.erase(lit);
     shard.views[info.precise_signature] = RegisteredView{info, expires_at};
-    total_views_.fetch_add(1, std::memory_order_relaxed);
-    counters_.views_registered.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.views_registered != nullptr) obs_.views_registered->Increment();
-    UpdateViewsGauge();
+    obs_.registered_views->Add(1);
+    obs_.views_registered->Increment();
     // Wake piggybackers blocked on this build: the view is now live.
     shard.lock_cv.NotifyAll();
   }
@@ -377,8 +363,7 @@ void MetadataService::AbandonLock(const Hash128& precise, uint64_t job_id) {
     if (it != shard.locks.end() && it->second.job_id == job_id) {
       shard.locks.erase(it);
       erased = true;
-      counters_.locks_abandoned.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.locks_abandoned != nullptr) obs_.locks_abandoned->Increment();
+      obs_.locks_abandoned->Increment();
       // Wake piggybackers: their builder gave up, so they should stop
       // waiting and fall back to their reuse-blind plans.
       shard.lock_cv.NotifyAll();
@@ -451,9 +436,8 @@ size_t MetadataService::PurgeExpired() {
         purged_sigs.emplace_back(it->second.info.normalized_signature,
                                  it->second.info.precise_signature);
         it = shard.views.erase(it);
-        total_views_.fetch_sub(1, std::memory_order_relaxed);
-        counters_.views_purged.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.views_purged != nullptr) obs_.views_purged->Increment();
+        obs_.registered_views->Add(-1);
+        obs_.views_purged->Increment();
       } else {
         ++it;
       }
@@ -468,7 +452,6 @@ size_t MetadataService::PurgeExpired() {
       if (it->second.empty()) instances_by_normalized_.erase(it);
     }
   }
-  UpdateViewsGauge();
   if (!paths_to_delete.empty()) BumpEpoch();
   for (const auto& path : paths_to_delete) {
     // Intentional drop: the file may already be gone (purged by the
@@ -493,7 +476,7 @@ Status MetadataService::DropView(const Hash128& precise) {
     path = it->second.info.path;
     normalized = it->second.info.normalized_signature;
     shard.views.erase(it);
-    total_views_.fetch_sub(1, std::memory_order_relaxed);
+    obs_.registered_views->Add(-1);
   }
   {
     MutexLock lock(subsume_mu_);
@@ -503,39 +486,28 @@ Status MetadataService::DropView(const Hash128& precise) {
       if (it->second.empty()) instances_by_normalized_.erase(it);
     }
   }
-  UpdateViewsGauge();
   BumpEpoch();
   return storage_->DeleteStream(path);
 }
 
 MetadataService::Counters MetadataService::counters() const {
   Counters out;
-  out.lookups = counters_.lookups.load(std::memory_order_relaxed);
-  out.propose_attempts =
-      counters_.propose_attempts.load(std::memory_order_relaxed);
-  out.proposals = counters_.proposals.load(std::memory_order_relaxed);
-  out.locks_granted = counters_.locks_granted.load(std::memory_order_relaxed);
-  out.locks_denied = counters_.locks_denied.load(std::memory_order_relaxed);
-  out.locks_abandoned =
-      counters_.locks_abandoned.load(std::memory_order_relaxed);
-  out.leases_reclaimed =
-      counters_.leases_reclaimed.load(std::memory_order_relaxed);
-  out.stale_registrations_rejected =
-      counters_.stale_registrations_rejected.load(std::memory_order_relaxed);
-  out.orphans_cleaned = counters_.orphans_cleaned.load(std::memory_order_relaxed);
-  out.views_registered =
-      counters_.views_registered.load(std::memory_order_relaxed);
-  out.views_purged = counters_.views_purged.load(std::memory_order_relaxed);
+  out.lookups = obs_.lookups->value();
+  out.propose_attempts = obs_.propose_attempts->value();
+  out.proposals = obs_.proposals->value();
+  out.locks_granted = obs_.locks_granted->value();
+  out.locks_denied = obs_.locks_denied->value();
+  out.locks_abandoned = obs_.locks_abandoned->value();
+  out.leases_reclaimed = obs_.leases_reclaimed->value();
+  out.stale_registrations_rejected = obs_.stale_registrations->value();
+  out.orphans_cleaned = obs_.orphans_cleaned->value();
+  out.views_registered = obs_.views_registered->value();
+  out.views_purged = obs_.views_purged->value();
   return out;
 }
 
 size_t MetadataService::NumRegisteredViews() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    n += shard.views.size();
-  }
-  return n;
+  return static_cast<size_t>(obs_.registered_views->value());
 }
 
 size_t MetadataService::NumAnnotations() const {

@@ -58,6 +58,10 @@ class MetadataService : public ViewCatalogInterface {
   /// wall seconds elapse, so a crashed builder's lock is reclaimed even if
   /// nobody advances the simulated clock. Null means the real clock; tests
   /// inject a FakeMonotonicClock to exercise lease expiry deterministically.
+  ///
+  /// The counters and the registered-view gauge are registered here, into
+  /// a registry the service owns, so they always exist; SetMetrics moves
+  /// them.
   MetadataService(SimulatedClock* clock, StorageManager* storage,
                   MetadataServiceConfig config = {},
                   MonotonicClock* wall_clock = nullptr)
@@ -65,16 +69,20 @@ class MetadataService : public ViewCatalogInterface {
         storage_(storage),
         config_(config),
         wall_clock_(wall_clock != nullptr ? wall_clock
-                                          : MonotonicClock::Real()) {}
+                                          : MonotonicClock::Real()) {
+    Register(&own_metrics_);
+  }
 
   /// Number of signature-keyed shard stripes for views + build locks.
   static constexpr size_t kNumShards = 8;
 
-  /// Publishes lookup/hit-miss/lock counters and the mutex wait histograms
-  /// (the aggregate `cv_metadata_lock_wait_seconds` plus one labeled
-  /// histogram per shard stripe — the per-shard contention signal) into
-  /// `metrics`. `wall_clock` times the mutex waits; null keeps the
-  /// constructor-supplied (or real) clock. Call before concurrent use.
+  /// Re-registers the counters and gauge into the shared `metrics` and
+  /// adds the mutex wait histograms (the aggregate
+  /// `cv_metadata_lock_wait_seconds` plus one labeled histogram per shard
+  /// stripe — the per-shard contention signal). `wall_clock` times the
+  /// mutex waits; null keeps the constructor-supplied (or real) clock.
+  /// Null `metrics` changes nothing. Call before first use: counts do not
+  /// carry over.
   void SetMetrics(obs::MetricsRegistry* metrics,
                   MonotonicClock* wall_clock = nullptr);
 
@@ -178,6 +186,7 @@ class MetadataService : public ViewCatalogInterface {
 
   // --- Introspection ----------------------------------------------------------
 
+  /// Snapshot of the registered counters.
   struct Counters {
     uint64_t lookups = 0;
     /// Every ProposeMaterialize call, including calls answered by an
@@ -198,6 +207,7 @@ class MetadataService : public ViewCatalogInterface {
   };
   Counters counters() const;
 
+  /// Reads the registered-view gauge; O(1).
   size_t NumRegisteredViews() const;
   size_t NumAnnotations() const EXCLUDES(analysis_mu_);
   std::vector<MaterializedViewInfo> ListViews() const;
@@ -269,37 +279,29 @@ class MetadataService : public ViewCatalogInterface {
     obs::Histogram* lock_wait = nullptr;
   };
 
-  /// Instrument handles; all null when uninstrumented.
+  /// Instrument handles. Counters and the gauge are never null; the
+  /// histogram is null unless SetMetrics wired a shared registry.
   struct Instruments {
     obs::Counter* lookups = nullptr;
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
+    obs::Counter* propose_attempts = nullptr;
+    obs::Counter* proposals = nullptr;
     obs::Counter* locks_granted = nullptr;
     obs::Counter* locks_denied = nullptr;
     obs::Counter* locks_abandoned = nullptr;
     obs::Counter* leases_reclaimed = nullptr;
     obs::Counter* stale_registrations = nullptr;
+    obs::Counter* orphans_cleaned = nullptr;
     obs::Counter* views_registered = nullptr;
     obs::Counter* views_purged = nullptr;
+    /// Registered views across all shards, moved by +1/-1 inside the shard
+    /// critical section that adds or erases the view.
     obs::Gauge* registered_views = nullptr;
     obs::Histogram* lock_wait = nullptr;
   };
 
-  /// Monotonically increasing counters, lock-free so the striped hot path
-  /// never funnels through a bookkeeping mutex. counters() snapshots them.
-  struct AtomicCounters {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> propose_attempts{0};
-    std::atomic<uint64_t> proposals{0};
-    std::atomic<uint64_t> locks_granted{0};
-    std::atomic<uint64_t> locks_denied{0};
-    std::atomic<uint64_t> locks_abandoned{0};
-    std::atomic<uint64_t> leases_reclaimed{0};
-    std::atomic<uint64_t> stale_registrations_rejected{0};
-    std::atomic<uint64_t> orphans_cleaned{0};
-    std::atomic<uint64_t> views_registered{0};
-    std::atomic<uint64_t> views_purged{0};
-  };
+  void Register(obs::MetricsRegistry* metrics);
 
   /// True when `lock` is expired on either timeline; see BuildLock.
   static bool LockExpired(const BuildLock& lock, LogicalTime now,
@@ -327,15 +329,15 @@ class MetadataService : public ViewCatalogInterface {
   std::shared_ptr<const AnalysisSnapshot> AnalysisView() const
       EXCLUDES(analysis_mu_);
 
-  /// Refreshes the registered-view gauge from total_views_.
-  void UpdateViewsGauge();
-
   SimulatedClock* clock_;
   StorageManager* storage_;
   MetadataServiceConfig config_;
   MonotonicClock* wall_clock_;
   /// Set once before concurrent use, read-only afterwards.
   fault::FaultInjector* fault_ = nullptr;
+  obs::MetricsRegistry own_metrics_;
+  /// Set at construction and by SetMetrics before concurrent use,
+  /// read-only afterwards.
   Instruments obs_;
 
   /// Signature-keyed stripes for registered views + build locks; see Shard.
@@ -359,9 +361,6 @@ class MetadataService : public ViewCatalogInterface {
 
   /// Starts at 1 so 0 can mean "no epoch observed" in callers.
   std::atomic<uint64_t> catalog_epoch_{1};
-  /// Registered views across all shards (feeds the gauge without a sweep).
-  std::atomic<int64_t> total_views_{0};
-  mutable AtomicCounters counters_;
 };
 
 }  // namespace cloudviews

@@ -26,19 +26,15 @@ AdmissionController::AdmissionController(const Options& options,
                                          fault::FaultInjector* fault,
                                          obs::MetricsRegistry* metrics)
     : options_(options), fault_(fault) {
-  if (metrics != nullptr) {
-    auto shed = [metrics](const char* reason) {
-      return metrics->GetCounter("cv_net_shed_total",
-                                 {{"reason", reason}},
-                                 "Submissions shed with RETRY_AFTER");
-    };
-    shed_counter_queue_full_ = shed("queue_full");
-    shed_counter_conn_cap_ = shed("conn_cap");
-    shed_counter_draining_ = shed("draining");
-    shed_counter_injected_ = shed("injected");
-    inflight_gauge_ = metrics->GetGauge(
-        "cv_net_inflight", {}, "Admitted submissions awaiting a response");
+  // In ShedReason order.
+  const char* reasons[] = {"queue_full", "conn_cap", "draining", "injected"};
+  for (size_t i = 0; i < shed_.size(); ++i) {
+    shed_[i] = metrics->GetCounter("cv_net_shed_total",
+                                   {{"reason", reasons[i]}},
+                                   "Submissions shed with RETRY_AFTER");
   }
+  inflight_gauge_ = metrics->GetGauge(
+      "cv_net_inflight", {}, "Admitted submissions awaiting a response");
 }
 
 AdmissionController::AcquireResult AdmissionController::Acquire(
@@ -69,9 +65,7 @@ AdmissionController::AcquireResult AdmissionController::Acquire(
       ++total_inflight_;
       result.admitted = true;
       result.token = AdmissionToken(this, conn_id);
-      if (inflight_gauge_ != nullptr) {
-        inflight_gauge_->Set(static_cast<double>(total_inflight_));
-      }
+      inflight_gauge_->Set(static_cast<double>(total_inflight_));
     }
   }
   if (!result.admitted) RecordShed(result.reason);
@@ -79,46 +73,11 @@ AdmissionController::AcquireResult AdmissionController::Acquire(
 }
 
 void AdmissionController::RecordShed(ShedReason reason) {
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_counter_queue_full_ != nullptr) {
-        shed_counter_queue_full_->Increment();
-      }
-      break;
-    case ShedReason::kConnCap:
-      shed_conn_cap_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_counter_conn_cap_ != nullptr) {
-        shed_counter_conn_cap_->Increment();
-      }
-      break;
-    case ShedReason::kDraining:
-      shed_draining_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_counter_draining_ != nullptr) {
-        shed_counter_draining_->Increment();
-      }
-      break;
-    case ShedReason::kInjected:
-      shed_injected_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_counter_injected_ != nullptr) {
-        shed_counter_injected_->Increment();
-      }
-      break;
-  }
+  shed_[static_cast<size_t>(reason)]->Increment();
 }
 
 uint64_t AdmissionController::shed_count(ShedReason reason) const {
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      return shed_queue_full_.load(std::memory_order_relaxed);
-    case ShedReason::kConnCap:
-      return shed_conn_cap_.load(std::memory_order_relaxed);
-    case ShedReason::kDraining:
-      return shed_draining_.load(std::memory_order_relaxed);
-    case ShedReason::kInjected:
-      return shed_injected_.load(std::memory_order_relaxed);
-  }
-  return 0;
+  return shed_[static_cast<size_t>(reason)]->value();
 }
 
 uint64_t AdmissionController::inflight() const {
@@ -132,9 +91,7 @@ void AdmissionController::Release(uint64_t conn_id) {
   if (it == inflight_.end()) return;
   if (--it->second <= 0) inflight_.erase(it);
   --total_inflight_;
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->Set(static_cast<double>(total_inflight_));
-  }
+  inflight_gauge_->Set(static_cast<double>(total_inflight_));
 }
 
 }  // namespace net

@@ -1,6 +1,7 @@
 #ifndef CLOUDVIEWS_NET_ADMISSION_H_
 #define CLOUDVIEWS_NET_ADMISSION_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
@@ -57,7 +58,8 @@ class AdmissionController {
     uint32_t retry_after_ms = 25;
   };
 
-  /// `fault` and `metrics` may be null.
+  /// `fault` may be null; `metrics` is required (the shed counters and the
+  /// in-flight gauge live there).
   AdmissionController(const Options& options, fault::FaultInjector* fault,
                       obs::MetricsRegistry* metrics);
 
@@ -102,15 +104,8 @@ class AdmissionController {
   std::unordered_map<uint64_t, int> inflight_ GUARDED_BY(mu_);
   uint64_t total_inflight_ GUARDED_BY(mu_) = 0;
 
-  std::atomic<uint64_t> shed_queue_full_{0};
-  std::atomic<uint64_t> shed_conn_cap_{0};
-  std::atomic<uint64_t> shed_draining_{0};
-  std::atomic<uint64_t> shed_injected_{0};
-
-  obs::Counter* shed_counter_queue_full_ = nullptr;
-  obs::Counter* shed_counter_conn_cap_ = nullptr;
-  obs::Counter* shed_counter_draining_ = nullptr;
-  obs::Counter* shed_counter_injected_ = nullptr;
+  /// cv_net_shed_total{reason}, indexed by ShedReason.
+  std::array<obs::Counter*, 4> shed_{};
   obs::Gauge* inflight_gauge_ = nullptr;
 };
 

@@ -27,14 +27,8 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
   tracer_ = tracer;
   wall_clock_ = wall_clock != nullptr ? wall_clock : MonotonicClock::Real();
   if (metrics == nullptr) return;
-  obs_.submitted = metrics->GetCounter("cv_jobs_submitted_total", {},
-                                       "Jobs accepted for execution");
-  obs_.succeeded = metrics->GetCounter("cv_jobs_succeeded_total", {},
-                                       "Jobs that ran to completion");
-  obs_.failed = metrics->GetCounter("cv_jobs_failed_total", {},
-                                    "Jobs that returned an error");
-  obs_.active = metrics->GetGauge("cv_jobs_active", {},
-                                  "Jobs currently inside SubmitJob");
+  Register(metrics);
+  plan_cache_.SetMetrics(metrics);
   obs_.latency = metrics->GetHistogram("cv_job_latency_seconds", {}, {},
                                        "Submit-to-finish wall time");
   obs_.stage_lookup = metrics->GetHistogram(
@@ -49,6 +43,17 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
   obs_.stage_record = metrics->GetHistogram(
       "cv_job_stage_seconds", {{"stage", "record"}}, {},
       "Per-stage wall time of the job pipeline");
+}
+
+void JobService::Register(obs::MetricsRegistry* metrics) {
+  obs_.submitted = metrics->GetCounter("cv_jobs_submitted_total", {},
+                                       "Jobs accepted for execution");
+  obs_.succeeded = metrics->GetCounter("cv_jobs_succeeded_total", {},
+                                       "Jobs that ran to completion");
+  obs_.failed = metrics->GetCounter("cv_jobs_failed_total", {},
+                                    "Jobs that returned an error");
+  obs_.active = metrics->GetGauge("cv_jobs_active", {},
+                                  "Jobs currently inside SubmitJob");
   for (size_t i = 0; i < kNumJobCounters; ++i) {
     obs_.job_counters[i] = metrics->GetCounter(
         kJobCounterInfo[i].metric, {}, kJobCounterInfo[i].help);
@@ -61,10 +66,6 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
       metrics->GetCounter("cv_views_abandoned_total", {},
                           "Partially materialized views discarded after a "
                           "failed view write (build lock released)");
-  obs_.stale_registrations =
-      metrics->GetCounter("cv_views_stale_registration_dropped_total", {},
-                          "View files deleted because the metadata service "
-                          "rejected their registration");
   obs_.sharing_leaders = metrics->GetCounter(
       "cv_sharing_leader_total", {},
       "Submissions that led a shared in-flight execution (first in-flight "
@@ -81,7 +82,6 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
       "cv_sharing_follower_degraded_total", {},
       "Followers that fell back to full independent execution (leader "
       "failure or wait timeout); the job still succeeds");
-  plan_cache_.SetMetrics(metrics);
 }
 
 std::vector<std::string> JobService::DefaultTags(const JobDefinition& def) {
@@ -144,21 +144,16 @@ void JobService::RegisterMaterializedView(const SpoolNode& spool,
     // Intentional drop: the file may already have been cleaned up by the
     // lease takeover.
     (void)storage_->DeleteStream(info.path);
-    if (obs_.stale_registrations != nullptr) {
-      obs_.stale_registrations->Increment();
-    }
   }
 }
 
 JobResult JobService::FinishJob(JobResult result, obs::Span* job_span,
                                 double latency_seconds) {
-  if (obs_.succeeded != nullptr) {
-    ForEachJobCounter(result, [this](size_t i, auto value) {
-      if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));
-    });
-    obs_.succeeded->Increment();
-    obs_.latency->Observe(latency_seconds);
-  }
+  ForEachJobCounter(result, [this](size_t i, auto value) {
+    if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));
+  });
+  obs_.succeeded->Increment();
+  if (obs_.latency != nullptr) obs_.latency->Observe(latency_seconds);
   result.trace = job_span->Finish();
   return result;
 }
@@ -207,7 +202,7 @@ ExecContext JobService::MakeExecContext(uint64_t job_id,
       // job keeps running — hand the build lock back so another instance
       // can retry the materialization.
       metadata_->AbandonLock(spool.precise_signature(), job_id);
-      if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
+      obs_.views_abandoned->Increment();
     };
   }
   return exec_ctx;
@@ -221,7 +216,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
   MonotonicClock* wall =
       wall_clock_ != nullptr ? wall_clock_ : MonotonicClock::Real();
   double submit_start = wall->NowSeconds();
-  if (obs_.submitted != nullptr) obs_.submitted->Increment();
+  obs_.submitted->Increment();
   obs::ScopedGaugeIncrement active(obs_.active);
 
   JobResult result;
@@ -242,8 +237,8 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
   // Shared failure path: stamps counters/latency and hands the trace back
   // on the error too, so failed jobs stay diagnosable.
   auto fail = [&](Status status) {
-    if (obs_.failed != nullptr) {
-      obs_.failed->Increment();
+    obs_.failed->Increment();
+    if (obs_.latency != nullptr) {
       obs_.latency->Observe(wall->NowSeconds() - submit_start);
     }
     job_span.SetAttribute("error", status.ToString());
@@ -282,9 +277,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     share_ticket = sharing_.Join(
         InflightSharing::ShareKey{normalized_sig, precise_sig, cloudviews_on});
     if (share_ticket.role == InflightSharing::Role::kFollower) {
-      if (obs_.sharing_followers != nullptr) {
-        obs_.sharing_followers->Increment();
-      }
+      obs_.sharing_followers->Increment();
       obs::Span wait_span = job_span.StartChild("inflight_wait");
       InflightSharing::Outcome shared =
           sharing_.WaitForLeader(share_ticket, options.sharing_wait_seconds);
@@ -314,8 +307,8 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
       }
       // "Do no harm": the leader failed or the wait timed out — run the
       // job independently below, exactly as if sharing were off.
-      if (obs_.sharing_degraded != nullptr) obs_.sharing_degraded->Increment();
-    } else if (obs_.sharing_leaders != nullptr) {
+      obs_.sharing_degraded->Increment();
+    } else {
       obs_.sharing_leaders->Increment();
     }
   }
@@ -331,7 +324,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
       if (reg == nullptr || published) return;
       reg->PublishFailure(*ticket,
                           Status::Internal("leader failed before fan-out"));
-      if (leader_failures != nullptr) leader_failures->Increment();
+      leader_failures->Increment();
     }
   } share_guard;
   if (sharing_on && share_ticket.role == InflightSharing::Role::kLeader) {
@@ -555,7 +548,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     execute_span.SetAttribute("views_fallback",
                               static_cast<int64_t>(result.views_fallback));
     execute_span.SetAttribute("fallback_cause", run.status().ToString());
-    if (obs_.fallback_jobs != nullptr) obs_.fallback_jobs->Increment();
+    obs_.fallback_jobs->Increment();
     // The cached entry (if any) led to or coexists with a plan reading a
     // dead view — drop it so the next occurrence replans from scratch.
     if (cache_on) plan_cache_.Invalidate(cache_key);
@@ -613,9 +606,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
       // degrade to independent execution — never to failure.
       sharing_.PublishFailure(share_ticket, injected);
       share_guard.published = true;
-      if (obs_.sharing_leader_failures != nullptr) {
-        obs_.sharing_leader_failures->Increment();
-      }
+      obs_.sharing_leader_failures->Increment();
       if (fault::IsInjectedCrash(injected)) return fail(injected);
     } else {
       InflightSharing::Outcome out;

@@ -150,13 +150,18 @@ class JobService {
         exec_options_(exec_options),
         fault_(fault),
         retry_(retry),
-        sleeper_(sleeper) {}
+        sleeper_(sleeper) {
+    Register(&own_metrics_);
+  }
 
-  /// Publishes job/stage metrics into `metrics` and emits one lifecycle
-  /// trace per submission into `tracer` (either may be null to disable).
-  /// `wall_clock` drives latency histograms and span times; null uses the
-  /// real monotonic clock. Call before the first submission — instruments
-  /// are registered here, not on the hot path.
+  /// Moves the job counters and gauge (and the plan cache's) into the
+  /// shared `metrics` and adds the latency and stage histograms, the
+  /// executor's per-operator counters and the pool's instruments; emits
+  /// one lifecycle trace per submission into `tracer`. Either may be null:
+  /// without `metrics` the counters stay in a registry the service owns,
+  /// and the opt-in instruments stay off. `wall_clock` drives latency
+  /// histograms and span times; null uses the real monotonic clock. Call
+  /// before the first submission: counts do not carry over.
   void SetObservability(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
                         MonotonicClock* wall_clock = nullptr);
 
@@ -195,6 +200,8 @@ class JobService {
   /// execution slots of the cluster.
   ThreadPool* ExecutionPool(const ExecOptions& opts) EXCLUDES(pool_mu_);
 
+  /// Counters and the gauge are never null; the histograms are null
+  /// unless SetObservability wired a shared registry.
   struct Instruments {
     obs::Counter* submitted = nullptr;
     obs::Counter* succeeded = nullptr;
@@ -209,12 +216,13 @@ class JobService {
     std::array<obs::Counter*, kNumJobCounters> job_counters{};
     obs::Counter* fallback_jobs = nullptr;
     obs::Counter* views_abandoned = nullptr;
-    obs::Counter* stale_registrations = nullptr;
     obs::Counter* sharing_leaders = nullptr;
     obs::Counter* sharing_followers = nullptr;
     obs::Counter* sharing_leader_failures = nullptr;
     obs::Counter* sharing_degraded = nullptr;
   };
+
+  void Register(obs::MetricsRegistry* metrics);
 
   /// Success tail of every SubmitJob path: advances each job-counter
   /// metric by `result`'s value, counts the job as succeeded with
@@ -239,7 +247,8 @@ class JobService {
   void AbandonSpoolLocks(const PlanNodePtr& root, uint64_t job_id);
 
   /// Registers a finished view with the metadata service; on rejection
-  /// (stale lease, lost registration race) deletes the written file — the
+  /// (stale lease, lost registration race; counted by the service as
+  /// cv_metadata_stale_registrations_total) deletes the written file — the
   /// metadata decision is authoritative.
   void RegisterMaterializedView(const SpoolNode& spool,
                                 const StreamData& view, uint64_t job_id);
@@ -259,9 +268,14 @@ class JobService {
   fault::FaultInjector* fault_ = nullptr;
   fault::RetryPolicy retry_;
   fault::Sleeper* sleeper_ = nullptr;
+  /// The shared registry; null unless SetObservability wired one. The
+  /// executor and the pool register their opt-in instruments here.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   MonotonicClock* wall_clock_ = nullptr;
+  obs::MetricsRegistry own_metrics_;
+  /// Set at construction and by SetObservability before the first
+  /// submission, read-only afterwards.
   Instruments obs_;
   /// Recurring-job fast path (thread-safe; see PlanCache).
   PlanCache plan_cache_;

@@ -6,7 +6,10 @@
 namespace cloudviews {
 
 void PlanCache::SetMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
+  if (metrics != nullptr) Register(metrics);
+}
+
+void PlanCache::Register(obs::MetricsRegistry* metrics) {
   obs_.hits_full = metrics->GetCounter(
       "cv_plan_cache_hits_full_total", {},
       "Plan-cache probes served the fully optimized physical plan (parse, "
@@ -22,6 +25,11 @@ void PlanCache::SetMetrics(obs::MetricsRegistry* metrics) {
       "cv_plan_cache_epoch_invalidations_total", {},
       "Cached rewritten plans not served because the catalog epoch moved "
       "(a view was registered, purged, or lock-flipped since compile)");
+  obs_.precise_mismatches = metrics->GetCounter(
+      "cv_plan_cache_precise_mismatches_total", {},
+      "Cached rewritten plans not served because they were compiled for "
+      "another instance of the template (precise signature differs at the "
+      "current catalog epoch)");
   obs_.demotions = metrics->GetCounter(
       "cv_plan_cache_demotions_total", {},
       "Full-hit candidates demoted to the skeleton tier because a view "
@@ -36,6 +44,10 @@ void PlanCache::SetMetrics(obs::MetricsRegistry* metrics) {
   obs_.evictions = metrics->GetCounter("cv_plan_cache_evictions_total", {},
                                        "Plan-cache entries evicted by the "
                                        "LRU capacity bound");
+  obs_.explicit_invalidations = metrics->GetCounter(
+      "cv_plan_cache_explicit_invalidations_total", {},
+      "Plan-cache entries dropped after a job of their template fell back "
+      "from a failed view read (views_fallback)");
   obs_.entries = metrics->GetGauge("cv_plan_cache_entries", {},
                                    "Plan-cache entries currently resident");
 }
@@ -46,21 +58,18 @@ PlanCache::Probe PlanCache::Lookup(const Key& key, uint64_t epoch,
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
-    if (obs_.misses != nullptr) obs_.misses->Increment();
+    obs_.misses->Increment();
     return probe;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   probe.entry = it->second->entry;
   if (probe.entry->rewritten != nullptr) {
-    if (probe.entry->catalog_epoch == epoch &&
-        probe.entry->precise == precise) {
+    if (probe.entry->catalog_epoch != epoch) {
+      obs_.epoch_invalidations->Increment();
+    } else if (probe.entry->precise != precise) {
+      obs_.precise_mismatches->Increment();
+    } else {
       probe.rewritten_valid = true;
-    } else if (probe.entry->catalog_epoch != epoch) {
-      ++stats_.epoch_invalidations;
-      if (obs_.epoch_invalidations != nullptr) {
-        obs_.epoch_invalidations->Increment();
-      }
     }
   }
   return probe;
@@ -69,8 +78,7 @@ PlanCache::Probe PlanCache::Lookup(const Key& key, uint64_t epoch,
 void PlanCache::Insert(const Key& key, Entry entry) {
   auto shared = std::make_shared<const Entry>(std::move(entry));
   MutexLock lock(mu_);
-  ++stats_.insertions;
-  if (obs_.insertions != nullptr) obs_.insertions->Increment();
+  obs_.insertions->Increment();
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->entry = std::move(shared);
@@ -81,14 +89,10 @@ void PlanCache::Insert(const Key& key, Entry entry) {
     if (lru_.size() > capacity_) {
       index_.erase(lru_.back().key);
       lru_.pop_back();
-      ++stats_.evictions;
-      if (obs_.evictions != nullptr) obs_.evictions->Increment();
+      obs_.evictions->Increment();
     }
   }
-  stats_.entries = lru_.size();
-  if (obs_.entries != nullptr) {
-    obs_.entries->Set(static_cast<double>(lru_.size()));
-  }
+  obs_.entries->Set(static_cast<double>(lru_.size()));
 }
 
 void PlanCache::Invalidate(const Key& key) {
@@ -97,39 +101,32 @@ void PlanCache::Invalidate(const Key& key) {
   if (it == index_.end()) return;
   lru_.erase(it->second);
   index_.erase(it);
-  ++stats_.explicit_invalidations;
-  stats_.entries = lru_.size();
-  if (obs_.entries != nullptr) {
-    obs_.entries->Set(static_cast<double>(lru_.size()));
-  }
+  obs_.explicit_invalidations->Increment();
+  obs_.entries->Set(static_cast<double>(lru_.size()));
 }
 
 void PlanCache::OnServed(bool full_hit) {
-  MutexLock lock(mu_);
-  if (full_hit) {
-    ++stats_.hits_full;
-    if (obs_.hits_full != nullptr) obs_.hits_full->Increment();
-  } else {
-    ++stats_.hits_skeleton;
-    if (obs_.hits_skeleton != nullptr) obs_.hits_skeleton->Increment();
-  }
+  (full_hit ? obs_.hits_full : obs_.hits_skeleton)->Increment();
 }
 
-void PlanCache::OnDemoted() {
-  MutexLock lock(mu_);
-  ++stats_.demotions;
-  if (obs_.demotions != nullptr) obs_.demotions->Increment();
-}
+void PlanCache::OnDemoted() { obs_.demotions->Increment(); }
 
-void PlanCache::OnRebindFailed() {
-  MutexLock lock(mu_);
-  ++stats_.rebind_failures;
-  if (obs_.rebind_failures != nullptr) obs_.rebind_failures->Increment();
-}
+void PlanCache::OnRebindFailed() { obs_.rebind_failures->Increment(); }
 
 PlanCache::Stats PlanCache::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  Stats out;
+  out.hits_full = obs_.hits_full->value();
+  out.hits_skeleton = obs_.hits_skeleton->value();
+  out.misses = obs_.misses->value();
+  out.epoch_invalidations = obs_.epoch_invalidations->value();
+  out.precise_mismatches = obs_.precise_mismatches->value();
+  out.demotions = obs_.demotions->value();
+  out.rebind_failures = obs_.rebind_failures->value();
+  out.insertions = obs_.insertions->value();
+  out.evictions = obs_.evictions->value();
+  out.explicit_invalidations = obs_.explicit_invalidations->value();
+  out.entries = static_cast<size_t>(obs_.entries->value());
+  return out;
 }
 
 namespace {

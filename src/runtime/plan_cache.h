@@ -68,13 +68,17 @@ class PlanCache {
     bool rewritten_valid = false;
   };
 
+  /// Registers the counters and the entry-count gauge into a registry the
+  /// cache owns, so they always exist; SetMetrics moves them.
   explicit PlanCache(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity) {
+    Register(&own_metrics_);
+  }
 
   static constexpr size_t kDefaultCapacity = 256;
 
-  /// Publishes hit/miss/invalidation counters and the entry-count gauge.
-  /// Call before concurrent use.
+  /// Re-registers the counters and gauge into the shared `metrics` (null
+  /// keeps them private). Call before first use: counts do not carry over.
   void SetMetrics(obs::MetricsRegistry* metrics);
 
   /// Probes for `key` at the caller-observed catalog `epoch` (read BEFORE
@@ -99,11 +103,16 @@ class PlanCache {
   /// A skeleton's `{param}` holes could not be rebound; full replan.
   void OnRebindFailed();
 
+  /// Snapshot of the registered instruments.
   struct Stats {
     uint64_t hits_full = 0;
     uint64_t hits_skeleton = 0;
+    /// Probes that found no entry for the template.
     uint64_t misses = 0;
     uint64_t epoch_invalidations = 0;
+    /// Probes whose entry held a rewritten plan at the current epoch but
+    /// for another precise signature (same template, other data).
+    uint64_t precise_mismatches = 0;
     uint64_t demotions = 0;
     uint64_t rebind_failures = 0;
     uint64_t insertions = 0;
@@ -111,7 +120,7 @@ class PlanCache {
     uint64_t explicit_invalidations = 0;
     size_t entries = 0;
   };
-  Stats stats() const EXCLUDES(mu_);
+  Stats stats() const;
 
  private:
   struct KeyHasher {
@@ -129,15 +138,21 @@ class PlanCache {
     obs::Counter* hits_skeleton = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* epoch_invalidations = nullptr;
+    obs::Counter* precise_mismatches = nullptr;
     obs::Counter* demotions = nullptr;
     obs::Counter* rebind_failures = nullptr;
     obs::Counter* insertions = nullptr;
     obs::Counter* evictions = nullptr;
+    obs::Counter* explicit_invalidations = nullptr;
     obs::Gauge* entries = nullptr;
   };
 
+  void Register(obs::MetricsRegistry* metrics);
+
   size_t capacity_;
-  /// Set once before concurrent use, read-only afterwards.
+  obs::MetricsRegistry own_metrics_;
+  /// Never null; set at construction and by SetMetrics before concurrent
+  /// use, read-only afterwards.
   Instruments obs_;
 
   mutable Mutex mu_;
@@ -145,7 +160,6 @@ class PlanCache {
   std::list<Node> lru_ GUARDED_BY(mu_);
   std::unordered_map<Key, std::list<Node>::iterator, KeyHasher> index_
       GUARDED_BY(mu_);
-  mutable Stats stats_ GUARDED_BY(mu_);
 };
 
 /// True when `plan` holds expression-level `{param}` holes — bound

@@ -9,26 +9,24 @@ namespace cloudviews {
 SubmissionQueue::SubmissionQueue(const Options& options,
                                  obs::MetricsRegistry* metrics)
     : capacity_(options.capacity > 0 ? options.capacity : 1) {
-  if (metrics != nullptr) {
-    obs::Labels labels{{"queue", options.name}};
-    depth_gauge_ = metrics->GetGauge(
-        "cv_submission_queue_depth", labels,
-        "Tasks queued, not yet picked up by a worker (excludes running "
-        "tasks — see cv_submission_queue_running for work in flight)");
-    running_gauge_ = metrics->GetGauge(
-        "cv_submission_queue_running", labels,
-        "Tasks currently executing on a worker thread; depth + running is "
-        "the total admitted-but-unfinished work");
-    admitted_counter_ =
-        metrics->GetCounter("cv_submission_queue_admitted_total", labels,
-                            "Tasks admitted into the bounded queue");
-    rejected_counter_ =
-        metrics->GetCounter("cv_submission_queue_rejected_total", labels,
-                            "Enqueue attempts refused (full or shutdown)");
-    queue_wait_ =
-        metrics->GetHistogram("cv_submission_queue_wait_seconds", labels, {},
-                              "Enqueue-to-dequeue wait");
-  }
+  obs::Labels labels{{"queue", options.name}};
+  depth_gauge_ = metrics->GetGauge(
+      "cv_submission_queue_depth", labels,
+      "Tasks queued, not yet picked up by a worker (excludes running "
+      "tasks — see cv_submission_queue_running for work in flight)");
+  running_gauge_ = metrics->GetGauge(
+      "cv_submission_queue_running", labels,
+      "Tasks currently executing on a worker thread; depth + running is "
+      "the total admitted-but-unfinished work");
+  admitted_counter_ =
+      metrics->GetCounter("cv_submission_queue_admitted_total", labels,
+                          "Tasks admitted into the bounded queue");
+  rejected_counter_ =
+      metrics->GetCounter("cv_submission_queue_rejected_total", labels,
+                          "Enqueue attempts refused (full or shutdown)");
+  queue_wait_ =
+      metrics->GetHistogram("cv_submission_queue_wait_seconds", labels, {},
+                            "Enqueue-to-dequeue wait");
   int workers = options.workers > 0 ? options.workers : 1;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -43,28 +41,23 @@ SubmissionQueue::Admit SubmissionQueue::TryEnqueue(
   {
     MutexLock lock(mu_);
     if (shutdown_) {
-      if (rejected_counter_ != nullptr) rejected_counter_->Increment();
+      rejected_counter_->Increment();
       return Admit::kShuttingDown;
     }
     if (queue_.size() >= capacity_) {
-      if (rejected_counter_ != nullptr) rejected_counter_->Increment();
+      rejected_counter_->Increment();
       return Admit::kQueueFull;
     }
     double now = MonotonicNowSeconds();
     queue_.push_back([this, now, task = std::move(task)] {
-      if (queue_wait_ != nullptr) {
-        queue_wait_->Observe(MonotonicNowSeconds() - now);
-      }
+      queue_wait_->Observe(MonotonicNowSeconds() - now);
       task();
     });
-    ++admitted_;
     // The admitted counter moves inside the same critical section as the
     // queue push: a metrics scrape racing an admit must never observe
     // admitted/rejected totals inconsistent with the depth gauge.
-    if (admitted_counter_ != nullptr) admitted_counter_->Increment();
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->Set(static_cast<double>(queue_.size()));
-    }
+    admitted_counter_->Increment();
+    depth_gauge_->Set(static_cast<double>(queue_.size()));
   }
   work_cv_.NotifyOne();
   return Admit::kAdmitted;
@@ -80,21 +73,14 @@ void SubmissionQueue::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++running_;
-      if (depth_gauge_ != nullptr) {
-        depth_gauge_->Set(static_cast<double>(queue_.size()));
-      }
-      if (running_gauge_ != nullptr) {
-        running_gauge_->Set(static_cast<double>(running_));
-      }
+      depth_gauge_->Set(static_cast<double>(queue_.size()));
+      running_gauge_->Set(static_cast<double>(running_));
     }
     task();
     {
       MutexLock lock(mu_);
       --running_;
-      ++finished_;
-      if (running_gauge_ != nullptr) {
-        running_gauge_->Set(static_cast<double>(running_));
-      }
+      running_gauge_->Set(static_cast<double>(running_));
     }
     drain_cv_.NotifyAll();
   }
@@ -125,8 +111,7 @@ size_t SubmissionQueue::depth() const {
 }
 
 uint64_t SubmissionQueue::admitted() const {
-  MutexLock lock(mu_);
-  return admitted_;
+  return admitted_counter_->value();
 }
 
 size_t SubmissionQueue::running() const {

@@ -35,9 +35,9 @@ class SubmissionQueue {
     std::string name = "default";
   };
 
-  /// `metrics` may be null (no instrumentation). Workers start immediately.
-  explicit SubmissionQueue(const Options& options,
-                           obs::MetricsRegistry* metrics = nullptr);
+  /// `metrics` is required (the queue's counters, gauges and wait
+  /// histogram live there). Workers start immediately.
+  SubmissionQueue(const Options& options, obs::MetricsRegistry* metrics);
   /// Shuts down (drains queued tasks first).
   ~SubmissionQueue();
 
@@ -67,7 +67,7 @@ class SubmissionQueue {
 
   size_t depth() const EXCLUDES(mu_);
   /// Tasks admitted over the queue's lifetime.
-  uint64_t admitted() const EXCLUDES(mu_);
+  uint64_t admitted() const;
   /// Tasks currently executing on a worker thread. depth() + running() is
   /// the admitted-but-unfinished backlog (during a drain the queue may be
   /// empty with work still in flight).
@@ -83,12 +83,9 @@ class SubmissionQueue {
   CondVar drain_cv_;  // signals Drain/Shutdown: queue empty + idle workers
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   size_t running_ GUARDED_BY(mu_) = 0;
-  uint64_t admitted_ GUARDED_BY(mu_) = 0;
-  uint64_t finished_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 
-  // Observability (null when constructed without a registry).
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Gauge* running_gauge_ = nullptr;
   obs::Counter* admitted_counter_ = nullptr;

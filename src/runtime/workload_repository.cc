@@ -20,29 +20,25 @@ double SubtreeCpuSeconds(const PlanNode& node, const PlanRuntimeStats& stats) {
 }
 
 void WorkloadRepository::SetMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  Instruments inst;
-  inst.jobs_ingested =
-      metrics->GetCounter("cv_repository_jobs_ingested_total", {},
-                          "Executed jobs added to the workload repository");
-  inst.subgraphs_observed = metrics->GetCounter(
-      "cv_repository_subgraph_observations_total", {},
-      "Per-subgraph statistic rows folded into the feedback index");
-  inst.lookups =
-      metrics->GetCounter("cv_repository_lookups_total", {},
-                          "Feedback-index lookups by normalized signature");
-  inst.lookup_hits = metrics->GetCounter(
-      "cv_repository_lookup_hits_total", {},
-      "Feedback-index lookups that found observed statistics");
-  inst.indexed_subgraphs =
-      metrics->GetGauge("cv_repository_indexed_subgraphs", {},
-                        "Distinct subgraph templates with statistics");
-  SetInstruments(inst);
+  if (metrics != nullptr) Register(metrics);
 }
 
-void WorkloadRepository::SetInstruments(const Instruments& instruments) {
-  MutexLock lock(mu_);
-  obs_ = instruments;
+void WorkloadRepository::Register(obs::MetricsRegistry* metrics) {
+  obs_.jobs_ingested =
+      metrics->GetCounter("cv_repository_jobs_ingested_total", {},
+                          "Executed jobs added to the workload repository");
+  obs_.subgraphs_observed = metrics->GetCounter(
+      "cv_repository_subgraph_observations_total", {},
+      "Per-subgraph statistic rows folded into the feedback index");
+  obs_.lookups =
+      metrics->GetCounter("cv_repository_lookups_total", {},
+                          "Feedback-index lookups by normalized signature");
+  obs_.lookup_hits = metrics->GetCounter(
+      "cv_repository_lookup_hits_total", {},
+      "Feedback-index lookups that found observed statistics");
+  obs_.indexed_subgraphs =
+      metrics->GetGauge("cv_repository_indexed_subgraphs", {},
+                        "Distinct subgraph templates with statistics");
 }
 
 void WorkloadRepository::AddJob(JobRecord record) {
@@ -98,7 +94,7 @@ void WorkloadRepository::AddJob(JobRecord record) {
 
   MutexLock lock(mu_);
   jobs_.push_back(shared);
-  if (obs_.jobs_ingested != nullptr) obs_.jobs_ingested->Increment();
+  obs_.jobs_ingested->Increment();
   for (const Observation& o : observed) {
     Accumulator& acc = feedback_[o.signature];
     acc.rows += o.rows;
@@ -107,12 +103,8 @@ void WorkloadRepository::AddJob(JobRecord record) {
     acc.cpu += o.cpu;
     ++acc.n;
   }
-  if (obs_.subgraphs_observed != nullptr) {
-    obs_.subgraphs_observed->Increment(observed.size());
-  }
-  if (obs_.indexed_subgraphs != nullptr) {
-    obs_.indexed_subgraphs->Set(static_cast<double>(feedback_.size()));
-  }
+  obs_.subgraphs_observed->Increment(observed.size());
+  obs_.indexed_subgraphs->Set(static_cast<double>(feedback_.size()));
 }
 
 size_t WorkloadRepository::NumJobs() const {
@@ -139,10 +131,10 @@ WorkloadRepository::JobsInWindow(LogicalTime from, LogicalTime to) const {
 std::optional<SubgraphObservedStats> WorkloadRepository::Lookup(
     const Hash128& normalized_signature) const {
   MutexLock lock(mu_);
-  if (obs_.lookups != nullptr) obs_.lookups->Increment();
+  obs_.lookups->Increment();
   auto it = feedback_.find(normalized_signature);
   if (it == feedback_.end()) return std::nullopt;
-  if (obs_.lookup_hits != nullptr) obs_.lookup_hits->Increment();
+  obs_.lookup_hits->Increment();
   const Accumulator& acc = it->second;
   double n = static_cast<double>(acc.n);
   SubgraphObservedStats stats;

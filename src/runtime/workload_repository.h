@@ -48,25 +48,14 @@ struct JobRecord {
 /// signature so *any* future job with a common subgraph benefits.
 class WorkloadRepository : public StatsProviderInterface {
  public:
-  /// Instrument handles; any subset may be null (uninstrumented).
-  struct Instruments {
-    obs::Counter* jobs_ingested = nullptr;
-    obs::Counter* subgraphs_observed = nullptr;
-    obs::Counter* lookups = nullptr;
-    obs::Counter* lookup_hits = nullptr;
-    obs::Gauge* indexed_subgraphs = nullptr;
-  };
+  /// Registers the ingest counters (jobs, subgraph observations, feedback
+  /// lookups) and the indexed-subgraphs gauge into a registry the
+  /// repository owns, so they always exist; SetMetrics moves them.
+  WorkloadRepository() { Register(&own_metrics_); }
 
-  /// Publishes ingest counters (jobs, indexed subgraphs, feedback
-  /// lookups) into `metrics`. Call before concurrent use.
-  void SetMetrics(obs::MetricsRegistry* metrics) EXCLUDES(mu_);
-
-  /// Installs instrument handles directly. Unlike SetMetrics, any subset
-  /// may be wired — every handle is null-checked independently at use
-  /// (regression: the indexed-subgraphs gauge update used to hide behind
-  /// the observation counter's null check and crashed when only the
-  /// counter was wired). Call before concurrent use.
-  void SetInstruments(const Instruments& instruments) EXCLUDES(mu_);
+  /// Re-registers the counters and gauge into the shared `metrics` (null
+  /// keeps them private). Call before first use: counts do not carry over.
+  void SetMetrics(obs::MetricsRegistry* metrics);
 
   void AddJob(JobRecord record) EXCLUDES(mu_);
 
@@ -89,7 +78,19 @@ class WorkloadRepository : public StatsProviderInterface {
     double rows = 0, bytes = 0, latency = 0, cpu = 0;
     int64_t n = 0;
   };
+  struct Instruments {
+    obs::Counter* jobs_ingested = nullptr;
+    obs::Counter* subgraphs_observed = nullptr;
+    obs::Counter* lookups = nullptr;
+    obs::Counter* lookup_hits = nullptr;
+    obs::Gauge* indexed_subgraphs = nullptr;
+  };
 
+  void Register(obs::MetricsRegistry* metrics);
+
+  obs::MetricsRegistry own_metrics_;
+  /// Never null; set at construction and by SetMetrics before concurrent
+  /// use, read-only afterwards.
   Instruments obs_;
 
   /// Guards the job history and the feedback index together: AddJob must

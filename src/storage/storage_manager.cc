@@ -1,6 +1,7 @@
 #include "storage/storage_manager.h"
 
 #include "common/string_util.h"
+#include "obs/timed_lock.h"
 
 namespace cloudviews {
 
@@ -32,44 +33,48 @@ bool ParseViewPath(const std::string& path, Hash128* normalized,
   return end != nullptr && *end == '\0' && !id_str.empty();
 }
 
-void StorageManager::SetMetrics(obs::MetricsRegistry* metrics) {
+void StorageManager::SetMetrics(obs::MetricsRegistry* metrics,
+                                MonotonicClock* wall_clock) {
   if (metrics == nullptr) return;
-  Instruments inst;
-  inst.bytes_written = metrics->GetCounter(
+  Register(metrics);
+  obs_.lock_wait = metrics->GetHistogram(
+      "cv_storage_lock_wait_seconds", {}, {},
+      "Wall time waiting for the storage manager's stream-map mutex");
+  if (wall_clock != nullptr) wall_clock_ = wall_clock;
+}
+
+void StorageManager::Register(obs::MetricsRegistry* metrics) {
+  obs_.bytes_written = metrics->GetCounter(
       "cv_storage_bytes_written_total", {}, "Bytes written to the store");
-  inst.streams =
+  obs_.streams =
       metrics->GetGauge("cv_storage_streams", {}, "Stored streams");
-  inst.total_bytes = metrics->GetGauge("cv_storage_total_bytes", {},
+  obs_.total_bytes = metrics->GetGauge("cv_storage_total_bytes", {},
                                        "Bytes across all stored streams");
-  inst.view_bytes =
+  obs_.view_bytes =
       metrics->GetGauge("cv_storage_view_bytes", {},
                         "Bytes held by materialized views (the storage "
                         "cost side of the reuse trade-off)");
-  inst.view_count = metrics->GetGauge("cv_storage_views", {},
+  obs_.view_count = metrics->GetGauge("cv_storage_views", {},
                                       "Stored materialized-view streams");
-  MutexLock lock(mu_);
-  obs_ = inst;
-  UpdateGauges();
 }
 
-void StorageManager::UpdateGauges() {
-  if (obs_.streams == nullptr) return;
-  int64_t total = 0;
-  int64_t view_bytes = 0;
-  int64_t views = 0;
-  for (const auto& [name, data] : streams_) {
-    total += data->total_bytes;
-    Hash128 normalized, precise;
-    uint64_t producer = 0;
-    if (ParseViewPath(name, &normalized, &precise, &producer)) {
-      view_bytes += data->total_bytes;
-      ++views;
-    }
+void StorageManager::CountStream(const StreamData& data, int sign) {
+  const double bytes = sign * static_cast<double>(data.total_bytes);
+  obs_.streams->Add(sign);
+  obs_.total_bytes->Add(bytes);
+  Hash128 normalized, precise;
+  uint64_t producer = 0;
+  if (ParseViewPath(data.name, &normalized, &precise, &producer)) {
+    obs_.view_count->Add(sign);
+    obs_.view_bytes->Add(bytes);
   }
-  obs_.streams->Set(static_cast<double>(streams_.size()));
-  obs_.total_bytes->Set(static_cast<double>(total));
-  obs_.view_bytes->Set(static_cast<double>(view_bytes));
-  obs_.view_count->Set(static_cast<double>(views));
+}
+
+void StorageManager::Put(StreamHandle data) {
+  StreamHandle& slot = streams_[data->name];
+  if (slot != nullptr) CountStream(*slot, -1);
+  CountStream(*data, 1);
+  slot = std::move(data);
 }
 
 Status StorageManager::WriteStream(StreamData data) {
@@ -97,21 +102,16 @@ Status StorageManager::WriteStream(StreamData data) {
         }
         data.complete = false;
         auto partial = std::make_shared<StreamData>(std::move(data));
-        MutexLock lock(mu_);
-        streams_[partial->name] = std::move(partial);
-        UpdateGauges();
+        obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+        Put(std::move(partial));
         return torn;
       }
     }
   }
   auto handle = std::make_shared<StreamData>(std::move(data));
-  MutexLock lock(mu_);
-  if (obs_.bytes_written != nullptr) {
-    obs_.bytes_written->Increment(
-        static_cast<uint64_t>(handle->total_bytes));
-  }
-  streams_[handle->name] = std::move(handle);
-  UpdateGauges();
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  obs_.bytes_written->Increment(static_cast<uint64_t>(handle->total_bytes));
+  Put(std::move(handle));
   return Status::OK();
 }
 
@@ -123,7 +123,7 @@ Result<StreamHandle> StorageManager::OpenStream(
                                     : fault::points::kStorageRead,
         name));
   }
-  MutexLock lock(mu_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   auto it = streams_.find(name);
   if (it == streams_.end()) {
     return Status::NotFound("stream '" + name + "' does not exist");
@@ -136,38 +136,40 @@ Result<StreamHandle> StorageManager::OpenStream(
 }
 
 bool StorageManager::StreamExists(const std::string& name) const {
-  MutexLock lock(mu_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   return streams_.count(name) > 0;
 }
 
 Status StorageManager::DeleteStream(const std::string& name) {
-  MutexLock lock(mu_);
-  if (streams_.erase(name) == 0) {
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  auto it = streams_.find(name);
+  if (it == streams_.end()) {
     return Status::NotFound("stream '" + name + "' does not exist");
   }
-  UpdateGauges();
+  CountStream(*it->second, -1);
+  streams_.erase(it);
   return Status::OK();
 }
 
 size_t StorageManager::PurgeExpired() {
   LogicalTime now = clock_->Now();
-  MutexLock lock(mu_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   size_t purged = 0;
   for (auto it = streams_.begin(); it != streams_.end();) {
     if (it->second->expires_at != 0 && it->second->expires_at <= now) {
+      CountStream(*it->second, -1);
       it = streams_.erase(it);
       ++purged;
     } else {
       ++it;
     }
   }
-  UpdateGauges();
   return purged;
 }
 
 std::vector<std::string> StorageManager::ListStreams(
     const std::string& prefix) const {
-  MutexLock lock(mu_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   std::vector<std::string> out;
   for (const auto& [name, data] : streams_) {
     if (StartsWith(name, prefix)) out.push_back(name);
@@ -176,15 +178,11 @@ std::vector<std::string> StorageManager::ListStreams(
 }
 
 int64_t StorageManager::TotalBytes() const {
-  MutexLock lock(mu_);
-  int64_t total = 0;
-  for (const auto& [name, data] : streams_) total += data->total_bytes;
-  return total;
+  return static_cast<int64_t>(obs_.total_bytes->value());
 }
 
 size_t StorageManager::NumStreams() const {
-  MutexLock lock(mu_);
-  return streams_.size();
+  return static_cast<size_t>(obs_.streams->value());
 }
 
 StreamData MakeStreamData(std::string name, std::string guid, Schema schema,

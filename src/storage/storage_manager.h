@@ -59,11 +59,20 @@ std::string EncodeViewPath(const Hash128& normalized,
 /// cluster; stands in for the SCOPE distributed store.
 class StorageManager {
  public:
-  explicit StorageManager(SimulatedClock* clock) : clock_(clock) {}
+  /// Registers the level gauges (streams and bytes, total and the
+  /// materialized-view slice) and the written-bytes counter into a
+  /// registry the manager owns, so they always exist; SetMetrics moves
+  /// them.
+  explicit StorageManager(SimulatedClock* clock) : clock_(clock) {
+    Register(&own_metrics_);
+  }
 
-  /// Publishes stream/byte gauges (total and materialized-view slices) and
-  /// a written-bytes counter into `metrics`. Call before concurrent use.
-  void SetMetrics(obs::MetricsRegistry* metrics) EXCLUDES(mu_);
+  /// Re-registers the gauges and counter into the shared `metrics` and
+  /// adds the `cv_storage_lock_wait_seconds` histogram, timed on
+  /// `wall_clock` (null: the real clock). Null `metrics` changes nothing.
+  /// Call before the first write: levels do not carry over.
+  void SetMetrics(obs::MetricsRegistry* metrics,
+                  MonotonicClock* wall_clock = nullptr);
 
   /// Routes reads/writes through `fault` (storage.read / storage.write /
   /// storage.view_* points, keyed by stream name). Call before concurrent
@@ -87,16 +96,22 @@ class StorageManager {
   std::vector<std::string> ListStreams(const std::string& prefix = "") const
       EXCLUDES(mu_);
 
-  int64_t TotalBytes() const EXCLUDES(mu_);
-  size_t NumStreams() const EXCLUDES(mu_);
+  /// Read the level gauges; O(1).
+  int64_t TotalBytes() const;
+  size_t NumStreams() const;
 
   SimulatedClock* clock() const { return clock_; }
 
  private:
-  /// Recomputes the level gauges from the stream map. O(streams), called
-  /// only on mutation (writes replace existing names, so deltas would be
-  /// error-prone for no gain at this scale).
-  void UpdateGauges() REQUIRES(mu_);
+  void Register(obs::MetricsRegistry* metrics);
+
+  /// Installs `data` under its name, replacing any stream of that name,
+  /// and moves the level gauges by the difference.
+  void Put(StreamHandle data) REQUIRES(mu_);
+  /// Moves the level gauges by one stream entering (`sign` = 1) or leaving
+  /// (`sign` = -1) the store. Every change to streams_ calls it under mu_,
+  /// so whenever mu_ is free the gauges equal sums over streams_.
+  void CountStream(const StreamData& data, int sign) REQUIRES(mu_);
 
   struct Instruments {
     obs::Counter* bytes_written = nullptr;
@@ -104,12 +119,18 @@ class StorageManager {
     obs::Gauge* total_bytes = nullptr;
     obs::Gauge* view_bytes = nullptr;
     obs::Gauge* view_count = nullptr;
+    /// Null unless SetMetrics wired a shared registry.
+    obs::Histogram* lock_wait = nullptr;
   };
 
   SimulatedClock* clock_;
   /// Set once before concurrent use (test/CI wiring), read-only afterwards.
   fault::FaultInjector* fault_ = nullptr;
+  obs::MetricsRegistry own_metrics_;
+  /// Set at construction and by SetMetrics before concurrent use,
+  /// read-only afterwards; only the histogram may be null.
   Instruments obs_;
+  MonotonicClock* wall_clock_ = MonotonicClock::Real();
   mutable Mutex mu_;
   std::map<std::string, StreamHandle> streams_ GUARDED_BY(mu_);
 };

@@ -3,7 +3,7 @@
 // registration, view expiry, build-lock handoff), the fault-matrix
 // interaction (a cached plan whose view read fails still takes the
 // views_fallback path and drops the entry), and the workload-repository
-// ingest fixes (partially-wired instruments, O(n) inclusive-CPU
+// ingest fixes (instruments wired or not, O(n) inclusive-CPU
 // attribution).
 //
 // The load-bearing assertions mirror the acceptance criteria: a warm-cache
@@ -153,6 +153,7 @@ TEST_F(PlanCacheUnitTest, PreciseMismatchIsSkeletonTierOnly) {
   ASSERT_NE(probe.entry, nullptr);
   EXPECT_FALSE(probe.rewritten_valid);  // new data, not a full hit
   EXPECT_EQ(cache.stats().epoch_invalidations, 0u);
+  EXPECT_EQ(cache.stats().precise_mismatches, 1u);
 }
 
 TEST_F(PlanCacheUnitTest, LruEvictsOldestAtCapacity) {
@@ -387,6 +388,28 @@ TEST_F(PlanCacheServiceTest, SkeletonHitRebindsNewDateWithoutLogicalRewrite) {
     EXPECT_EQ(Fingerprint(cv.storage(), std::string("A_") + date),
               Fingerprint(plain.storage(), std::string("A_") + date));
   }
+}
+
+TEST_F(PlanCacheServiceTest, OtherInstanceAtOneEpochIsAPreciseMismatch) {
+  CloudViews cv;
+  WriteClickStream(cv.storage(), "clicks_2018-01-01", 1200, 1, "2018-01-01");
+  WriteClickStream(cv.storage(), "clicks_2018-01-02", 900, 2, "2018-01-02");
+  auto first = cv.Submit(JobA("2018-01-01"));
+  ASSERT_TRUE(first.ok());
+  auto cold = cv.job_service()->plan_cache().stats();
+  EXPECT_EQ(cold.misses, 1u);
+
+  // Same template over other data at the same catalog epoch: the cached
+  // rewritten plan belongs to the first instance, so it is not served —
+  // and the probe, which found an entry, is no miss either.
+  auto second = cv.Submit(JobA("2018-01-02"));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->catalog_epoch, first->catalog_epoch);
+  auto stats = cv.job_service()->plan_cache().stats();
+  EXPECT_EQ(stats.precise_mismatches, 1u);
+  EXPECT_EQ(stats.misses, cold.misses);
+  EXPECT_EQ(stats.epoch_invalidations, 0u);
+  EXPECT_EQ(stats.hits_full, 0u);
 }
 
 TEST_F(PlanCacheServiceTest, CacheOffTakesTheLegacyPath) {
@@ -751,31 +774,22 @@ class RepositoryIngestTest : public ::testing::Test {
 
 TEST_F(RepositoryIngestTest, PartiallyWiredInstrumentsDoNotCrashOrSkip) {
   JobRecord record = ExecutedRecord();
-  obs::MetricsRegistry registry;
-
   {
-    // Regression: only the observation counter wired. The old code guarded
-    // the gauge update behind THIS counter's null check and dereferenced
-    // the null gauge.
+    // Wired into a shared registry: the gauge tracks the index and the
+    // counters advance there.
+    obs::MetricsRegistry registry;
     WorkloadRepository repo;
-    WorkloadRepository::Instruments inst;
-    inst.subgraphs_observed =
-        registry.GetCounter("test_subgraphs_observed_total");
-    repo.SetInstruments(inst);
+    repo.SetMetrics(&registry);
     repo.AddJob(record);
-    EXPECT_GT(inst.subgraphs_observed->value(), 0u);
     EXPECT_GT(repo.NumIndexedSubgraphs(), 0u);
-  }
-  {
-    // Only the gauge wired: it must still be updated (independent checks),
-    // not skipped because the counter is absent.
-    WorkloadRepository repo;
-    WorkloadRepository::Instruments inst;
-    inst.indexed_subgraphs = registry.GetGauge("test_indexed_subgraphs");
-    repo.SetInstruments(inst);
-    repo.AddJob(record);
-    EXPECT_EQ(inst.indexed_subgraphs->value(),
+    EXPECT_EQ(registry.GetGauge("cv_repository_indexed_subgraphs")->value(),
               static_cast<double>(repo.NumIndexedSubgraphs()));
+    EXPECT_EQ(
+        registry.GetCounter("cv_repository_jobs_ingested_total")->value(),
+        1u);
+    EXPECT_GT(registry.GetCounter("cv_repository_subgraph_observations_total")
+                  ->value(),
+              0u);
   }
   {
     // Nothing wired at all.

@@ -216,7 +216,163 @@ TEST(ReuseMetricsTest, RewriteDecisionsReachTheRegistry) {
   EXPECT_GE(m->GetGauge("cv_metadata_registered_views")->value(), 1.0);
   EXPECT_GE(m->GetGauge("cv_storage_views")->value(), 1.0);
   EXPECT_GT(m->GetGauge("cv_storage_view_bytes")->value(), 0.0);
+  EXPECT_GE(m->GetHistogram("cv_storage_lock_wait_seconds")->count(), 1u);
   EXPECT_GE(m->GetHistogram("cv_metadata_lock_wait_seconds")->count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One stats path: the snapshot accessors read the registered counters and
+// gauges, so observability on and off report the same numbers, and with it
+// on each field equals its series in the exported registry.
+// ---------------------------------------------------------------------------
+
+/// Field -> metric of every PlanCache::Stats and MetadataService::Counters
+/// field, plus the storage and metadata levels.
+struct FieldMetric {
+  const char* field;
+  const char* metric;
+  uint64_t (*read)(CloudViews* cv);
+};
+
+#define CV_CACHE_FIELD(f, m)                                          \
+  FieldMetric {                                                       \
+    #f, m, [](CloudViews* cv) -> uint64_t {                           \
+      return cv->job_service()->plan_cache().stats().f;               \
+    }                                                                 \
+  }
+#define CV_METADATA_FIELD(f, m)                                        \
+  FieldMetric {                                                        \
+    #f, m, [](CloudViews* cv) -> uint64_t {                            \
+      return cv->metadata()->counters().f;                             \
+    }                                                                  \
+  }
+
+const FieldMetric kStatsFields[] = {
+    CV_CACHE_FIELD(hits_full, "cv_plan_cache_hits_full_total"),
+    CV_CACHE_FIELD(hits_skeleton, "cv_plan_cache_hits_skeleton_total"),
+    CV_CACHE_FIELD(misses, "cv_plan_cache_misses_total"),
+    CV_CACHE_FIELD(epoch_invalidations,
+                   "cv_plan_cache_epoch_invalidations_total"),
+    CV_CACHE_FIELD(precise_mismatches,
+                   "cv_plan_cache_precise_mismatches_total"),
+    CV_CACHE_FIELD(demotions, "cv_plan_cache_demotions_total"),
+    CV_CACHE_FIELD(rebind_failures, "cv_plan_cache_rebind_failures_total"),
+    CV_CACHE_FIELD(insertions, "cv_plan_cache_insertions_total"),
+    CV_CACHE_FIELD(evictions, "cv_plan_cache_evictions_total"),
+    CV_CACHE_FIELD(explicit_invalidations,
+                   "cv_plan_cache_explicit_invalidations_total"),
+    CV_CACHE_FIELD(entries, "cv_plan_cache_entries"),
+    CV_METADATA_FIELD(lookups, "cv_metadata_lookups_total"),
+    CV_METADATA_FIELD(propose_attempts,
+                      "cv_metadata_propose_attempts_total"),
+    CV_METADATA_FIELD(proposals, "cv_metadata_proposals_total"),
+    CV_METADATA_FIELD(locks_granted, "cv_metadata_build_locks_granted_total"),
+    CV_METADATA_FIELD(locks_denied, "cv_metadata_build_locks_denied_total"),
+    CV_METADATA_FIELD(locks_abandoned,
+                      "cv_metadata_build_locks_abandoned_total"),
+    CV_METADATA_FIELD(leases_reclaimed,
+                      "cv_metadata_lock_leases_reclaimed_total"),
+    CV_METADATA_FIELD(stale_registrations_rejected,
+                      "cv_metadata_stale_registrations_total"),
+    CV_METADATA_FIELD(orphans_cleaned, "cv_metadata_orphans_cleaned_total"),
+    CV_METADATA_FIELD(views_registered, "cv_metadata_views_registered_total"),
+    CV_METADATA_FIELD(views_purged, "cv_metadata_views_purged_total"),
+    {"NumRegisteredViews", "cv_metadata_registered_views",
+     [](CloudViews* cv) -> uint64_t {
+       return cv->metadata()->NumRegisteredViews();
+     }},
+    {"TotalBytes", "cv_storage_total_bytes",
+     [](CloudViews* cv) -> uint64_t {
+       return static_cast<uint64_t>(cv->storage()->TotalBytes());
+     }},
+    {"NumStreams", "cv_storage_streams",
+     [](CloudViews* cv) -> uint64_t { return cv->storage()->NumStreams(); }},
+};
+
+#undef CV_CACHE_FIELD
+#undef CV_METADATA_FIELD
+
+/// One deterministic single-threaded workload: history, the analyzer, a
+/// view build, reuse through the skeleton tier, a full-hit re-submission, a
+/// second template reusing the view, a demotion once the view expires, the
+/// purge, and a rebuild.
+std::unique_ptr<CloudViews> RunStatsWorkload(bool observability,
+                                             MonotonicClock* wall_clock) {
+  CloudViewsConfig config;
+  config.enable_observability = observability;
+  config.wall_clock = wall_clock;
+  // One view, so the third occurrence is a full hit. Under the fake clock
+  // every candidate's utility is zero and the tie-break is by signature.
+  config.analyzer.selection.top_k = 1;
+  config.analyzer.selection.min_frequency = 2;
+  auto cv = std::make_unique<CloudViews>(config);
+  // Observability off, CloudViews leaves the job service on the real
+  // clock; time its runs on the fake one too so the analyzer ranks the
+  // same candidates in both runs. No registry or tracer is wired.
+  if (!observability) {
+    cv->job_service()->SetObservability(nullptr, nullptr, wall_clock);
+  }
+  auto job = [](const std::string& id, const std::string& date) {
+    PlanBuilder shared = PlanBuilder::From(SharedAggPlan(date));
+    PlanBuilder plan =
+        id == "jobA" ? std::move(shared).Sort({{"n", false}})
+                     : std::move(shared).Filter(Gt(Col("n"), Lit(int64_t{0})));
+    JobDefinition def;
+    def.template_id = id;
+    def.vc = "vc";
+    def.user = "u-" + id;
+    def.logical_plan = std::move(plan).Output(id + "_" + date).Build();
+    return def;
+  };
+  WriteClickStream(cv->storage(), "clicks_2018-01-01", 1500, 1, "2018-01-01");
+  WriteClickStream(cv->storage(), "clicks_2018-01-02", 1500, 2, "2018-01-02");
+  EXPECT_TRUE(cv->Submit(job("jobA", "2018-01-01"), false).ok());
+  EXPECT_TRUE(cv->Submit(job("jobB", "2018-01-01"), false).ok());
+  cv->RunAnalyzerAndLoad();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(cv->Submit(job("jobA", "2018-01-02")).ok());
+  }
+  EXPECT_TRUE(cv->Submit(job("jobB", "2018-01-02")).ok());
+  cv->clock()->AdvanceSeconds(30 * kSecondsPerDay);
+  EXPECT_TRUE(cv->Submit(job("jobA", "2018-01-02")).ok());
+  EXPECT_GE(cv->PurgeExpired(), 1u);
+  EXPECT_TRUE(cv->Submit(job("jobA", "2018-01-02")).ok());
+  return cv;
+}
+
+TEST(StatsPathTest, ObservabilityOnAndOffReportTheSameStats) {
+  FakeMonotonicClock wall_clock{5.0};
+  auto on = RunStatsWorkload(true, &wall_clock);
+  auto off = RunStatsWorkload(false, &wall_clock);
+  const PlanCache::Stats cache = on->job_service()->plan_cache().stats();
+  const MetadataService::Counters metadata = on->metadata()->counters();
+  // The workload reaches every tier it is meant to.
+  EXPECT_GE(cache.hits_full, 1u);
+  EXPECT_GE(cache.hits_skeleton, 1u);
+  EXPECT_GE(cache.demotions, 1u);
+  EXPECT_GE(metadata.views_registered, 2u);
+  EXPECT_GE(metadata.views_purged, 1u);
+  for (const FieldMetric& f : kStatsFields) {
+    EXPECT_EQ(f.read(on.get()), f.read(off.get())) << f.field;
+  }
+
+  // Off, the components counted privately: nothing reached metrics().
+  EXPECT_EQ(obs::RenderPrometheus(*off->metrics()).find("cv_plan_cache_"),
+            std::string::npos);
+}
+
+TEST(StatsPathTest, EveryStatsFieldEqualsItsExportedSeries) {
+  FakeMonotonicClock wall_clock{5.0};
+  auto cv = RunStatsWorkload(true, &wall_clock);
+  const std::string prom = obs::RenderPrometheus(*cv->metrics());
+  for (const FieldMetric& f : kStatsFields) {
+    const std::string line_start = std::string("\n") + f.metric + " ";
+    size_t pos = prom.find(line_start);
+    ASSERT_NE(pos, std::string::npos) << f.metric << " is not exported";
+    double exported = std::stod(prom.substr(pos + line_start.size()));
+    EXPECT_EQ(static_cast<double>(f.read(cv.get())), exported)
+        << f.field << " vs " << f.metric;
+  }
 }
 
 // ---------------------------------------------------------------------------

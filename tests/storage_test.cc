@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
+#include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "storage/storage_manager.h"
 
 namespace cloudviews {
@@ -121,6 +124,91 @@ TEST(StorageTest, ListByPrefixAndTotals) {
   EXPECT_EQ(storage.ListStreams().size(), 3u);
   EXPECT_EQ(storage.NumStreams(), 3u);
   EXPECT_GT(storage.TotalBytes(), 0);
+}
+
+TEST(StorageTest, LevelsTrackEveryChange) {
+  SimulatedClock clock(1000);
+  StorageManager storage(&clock);
+  obs::MetricsRegistry metrics;
+  storage.SetMetrics(&metrics);
+  fault::FaultInjector fault(1);
+  storage.SetFaultInjector(&fault);
+
+  // What the test wrote and believes is stored: name -> bytes.
+  std::map<std::string, int64_t> stored;
+  auto expect_levels = [&](const std::string& step) {
+    int64_t total = 0;
+    int64_t view_bytes = 0;
+    size_t views = 0;
+    for (const auto& [name, bytes] : stored) {
+      total += bytes;
+      if (name.rfind("/views/", 0) == 0) {
+        view_bytes += bytes;
+        ++views;
+      }
+    }
+    EXPECT_EQ(storage.TotalBytes(), total) << step;
+    EXPECT_EQ(storage.NumStreams(), stored.size()) << step;
+    EXPECT_EQ(metrics.GetGauge("cv_storage_streams")->value(),
+              static_cast<double>(stored.size()))
+        << step;
+    EXPECT_EQ(metrics.GetGauge("cv_storage_total_bytes")->value(),
+              static_cast<double>(total))
+        << step;
+    EXPECT_EQ(metrics.GetGauge("cv_storage_view_bytes")->value(),
+              static_cast<double>(view_bytes))
+        << step;
+    EXPECT_EQ(metrics.GetGauge("cv_storage_views")->value(),
+              static_cast<double>(views))
+        << step;
+  };
+  auto make = [&](const std::string& name, std::vector<Batch> batches,
+                  LogicalTime expires_at) {
+    return MakeStreamData(name, "g-" + name, SimpleSchema(),
+                          std::move(batches), clock.Now(), expires_at);
+  };
+  auto write = [&](const std::string& name, int rows,
+                   LogicalTime expires_at) {
+    StreamData data =
+        make(name, {SimpleBatch(rows), SimpleBatch(rows)}, expires_at);
+    stored[name] = data.total_bytes;
+    EXPECT_TRUE(storage.WriteStream(std::move(data)).ok()) << name;
+  };
+  const LogicalTime hour = clock.Now() + kSecondsPerHour;
+
+  write("a", 10, 0);
+  write("b", 20, hour);
+  expect_levels("new writes");
+
+  write("a", 50, 0);
+  expect_levels("same-name rewrite");
+
+  const std::string view = EncodeViewPath({1, 2}, {3, 4}, 7);
+  write(view, 30, 0);
+  expect_levels("view write");
+
+  // A torn view write leaves its first half behind, incomplete.
+  fault::FaultSpec torn;
+  torn.trigger_every = 1;
+  torn.max_fires = 1;
+  fault.Arm(fault::points::kStorageViewWriteTorn, torn);
+  const std::string partial = EncodeViewPath({1, 2}, {5, 6}, 8);
+  std::vector<Batch> batches = {SimpleBatch(5), SimpleBatch(6),
+                                SimpleBatch(7), SimpleBatch(8)};
+  stored[partial] = batches[0].ByteSize() + batches[1].ByteSize();
+  EXPECT_FALSE(storage.WriteStream(make(partial, batches, hour)).ok());
+  EXPECT_FALSE(storage.OpenStream(partial).ok());
+  expect_levels("torn view write");
+
+  ASSERT_TRUE(storage.DeleteStream(view).ok());
+  stored.erase(view);
+  expect_levels("delete");
+
+  clock.AdvanceSeconds(kSecondsPerDay);
+  EXPECT_EQ(storage.PurgeExpired(), 2u);
+  stored.erase("b");
+  stored.erase(partial);
+  expect_levels("purge");
 }
 
 TEST(StorageTest, ConcurrentWritersAndReaders) {

@@ -230,6 +230,65 @@ void RuleThrowingConversion(const FileCtx& ctx, std::vector<Violation>* out) {
   }
 }
 
+/// Index one past the instrument expression starting at `i`: identifiers
+/// joined by `.`, `->` or `::` (obs_.hits, state->rows, counter_).
+size_t SkipMemberExpr(const std::vector<Token>& code, size_t i) {
+  while (i < code.size() && code[i].kind == TokenKind::kIdentifier) {
+    ++i;
+    if (i + 1 < code.size() &&
+        (code[i].IsPunct(".") || code[i].IsPunct("->") ||
+         code[i].IsPunct("::")) &&
+        code[i + 1].kind == TokenKind::kIdentifier) {
+      ++i;
+    } else {
+      break;
+    }
+  }
+  return i;
+}
+
+void RuleNullableInstrument(const FileCtx& ctx, std::vector<Violation>* out) {
+  // Components keep counters and gauges that are never null; src/obs/
+  // itself defines the null-tolerant helpers (ScopedGaugeIncrement).
+  if (ctx.rel_path.rfind("src/", 0) != 0 ||
+      PathContains(ctx.rel_path, "src/obs/")) {
+    return;
+  }
+  const auto& code = ctx.code;
+  for (size_t i = 0; i + 1 < code.size(); ++i) {
+    if (!code[i].IsIdent("if") || !code[i + 1].IsPunct("(")) continue;
+    const size_t x_begin = i + 2;
+    const size_t x_end = SkipMemberExpr(code, x_begin);
+    const size_t x_len = x_end - x_begin;
+    if (x_len == 0 || x_end + 2 >= code.size() ||
+        !code[x_end].IsPunct("!=") || !code[x_end + 1].IsIdent("nullptr") ||
+        !code[x_end + 2].IsPunct(")")) {
+      continue;
+    }
+    size_t j = x_end + 3;
+    if (j < code.size() && code[j].IsPunct("{")) ++j;
+    if (j + x_len + 2 >= code.size()) continue;
+    bool same = true;
+    for (size_t k = 0; k < x_len && same; ++k) {
+      same = code[j + k].text == code[x_begin + k].text;
+    }
+    j += x_len;
+    if (!same || !code[j].IsPunct("->") || !code[j + 2].IsPunct("(")) {
+      continue;
+    }
+    const std::string& call = code[j + 1].text;
+    if (call != "Increment" && call != "Set" && call != "Add") continue;
+    std::string x;
+    for (size_t k = x_begin; k < x_end; ++k) x += code[k].text;
+    out->push_back({ctx.display_path, code[i].line, "nullable-instrument",
+                    "null check guarding '" + x + "->" + call +
+                        "'; counters and gauges are registered at "
+                        "construction and never null — drop the check (or "
+                        "NOLINT(nullable-instrument): <why> for an opt-in "
+                        "instrument)"});
+  }
+}
+
 void RuleNakedNew(const FileCtx& ctx, std::vector<Violation>* out) {
   const auto& code = ctx.code;
   for (size_t i = 0; i < code.size(); ++i) {
@@ -416,6 +475,10 @@ const std::vector<LintRule>& AllRules() {
        "std::stoi/stol/stoll/stoul/stoull/stof/stod/stold outside tests/ "
        "— use std::from_chars and return a Status",
        "bad_conversion.cc", RuleThrowingConversion},
+      {"nullable-instrument",
+       "a null check guarding a counter or gauge update in src/ — they "
+       "are registered at construction and never null",
+       "bad_nullable_instrument.cc", RuleNullableInstrument},
       {"naked-new",
        "naked 'new' — use std::make_unique/std::make_shared",
        "bad_new.cc", RuleNakedNew},

@@ -56,6 +56,8 @@ struct LintRule {
 ///                     (use the annotated Mutex / MutexLock / CondVar)
 ///  throwing-conversion std::sto* outside tests/ (use std::from_chars and
 ///                     return a Status)
+///  nullable-instrument `if (x != nullptr) x->Increment/Set/Add(` in src/
+///                     (counters and gauges are never null)
 ///  naked-new          `new` outside a smart-pointer factory
 ///  mutex-guarded      a header declaring a Mutex member must annotate the
 ///                     state it protects with GUARDED_BY / PT_GUARDED_BY

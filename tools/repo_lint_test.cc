@@ -138,6 +138,34 @@ TEST(RepoLintTest, ThrowingConversionScopedOutOfTests) {
                   .empty());
 }
 
+TEST(RepoLintTest, NullableInstrumentFires) {
+  // The fixture lives in lint_fixtures/ but is linted as if it were a
+  // src/ component, where the rule is scoped.
+  auto violations = LintFile("bad_nullable_instrument.cc",
+                             "src/runtime/bad_nullable_instrument.cc",
+                             ReadFixture("bad_nullable_instrument.cc"));
+  EXPECT_EQ(Rules(violations),
+            std::set<std::string>{"nullable-instrument"});
+  // Increment, braced Set and Add through `->`; the histogram, the other
+  // call and the check on another instrument stay clean.
+  ASSERT_EQ(violations.size(), 3u);
+  EXPECT_EQ(violations[0].line, 12);
+  EXPECT_EQ(violations[1].line, 13);
+  EXPECT_EQ(violations[2].line, 16);
+}
+
+TEST(RepoLintTest, NullableInstrumentScopedToComponents) {
+  const std::string fixture = ReadFixture("bad_nullable_instrument.cc");
+  // src/obs/ defines the null-tolerant helpers; tests may wire what they
+  // like.
+  EXPECT_TRUE(LintFile("metrics.cc", "src/obs/metrics.cc", fixture).empty());
+  EXPECT_TRUE(LintFile("obs_test.cc", "tests/obs_test.cc", fixture).empty());
+  EXPECT_TRUE(LintFile("pool.cc", "src/common/thread_pool.cc",
+                       "// NOLINTNEXTLINE(nullable-instrument): opt-in.\n"
+                       "if (obs_.depth != nullptr) obs_.depth->Add(1);\n")
+                  .empty());
+}
+
 TEST(RepoLintTest, NakedNewFires) {
   auto violations = LintFixture("bad_new.cc");
   EXPECT_EQ(Rules(violations), std::set<std::string>{"naked-new"});
