@@ -1,11 +1,13 @@
 // Microbenchmarks: executor operator throughput and thread scaling.
 //
 // Besides the google-benchmark operator suite (now parameterized by worker
-// count), main() runs a scan->filter->aggregate thread-scaling sweep over
-// 1/2/4/8 workers, verifies the outputs are byte-identical across worker
-// counts, measures the wall-clock overhead of metrics instrumentation, and
-// writes the measurements (plus the instrumented run's metric registry)
-// to BENCH_executor.json.
+// count), main() times the single-thread rows/s of the five operator plans
+// the suite runs at 10000 rows (median and quartiles of repeated runs),
+// runs a scan->filter->aggregate thread-scaling sweep over 1/2/4/8
+// workers, verifies the outputs are byte-identical across worker counts,
+// measures the wall-clock overhead of metrics instrumentation, and writes
+// the measurements (plus the instrumented run's metric registry) to
+// BENCH_executor.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 
 #include "common/clock.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "obs/export.h"
@@ -87,32 +90,55 @@ ExecOptions Opts(int workers) {
   return options;
 }
 
-void BM_Filter(benchmark::State& state) {
+// The operator plans of the BM_* suite, shared with the rate table below.
+
+PlanNodePtr FilterPlan(Env& env) {
+  return env.Scan().Filter(Gt(Col("v"), Lit(0.5))).Build();
+}
+
+PlanNodePtr HashAggregatePlan(Env& env) {
+  return env.Scan()
+      .Aggregate({"g"}, {{AggFunc::kCount, nullptr, "n"},
+                         {AggFunc::kSum, Col("v"), "sv"}})
+      .Build();
+}
+
+PlanNodePtr SortPlan(Env& env) {
+  return env.Scan().Sort({{"v", false}}).Build();
+}
+
+PlanNodePtr HashJoinPlan(Env& env) {
+  auto right =
+      env.Scan("data2").Project({{Col("k"), "k2"}, {Col("v"), "v2"}});
+  return env.Scan()
+      .Join(std::move(right), JoinType::kInner, {{"k", "k2"}})
+      .Aggregate({}, {{AggFunc::kCount, nullptr, "n"}})
+      .Build();
+}
+
+PlanNodePtr ExchangePlan(Env& env) {
+  return env.Scan().Exchange(Partitioning::Hash({"k"}, 16)).Build();
+}
+
+void RunOperatorBenchmark(benchmark::State& state,
+                          PlanNodePtr (*plan)(Env&)) {
   Env env(state.range(0));
   int workers = static_cast<int>(state.range(1));
   auto pool = MakePool(workers);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        env.RunPlan(env.Scan().Filter(Gt(Col("v"), Lit(0.5))).Build(),
-                    pool.get(), Opts(workers)));
+        env.RunPlan(plan(env), pool.get(), Opts(workers)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_Filter(benchmark::State& state) {
+  RunOperatorBenchmark(state, FilterPlan);
 }
 BENCHMARK(BM_Filter)->Args({1000, 1})->Args({10000, 1})->Args({10000, 4});
 
 void BM_HashAggregate(benchmark::State& state) {
-  Env env(state.range(0));
-  int workers = static_cast<int>(state.range(1));
-  auto pool = MakePool(workers);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(env.RunPlan(
-        env.Scan()
-            .Aggregate({"g"}, {{AggFunc::kCount, nullptr, "n"},
-                               {AggFunc::kSum, Col("v"), "sv"}})
-            .Build(),
-        pool.get(), Opts(workers)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  RunOperatorBenchmark(state, HashAggregatePlan);
 }
 BENCHMARK(BM_HashAggregate)
     ->Args({1000, 1})
@@ -120,48 +146,79 @@ BENCHMARK(BM_HashAggregate)
     ->Args({10000, 4});
 
 void BM_Sort(benchmark::State& state) {
-  Env env(state.range(0));
-  int workers = static_cast<int>(state.range(1));
-  auto pool = MakePool(workers);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        env.RunPlan(env.Scan().Sort({{"v", false}}).Build(), pool.get(),
-                    Opts(workers)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  RunOperatorBenchmark(state, SortPlan);
 }
 BENCHMARK(BM_Sort)->Args({1000, 1})->Args({10000, 1})->Args({10000, 4});
 
 void BM_HashJoin(benchmark::State& state) {
-  Env env(state.range(0));
-  int workers = static_cast<int>(state.range(1));
-  auto pool = MakePool(workers);
-  for (auto _ : state) {
-    auto right = env.Scan("data2")
-                     .Project({{Col("k"), "k2"}, {Col("v"), "v2"}});
-    benchmark::DoNotOptimize(env.RunPlan(
-        env.Scan()
-            .Join(std::move(right), JoinType::kInner, {{"k", "k2"}})
-            .Aggregate({}, {{AggFunc::kCount, nullptr, "n"}})
-            .Build(),
-        pool.get(), Opts(workers)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  RunOperatorBenchmark(state, HashJoinPlan);
 }
 BENCHMARK(BM_HashJoin)->Args({1000, 1})->Args({10000, 1})->Args({10000, 4});
 
 void BM_Exchange(benchmark::State& state) {
-  Env env(state.range(0));
-  int workers = static_cast<int>(state.range(1));
-  auto pool = MakePool(workers);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(env.RunPlan(
-        env.Scan().Exchange(Partitioning::Hash({"k"}, 16)).Build(),
-        pool.get(), Opts(workers)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  RunOperatorBenchmark(state, ExchangePlan);
 }
 BENCHMARK(BM_Exchange)->Args({1000, 1})->Args({10000, 1})->Args({10000, 4});
+
+// ---------------------------------------------------------------------------
+// Operator rates: the single-thread rows/s of each BM_*/10000/1 plan, as the
+// median and quartiles of repeated timed runs.
+// ---------------------------------------------------------------------------
+
+struct OperatorRate {
+  const char* name;
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+constexpr int64_t kRateRows = 10000;
+constexpr int kRateRepetitions = 7;
+
+std::vector<OperatorRate> MeasureOperatorRates() {
+  struct Op {
+    const char* name;
+    PlanNodePtr (*plan)(Env&);
+  };
+  const Op kOps[] = {{"Filter", FilterPlan},
+                     {"HashAggregate", HashAggregatePlan},
+                     {"Sort", SortPlan},
+                     {"HashJoin", HashJoinPlan},
+                     {"Exchange", ExchangePlan}};
+  Env env(kRateRows);
+  std::printf("\n=== Operator rates: single thread, %lld rows, median "
+              "[q1, q3] of %d repetitions ===\n",
+              static_cast<long long>(kRateRows), kRateRepetitions);
+  std::vector<OperatorRate> rates;
+  for (const Op& op : kOps) {
+    // Warm up, and size a repetition to about 0.2 s.
+    int iterations = 0;
+    double start = MonotonicNowSeconds();
+    while (MonotonicNowSeconds() - start < 0.05) {
+      env.RunPlan(op.plan(env), nullptr, Opts(1));
+      ++iterations;
+    }
+    const int per_repetition = std::max(1, iterations * 4);
+    DistributionSummary rows_per_s;
+    for (int rep = 0; rep < kRateRepetitions; ++rep) {
+      double t0 = MonotonicNowSeconds();
+      for (int i = 0; i < per_repetition; ++i) {
+        env.RunPlan(op.plan(env), nullptr, Opts(1));
+      }
+      double elapsed = MonotonicNowSeconds() - t0;
+      rows_per_s.Add(static_cast<double>(per_repetition) *
+                     static_cast<double>(kRateRows) / elapsed);
+    }
+    OperatorRate rate{op.name};
+    rate.median = rows_per_s.Median();
+    rate.q1 = rows_per_s.Percentile(25);
+    rate.q3 = rows_per_s.Percentile(75);
+    std::printf("  %-14s %7.2fM rows/s  [%.2fM, %.2fM]\n", op.name,
+                rate.median / 1e6, rate.q1 / 1e6, rate.q3 / 1e6);
+    rates.push_back(rate);
+  }
+  return rates;
+}
 
 // ---------------------------------------------------------------------------
 // Thread-scaling sweep.
@@ -204,7 +261,7 @@ struct SweepPoint {
   double best_seconds;
 };
 
-int RunThreadScalingSweep() {
+int RunThreadScalingSweep(const std::vector<OperatorRate>& rates) {
   constexpr int64_t kRows = 400000;
   constexpr int kRepeats = 5;
   const std::vector<int> kWorkerCounts = {1, 2, 4, 8};
@@ -313,6 +370,19 @@ int RunThreadScalingSweep() {
                "\"instrumented_seconds\": %.6f, \"overhead_fraction\": "
                "%.4f},\n",
                plain_best, instrumented_best, overhead_fraction);
+  std::fprintf(f,
+               "  \"operator_rates\": {\"rows\": %lld, \"workers\": 1, "
+               "\"repetitions\": %d, \"unit\": \"rows/s\", "
+               "\"operators\": [\n",
+               static_cast<long long>(kRateRows), kRateRepetitions);
+  for (size_t i = 0; i < rates.size(); ++i) {
+    std::fprintf(f,
+                 "    {\"operator\": \"%s\", \"median\": %.0f, \"q1\": "
+                 "%.0f, \"q3\": %.0f}%s\n",
+                 rates[i].name, rates[i].median, rates[i].q1, rates[i].q3,
+                 i + 1 < rates.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"metrics\": %s\n",
                obs::RenderMetricsJson(registry).c_str());
   std::fprintf(f, "}\n");
@@ -329,5 +399,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return cloudviews::RunThreadScalingSweep();
+  return cloudviews::RunThreadScalingSweep(
+      cloudviews::MeasureOperatorRates());
 }

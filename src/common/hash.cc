@@ -39,8 +39,15 @@ HashBuilder& HashBuilder::Add(double v) {
 }
 
 HashBuilder& HashBuilder::Add(std::string_view s) {
-  a_ = Mix64(a_ ^ Fnv1a64(s.data(), s.size()));
-  b_ = Mix64(b_ + Fnv1a64(s.data(), s.size(), 0x84222325cbf29ce4ULL));
+  // The two lanes are Fnv1a64(s) under two seeds, computed in one pass.
+  uint64_t fa = 0xcbf29ce484222325ULL;
+  uint64_t fb = 0x84222325cbf29ce4ULL;
+  for (unsigned char c : s) {
+    fa = (fa ^ c) * 0x100000001b3ULL;
+    fb = (fb ^ c) * 0x100000001b3ULL;
+  }
+  a_ = Mix64(a_ ^ fa);
+  b_ = Mix64(b_ + fb);
   Add(static_cast<uint64_t>(s.size()));
   return *this;
 }

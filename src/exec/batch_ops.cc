@@ -5,6 +5,65 @@
 
 namespace cloudviews {
 
+namespace {
+
+/// Feeds cell `row` of `col` to `hb` exactly as Value::HashInto feeds the
+/// boxed cell.
+void HashCell(const Column& col, size_t row, HashBuilder* hb) {
+  if (col.IsNull(row)) {
+    hb->Add(uint64_t{0xdeadULL});
+    return;
+  }
+  switch (col.type()) {
+    case DataType::kBool:
+      hb->Add(col.bool_data()[row] != 0);
+      break;
+    case DataType::kInt64:
+    case DataType::kDate:
+      hb->Add(col.int64_data()[row]);
+      break;
+    case DataType::kDouble:
+      hb->Add(col.double_data()[row]);
+      break;
+    case DataType::kString:
+      hb->Add(std::string_view(col.string_data()[row]));
+      break;
+  }
+}
+
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+/// Value::Compare of cell `ra` of `a` against cell `rb` of `b`, read from
+/// the typed vectors when both columns have one type.
+int CompareCells(const Column& a, size_t ra, const Column& b, size_t rb) {
+  if (a.type() != b.type()) {
+    // A pair of different types (int64 against double or date in a merge
+    // join) keeps Value::Compare's numeric widening.
+    // NOLINTNEXTLINE(boxed-cell): the mixed-type reference fallback.
+    return a.GetValue(ra).Compare(b.GetValue(rb));
+  }
+  const bool a_null = a.IsNull(ra);
+  const bool b_null = b.IsNull(rb);
+  if (a_null || b_null) return a_null == b_null ? 0 : (a_null ? -1 : 1);
+  switch (a.type()) {
+    case DataType::kBool:
+      return ThreeWay(a.bool_data()[ra] != 0, b.bool_data()[rb] != 0);
+    case DataType::kInt64:
+    case DataType::kDate:
+      return ThreeWay(a.int64_data()[ra], b.int64_data()[rb]);
+    case DataType::kDouble:
+      return ThreeWay(a.double_data()[ra], b.double_data()[rb]);
+    case DataType::kString:
+      return a.string_data()[ra].compare(b.string_data()[rb]);
+  }
+  return 0;
+}
+
+}  // namespace
+
 Result<std::vector<int>> ResolveColumns(const Schema& schema,
                                         const std::vector<std::string>& names) {
   std::vector<int> idx;
@@ -21,19 +80,26 @@ Result<std::vector<int>> ResolveColumns(const Schema& schema,
 
 Hash128 RowKey(const Batch& batch, size_t row, const std::vector<int>& cols) {
   HashBuilder hb;
-  for (int c : cols) {
-    batch.column(static_cast<size_t>(c)).GetValue(row).HashInto(&hb);
-  }
+  for (int c : cols) HashCell(batch.column(static_cast<size_t>(c)), row, &hb);
   return hb.Finish();
+}
+
+std::vector<std::vector<uint32_t>> HashPartitionRows(
+    const Batch& batch, const std::vector<int>& cols, size_t count) {
+  std::vector<std::vector<uint32_t>> parts(count);
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    parts[RowKey(batch, r, cols).lo % static_cast<uint64_t>(count)]
+        .push_back(static_cast<uint32_t>(r));
+  }
+  return parts;
 }
 
 int CompareRowsOnColumns(const Batch& a, size_t ra, const std::vector<int>& ca,
                          const Batch& b, size_t rb,
                          const std::vector<int>& cb) {
   for (size_t k = 0; k < ca.size(); ++k) {
-    int cmp = a.column(static_cast<size_t>(ca[k]))
-                  .GetValue(ra)
-                  .Compare(b.column(static_cast<size_t>(cb[k])).GetValue(rb));
+    int cmp = CompareCells(a.column(static_cast<size_t>(ca[k])), ra,
+                           b.column(static_cast<size_t>(cb[k])), rb);
     if (cmp != 0) return cmp;
   }
   return 0;
@@ -54,30 +120,21 @@ ResolvedSortKeys ResolveSortKeys(const Schema& schema,
 int CompareRowsSorted(const Batch& a, size_t ra, const Batch& b, size_t rb,
                       const ResolvedSortKeys& keys) {
   for (size_t k = 0; k < keys.cols.size(); ++k) {
-    int cmp =
-        a.column(static_cast<size_t>(keys.cols[k]))
-            .GetValue(ra)
-            .Compare(
-                b.column(static_cast<size_t>(keys.cols[k])).GetValue(rb));
+    const size_t c = static_cast<size_t>(keys.cols[k]);
+    int cmp = CompareCells(a.column(c), ra, b.column(c), rb);
     if (cmp != 0) return keys.ascending[k] ? cmp : -cmp;
   }
   return 0;
 }
 
-std::vector<size_t> StableSortOrder(const Batch& data,
-                                    const ResolvedSortKeys& keys) {
-  std::vector<size_t> order(data.num_rows());
+std::vector<uint32_t> StableSortOrder(const Batch& data,
+                                      const ResolvedSortKeys& keys) {
+  std::vector<uint32_t> order(data.num_rows());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return CompareRowsSorted(data, a, data, b, keys) < 0;
   });
   return order;
-}
-
-Batch GatherRows(const Batch& src, const std::vector<size_t>& rows) {
-  Batch out(src.schema());
-  for (size_t r : rows) out.AppendRowFrom(src, r);
-  return out;
 }
 
 }  // namespace cloudviews

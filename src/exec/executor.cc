@@ -27,7 +27,9 @@ Batch CombineBatches(const Schema& schema,
 
 Batch SortBatch(const Batch& data, const std::vector<SortKey>& keys) {
   ResolvedSortKeys resolved = ResolveSortKeys(data.schema(), keys);
-  return GatherRows(data, StableSortOrder(data, resolved));
+  Batch out(data.schema());
+  out.AppendSelected(data, StableSortOrder(data, resolved));
+  return out;
 }
 
 Result<std::vector<Batch>> PartitionBatch(const Batch& data,
@@ -45,8 +47,13 @@ Result<std::vector<Batch>> PartitionBatch(const Batch& data,
       return parts;
     }
     case PartitionScheme::kRoundRobin: {
+      std::vector<std::vector<uint32_t>> rows(static_cast<size_t>(count));
       for (size_t r = 0; r < data.num_rows(); ++r) {
-        parts[r % static_cast<size_t>(count)].AppendRowFrom(data, r);
+        rows[r % static_cast<size_t>(count)].push_back(
+            static_cast<uint32_t>(r));
+      }
+      for (size_t p = 0; p < rows.size(); ++p) {
+        parts[p].AppendSelected(data, rows[p]);
       }
       return parts;
     }
@@ -54,24 +61,28 @@ Result<std::vector<Batch>> PartitionBatch(const Batch& data,
       CV_ASSIGN_OR_RETURN(std::vector<int> cols,
                           ResolveColumns(data.schema(),
                                          partitioning.columns));
-      for (size_t r = 0; r < data.num_rows(); ++r) {
-        uint64_t h = RowKey(data, r, cols).lo;
-        parts[h % static_cast<uint64_t>(count)].AppendRowFrom(data, r);
+      std::vector<std::vector<uint32_t>> rows =
+          HashPartitionRows(data, cols, static_cast<size_t>(count));
+      for (size_t p = 0; p < rows.size(); ++p) {
+        parts[p].AppendSelected(data, rows[p]);
       }
       return parts;
     }
     case PartitionScheme::kRange: {
       // Approximate range partitioning: sort on the partition columns and
-      // cut into equal-sized runs.
+      // cut into equal-sized runs (the last partition takes the rest).
       std::vector<SortKey> keys;
       for (const auto& c : partitioning.columns) keys.push_back({c, true});
       Batch sorted = SortBatch(data, keys);
       size_t per = (sorted.num_rows() + static_cast<size_t>(count) - 1) /
                    static_cast<size_t>(count);
       if (per == 0) per = 1;
-      for (size_t r = 0; r < sorted.num_rows(); ++r) {
-        parts[std::min(r / per, static_cast<size_t>(count) - 1)]
-            .AppendRowFrom(sorted, r);
+      for (size_t p = 0; p < parts.size(); ++p) {
+        size_t begin = std::min(p * per, sorted.num_rows());
+        size_t end = p + 1 == parts.size()
+                         ? sorted.num_rows()
+                         : std::min(begin + per, sorted.num_rows());
+        parts[p].AppendRowsFrom(sorted, begin, end);
       }
       return parts;
     }

@@ -18,12 +18,6 @@ namespace cloudviews {
 
 namespace {
 
-/// Reference to one row of a morsel set.
-struct RowRef {
-  uint32_t morsel = 0;
-  uint32_t row = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Extract / ViewRead: storage scans re-chunked into morsels. Slices are
 // planned sequentially in Open; materializing each slice is the parallel
@@ -147,12 +141,15 @@ class FilterOperator : public PhysicalOperator {
     const Batch& in = inputs_[0][m];
     Column pred(DataType::kBool);
     CV_RETURN_NOT_OK(filter->predicate()->Evaluate(in, &pred));
-    Batch out(in.schema());
+    std::vector<uint32_t> selected;
+    selected.reserve(in.num_rows());
     for (size_t r = 0; r < in.num_rows(); ++r) {
       if (!pred.IsNull(r) && pred.bool_data()[r] != 0) {
-        out.AppendRowFrom(in, r);
+        selected.push_back(static_cast<uint32_t>(r));
       }
     }
+    Batch out(in.schema());
+    out.AppendSelected(in, selected);
     out_[m] = std::move(out);
     return Status::OK();
   }
@@ -210,7 +207,8 @@ class ProjectOperator : public PhysicalOperator {
 // Join. Hash join: phase 0 hashes build-side keys per morsel (parallel),
 // the build table is then filled in right-row order (sequential, so match
 // lists keep the single-threaded order), phase 1 probes left morsels in
-// parallel. Merge join stays sequential in Close.
+// parallel. Merge join stays sequential in Close. Both collect the matched
+// row pairs first and then gather each output column in one pass.
 // ---------------------------------------------------------------------------
 
 class JoinOperator : public PhysicalOperator {
@@ -254,6 +252,18 @@ class JoinOperator : public PhysicalOperator {
             {static_cast<uint32_t>(m), static_cast<uint32_t>(r)});
       }
     }
+    // Gather sources per right column: every right morsel, then a one-row
+    // all-null batch that unmatched left-outer rows point at.
+    const Schema& right_schema = InputSchema(1);
+    null_right_ = Batch(right_schema);
+    for (size_t i = 0; i < right_schema.num_fields(); ++i) {
+      null_right_.column(i).AppendNull();
+    }
+    right_srcs_.assign(right_schema.num_fields(), {});
+    for (size_t i = 0; i < right_srcs_.size(); ++i) {
+      for (const Batch& b : inputs_[1]) right_srcs_[i].push_back(&b.column(i));
+      right_srcs_[i].push_back(&null_right_.column(i));
+    }
     return Status::OK();
   }
 
@@ -270,33 +280,27 @@ class JoinOperator : public PhysicalOperator {
     }
     auto* join = static_cast<JoinNode*>(node_);
     const Batch& left = inputs_[0][m];
-    Batch out(node_->output_schema());
-    auto emit = [&](size_t lr, const RowRef& ref) {
-      const Batch& right = inputs_[1][ref.morsel];
-      size_t c = 0;
-      for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(left.column(i), lr);
-      }
-      for (size_t i = 0; i < right.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(right.column(i), ref.row);
-      }
-    };
-    auto emit_left_only = [&](size_t lr) {
-      size_t c = 0;
-      for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(left.column(i), lr);
-      }
-      for (size_t i = c; i < out.num_columns(); ++i) {
-        out.column(i).AppendNull();
-      }
-    };
+    const RowRef null_ref{static_cast<uint32_t>(inputs_[1].size()), 0};
+    std::vector<uint32_t> lrows;
+    std::vector<RowRef> rrows;
     for (size_t l = 0; l < left.num_rows(); ++l) {
       auto it = table_.find(RowKey(left, l, lcols_));
       if (it != table_.end()) {
-        for (const RowRef& ref : it->second) emit(l, ref);
+        for (const RowRef& ref : it->second) {
+          lrows.push_back(static_cast<uint32_t>(l));
+          rrows.push_back(ref);
+        }
       } else if (join->join_type() == JoinType::kLeftOuter) {
-        emit_left_only(l);
+        lrows.push_back(static_cast<uint32_t>(l));
+        rrows.push_back(null_ref);
       }
+    }
+    Batch out(node_->output_schema());
+    for (size_t i = 0; i < left.num_columns(); ++i) {
+      out.column(i).AppendSelected(left.column(i), lrows);
+    }
+    for (size_t i = 0; i < right_srcs_.size(); ++i) {
+      out.column(left.num_columns() + i).AppendGathered(right_srcs_[i], rrows);
     }
     probe_out_[m] = std::move(out);
     return Status::OK();
@@ -314,16 +318,8 @@ class JoinOperator : public PhysicalOperator {
     // optimizer); kept sequential.
     Batch left = CombineBatches(InputSchema(0), inputs_[0]);
     Batch right = CombineBatches(InputSchema(1), inputs_[1]);
-    Batch out(node_->output_schema());
-    auto emit = [&](size_t lr, size_t rr) {
-      size_t c = 0;
-      for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(left.column(i), lr);
-      }
-      for (size_t i = 0; i < right.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(right.column(i), rr);
-      }
-    };
+    std::vector<uint32_t> lrows;
+    std::vector<uint32_t> rrows;
     auto key_cmp = [&](size_t lr, size_t rr) {
       return CompareRowsOnColumns(left, lr, lcols_, right, rr, rcols_);
     };
@@ -341,11 +337,22 @@ class JoinOperator : public PhysicalOperator {
         size_t rend = ri + 1;
         while (rend < right.num_rows() && key_cmp(li, rend) == 0) ++rend;
         for (size_t a = li; a < lend; ++a) {
-          for (size_t b = ri; b < rend; ++b) emit(a, b);
+          for (size_t b = ri; b < rend; ++b) {
+            lrows.push_back(static_cast<uint32_t>(a));
+            rrows.push_back(static_cast<uint32_t>(b));
+          }
         }
         li = lend;
         ri = rend;
       }
+    }
+    Batch out(node_->output_schema());
+    for (size_t i = 0; i < left.num_columns(); ++i) {
+      out.column(i).AppendSelected(left.column(i), lrows);
+    }
+    for (size_t i = 0; i < right.num_columns(); ++i) {
+      out.column(left.num_columns() + i)
+          .AppendSelected(right.column(i), rrows);
     }
     return ChunkBatch(std::move(out), ctx.morsel_rows);
   }
@@ -356,6 +363,8 @@ class JoinOperator : public PhysicalOperator {
   bool merge_ = false;
   std::vector<std::vector<Hash128>> right_keys_;
   std::unordered_map<Hash128, std::vector<RowRef>, Hash128Hasher> table_;
+  Batch null_right_;
+  std::vector<std::vector<const Column*>> right_srcs_;
   MorselSet probe_out_;
 };
 
@@ -442,6 +451,7 @@ class AggregateOperator : public PhysicalOperator {
     auto update = [&](Group* g, size_t m, size_t r) {
       for (size_t a = 0; a < agg_->aggregates().size(); ++a) {
         if (agg_->aggregates()[a].arg) {
+          // NOLINTNEXTLINE(boxed-cell): AggState accumulates boxed values.
           g->states[a].Update(pre_[m].arg_cols[a].GetValue(r));
         } else {
           g->states[a].UpdateCountStar();
@@ -511,16 +521,26 @@ class AggregateOperator : public PhysicalOperator {
     Batch out(node_->output_schema());
     // Empty input with group keys yields no rows; without keys it yields
     // the single global group (already created above).
-    for (const auto& g : groups) {
-      size_t c = 0;
-      for (int gc : gcols_) {
-        out.column(c++).AppendFrom(
-            in[g.morsel].column(static_cast<size_t>(gc)), g.row);
+    if (!gcols_.empty()) {
+      std::vector<RowRef> firsts;
+      firsts.reserve(groups.size());
+      for (const auto& g : groups) {
+        firsts.push_back(
+            {static_cast<uint32_t>(g.morsel), static_cast<uint32_t>(g.row)});
       }
+      std::vector<const Column*> srcs(in.size());
+      for (size_t k = 0; k < gcols_.size(); ++k) {
+        for (size_t m = 0; m < in.size(); ++m) {
+          srcs[m] = &in[m].column(static_cast<size_t>(gcols_[k]));
+        }
+        out.column(k).AppendGathered(srcs, firsts);
+      }
+    }
+    for (const auto& g : groups) {
       for (size_t a = 0; a < agg_->aggregates().size(); ++a) {
+        size_t c = gcols_.size() + a;
         out.column(c).AppendValue(
             g.states[a].Finish(node_->output_schema().field(c).type));
-        ++c;
       }
     }
     MorselSet result;
@@ -574,9 +594,7 @@ class SortOperator : public PhysicalOperator {
     size_t total = MorselRowCount(in);
     global_.reserve(total);
     if (in.size() == 1) {
-      for (size_t r : orders_[0]) {
-        global_.push_back({0, static_cast<uint32_t>(r)});
-      }
+      for (uint32_t r : orders_[0]) global_.push_back({0, r});
     } else if (in.size() > 1) {
       // K-way merge of the sorted runs; on equal keys the lower morsel
       // index wins, preserving stability.
@@ -599,8 +617,8 @@ class SortOperator : public PhysicalOperator {
       while (!heap.empty()) {
         Cursor c = heap.top();
         heap.pop();
-        global_.push_back({static_cast<uint32_t>(c.morsel),
-                           static_cast<uint32_t>(orders_[c.morsel][c.pos])});
+        global_.push_back(
+            {static_cast<uint32_t>(c.morsel), orders_[c.morsel][c.pos]});
         if (++c.pos < orders_[c.morsel].size()) heap.push(c);
       }
     }
@@ -618,9 +636,9 @@ class SortOperator : public PhysicalOperator {
     Batch out(InputSchema(0));
     size_t begin = m * ctx.morsel_rows;
     size_t end = std::min(begin + ctx.morsel_rows, global_.size());
-    for (size_t i = begin; i < end; ++i) {
-      out.AppendRowFrom(inputs_[0][global_[i].morsel], global_[i].row);
-    }
+    out.AppendGathered(inputs_[0],
+                       std::span<const RowRef>(global_).subspan(
+                           begin, end - begin));
     out_[m] = std::move(out);
     return Status::OK();
   }
@@ -631,17 +649,17 @@ class SortOperator : public PhysicalOperator {
 
  private:
   ResolvedSortKeys keys_;
-  std::vector<std::vector<size_t>> orders_;
+  std::vector<std::vector<uint32_t>> orders_;
   std::vector<RowRef> global_;
   size_t chunks_ = 0;
   MorselSet out_;
 };
 
 // ---------------------------------------------------------------------------
-// Exchange. Hash partitioning hashes rows per morsel in parallel, then each
-// partition gathers its rows — in global row order — in parallel across
-// partitions; the output is the partitions concatenated in partition order,
-// matching PartitionBatch + CombineBatches.
+// Exchange. Hash partitioning splits each morsel's rows by partition in
+// parallel, then each partition gathers its rows — in global row order — in
+// parallel across partitions; the output is the partitions concatenated in
+// partition order, matching PartitionBatch + CombineBatches.
 // ---------------------------------------------------------------------------
 
 class ExchangeOperator : public PhysicalOperator {
@@ -662,7 +680,7 @@ class ExchangeOperator : public PhysicalOperator {
         break;
       case PartitionScheme::kHash: {
         CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
-        pids_.resize(inputs_[0].size());
+        rows_.resize(inputs_[0].size());
         parts_.resize(count_);
         break;
       }
@@ -697,25 +715,24 @@ class ExchangeOperator : public PhysicalOperator {
 
   Status ProcessMorsel(OperatorContext&, size_t phase, size_t m) override {
     if (scheme_ == PartitionScheme::kHash && phase == 0) {
-      const Batch& in = inputs_[0][m];
-      std::vector<uint32_t> pids(in.num_rows());
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        pids[r] = static_cast<uint32_t>(RowKey(in, r, cols_).lo %
-                                        static_cast<uint64_t>(count_));
-      }
-      pids_[m] = std::move(pids);
+      rows_[m] = HashPartitionRows(inputs_[0][m], cols_, count_);
       return Status::OK();
     }
     // Gather partition m's rows in global row order.
     Batch out(InputSchema(0));
+    std::vector<uint32_t> round_robin;
     for (size_t mi = 0; mi < inputs_[0].size(); ++mi) {
       const Batch& in = inputs_[0][mi];
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        size_t pid = scheme_ == PartitionScheme::kHash
-                         ? pids_[mi][r]
-                         : (offsets_[mi] + r) % count_;
-        if (pid == m) out.AppendRowFrom(in, r);
+      if (scheme_ == PartitionScheme::kHash) {
+        out.AppendSelected(in, rows_[mi][m]);
+        continue;
       }
+      round_robin.clear();
+      for (size_t r = (m + count_ - offsets_[mi] % count_) % count_;
+           r < in.num_rows(); r += count_) {
+        round_robin.push_back(static_cast<uint32_t>(r));
+      }
+      out.AppendSelected(in, round_robin);
     }
     parts_[m] = std::move(out);
     return Status::OK();
@@ -751,7 +768,9 @@ class ExchangeOperator : public PhysicalOperator {
   PartitionScheme scheme_ = PartitionScheme::kAny;
   size_t count_ = 1;
   std::vector<int> cols_;
-  std::vector<std::vector<uint32_t>> pids_;
+  /// Hash scheme: rows_[morsel][partition] lists that morsel's rows of the
+  /// partition.
+  std::vector<std::vector<std::vector<uint32_t>>> rows_;
   std::vector<size_t> offsets_;
   MorselSet parts_;
 };

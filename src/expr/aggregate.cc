@@ -94,7 +94,9 @@ void AggState::Update(const Value& v) {
     case AggFunc::kSum:
     case AggFunc::kAvg:
       if (v.type() == DataType::kInt64) {
-        isum_ += v.int64_value();
+        // Wraps in two's complement; signed overflow is undefined.
+        isum_ = static_cast<int64_t>(static_cast<uint64_t>(isum_) +
+                                     static_cast<uint64_t>(v.int64_value()));
         sum_ += static_cast<double>(v.int64_value());
       } else {
         sum_ += v.AsDouble();

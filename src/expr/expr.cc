@@ -100,8 +100,7 @@ Status ColumnRefExpr::Evaluate(const Batch& input, Column* out) const {
   // Fast path: copy the referenced column wholesale.
   const Column& src = input.column(static_cast<size_t>(index_));
   *out = Column(src.type());
-  out->Reserve(src.size());
-  for (size_t i = 0; i < src.size(); ++i) out->AppendFrom(src, i);
+  out->AppendRangeFrom(src, 0, src.size());
   return Status::OK();
 }
 
@@ -242,18 +241,22 @@ Value ArithmeticExpr::EvaluateRow(const Batch& input, size_t row) const {
   Value r = children_[1]->EvaluateRow(input, row);
   if (l.is_null() || r.is_null()) return Value::Null(output_type_);
   if (output_type_ == DataType::kInt64) {
+    // Two's complement wrap-around, as the hardware gives it: signed
+    // overflow is undefined behaviour, and INT64_MIN % -1 traps on x86.
     int64_t a = l.int64_value();
     int64_t b = r.int64_value();
+    uint64_t ua = static_cast<uint64_t>(a);
+    uint64_t ub = static_cast<uint64_t>(b);
     switch (op_) {
       case ArithmeticOp::kAdd:
-        return Value::Int64(a + b);
+        return Value::Int64(static_cast<int64_t>(ua + ub));
       case ArithmeticOp::kSub:
-        return Value::Int64(a - b);
+        return Value::Int64(static_cast<int64_t>(ua - ub));
       case ArithmeticOp::kMul:
-        return Value::Int64(a * b);
+        return Value::Int64(static_cast<int64_t>(ua * ub));
       case ArithmeticOp::kMod:
-        return b == 0 ? Value::Null(DataType::kInt64)
-                      : Value::Int64(a % b);
+        if (b == 0) return Value::Null(DataType::kInt64);
+        return Value::Int64(b == -1 ? 0 : a % b);
       case ArithmeticOp::kDiv:
         break;  // handled below as double
     }

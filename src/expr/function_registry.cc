@@ -149,7 +149,11 @@ FunctionRegistry::FunctionRegistry() {
            {[](const std::vector<Value>& args) -> Value {
               if (args[0].is_null()) return Value::Null(args[0].type());
               if (args[0].type() == DataType::kInt64) {
-                return Value::Int64(std::abs(args[0].int64_value()));
+                // Negated in two's complement: abs(INT64_MIN) wraps to
+                // itself instead of overflowing.
+                int64_t v = args[0].int64_value();
+                uint64_t u = static_cast<uint64_t>(v);
+                return Value::Int64(static_cast<int64_t>(v < 0 ? 0 - u : u));
               }
               return Value::Double(std::fabs(args[0].AsDouble()));
             },

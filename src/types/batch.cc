@@ -6,6 +6,34 @@
 
 namespace cloudviews {
 
+namespace {
+
+/// Extends `validity` (empty means all valid), which covers `old_size`
+/// rows, by `n` gathered rows whose flags `valid_at(k)` gives. As with
+/// per-row AppendFrom, the vector is created only when a null is copied.
+/// `nullable` is false when no source has a validity vector.
+template <typename ValidAt>
+void ExtendValidity(std::vector<uint8_t>* validity, size_t old_size,
+                    size_t n, bool nullable, ValidAt valid_at) {
+  if (validity->empty()) {
+    size_t first_null = 0;
+    while (nullable && first_null < n && valid_at(first_null)) ++first_null;
+    if (!nullable || first_null == n) return;
+    validity->assign(old_size + first_null, 1);
+    for (size_t k = first_null; k < n; ++k) {
+      validity->push_back(valid_at(k) ? 1 : 0);
+    }
+    return;
+  }
+  if (!nullable) {
+    validity->insert(validity->end(), n, 1);
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) validity->push_back(valid_at(k) ? 1 : 0);
+}
+
+}  // namespace
+
 Column::Column(DataType type) : type_(type) {
   switch (type) {
     case DataType::kBool:
@@ -145,6 +173,50 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t end) {
   }
 }
 
+void Column::AppendSelected(const Column& other,
+                            std::span<const uint32_t> rows) {
+  assert(other.type_ == type_);
+  const size_t old_size = size();
+  std::visit(
+      [&](auto& dst) {
+        using Vec = std::remove_reference_t<decltype(dst)>;
+        const Vec& src = std::get<Vec>(other.data_);
+        dst.resize(old_size + rows.size());
+        for (size_t k = 0; k < rows.size(); ++k) {
+          dst[old_size + k] = src[rows[k]];
+        }
+      },
+      data_);
+  ExtendValidity(&validity_, old_size, rows.size(), !other.validity_.empty(),
+                 [&](size_t k) { return other.validity_[rows[k]] != 0; });
+}
+
+void Column::AppendGathered(std::span<const Column* const> srcs,
+                            std::span<const RowRef> refs) {
+  const size_t old_size = size();
+  bool nullable = false;
+  for (const Column* c : srcs) {
+    assert(c->type_ == type_);
+    nullable = nullable || !c->validity_.empty();
+  }
+  std::visit(
+      [&](auto& dst) {
+        using Vec = std::remove_reference_t<decltype(dst)>;
+        std::vector<const Vec*> src(srcs.size());
+        for (size_t i = 0; i < srcs.size(); ++i) {
+          src[i] = &std::get<Vec>(srcs[i]->data_);
+        }
+        dst.resize(old_size + refs.size());
+        for (size_t k = 0; k < refs.size(); ++k) {
+          dst[old_size + k] = (*src[refs[k].batch])[refs[k].row];
+        }
+      },
+      data_);
+  ExtendValidity(&validity_, old_size, refs.size(), nullable, [&](size_t k) {
+    return !srcs[refs[k].batch]->IsNull(refs[k].row);
+  });
+}
+
 bool Column::HasNulls() const {
   for (uint8_t v : validity_) {
     if (v == 0) return true;
@@ -225,6 +297,26 @@ void Batch::AppendRowsFrom(const Batch& other, size_t begin, size_t end) {
   assert(other.num_columns() == num_columns());
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].AppendRangeFrom(other.columns_[c], begin, end);
+  }
+}
+
+void Batch::AppendSelected(const Batch& other,
+                           std::span<const uint32_t> rows) {
+  assert(other.num_columns() == num_columns());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendSelected(other.columns_[c], rows);
+  }
+}
+
+void Batch::AppendGathered(const std::vector<Batch>& batches,
+                           std::span<const RowRef> refs) {
+  std::vector<const Column*> srcs(batches.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    for (size_t b = 0; b < batches.size(); ++b) {
+      assert(batches[b].num_columns() == num_columns());
+      srcs[b] = &batches[b].columns_[c];
+    }
+    columns_[c].AppendGathered(srcs, refs);
   }
 }
 

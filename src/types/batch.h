@@ -2,6 +2,7 @@
 #define CLOUDVIEWS_TYPES_BATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -11,6 +12,13 @@
 #include "types/value.h"
 
 namespace cloudviews {
+
+/// One row of a sequence of batches (e.g. a morsel set): which batch, and
+/// the row within it.
+struct RowRef {
+  uint32_t batch = 0;
+  uint32_t row = 0;
+};
 
 /// \brief A single column of values (struct-of-arrays storage).
 ///
@@ -37,6 +45,15 @@ class Column {
   /// Appends rows [begin, end) of other (same type) in bulk — the fast path
   /// morsel splitting and merging rely on.
   void AppendRangeFrom(const Column& other, size_t begin, size_t end);
+  /// Selection-vector gather: appends rows `rows` of other (same type), in
+  /// order. Equivalent to AppendFrom per row, validity included: the
+  /// column gains a validity vector iff it copies a null.
+  void AppendSelected(const Column& other, std::span<const uint32_t> rows);
+  /// Gathers across columns: appends row `ref.row` of `*srcs[ref.batch]`
+  /// (each of this column's type) for every ref, in order; same validity
+  /// rule as AppendSelected.
+  void AppendGathered(std::span<const Column* const> srcs,
+                      std::span<const RowRef> refs);
 
   bool IsNull(size_t i) const {
     return !validity_.empty() && validity_[i] == 0;
@@ -96,6 +113,14 @@ class Batch {
 
   /// Appends rows [begin, end) of `other` (same schema) in bulk.
   void AppendRowsFrom(const Batch& other, size_t begin, size_t end);
+
+  /// Appends rows `rows` of `other` (same schema), in order.
+  void AppendSelected(const Batch& other, std::span<const uint32_t> rows);
+
+  /// Appends row `ref.row` of `batches[ref.batch]` (each with this schema)
+  /// for every ref, in order.
+  void AppendGathered(const std::vector<Batch>& batches,
+                      std::span<const RowRef> refs);
 
   /// Materializes row i (debug / test convenience).
   std::vector<Value> GetRow(size_t i) const;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "expr/aggregate.h"
 #include "expr/expr.h"
 #include "expr/function_registry.h"
@@ -108,6 +110,19 @@ TEST(ExprEvalTest, Arithmetic) {
   EXPECT_DOUBLE_EQ(EvalOne(Div(Col("a"), Lit(int64_t{2})), 1).double_value(),
                    1.0);
   EXPECT_EQ(EvalOne(Mod(Lit(int64_t{7}), Lit(int64_t{3}))).int64_value(), 1);
+}
+
+TEST(ExprEvalTest, Int64OverflowWrapsAndModuloMinusOneIsZero) {
+  // Signed overflow is undefined behaviour and INT64_MIN % -1 traps on
+  // x86; a script can build either from plain literals.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(EvalOne(Mod(Lit(kMin), Lit(int64_t{-1}))).int64_value(), 0);
+  EXPECT_EQ(EvalOne(Mod(Lit(int64_t{7}), Lit(int64_t{-1}))).int64_value(), 0);
+  EXPECT_EQ(EvalOne(Add(Lit(kMax), Lit(int64_t{1}))).int64_value(), kMin);
+  EXPECT_EQ(EvalOne(Sub(Lit(kMin), Lit(int64_t{1}))).int64_value(), kMax);
+  EXPECT_EQ(EvalOne(Mul(Lit(kMin), Lit(int64_t{-1}))).int64_value(), kMin);
+  EXPECT_EQ(EvalOne(Func("abs", {Lit(kMin)})).int64_value(), kMin);
 }
 
 TEST(ExprEvalTest, DivisionByZeroIsNull) {
@@ -309,6 +324,14 @@ TEST(AggStateTest, SumMinMaxAvg) {
   EXPECT_EQ(mn.Finish(DataType::kInt64).int64_value(), 1);
   EXPECT_EQ(mx.Finish(DataType::kInt64).int64_value(), 3);
   EXPECT_DOUBLE_EQ(avg.Finish(DataType::kDouble).double_value(), 2.0);
+}
+
+TEST(AggStateTest, Int64SumWrapsInsteadOfOverflowing) {
+  AggState sum(AggFunc::kSum);
+  sum.Update(Value::Int64(std::numeric_limits<int64_t>::max()));
+  sum.Update(Value::Int64(1));
+  EXPECT_EQ(sum.Finish(DataType::kInt64).int64_value(),
+            std::numeric_limits<int64_t>::min());
 }
 
 TEST(AggStateTest, EmptyInputYieldsNullOrZero) {

@@ -300,6 +300,36 @@ OUTPUT slow TO "hostile_{tag}_{date}";
   EXPECT_GT(served->result.outcome.output_rows, 0);
 }
 
+TEST(NetE2E, Int64OverflowScriptGetsAResultAndTheServerKeepsServing) {
+  // INT64_MIN % -1 traps on x86, and signed overflow is undefined: a
+  // script that builds either from plain literals gets a result, not a
+  // dead server.
+  ServerFixture fx = StartServerFixture();
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  SubmitRequest hostile = NetSubmit("tmpl-overflow", "o", "2024-01-01", 1);
+  hostile.script = R"(
+clicks = EXTRACT user:int, page:string, latency:int, when:date
+         FROM "clicks_{date}";
+boom   = SELECT page, (user - user - 9223372036854775807 - 1) % -1 AS boom,
+                latency + 9223372036854775807 AS wrap
+         FROM clicks;
+total  = SELECT page, SUM(wrap) AS s FROM boom GROUP BY page;
+OUTPUT total TO "overflow_{tag}_{date}";
+)";
+  auto reply = client->Submit(hostile);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kResult)
+      << reply->error.message;
+  EXPECT_GT(reply->result.outcome.output_rows, 0);
+
+  // Same server, same connection: a well-formed job still runs.
+  auto served = client->Submit(NetSubmit("tmpl-ok", "ok", "2024-01-01", 1));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->kind, Client::SubmitReply::Kind::kResult);
+  EXPECT_GT(served->result.outcome.output_rows, 0);
+}
+
 /// A Sleeper that parks every caller until Release().
 class GateSleeper : public fault::Sleeper {
  public:

@@ -289,6 +289,31 @@ void RuleNullableInstrument(const FileCtx& ctx, std::vector<Violation>* out) {
   }
 }
 
+void RuleBoxedCell(const FileCtx& ctx, std::vector<Violation>* out) {
+  // The executor hashes, compares and copies rows from the typed column
+  // vectors; a Value per cell (a heap copy per string) belongs to
+  // literals, aggregate states and the EvaluateRow reference.
+  if (ctx.rel_path.rfind("src/exec/", 0) != 0) return;
+  const auto& code = ctx.code;
+  for (size_t i = 1; i + 1 < code.size(); ++i) {
+    if (!code[i + 1].IsPunct("(")) continue;
+    std::string what;
+    if (code[i].IsIdent("GetValue") &&
+        (code[i - 1].IsPunct(".") || code[i - 1].IsPunct("->"))) {
+      what = "'GetValue(' boxes a cell into a Value";
+    } else if (code[i].IsIdent("AppendRowFrom")) {
+      what = "'AppendRowFrom(' copies one row at a time";
+    } else {
+      continue;
+    }
+    out->push_back({ctx.display_path, code[i].line, "boxed-cell",
+                    what +
+                        " in src/exec/; read the typed column vectors and "
+                        "gather with AppendSelected/AppendGathered (or "
+                        "NOLINT(boxed-cell): <why>)"});
+  }
+}
+
 void RuleNakedNew(const FileCtx& ctx, std::vector<Violation>* out) {
   const auto& code = ctx.code;
   for (size_t i = 0; i < code.size(); ++i) {
@@ -479,6 +504,10 @@ const std::vector<LintRule>& AllRules() {
        "a null check guarding a counter or gauge update in src/ — they "
        "are registered at construction and never null",
        "bad_nullable_instrument.cc", RuleNullableInstrument},
+      {"boxed-cell",
+       "a per-cell .GetValue( or per-row AppendRowFrom( in src/exec/ — "
+       "read the typed column vectors and use the gathers",
+       "bad_boxed_cell.cc", RuleBoxedCell},
       {"naked-new",
        "naked 'new' — use std::make_unique/std::make_shared",
        "bad_new.cc", RuleNakedNew},

@@ -166,6 +166,34 @@ TEST(RepoLintTest, NullableInstrumentScopedToComponents) {
                   .empty());
 }
 
+TEST(RepoLintTest, BoxedCellFires) {
+  // The fixture lives in lint_fixtures/ but is linted as if it were an
+  // executor source, where the rule is scoped.
+  auto violations = LintFile("bad_boxed_cell.cc",
+                             "src/exec/bad_boxed_cell.cc",
+                             ReadFixture("bad_boxed_cell.cc"));
+  EXPECT_EQ(Rules(violations), std::set<std::string>{"boxed-cell"});
+  // .GetValue(, AppendRowFrom( and ->GetValue(; the reasoned NOLINT, the
+  // free function and the bulk copies stay clean.
+  ASSERT_EQ(violations.size(), 3u);
+  EXPECT_EQ(violations[0].line, 7);
+  EXPECT_EQ(violations[1].line, 12);
+  EXPECT_EQ(violations[2].line, 14);
+}
+
+TEST(RepoLintTest, BoxedCellScopedToExecutor) {
+  const std::string fixture = ReadFixture("bad_boxed_cell.cc");
+  // Literals, aggregate states, the EvaluateRow reference and tests box
+  // values by design.
+  EXPECT_TRUE(LintFile("expr.cc", "src/expr/expr.cc", fixture).empty());
+  EXPECT_TRUE(
+      LintFile("types_test.cc", "tests/types_test.cc", fixture).empty());
+  EXPECT_TRUE(LintFile("op.cc", "src/exec/op.cc",
+                       "// NOLINTNEXTLINE(boxed-cell): per-row UDO.\n"
+                       "out->AppendRowFrom(in, 0);\n")
+                  .empty());
+}
+
 TEST(RepoLintTest, NakedNewFires) {
   auto violations = LintFixture("bad_new.cc");
   EXPECT_EQ(Rules(violations), std::set<std::string>{"naked-new"});
