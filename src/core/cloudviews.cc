@@ -23,6 +23,7 @@ CloudViews::CloudViews(CloudViewsConfig config)
     storage_->SetMetrics(&metrics_, config_.wall_clock);
     metadata_->SetMetrics(&metrics_, config_.wall_clock);
     repository_->SetMetrics(&metrics_);
+    tracer_.SetMetrics(&metrics_);
     job_service_->SetObservability(&metrics_, &tracer_,
                                    config_.wall_clock);
     if (config_.fault != nullptr) config_.fault->SetMetrics(&metrics_);

@@ -139,8 +139,26 @@ Span Tracer::StartTrace(std::string name) {
   return Span(std::move(state), raw, /*is_root=*/true);
 }
 
+void Tracer::SetMetrics(MetricsRegistry* metrics) {
+  MutexLock lock(mu_);
+  metrics_ = metrics;
+  stages_.clear();
+}
+
+void Tracer::ObserveStages(const SpanRecord& span) {
+  Histogram*& stage = stages_[span.name];
+  if (stage == nullptr) {
+    stage = metrics_->GetHistogram("cv_job_stage_seconds",
+                                   {{"stage", span.name}}, {},
+                                   "Per-stage wall time of the job pipeline");
+  }
+  stage->Observe(span.end_seconds - span.start_seconds);
+  for (const auto& child : span.children) ObserveStages(*child);
+}
+
 void Tracer::Deliver(std::shared_ptr<const SpanRecord> root) {
   MutexLock lock(mu_);
+  if (metrics_ != nullptr) ObserveStages(*root);
   traces_.push_back(std::move(root));
   while (traces_.size() > max_traces_) {
     traces_.pop_front();

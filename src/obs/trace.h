@@ -5,12 +5,14 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 
 namespace cloudviews {
 namespace obs {
@@ -106,6 +108,11 @@ class Tracer {
 
   [[nodiscard]] Span StartTrace(std::string name);
 
+  /// Observes every span of each finished trace into `metrics`'
+  /// `cv_job_stage_seconds{stage=<span name>}`, registering each name's
+  /// histogram once. Call before the first trace finishes.
+  void SetMetrics(MetricsRegistry* metrics) EXCLUDES(mu_);
+
   /// Finished root spans, oldest first.
   std::vector<std::shared_ptr<const SpanRecord>> FinishedTraces() const
       EXCLUDES(mu_);
@@ -120,12 +127,15 @@ class Tracer {
   friend class Span;
 
   void Deliver(std::shared_ptr<const SpanRecord> root) EXCLUDES(mu_);
+  void ObserveStages(const SpanRecord& span) REQUIRES(mu_);
 
   MonotonicClock* clock_;
   const size_t max_traces_;
   mutable Mutex mu_;
   std::deque<std::shared_ptr<const SpanRecord>> traces_ GUARDED_BY(mu_);
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
+  MetricsRegistry* metrics_ GUARDED_BY(mu_) = nullptr;
+  std::unordered_map<std::string, Histogram*> stages_ GUARDED_BY(mu_);
 };
 
 }  // namespace obs

@@ -16,8 +16,8 @@
 ///   help    the metric's help text
 ///
 /// Every copy is generated from this table: the JobCounters block that
-/// OptimizedPlan, JobResult, InflightSharing::Outcome and net::JobOutcome
-/// carry, JobService's metric registration and increments, the profile
+/// OptimizedPlan, JobResult and net::JobOutcome carry, JobService's
+/// metric registration and increments, the profile
 /// JSON keys, and the wire codec. Adding a counter is one row here plus
 /// the code that sets it; docs/job_profile_schema.md must list the row
 /// (a test enforces it).

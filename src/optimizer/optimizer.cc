@@ -69,11 +69,6 @@ Result<OptimizedPlan> Optimizer::FinishCachedPlan(
   OptimizedPlan out;
   out.root = std::move(root);
   out.estimated_cost = out.root->estimates().cost;
-  std::vector<PlanNode*> nodes;
-  CollectNodes(out.root.get(), &nodes);
-  for (PlanNode* n : nodes) {
-    if (n->kind() == OpKind::kViewRead) ++out.views_reused;
-  }
   out.optimize_seconds = clock->NowSeconds() - start;
   return out;
 }
@@ -141,16 +136,7 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
       // The plan now carries build locks taken by ApplyMaterialization;
       // if it is discarded here they would leak until lease expiry.
       // Release them before surfacing the error.
-      if (ctx.view_catalog != nullptr) {
-        std::vector<PlanNode*> nodes;
-        CollectNodes(root.get(), &nodes);
-        for (PlanNode* n : nodes) {
-          if (n->kind() == OpKind::kSpool) {
-            ctx.view_catalog->AbandonLock(
-                static_cast<SpoolNode*>(n)->precise_signature(), ctx.job_id);
-          }
-        }
-      }
+      AbandonSpoolLocks(root, ctx.job_id, ctx.view_catalog);
       return bound;
     }
     cost_model_.Annotate(root.get(), ctx.feedback, ctx.storage);

@@ -62,8 +62,8 @@ struct OptimizeContext {
 /// A compiled plan plus the rewrite counters of the compile that produced
 /// it: the reuse and materialization passes write their JobCounters rows
 /// (views_reused through compensation_nodes_added) directly into this
-/// block. The containment funnel is all zeros for exact-only compiles and
-/// for plans served from the plan cache; the runtime rows stay zero.
+/// block. Every row is zero for plans served from the plan cache, and the
+/// containment funnel for exact-only compiles; the runtime rows stay zero.
 struct OptimizedPlan : JobCounters {
   PlanNodePtr root;
   double estimated_cost = 0;

@@ -493,18 +493,20 @@ PlanNodePtr CandidateMatcher::TryCandidate(
     }
 
     // ---- Tier 3: assemble the compensation plan.
-    int comp_nodes = 0;
+    const int comp_nodes =
+        1 + (residual.empty() ? 0 : 1) + (qcap.aggregate != nullptr ? 1 : 0);
     // compensation: scan the subsumed view instance in place of the
     // replaced subtree; it carries the view's own signatures so cached
     // plans revalidate it against the catalog like any exact view read.
-    PlanNodePtr comp = std::make_shared<ViewReadNode>(
+    auto read = std::make_shared<ViewReadNode>(
         info.path, ann.normalized_signature, info.precise_signature,
         *vs.view_schema, info.design, info.rows, info.bytes);
+    read->set_compensation_nodes(comp_nodes);
+    PlanNodePtr comp = read;
     if (!residual.empty()) {
       // compensation: residual filter re-applies the query conjuncts the
       // weaker view predicate did not enforce.
       comp = std::make_shared<FilterNode>(comp, AndFold(residual));
-      ++comp_nodes;
     }
     if (qcap.aggregate != nullptr) {
       // compensation: re-aggregate over the coarser query group-by; kHash
@@ -514,12 +516,10 @@ PlanNodePtr CandidateMatcher::TryCandidate(
                                                  comp_specs);
       agg->set_algorithm(AggAlgorithm::kHash);
       comp = agg;
-      ++comp_nodes;
     }
     // compensation: final projection narrows / renames the view's
     // superset output back to the replaced subtree's exact schema.
     comp = std::make_shared<ProjectNode>(comp, final_exprs);
-    ++comp_nodes;
 
     Status st = comp->Bind();
     if (!st.ok() || !(comp->output_schema() == target)) {

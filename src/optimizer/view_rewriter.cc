@@ -16,6 +16,19 @@ AnnotationIndex IndexAnnotations(const std::vector<ViewAnnotation>& anns) {
   return index;
 }
 
+void AbandonSpoolLocks(const PlanNodePtr& root, uint64_t job_id,
+                       ViewCatalogInterface* catalog) {
+  if (catalog == nullptr || root == nullptr) return;
+  std::vector<PlanNode*> nodes;
+  CollectNodes(root, &nodes);
+  for (PlanNode* n : nodes) {
+    if (n->kind() == OpKind::kSpool) {
+      catalog->AbandonLock(static_cast<SpoolNode*>(n)->precise_signature(),
+                           job_id);
+    }
+  }
+}
+
 PlanNodePtr ViewRewriter::ApplyReuse(PlanNodePtr root,
                                      const AnnotationIndex& annotations,
                                      JobCounters* counters,

@@ -20,6 +20,12 @@ using AnnotationIndex =
 
 AnnotationIndex IndexAnnotations(const std::vector<ViewAnnotation>& anns);
 
+/// Hands back the build lock of every Spool under `root` that `job_id`
+/// holds (idempotent per lock; a null `catalog` holds none). Whoever
+/// discards a plan that carries locks calls this.
+void AbandonSpoolLocks(const PlanNodePtr& root, uint64_t job_id,
+                       ViewCatalogInterface* catalog);
+
 /// \brief Implements the two view tasks of Fig 10.
 ///
 /// *Reuse* (upper half): top-down, largest-first matching of normalized

@@ -1,7 +1,9 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <charconv>
 #include <system_error>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "expr/function_registry.h"
@@ -86,6 +88,73 @@ class ParserImpl {
     return s;
   }
 
+  /// Parses one nesting level deeper; fails past kMaxNestingDepth.
+  Result<ExprPtr> Nested(Result<ExprPtr> (ParserImpl::*parse)()) {
+    if (nesting_ == ScopeScriptParser::kMaxNestingDepth) {
+      return Fail(StrFormat("expression nests deeper than %d levels",
+                            ScopeScriptParser::kMaxNestingDepth));
+    }
+    ++nesting_;
+    Result<ExprPtr> out = (this->*parse)();
+    --nesting_;
+    return out;
+  }
+
+  // Every expression and plan node is checked as it is built, over
+  // children this parse built and checked before, so no tree taller than
+  // a limit ever exists.
+
+  /// Height and node count of a tree this parse built.
+  struct Shape {
+    int height = 1;
+    int nodes = 1;
+  };
+  /// The shape of an expression this parse built; leaves are not recorded.
+  Shape ShapeOf(const ExprPtr& expr) const {
+    auto it = expr_shapes_.find(expr);
+    return it == expr_shapes_.end() ? Shape{} : it->second;
+  }
+  Result<ExprPtr> Checked(ExprPtr expr) {
+    Shape shape;
+    for (const ExprPtr& child : expr->children()) {
+      Shape below = ShapeOf(child);
+      shape.height = std::max(shape.height, below.height + 1);
+      shape.nodes += below.nodes;
+    }
+    if (shape.height > ScopeScriptParser::kMaxExprHeight) {
+      return Fail(StrFormat("expression is taller than %d levels",
+                            ScopeScriptParser::kMaxExprHeight));
+    }
+    expr_shapes_.emplace(expr, shape);
+    return expr;
+  }
+  /// Checks a plan node whose largest own expression has `expr_nodes`
+  /// nodes. The optimizer merges stacked filters, splits and re-chains
+  /// their conjuncts, and inlines a projection's expressions into a filter
+  /// it pushes below it, so one predicate can collect the expressions of
+  /// every statement under it: their nodes are summed along each
+  /// root-to-leaf path of the plan (`shape.nodes` of a plan is that sum).
+  Result<PlanNodePtr> Checked(PlanNodePtr plan, int expr_nodes = 0) {
+    Shape shape{1, expr_nodes};
+    for (const PlanNodePtr& child : plan->children()) {
+      auto it = plan_shapes_.find(child);
+      Shape below = it == plan_shapes_.end() ? Shape{1, 0} : it->second;
+      shape.height = std::max(shape.height, below.height + 1);
+      shape.nodes = std::max(shape.nodes, below.nodes + expr_nodes);
+    }
+    if (shape.height > ScopeScriptParser::kMaxPlanHeight) {
+      return Fail(StrFormat("statement chain is taller than %d levels",
+                            ScopeScriptParser::kMaxPlanHeight));
+    }
+    if (shape.nodes > ScopeScriptParser::kMaxChainExprNodes) {
+      return Fail(StrFormat(
+          "expressions along the statement chain exceed %d nodes",
+          ScopeScriptParser::kMaxChainExprNodes));
+    }
+    plan_shapes_.emplace(plan, shape);
+    return plan;
+  }
+
   Result<std::string> Interpolate(const std::string& templ) const;
   Result<PlanNodePtr> LookupBinding(const std::string& name) const;
 
@@ -111,6 +180,9 @@ class ParserImpl {
   const ParamMap& params_;
   const GuidResolver& guids_;
   std::map<std::string, PlanNodePtr> bindings_;
+  int nesting_ = 0;
+  std::unordered_map<ExprPtr, Shape> expr_shapes_;
+  std::unordered_map<PlanNodePtr, Shape> plan_shapes_;
 };
 
 Result<std::string> ParserImpl::Interpolate(const std::string& templ) const {
@@ -194,7 +266,7 @@ Result<PlanNodePtr> ParserImpl::ParseReduce() {
   if (AcceptKeyword("PRODUCE")) {
     CV_ASSIGN_OR_RETURN(produce, ParseFieldList());
   }
-  return PlanNodePtr(std::make_shared<ReduceNode>(
+  return Checked(std::make_shared<ReduceNode>(
       input, std::move(keys), proc, library, version, std::move(produce)));
 }
 
@@ -213,8 +285,8 @@ Result<PlanNodePtr> ParserImpl::ParseProcess() {
   if (AcceptKeyword("PRODUCE")) {
     CV_ASSIGN_OR_RETURN(produce, ParseFieldList());
   }
-  return PlanNodePtr(std::make_shared<ProcessNode>(
-      input, proc, library, version, std::move(produce)));
+  return Checked(std::make_shared<ProcessNode>(input, proc, library, version,
+                                              std::move(produce)));
 }
 
 Result<PlanNodePtr> ParserImpl::ParseSelect() {
@@ -293,13 +365,14 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
       keys.emplace_back(lk, rk);
       if (!AcceptKeyword("AND")) break;
     }
-    plan = std::make_shared<JoinNode>(plan, right, join_type,
-                                      std::move(keys));
+    CV_ASSIGN_OR_RETURN(plan, Checked(std::make_shared<JoinNode>(
+                                  plan, right, join_type, std::move(keys))));
   }
 
   if (AcceptKeyword("WHERE")) {
     CV_ASSIGN_OR_RETURN(ExprPtr pred, ParseExpr());
-    plan = std::make_shared<FilterNode>(plan, pred);
+    CV_ASSIGN_OR_RETURN(plan, Checked(std::make_shared<FilterNode>(plan, pred),
+                                      ShapeOf(pred).nodes));
   }
 
   std::vector<std::string> group_keys;
@@ -339,8 +412,16 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
         return Fail("column '" + col + "' is neither aggregated nor grouped");
       }
     }
-    plan = std::make_shared<AggregateNode>(plan, std::move(group_keys),
-                                           std::move(aggs));
+    int agg_nodes = 0;
+    for (const auto& agg : aggs) {
+      if (agg.arg != nullptr) {
+        agg_nodes = std::max(agg_nodes, ShapeOf(agg.arg).nodes);
+      }
+    }
+    CV_ASSIGN_OR_RETURN(plan, Checked(std::make_shared<AggregateNode>(
+                                          plan, std::move(group_keys),
+                                          std::move(aggs)),
+                                      agg_nodes));
   } else if (!(items.size() == 1 && items[0].is_star)) {
     std::vector<NamedExpr> exprs;
     for (auto& item : items) {
@@ -349,7 +430,13 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
       }
       exprs.push_back({std::move(item.expr), std::move(item.name)});
     }
-    plan = std::make_shared<ProjectNode>(plan, std::move(exprs));
+    int project_nodes = 0;
+    for (const auto& ne : exprs) {
+      project_nodes = std::max(project_nodes, ShapeOf(ne.expr).nodes);
+    }
+    CV_ASSIGN_OR_RETURN(
+        plan, Checked(std::make_shared<ProjectNode>(plan, std::move(exprs)),
+                      project_nodes));
   }
 
   if (AcceptKeyword("ORDER")) {
@@ -366,13 +453,14 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
       keys.push_back({col, asc});
       if (!AcceptSymbol(",")) break;
     }
-    plan = std::make_shared<SortNode>(plan, std::move(keys));
+    CV_ASSIGN_OR_RETURN(
+        plan, Checked(std::make_shared<SortNode>(plan, std::move(keys))));
   }
 
   if (AcceptKeyword("TOP")) {
     if (!Cur().Is(TokenType::kInt)) return Fail("TOP needs an integer");
     CV_ASSIGN_OR_RETURN(int64_t limit, ConsumeNumber<int64_t>());
-    plan = std::make_shared<TopNode>(plan, limit);
+    CV_ASSIGN_OR_RETURN(plan, Checked(std::make_shared<TopNode>(plan, limit)));
   }
   return plan;
 }
@@ -391,7 +479,7 @@ Result<PlanNodePtr> ParserImpl::ParseStatementRhs() {
     CV_ASSIGN_OR_RETURN(std::string right_name, ExpectIdent());
     CV_ASSIGN_OR_RETURN(PlanNodePtr right, LookupBinding(right_name));
     std::vector<PlanNodePtr> kids{left, right};
-    return PlanNodePtr(std::make_shared<UnionAllNode>(std::move(kids)));
+    return Checked(std::make_shared<UnionAllNode>(std::move(kids)));
   }
   return Fail("expected EXTRACT, SELECT, PROCESS, or UNION");
 }
@@ -441,7 +529,7 @@ Result<PlanNodePtr> ParserImpl::ParseScript() {
       }
       auto out_node = std::make_shared<OutputNode>(plan, stream);
       out_node->set_declared_design(std::move(design));
-      output = out_node;
+      CV_ASSIGN_OR_RETURN(output, Checked(out_node));
       continue;
     }
     CV_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
@@ -462,7 +550,7 @@ Result<ExprPtr> ParserImpl::ParseOr() {
   CV_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (AcceptKeyword("OR")) {
     CV_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-    left = Or(left, right);
+    CV_ASSIGN_OR_RETURN(left, Checked(Or(left, right)));
   }
   return left;
 }
@@ -471,15 +559,15 @@ Result<ExprPtr> ParserImpl::ParseAnd() {
   CV_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (AcceptKeyword("AND")) {
     CV_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-    left = And(left, right);
+    CV_ASSIGN_OR_RETURN(left, Checked(And(left, right)));
   }
   return left;
 }
 
 Result<ExprPtr> ParserImpl::ParseNot() {
   if (AcceptKeyword("NOT") || AcceptSymbol("!")) {
-    CV_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-    return Not(inner);
+    CV_ASSIGN_OR_RETURN(ExprPtr inner, Nested(&ParserImpl::ParseNot));
+    return Checked(Not(inner));
   }
   return ParseComparison();
 }
@@ -495,7 +583,7 @@ Result<ExprPtr> ParserImpl::ParseComparison() {
     if (Cur().IsSymbol(sym)) {
       Advance();
       CV_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-      return ExprPtr(std::make_shared<ComparisonExpr>(op, left, right));
+      return Checked(std::make_shared<ComparisonExpr>(op, left, right));
     }
   }
   return left;
@@ -506,10 +594,10 @@ Result<ExprPtr> ParserImpl::ParseAdditive() {
   for (;;) {
     if (AcceptSymbol("+")) {
       CV_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-      left = Add(left, right);
+      CV_ASSIGN_OR_RETURN(left, Checked(Add(left, right)));
     } else if (AcceptSymbol("-")) {
       CV_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-      left = Sub(left, right);
+      CV_ASSIGN_OR_RETURN(left, Checked(Sub(left, right)));
     } else {
       return left;
     }
@@ -521,13 +609,13 @@ Result<ExprPtr> ParserImpl::ParseMultiplicative() {
   for (;;) {
     if (AcceptSymbol("*")) {
       CV_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = Mul(left, right);
+      CV_ASSIGN_OR_RETURN(left, Checked(Mul(left, right)));
     } else if (AcceptSymbol("/")) {
       CV_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = Div(left, right);
+      CV_ASSIGN_OR_RETURN(left, Checked(Div(left, right)));
     } else if (AcceptSymbol("%")) {
       CV_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = Mod(left, right);
+      CV_ASSIGN_OR_RETURN(left, Checked(Mod(left, right)));
     } else {
       return left;
     }
@@ -536,15 +624,15 @@ Result<ExprPtr> ParserImpl::ParseMultiplicative() {
 
 Result<ExprPtr> ParserImpl::ParseUnary() {
   if (AcceptSymbol("-")) {
-    CV_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
-    return Sub(Lit(int64_t{0}), inner);
+    CV_ASSIGN_OR_RETURN(ExprPtr inner, Nested(&ParserImpl::ParseUnary));
+    return Checked(Sub(Lit(int64_t{0}), inner));
   }
   return ParsePrimary();
 }
 
 Result<ExprPtr> ParserImpl::ParsePrimary() {
   if (AcceptSymbol("(")) {
-    CV_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+    CV_ASSIGN_OR_RETURN(ExprPtr inner, Nested(&ParserImpl::ParseExpr));
     CV_RETURN_NOT_OK(ExpectSymbol(")"));
     return inner;
   }
@@ -586,7 +674,7 @@ Result<ExprPtr> ParserImpl::ParsePrimary() {
       std::vector<ExprPtr> args;
       if (!Cur().IsSymbol(")")) {
         for (;;) {
-          CV_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
+          CV_ASSIGN_OR_RETURN(ExprPtr arg, Nested(&ParserImpl::ParseExpr));
           args.push_back(arg);
           if (!AcceptSymbol(",")) break;
         }
@@ -607,11 +695,12 @@ Result<ExprPtr> ParserImpl::ParsePrimary() {
         return Lit(d);
       }
       if (FunctionRegistry::Global()->Contains(lower)) {
-        return Func(lower, std::move(args));
+        return Checked(Func(lower, std::move(args)));
       }
       if (UdfRegistry::Global()->Contains(name)) {
         auto entry = *UdfRegistry::Global()->Lookup(name);
-        return Udf(name, entry->library, entry->version, std::move(args));
+        return Checked(
+            Udf(name, entry->library, entry->version, std::move(args)));
       }
       return Fail("unknown function '" + name + "'");
     }

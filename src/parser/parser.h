@@ -46,6 +46,20 @@ using GuidResolver = std::function<std::string(const std::string&)>;
 /// ParamMap, reproducing "same template, new data each time" (Sec 3).
 class ScopeScriptParser {
  public:
+  /// Bounds on the trees one script may build (docs/wire_protocol.md).
+  /// Every later pass over a plan and its expressions recurses, so these
+  /// keep any script far from the stack limit; past one, Parse returns a
+  /// ParseError. Nesting counts parentheses, call arguments, NOT and unary
+  /// minus; a height counts the nodes on the longest root-to-leaf path of
+  /// each expression, and of the plan the statements chain together. The
+  /// last bound sums, along each path of the plan, the nodes of each plan
+  /// node's largest expression: the rewrites can fold all of them into one
+  /// predicate.
+  static constexpr int kMaxNestingDepth = 64;
+  static constexpr int kMaxExprHeight = 512;
+  static constexpr int kMaxPlanHeight = 128;
+  static constexpr int kMaxChainExprNodes = 1024;
+
   /// Parses and instantiates a script with the given parameters. The
   /// returned plan is unbound. Exactly one OUTPUT statement is required.
   Result<PlanNodePtr> Parse(const std::string& script, const ParamMap& params,

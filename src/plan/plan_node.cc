@@ -193,9 +193,11 @@ std::string ViewReadNode::Label() const {
 }
 
 PlanNodePtr ViewReadNode::Clone() const {
-  return std::make_shared<ViewReadNode>(
+  auto copy = std::make_shared<ViewReadNode>(
       view_path_, normalized_signature_, precise_signature_, declared_schema_,
       props_, actual_rows_, actual_bytes_);
+  copy->compensation_nodes_ = compensation_nodes_;
+  return copy;
 }
 
 // --- FilterNode -------------------------------------------------------------

@@ -227,6 +227,10 @@ class ViewReadNode : public PlanNode {
   const PhysicalProperties& props() const { return props_; }
   double actual_rows() const { return actual_rows_; }
   double actual_bytes() const { return actual_bytes_; }
+  /// Compensation operators the containment matcher placed above this read
+  /// (residual filter, re-aggregation, final project); 0 for an exact read.
+  int compensation_nodes() const { return compensation_nodes_; }
+  void set_compensation_nodes(int n) { compensation_nodes_ = n; }
 
   PhysicalProperties Delivered() const override { return props_; }
   std::string Label() const override;
@@ -245,6 +249,9 @@ class ViewReadNode : public PlanNode {
   PhysicalProperties props_;
   double actual_rows_;
   double actual_bytes_;
+  // sig-skip(hash): how the read was matched, not what it computes; the
+  // compensation operators above it hash on their own
+  int compensation_nodes_ = 0;
 };
 
 // ---------------------------------------------------------------------------

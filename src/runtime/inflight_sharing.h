@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/operator_stats.h"
-#include "optimizer/job_counters.h"
 #include "plan/plan_node.h"
 
 namespace cloudviews {
@@ -35,7 +34,7 @@ namespace cloudviews {
 /// MetadataService::WaitForMaterialized instead).
 ///
 /// Thread-safe. Entries live exactly from the leader's Join to its publish
-/// (every leader exit path must publish — JobService uses an RAII guard);
+/// (every leader exit path must publish; JobService's two tails both do);
 /// a submission arriving after the publish becomes a fresh leader.
 class InflightSharing {
  public:
@@ -67,12 +66,10 @@ class InflightSharing {
   };
 
   /// What the leader hands its followers. The plan tree is immutable after
-  /// execution, so sharing the pointer across followers is safe. The
-  /// JobCounters block holds what an adopting follower reports: the reuse
-  /// shape of the plan that ran (views_reused, views_reused_subsumed,
-  /// compensation_nodes_added) and zero for the rest — the leader's
-  /// builds, lock denials and waits are not the follower's.
-  struct Outcome : JobCounters {
+  /// execution, so sharing the pointer across followers is safe. A
+  /// follower reads its plan-shape counters off `executed_plan`; the
+  /// leader's builds, lock denials and waits are not the follower's.
+  struct Outcome {
     /// False until a successful publish; failed leaders publish ok=false
     /// with `status` carrying the reason (followers degrade, they do not
     /// propagate this status).
@@ -81,7 +78,6 @@ class InflightSharing {
     uint64_t leader_job_id = 0;
     PlanNodePtr executed_plan;
     JobRunStats run_stats;
-    double estimated_cost = 0;
   };
 
   enum class Role { kLeader, kFollower };

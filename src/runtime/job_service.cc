@@ -8,14 +8,66 @@
 
 namespace cloudviews {
 
-ThreadPool* JobService::ExecutionPool(const ExecOptions& opts) {
-  if (opts.worker_threads <= 1) return nullptr;
+namespace {
+
+/// Upper bound on a follower's wait for its leader (real wall seconds); on
+/// expiry the follower degrades to independent execution.
+constexpr double kFollowerWaitSeconds = 30;
+
+/// Reads the plan-shape rows off the plan `root`: its view reads, the
+/// subsumed ones and the compensation operators above them, and (when
+/// `builds`) its Spools, the views it materializes. Other rows are kept.
+void ReadPlanShape(const PlanNodePtr& root, bool builds, JobCounters* out) {
+  out->views_reused = out->views_reused_subsumed = 0;
+  out->compensation_nodes_added = out->views_materialized = 0;
+  std::vector<PlanNode*> nodes;
+  CollectNodes(root, &nodes);
+  for (PlanNode* n : nodes) {
+    if (n->kind() == OpKind::kViewRead) {
+      int compensation = static_cast<ViewReadNode*>(n)->compensation_nodes();
+      ++out->views_reused;
+      if (compensation > 0) ++out->views_reused_subsumed;
+      out->compensation_nodes_added += compensation;
+    } else if (n->kind() == OpKind::kSpool && builds) {
+      ++out->views_materialized;
+    }
+  }
+}
+
+}  // namespace
+
+/// One submission as it moves through the stages of SubmitJob.
+struct JobService::JobState {
+  const JobDefinition& def;
+  const JobServiceOptions& options;
+  MonotonicClock* wall = nullptr;
+  double submit_start = 0;
+  bool cloudviews_on = false;
+  JobResult result{};
+  obs::Span span{};  // "job"; inactive unless a tracer or parent is attached
+  Hash128 normalized_sig{};
+  Hash128 precise_sig{};
+  InflightSharing::Ticket share{};
+  /// This job leads a share and still owes its followers a publish.
+  bool leading = false;
+  PlanCache::Key cache_key{};
+  PlanCache::Probe probe{};
+  /// The compile tier that produced `optimized`: the first that succeeded.
+  enum class Tier { kNone, kFull, kSkeleton, kCold } tier = Tier::kNone;
+  OptimizeContext ctx{};
+  OptimizedPlan optimized{};
+  /// The logically rewritten tree a cold compile captures for the cache.
+  PlanNodePtr skeleton{};
+};
+
+ThreadPool* JobService::ExecutionPool() {
+  if (exec_options_.worker_threads <= 1) return nullptr;
   MutexLock lock(pool_mu_);
   if (pool_ == nullptr) {
     // The submitting thread helps while it waits (TaskGroup::Wait), so
     // worker_threads - 1 pool workers give worker_threads total threads.
-    pool_ = std::make_unique<ThreadPool>(opts.worker_threads - 1, metrics_,
-                                         "exec", wall_clock_);
+    pool_ = std::make_unique<ThreadPool>(exec_options_.worker_threads - 1,
+                                         metrics_, "exec", wall_clock_);
   }
   return pool_.get();
 }
@@ -31,18 +83,6 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
   plan_cache_.SetMetrics(metrics);
   obs_.latency = metrics->GetHistogram("cv_job_latency_seconds", {}, {},
                                        "Submit-to-finish wall time");
-  obs_.stage_lookup = metrics->GetHistogram(
-      "cv_job_stage_seconds", {{"stage", "metadata_lookup"}}, {},
-      "Per-stage wall time of the job pipeline");
-  obs_.stage_optimize = metrics->GetHistogram(
-      "cv_job_stage_seconds", {{"stage", "optimize"}}, {},
-      "Per-stage wall time of the job pipeline");
-  obs_.stage_execute = metrics->GetHistogram(
-      "cv_job_stage_seconds", {{"stage", "execute"}}, {},
-      "Per-stage wall time of the job pipeline");
-  obs_.stage_record = metrics->GetHistogram(
-      "cv_job_stage_seconds", {{"stage", "record"}}, {},
-      "Per-stage wall time of the job pipeline");
 }
 
 void JobService::Register(obs::MetricsRegistry* metrics) {
@@ -92,18 +132,6 @@ std::vector<std::string> JobService::DefaultTags(const JobDefinition& def) {
   return tags;
 }
 
-void JobService::AbandonSpoolLocks(const PlanNodePtr& root, uint64_t job_id) {
-  if (metadata_ == nullptr || root == nullptr) return;
-  std::vector<PlanNode*> nodes;
-  CollectNodes(root, &nodes);
-  for (PlanNode* n : nodes) {
-    if (n->kind() == OpKind::kSpool) {
-      metadata_->AbandonLock(static_cast<SpoolNode*>(n)->precise_signature(),
-                             job_id);
-    }
-  }
-}
-
 bool JobService::CachedViewReadsLive(const PlanNodePtr& root) {
   if (root == nullptr) return false;
   std::vector<PlanNode*> nodes;
@@ -147,47 +175,14 @@ void JobService::RegisterMaterializedView(const SpoolNode& spool,
   }
 }
 
-JobResult JobService::FinishJob(JobResult result, obs::Span* job_span,
-                                double latency_seconds) {
-  ForEachJobCounter(result, [this](size_t i, auto value) {
-    if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));
-  });
-  obs_.succeeded->Increment();
-  if (obs_.latency != nullptr) obs_.latency->Observe(latency_seconds);
-  result.trace = job_span->Finish();
-  return result;
-}
-
-void JobService::RecordJob(const JobDefinition& def, const JobResult& result,
-                           obs::Span* job_span) {
-  obs::Span record_span = job_span->StartChild("record");
-  JobRecord record;
-  record.job_id = result.job_id;
-  record.cluster = def.cluster;
-  record.business_unit = def.business_unit;
-  record.vc = def.vc;
-  record.user = def.user;
-  record.template_id = def.template_id;
-  record.recurring_instance = def.recurring_instance;
-  record.recurrence_period = def.recurrence_period;
-  record.submit_time = clock_->Now();
-  record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
-  record.plan = result.executed_plan;
-  record.run_stats = result.run_stats;
-  repository_->AddJob(std::move(record));
-  record_span.End();
-}
-
-ExecContext JobService::MakeExecContext(uint64_t job_id,
-                                        const ExecOptions& options,
-                                        MonotonicClock* clock) {
+ExecContext JobService::MakeExecContext(uint64_t job_id) {
   ExecContext exec_ctx;
   exec_ctx.storage = storage_;
   exec_ctx.job_id = job_id;
   exec_ctx.metrics = metrics_;
-  exec_ctx.clock = clock;
-  exec_ctx.options = options;
-  exec_ctx.pool = ExecutionPool(exec_ctx.options);
+  exec_ctx.clock = wall_clock_;
+  exec_ctx.options = exec_options_;
+  exec_ctx.pool = ExecutionPool();
   exec_ctx.fault = fault_;
   exec_ctx.retry = retry_;
   exec_ctx.sleeper = sleeper_;
@@ -208,366 +203,305 @@ ExecContext JobService::MakeExecContext(uint64_t job_id,
   return exec_ctx;
 }
 
+// --- SubmitJob: the job lifecycle of Fig 6 (right) as named stages --------
+
 Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
                                         const JobServiceOptions& options) {
   if (def.logical_plan == nullptr) {
     return Status::InvalidArgument("job has no plan");
   }
-  MonotonicClock* wall =
-      wall_clock_ != nullptr ? wall_clock_ : MonotonicClock::Real();
-  double submit_start = wall->NowSeconds();
+  JobState job{def, options};
+  job.wall = wall_clock_ != nullptr ? wall_clock_ : MonotonicClock::Real();
+  job.submit_start = job.wall->NowSeconds();
   obs_.submitted->Increment();
   obs::ScopedGaugeIncrement active(obs_.active);
-
-  JobResult result;
-  result.job_id = next_job_id_.fetch_add(1);
-
-  obs::Span job_span;  // inactive unless a tracer is attached
+  job.result.job_id = next_job_id_.fetch_add(1);
   if (options.parent_span != nullptr) {
-    job_span = options.parent_span->StartChild("job");
+    job.span = options.parent_span->StartChild("job");
   } else if (tracer_ != nullptr) {
-    job_span = tracer_->StartTrace("job");
+    job.span = tracer_->StartTrace("job");
   }
-  if (options.parent_span != nullptr || tracer_ != nullptr) {
-    job_span.SetAttribute("job_id", result.job_id);
-    job_span.SetAttribute("template_id", def.template_id);
-    job_span.SetAttribute("recurring_instance",
-                          static_cast<int64_t>(def.recurring_instance));
-  }
-  // Shared failure path: stamps counters/latency and hands the trace back
-  // on the error too, so failed jobs stay diagnosable.
-  auto fail = [&](Status status) {
-    obs_.failed->Increment();
-    if (obs_.latency != nullptr) {
-      obs_.latency->Observe(wall->NowSeconds() - submit_start);
-    }
-    job_span.SetAttribute("error", status.ToString());
-    job_span.End();
-    return status;
-  };
-
-  // --- Compile: metadata lookup + optimization (Fig 6 right, Fig 9) -------
-  OptimizeContext ctx;
-  ctx.storage = storage_;
-  ctx.job_id = result.job_id;
-  ctx.clock = wall;
+  job.span.SetAttribute("job_id", job.result.job_id);
+  job.span.SetAttribute("template_id", def.template_id);
+  job.span.SetAttribute("recurring_instance",
+                        static_cast<int64_t>(def.recurring_instance));
+  job.ctx.storage = storage_;
+  job.ctx.job_id = job.result.job_id;
+  job.ctx.clock = job.wall;
   if (options.use_feedback_statistics && repository_ != nullptr) {
-    ctx.feedback = repository_;
+    job.ctx.feedback = repository_;
   }
-
-  // --- Recurring-job fast path: plan-cache probe (see DESIGN.md) -----------
-  const bool cloudviews_on = options.enable_cloudviews && metadata_ != nullptr;
-  const bool cache_on = options.enable_plan_cache;
-  const bool sharing_on = options.enable_inflight_sharing;
-  PlanCache::Key cache_key;
-  Hash128 normalized_sig;
-  Hash128 precise_sig;
-  PlanCache::Probe probe;
-  if (cache_on || sharing_on) {
+  job.cloudviews_on = options.enable_cloudviews && metadata_ != nullptr;
+  if (options.enable_plan_cache || options.enable_inflight_sharing) {
     SubgraphSignatures sigs = ComputeSignatures(*def.logical_plan);
-    normalized_sig = sigs.normalized;
-    precise_sig = sigs.precise;
+    job.normalized_sig = sigs.normalized;
+    job.precise_sig = sigs.precise;
   }
+  // Share-join runs before the plan-cache probe, so an adopting follower
+  // skips the whole compile/execute pipeline, not just the cold path.
+  if (JoinShare(job)) return Succeed(job);
+  Status status = Compile(job);
+  if (status.ok()) {
+    Piggyback(job);
+    status = Execute(job);
+  }
+  if (status.ok()) status = PublishShare(job);
+  if (!status.ok()) return Fail(job, std::move(status));
+  PublishPlan(job);
+  return Succeed(job);
+}
 
-  // --- Work sharing: join the in-flight registry (see inflight_sharing.h).
-  // Placed before the plan-cache probe so a follower skips the whole
-  // compile/execute pipeline, not just the cold path.
-  InflightSharing::Ticket share_ticket;
-  if (sharing_on) {
-    share_ticket = sharing_.Join(
-        InflightSharing::ShareKey{normalized_sig, precise_sig, cloudviews_on});
-    if (share_ticket.role == InflightSharing::Role::kFollower) {
-      obs_.sharing_followers->Increment();
-      obs::Span wait_span = job_span.StartChild("inflight_wait");
-      InflightSharing::Outcome shared =
-          sharing_.WaitForLeader(share_ticket, options.sharing_wait_seconds);
-      wait_span.SetAttribute("adopted", shared.ok);
-      if (!shared.ok) {
-        wait_span.SetAttribute("degraded_cause", shared.status.ToString());
-      }
-      wait_span.End();
-      if (shared.ok) {
-        // Adopt the leader's execution wholesale: same plan over the same
-        // data, so the result is byte-identical to running alone. The
-        // follower keeps its own job id and trace, and still records a
-        // JobRecord so the feedback loop sees every submission.
-        result.shared_execution = true;
-        result.share_leader_job_id = shared.leader_job_id;
-        result.executed_plan = shared.executed_plan;
-        result.run_stats = shared.run_stats;
-        static_cast<JobCounters&>(result) = shared;
-        result.estimated_cost = shared.estimated_cost;
-        job_span.SetAttribute("shared_execution", true);
-        job_span.SetAttribute("share_leader_job_id", shared.leader_job_id);
-        if (options.record_in_repository && repository_ != nullptr) {
-          RecordJob(def, result, &job_span);
-        }
-        return FinishJob(std::move(result), &job_span,
-                         wall->NowSeconds() - submit_start);
-      }
-      // "Do no harm": the leader failed or the wait timed out — run the
-      // job independently below, exactly as if sharing were off.
-      obs_.sharing_degraded->Increment();
-    } else {
-      obs_.sharing_leaders->Increment();
-    }
+bool JobService::JoinShare(JobState& job) {
+  if (!job.options.enable_inflight_sharing) return false;
+  job.share = sharing_.Join(InflightSharing::ShareKey{
+      job.normalized_sig, job.precise_sig, job.cloudviews_on});
+  if (job.share.role == InflightSharing::Role::kLeader) {
+    obs_.sharing_leaders->Increment();
+    job.leading = true;
+    return false;
   }
-  // Leader-side publish guard: every exit path must publish (followers
-  // would otherwise block until their timeout). Failure is the default;
-  // the success tail publishes the real outcome and disarms this.
-  struct ShareGuard {
-    InflightSharing* reg = nullptr;
-    InflightSharing::Ticket* ticket = nullptr;
-    obs::Counter* leader_failures = nullptr;
-    bool published = false;
-    ~ShareGuard() {
-      if (reg == nullptr || published) return;
-      reg->PublishFailure(*ticket,
-                          Status::Internal("leader failed before fan-out"));
-      leader_failures->Increment();
-    }
-  } share_guard;
-  if (sharing_on && share_ticket.role == InflightSharing::Role::kLeader) {
-    share_guard.reg = &sharing_;
-    share_guard.ticket = &share_ticket;
-    share_guard.leader_failures = obs_.sharing_leader_failures;
+  obs_.sharing_followers->Increment();
+  obs::Span wait_span = job.span.StartChild("inflight_wait");
+  InflightSharing::Outcome shared =
+      sharing_.WaitForLeader(job.share, kFollowerWaitSeconds);
+  wait_span.SetAttribute("adopted", shared.ok);
+  if (!shared.ok) {
+    wait_span.SetAttribute("degraded_cause", shared.status.ToString());
+    // "Do no harm": the leader failed or the wait timed out — run the job
+    // independently, exactly as if sharing were off.
+    obs_.sharing_degraded->Increment();
+    return false;
   }
+  wait_span.End();
+  // Adopt the leader's execution wholesale: same plan over the same data,
+  // so the result is byte-identical to running alone. The follower keeps
+  // its own job id and trace, and still records a JobRecord so the
+  // feedback loop sees every submission.
+  job.result.shared_execution = true;
+  job.result.share_leader_job_id = shared.leader_job_id;
+  job.result.executed_plan = std::move(shared.executed_plan);
+  job.result.run_stats = std::move(shared.run_stats);
+  job.span.SetAttribute("shared_execution", true);
+  job.span.SetAttribute("share_leader_job_id", shared.leader_job_id);
+  return true;
+}
 
-  if (cache_on) {
+Status JobService::Compile(JobState& job) {
+  if (job.options.enable_plan_cache) {
     // The epoch is read BEFORE the probe and the metadata lookup: a
     // concurrent catalog change then tags this compilation with the older
     // epoch and conservatively invalidates it later — never the reverse.
-    result.catalog_epoch =
+    job.result.catalog_epoch =
         metadata_ != nullptr ? metadata_->CatalogEpoch() : 1;
-    cache_key = PlanCache::Key{normalized_sig, cloudviews_on};
-    probe = plan_cache_.Lookup(cache_key, result.catalog_epoch, precise_sig);
+    job.cache_key = PlanCache::Key{job.normalized_sig, job.cloudviews_on};
+    job.probe = plan_cache_.Lookup(job.cache_key, job.result.catalog_epoch,
+                                   job.precise_sig);
   }
+  if (ServeFullHit(job)) return Status::OK();
+  if (job.cloudviews_on) LookupViews(job);
+  if (ServeSkeleton(job)) return Status::OK();
+  return CompileCold(job);
+}
 
-  OptimizedPlan optimized;
-  bool have_plan = false;
-  bool served_full = false;
-  bool served_skeleton = false;
-  double optimize_start = wall->NowSeconds();
-
-  if (probe.rewritten_valid) {
-    // Full hit: same template, same data, unchanged catalog epoch. Still
-    // validate every view read against the live catalog (clock-driven
-    // expiry bumps no epoch) before skipping the whole compile pipeline.
-    if (CachedViewReadsLive(probe.entry->rewritten)) {
-      obs::Span cache_span = job_span.StartChild("plan_cache");
-      auto finished =
-          optimizer_.FinishCachedPlan(probe.entry->rewritten->Clone(), ctx);
-      if (finished.ok()) {
-        optimized = std::move(finished).ValueOrDie();
-        have_plan = true;
-        served_full = true;
-        result.plan_cache_hit = true;
-        plan_cache_.OnServed(/*full_hit=*/true);
-        cache_span.SetAttribute("tier", "full");
-        cache_span.SetAttribute("estimated_cost", optimized.estimated_cost);
-      }
-      cache_span.End();
-    } else {
-      plan_cache_.OnDemoted();
-    }
+bool JobService::ServeFullHit(JobState& job) {
+  if (!job.probe.rewritten_valid) return false;
+  // Full hit: same template, same data, unchanged catalog epoch. Still
+  // validate every view read against the live catalog (clock-driven
+  // expiry bumps no epoch) before skipping the whole compile pipeline.
+  if (!CachedViewReadsLive(job.probe.entry->rewritten)) {
+    plan_cache_.OnDemoted();
+    return false;
   }
+  obs::Span cache_span = job.span.StartChild("plan_cache");
+  auto finished = optimizer_.FinishCachedPlan(
+      job.probe.entry->rewritten->Clone(), job.ctx);
+  if (!finished.ok()) return false;
+  job.optimized = std::move(finished).ValueOrDie();
+  job.tier = JobState::Tier::kFull;
+  plan_cache_.OnServed(/*full_hit=*/true);
+  cache_span.SetAttribute("tier", "full");
+  cache_span.SetAttribute("estimated_cost", job.optimized.estimated_cost);
+  return true;
+}
 
-  if (!have_plan && cloudviews_on) {
-    ctx.view_catalog = metadata_;
-    std::vector<std::string> tags =
-        def.tags.empty() ? DefaultTags(def) : def.tags;
-    double lookup_start = wall->NowSeconds();
-    obs::Span span = job_span.StartChild("metadata_lookup");
-    Status lookup = fault::RetryWithBackoff(
-        retry_,
-        [&]() -> Status {
-          auto r = metadata_->TryGetRelevantViews(
-              tags, &result.metadata_lookup_seconds);
-          if (!r.ok()) return r.status();
-          ctx.annotations = std::move(r).ValueOrDie();
-          return Status::OK();
-        },
-        sleeper_);
-    if (!lookup.ok()) {
-      // The lookup failed persistently. Reuse is an optimization: degrade
-      // to a plain (no-reuse, no-materialize) job rather than failing it.
-      ctx.annotations.clear();
-      ctx.view_catalog = nullptr;
-      result.lookup_degraded = true;
-      span.SetAttribute("degraded", true);
-      span.SetAttribute("error", lookup.ToString());
-    } else if (optimizer_.config().enable_containment_matching) {
-      // Containment tier 1 pre-fetch: annotations over the same table sets
-      // as this job's subgraphs, keyed by the table-set index so candidate
-      // enumeration never scans the full catalog. Tag-matched annotations
-      // already fetched above are not duplicated.
-      std::set<Hash128> have;
-      for (const auto& a : ctx.annotations) have.insert(a.normalized_signature);
-      for (auto& extra : metadata_->GetContainmentCandidates(
-               CollectTableSetKeys(def.logical_plan))) {
-        if (have.insert(extra.normalized_signature).second) {
-          ctx.annotations.push_back(std::move(extra));
-        }
+void JobService::LookupViews(JobState& job) {
+  OptimizeContext& ctx = job.ctx;
+  ctx.view_catalog = metadata_;
+  std::vector<std::string> tags =
+      job.def.tags.empty() ? DefaultTags(job.def) : job.def.tags;
+  obs::Span span = job.span.StartChild("metadata_lookup");
+  Status lookup = fault::RetryWithBackoff(
+      retry_,
+      [&]() -> Status {
+        auto r = metadata_->TryGetRelevantViews(
+            tags, &job.result.metadata_lookup_seconds);
+        if (!r.ok()) return r.status();
+        ctx.annotations = std::move(r).ValueOrDie();
+        return Status::OK();
+      },
+      sleeper_);
+  if (!lookup.ok()) {
+    // The lookup failed persistently. Reuse is an optimization: degrade
+    // to a plain (no-reuse, no-materialize) job rather than failing it.
+    ctx.annotations.clear();
+    ctx.view_catalog = nullptr;
+    job.result.lookup_degraded = true;
+    span.SetAttribute("degraded", true);
+    span.SetAttribute("error", lookup.ToString());
+  } else if (optimizer_.config().enable_containment_matching) {
+    // Containment tier 1 pre-fetch: annotations over the same table sets
+    // as this job's subgraphs, keyed by the table-set index so candidate
+    // enumeration never scans the full catalog. Tag-matched annotations
+    // already fetched above are not duplicated.
+    std::set<Hash128> have;
+    for (const auto& a : ctx.annotations) have.insert(a.normalized_signature);
+    for (auto& extra : metadata_->GetContainmentCandidates(
+             CollectTableSetKeys(job.def.logical_plan))) {
+      if (have.insert(extra.normalized_signature).second) {
+        ctx.annotations.push_back(std::move(extra));
       }
     }
-    span.SetAttribute("annotations",
-                      static_cast<uint64_t>(ctx.annotations.size()));
-    span.SetAttribute("simulated_latency_seconds",
-                      result.metadata_lookup_seconds);
-    if (obs_.stage_lookup != nullptr) {
-      obs_.stage_lookup->Observe(wall->NowSeconds() - lookup_start);
-    }
   }
+  span.SetAttribute("annotations",
+                    static_cast<uint64_t>(ctx.annotations.size()));
+  span.SetAttribute("simulated_latency_seconds",
+                    job.result.metadata_lookup_seconds);
+}
 
+bool JobService::ServeSkeleton(JobState& job) {
   // Skeleton hit: same template, but new data or a moved catalog epoch.
   // Rebind the `{param}` holes onto a clone of the cached logically-
   // rewritten tree, then re-run physical planning + the view passes —
   // parse and logical optimize are skipped (no `logical_rewrite` span).
-  if (!have_plan && cache_on && probe.entry != nullptr &&
-      probe.entry->skeleton != nullptr) {
-    PlanNodePtr candidate = probe.entry->skeleton->Clone();
-    if (RebindSkeletonParams(candidate.get(), def.logical_plan.get())) {
-      optimize_start = wall->NowSeconds();
-      obs::Span optimize_span = job_span.StartChild("optimize");
-      optimize_span.SetAttribute("plan_cache", "skeleton");
-      ctx.span = optimize_span.active() ? &optimize_span : nullptr;
-      auto from_skeleton =
-          optimizer_.OptimizeFromSkeleton(std::move(candidate), ctx);
-      if (from_skeleton.ok()) {
-        optimized = std::move(from_skeleton).ValueOrDie();
-        have_plan = true;
-        served_skeleton = true;
-        result.plan_cache_hit = true;
-        plan_cache_.OnServed(/*full_hit=*/false);
-        optimize_span.SetAttribute("estimated_cost",
-                                   optimized.estimated_cost);
-      }
-      // On failure fall through to a full compile — the cache must never
-      // fail a job a cold compile would have run.
-      optimize_span.End();
-      ctx.span = nullptr;
-    } else {
-      plan_cache_.OnRebindFailed();
-    }
+  if (job.probe.entry == nullptr || job.probe.entry->skeleton == nullptr) {
+    return false;
   }
+  PlanNodePtr candidate = job.probe.entry->skeleton->Clone();
+  if (!RebindSkeletonParams(candidate.get(), job.def.logical_plan.get())) {
+    plan_cache_.OnRebindFailed();
+    return false;
+  }
+  obs::Span optimize_span = job.span.StartChild("optimize");
+  optimize_span.SetAttribute("plan_cache", "skeleton");
+  job.ctx.span = optimize_span.active() ? &optimize_span : nullptr;
+  auto from_skeleton =
+      optimizer_.OptimizeFromSkeleton(std::move(candidate), job.ctx);
+  job.ctx.span = nullptr;
+  // On failure fall through to a cold compile — the cache must never fail
+  // a job a cold compile would have run.
+  if (!from_skeleton.ok()) return false;
+  job.optimized = std::move(from_skeleton).ValueOrDie();
+  job.tier = JobState::Tier::kSkeleton;
+  plan_cache_.OnServed(/*full_hit=*/false);
+  optimize_span.SetAttribute("estimated_cost", job.optimized.estimated_cost);
+  return true;
+}
 
+Status JobService::CompileCold(JobState& job) {
   // Cold path: full parse + logical rewrite + physical optimize, capturing
   // the logically-rewritten skeleton for the cache on the way out.
-  PlanNodePtr skeleton_captured;
-  if (!have_plan) {
-    optimize_start = wall->NowSeconds();
-    obs::Span optimize_span = job_span.StartChild("optimize");
-    ctx.span = optimize_span.active() ? &optimize_span : nullptr;
-    if (cache_on) ctx.skeleton_out = &skeleton_captured;
-    auto optimized_or = optimizer_.Optimize(def.logical_plan, ctx);
-    ctx.skeleton_out = nullptr;
-    ctx.span = nullptr;
-    if (!optimized_or.ok()) return fail(optimized_or.status());
-    optimized = std::move(optimized_or).ValueOrDie();
-    optimize_span.SetAttribute("estimated_cost", optimized.estimated_cost);
-    optimize_span.End();
-  }
-  // --- Build piggybacking (work sharing on the materialization path) ------
-  // A build-lock denial means a live builder is materializing a subgraph we
+  obs::Span optimize_span = job.span.StartChild("optimize");
+  job.ctx.span = optimize_span.active() ? &optimize_span : nullptr;
+  if (job.options.enable_plan_cache) job.ctx.skeleton_out = &job.skeleton;
+  auto optimized = optimizer_.Optimize(job.def.logical_plan, job.ctx);
+  job.ctx.skeleton_out = nullptr;
+  job.ctx.span = nullptr;
+  CV_ASSIGN_OR_RETURN(job.optimized, std::move(optimized));
+  job.tier = JobState::Tier::kCold;
+  optimize_span.SetAttribute("estimated_cost", job.optimized.estimated_cost);
+  return Status::OK();
+}
+
+void JobService::Piggyback(JobState& job) {
+  // Build piggybacking (work sharing on the materialization path): a
+  // build-lock denial means a live builder is materializing a subgraph we
   // also compute. Instead of running reuse-blind, wait (bounded) for its
   // ReportMaterialized and re-optimize against the fresh view. Guards:
   // only non-builders wait (views_materialized == 0 — a builder waiting on
   // another builder could deadlock through the lock graph), and a degraded
   // lookup stays degraded. Every wait outcome except "view registered"
   // keeps the already-compiled blind plan — piggybacking never fails a job.
-  if (cloudviews_on && options.enable_piggyback && !result.lookup_degraded &&
-      optimized.views_materialized == 0 &&
-      !optimized.lock_denied_signatures.empty()) {
-    obs::Span pb_span = job_span.StartChild("piggyback_wait");
-    MonotonicClock* real = MonotonicClock::Real();
-    const double deadline = real->NowSeconds() + options.piggyback_wait_seconds;
-    for (const auto& [denied_norm, denied_precise] :
-         optimized.lock_denied_signatures) {
-      (void)denied_norm;
-      ++result.piggyback_waits;
-      // One shared budget across all denied signatures of this job.
-      double remaining = deadline - real->NowSeconds();
-      Status waited =
-          remaining <= 0
-              ? Status::Expired("piggyback wait budget exhausted")
-              : metadata_->WaitForMaterialized(denied_precise, remaining);
-      if (waited.ok()) {
-        ++result.piggyback_hits;
-      } else if (waited.IsNotFound()) {
-        ++result.piggyback_abandoned;
-      } else {
-        ++result.piggyback_timeouts;
-      }
-    }
-    if (result.piggyback_hits > 0) {
-      // One full re-optimize picks up every view that registered while we
-      // waited. The discarded blind plan held no build locks
-      // (views_materialized == 0 above), so dropping it leaks nothing; if
-      // the re-optimize fails the blind plan still runs.
-      auto replanned = optimizer_.Optimize(def.logical_plan, ctx);
-      if (replanned.ok()) {
-        optimized = std::move(replanned).ValueOrDie();
-        served_full = false;
-        served_skeleton = false;
-        result.plan_cache_hit = false;
-      }
-    }
-    pb_span.SetAttribute("waits", static_cast<int64_t>(result.piggyback_waits));
-    pb_span.SetAttribute("hits", static_cast<int64_t>(result.piggyback_hits));
-    pb_span.SetAttribute("timeouts",
-                         static_cast<int64_t>(result.piggyback_timeouts));
-    pb_span.SetAttribute("abandoned",
-                         static_cast<int64_t>(result.piggyback_abandoned));
-    pb_span.End();
+  JobResult& result = job.result;
+  if (!job.cloudviews_on || !job.options.enable_piggyback ||
+      result.lookup_degraded || job.optimized.views_materialized != 0 ||
+      job.optimized.lock_denied_signatures.empty()) {
+    return;
   }
+  obs::Span pb_span = job.span.StartChild("piggyback_wait");
+  MonotonicClock* real = MonotonicClock::Real();
+  const double deadline =
+      real->NowSeconds() + job.options.piggyback_wait_seconds;
+  for (const auto& [denied_norm, denied_precise] :
+       job.optimized.lock_denied_signatures) {
+    (void)denied_norm;
+    ++result.piggyback_waits;
+    // One shared budget across all denied signatures of this job.
+    double remaining = deadline - real->NowSeconds();
+    Status waited =
+        remaining <= 0
+            ? Status::Expired("piggyback wait budget exhausted")
+            : metadata_->WaitForMaterialized(denied_precise, remaining);
+    if (waited.ok()) {
+      ++result.piggyback_hits;
+    } else if (waited.IsNotFound()) {
+      ++result.piggyback_abandoned;
+    } else {
+      ++result.piggyback_timeouts;
+    }
+  }
+  if (result.piggyback_hits > 0) {
+    // One full re-optimize picks up every view that registered while we
+    // waited. The discarded blind plan held no build locks
+    // (views_materialized == 0 above), so dropping it leaks nothing; if
+    // the re-optimize fails the blind plan still runs.
+    auto replanned = optimizer_.Optimize(job.def.logical_plan, job.ctx);
+    if (replanned.ok()) {
+      job.optimized = std::move(replanned).ValueOrDie();
+      job.tier = JobState::Tier::kCold;
+    }
+  }
+  pb_span.SetAttribute("waits", static_cast<int64_t>(result.piggyback_waits));
+  pb_span.SetAttribute("hits", static_cast<int64_t>(result.piggyback_hits));
+  pb_span.SetAttribute("timeouts",
+                       static_cast<int64_t>(result.piggyback_timeouts));
+  pb_span.SetAttribute("abandoned",
+                       static_cast<int64_t>(result.piggyback_abandoned));
+}
 
-  if (obs_.stage_optimize != nullptr) {
-    obs_.stage_optimize->Observe(wall->NowSeconds() - optimize_start);
-  }
-  result.compile_seconds = optimized.optimize_seconds;
+Status JobService::Execute(JobState& job) {
+  JobResult& result = job.result;
+  result.plan_cache_hit = job.tier != JobState::Tier::kCold;
+  result.compile_seconds = job.optimized.optimize_seconds;
   // The optimizer's rows join the runtime's (lookup, piggyback): each side
   // leaves the other's rows zero.
-  result.Add(optimized);
-  result.estimated_cost = optimized.estimated_cost;
+  result.Add(job.optimized);
 
-  // --- Execute with early view publication (Sec 6.4) -----------------------
-  double execute_start = wall->NowSeconds();
-  obs::Span execute_span = job_span.StartChild("execute");
-  ExecContext exec_ctx = MakeExecContext(
-      result.job_id, options.exec.value_or(exec_options_), wall);
-  Executor executor(exec_ctx);
-  auto run = executor.Execute(optimized.root);
+  // Execute with early view publication (Sec 6.4).
+  obs::Span execute_span = job.span.StartChild("execute");
+  ExecContext exec_ctx = MakeExecContext(result.job_id);
+  auto run = Executor(exec_ctx).Execute(job.optimized.root);
   if (!run.ok() && run.status().IsViewUnavailable() && metadata_ != nullptr) {
     // Fallback-to-original-plan (the ReStore principle): a view this plan
     // was rewritten to read is unavailable, and stored results are an
     // optimization — never a correctness dependency. Discard the rewritten
     // plan (releasing the build locks it carried), re-optimize without the
     // view catalog, and run the job's original shape.
-    AbandonSpoolLocks(optimized.root, result.job_id);
-    result.views_fallback = result.views_reused;
+    JobCounters discarded;
+    ReadPlanShape(job.optimized.root, /*builds=*/true, &discarded);
+    AbandonSpoolLocks(job.optimized.root, result.job_id, metadata_);
+    result.views_fallback = discarded.views_reused;
     execute_span.SetAttribute("views_fallback",
                               static_cast<int64_t>(result.views_fallback));
     execute_span.SetAttribute("fallback_cause", run.status().ToString());
     obs_.fallback_jobs->Increment();
     // The cached entry (if any) led to or coexists with a plan reading a
     // dead view — drop it so the next occurrence replans from scratch.
-    if (cache_on) plan_cache_.Invalidate(cache_key);
-    OptimizeContext plain_ctx = ctx;
-    plain_ctx.view_catalog = nullptr;
-    plain_ctx.annotations.clear();
-    plain_ctx.span = nullptr;
-    plain_ctx.skeleton_out = nullptr;
-    auto replanned = optimizer_.Optimize(def.logical_plan, plain_ctx);
-    if (!replanned.ok()) return fail(replanned.status());
-    optimized = std::move(replanned).ValueOrDie();
-    result.views_reused = 0;
-    result.views_materialized = 0;
-    // The executed plan carries no compensated view reads either.
-    result.views_reused_subsumed = 0;
-    result.compensation_nodes_added = 0;
-    result.estimated_cost = optimized.estimated_cost;
-    Executor fallback_executor(exec_ctx);
-    run = fallback_executor.Execute(optimized.root);
+    if (job.options.enable_plan_cache) plan_cache_.Invalidate(job.cache_key);
+    job.ctx.view_catalog = nullptr;
+    job.ctx.annotations.clear();
+    CV_ASSIGN_OR_RETURN(job.optimized,
+                        optimizer_.Optimize(job.def.logical_plan, job.ctx));
+    run = Executor(exec_ctx).Execute(job.optimized.root);
   }
   if (!run.ok()) {
     // Release build locks this job won but can no longer honor; they would
@@ -575,71 +509,65 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     // crash models the whole job process dying — a dead process runs no
     // cleanup, so the lock must be reclaimed by lease expiry instead.
     if (!fault::IsInjectedCrash(run.status())) {
-      AbandonSpoolLocks(optimized.root, result.job_id);
+      AbandonSpoolLocks(job.optimized.root, result.job_id, metadata_);
     }
-    return fail(run.status());
+    return run.status();
   }
   result.run_stats = *run;
-  result.executed_plan = optimized.root;
+  result.executed_plan = job.optimized.root;
   execute_span.SetAttribute("output_rows", result.run_stats.output_rows);
   execute_span.SetAttribute("output_bytes", result.run_stats.output_bytes);
   execute_span.SetAttribute("cpu_seconds", result.run_stats.cpu_seconds);
   execute_span.SetAttribute(
       "operators", static_cast<uint64_t>(result.run_stats.operators.size()));
-  execute_span.End();
-  if (obs_.stage_execute != nullptr) {
-    obs_.stage_execute->Observe(wall->NowSeconds() - execute_start);
-  }
+  return Status::OK();
+}
 
-  // --- Work sharing: leader fan-out ----------------------------------------
+Status JobService::PublishShare(JobState& job) {
   // Published as soon as execution succeeds (before the cache/record tail)
   // so followers stop waiting at the earliest correct moment.
-  if (share_guard.reg != nullptr) {
-    Status injected =
-        fault_ != nullptr
-            ? fault_->MaybeInject(fault::points::kSharingLeaderCrash,
-                                  precise_sig.ToHex())
-            : Status::OK();
-    if (!injected.ok()) {
-      // The fan-out is lost either way; with crash=true the leader process
-      // itself is modeled as dead, so its own job fails too. Followers
-      // degrade to independent execution — never to failure.
-      sharing_.PublishFailure(share_ticket, injected);
-      share_guard.published = true;
-      obs_.sharing_leader_failures->Increment();
-      if (fault::IsInjectedCrash(injected)) return fail(injected);
-    } else {
-      InflightSharing::Outcome out;
-      out.leader_job_id = result.job_id;
-      out.executed_plan = result.executed_plan;
-      out.run_stats = result.run_stats;
-      // What an adopting follower reports (see InflightSharing::Outcome).
-      out.views_reused = result.views_reused;
-      out.views_reused_subsumed = result.views_reused_subsumed;
-      out.compensation_nodes_added = result.compensation_nodes_added;
-      out.estimated_cost = result.estimated_cost;
-      result.share_followers = static_cast<int>(
-          sharing_.PublishSuccess(share_ticket, std::move(out)));
-      share_guard.published = true;
-      job_span.SetAttribute("share_followers",
-                            static_cast<int64_t>(result.share_followers));
-    }
+  if (!job.leading) return Status::OK();
+  Status injected =
+      fault_ != nullptr
+          ? fault_->MaybeInject(fault::points::kSharingLeaderCrash,
+                                job.precise_sig.ToHex())
+          : Status::OK();
+  if (!injected.ok()) {
+    // The fan-out is lost either way; with crash=true the leader process
+    // itself is modeled as dead, so its own job fails too. Followers
+    // degrade to independent execution — never to failure.
+    sharing_.PublishFailure(job.share, injected);
+    obs_.sharing_leader_failures->Increment();
+    job.leading = false;
+    return fault::IsInjectedCrash(injected) ? injected : Status::OK();
   }
+  InflightSharing::Outcome out;
+  out.leader_job_id = job.result.job_id;
+  out.executed_plan = job.result.executed_plan;
+  out.run_stats = job.result.run_stats;
+  job.result.share_followers =
+      static_cast<int>(sharing_.PublishSuccess(job.share, std::move(out)));
+  job.leading = false;
+  job.span.SetAttribute("share_followers",
+                        static_cast<int64_t>(job.result.share_followers));
+  return Status::OK();
+}
 
-  // --- Publish into the plan cache -----------------------------------------
+void JobService::PublishPlan(JobState& job) {
   // Only after a successful run, and never from degraded compilations: a
   // lookup-degraded plan is reuse-blind and a fallback already invalidated
   // the entry. A full hit needs no re-insert (Lookup refreshed the LRU).
-  if (cache_on && !served_full && !result.lookup_degraded &&
-      result.views_fallback == 0) {
+  const JobResult& result = job.result;
+  if (job.options.enable_plan_cache && job.tier != JobState::Tier::kFull &&
+      !result.lookup_degraded && result.views_fallback == 0) {
     PlanCache::Entry entry;
     entry.catalog_epoch = result.catalog_epoch;
-    entry.precise = precise_sig;
-    if (served_skeleton) {
-      entry.skeleton = probe.entry->skeleton;  // shared immutable tree
-    } else if (skeleton_captured != nullptr &&
-               !HasExprLevelParamHoles(*def.logical_plan)) {
-      entry.skeleton = std::move(skeleton_captured);
+    entry.precise = job.precise_sig;
+    if (job.tier == JobState::Tier::kSkeleton) {
+      entry.skeleton = job.probe.entry->skeleton;  // shared immutable tree
+    } else if (job.skeleton != nullptr &&
+               !HasExprLevelParamHoles(*job.def.logical_plan)) {
+      entry.skeleton = std::move(job.skeleton);
     }
     // Plans that materialized views carry Spool side effects (build locks,
     // view writes) and must not replay; the skeleton tier still serves the
@@ -647,27 +575,72 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     // fresh optimize would add once the lock frees up, and lock expiry
     // bumps no catalog epoch — a full hit would silently stop trying to
     // build the view.
-    if (optimized.views_materialized == 0 &&
+    if (job.optimized.views_materialized == 0 &&
         result.materialize_lock_denied == 0) {
-      entry.rewritten = optimized.root->Clone();
+      entry.rewritten = job.optimized.root->Clone();
     }
     if (entry.skeleton != nullptr || entry.rewritten != nullptr) {
-      plan_cache_.Insert(cache_key, std::move(entry));
+      plan_cache_.Insert(job.cache_key, std::move(entry));
     }
   }
-  job_span.SetAttribute("plan_cache_hit", result.plan_cache_hit);
-  job_span.SetAttribute("catalog_epoch", result.catalog_epoch);
+  job.span.SetAttribute("plan_cache_hit", result.plan_cache_hit);
+  job.span.SetAttribute("catalog_epoch", result.catalog_epoch);
+}
 
-  // --- Record in the workload repository (feedback loop) -------------------
-  if (options.record_in_repository && repository_ != nullptr) {
-    double record_start = wall->NowSeconds();
-    RecordJob(def, result, &job_span);
-    if (obs_.stage_record != nullptr) {
-      obs_.stage_record->Observe(wall->NowSeconds() - record_start);
-    }
+JobResult JobService::Succeed(JobState& job) {
+  JobResult& result = job.result;
+  // What the result says about its plan is read off the plan that ran, on
+  // every path; an adopted follower ran the leader's plan but built none
+  // of its views.
+  ReadPlanShape(result.executed_plan, !result.shared_execution, &result);
+  result.estimated_cost = result.executed_plan->estimates().cost;
+  // Record in the workload repository (the feedback loop).
+  if (job.options.record_in_repository && repository_ != nullptr) {
+    obs::Span record_span = job.span.StartChild("record");
+    const JobDefinition& def = job.def;
+    JobRecord record;
+    record.job_id = result.job_id;
+    record.cluster = def.cluster;
+    record.business_unit = def.business_unit;
+    record.vc = def.vc;
+    record.user = def.user;
+    record.template_id = def.template_id;
+    record.recurring_instance = def.recurring_instance;
+    record.recurrence_period = def.recurrence_period;
+    record.submit_time = clock_->Now();
+    record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
+    record.plan = result.executed_plan;
+    record.run_stats = result.run_stats;
+    repository_->AddJob(std::move(record));
   }
-  return FinishJob(std::move(result), &job_span,
-                   wall->NowSeconds() - submit_start);
+  ForEachJobCounter(result, [this](size_t i, auto value) {
+    if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));
+  });
+  obs_.succeeded->Increment();
+  if (obs_.latency != nullptr) {
+    obs_.latency->Observe(job.wall->NowSeconds() - job.submit_start);
+  }
+  result.trace = job.span.Finish();
+  return std::move(result);
+}
+
+Status JobService::Fail(JobState& job, Status status) {
+  // A leader that never published wakes its followers; they degrade to
+  // independent execution.
+  if (job.leading) {
+    sharing_.PublishFailure(job.share,
+                            Status::Internal("leader failed before fan-out"));
+    obs_.sharing_leader_failures->Increment();
+  }
+  obs_.failed->Increment();
+  if (obs_.latency != nullptr) {
+    obs_.latency->Observe(job.wall->NowSeconds() - job.submit_start);
+  }
+  // The trace is delivered on failure too, so failed jobs stay
+  // diagnosable.
+  job.span.SetAttribute("error", status.ToString());
+  job.span.End();
+  return status;
 }
 
 Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
@@ -724,7 +697,7 @@ Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
       return bound;
     }
     AssignNodeIds(standalone.get());
-    ExecContext exec_ctx = MakeExecContext(job_id, exec_options_, wall_clock_);
+    ExecContext exec_ctx = MakeExecContext(job_id);
     bool materialized = false;
     exec_ctx.on_view_materialized = [this, job_id, &materialized](
                                         const SpoolNode& node,

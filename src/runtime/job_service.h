@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,17 +40,13 @@ struct JobDefinition {
 };
 
 /// Outcome of one job run. The JobCounters block reports what reuse did
-/// for this job (docs/job_profile_schema.md): the counters of the compile
-/// whose plan ran, plus the runtime rows — views_fallback (view reads
-/// abandoned mid-run: the views were unavailable, so the job transparently
-/// re-ran its original plan; views_reused, views_materialized and the
-/// subsumption rows then describe that plan), lookup_degraded (the
-/// metadata lookup failed persistently and the job ran without reuse
-/// information) and the piggyback funnel (build-lock denials this job
-/// waited out, and how each wait ended: a hit triggers one re-optimize
-/// against the freshly registered view; timeouts and abandoned builders
-/// keep the reuse-blind plan). An adopted follower reports the leader's
-/// reuse shape only (see InflightSharing::Outcome).
+/// for this job; docs/job_profile_schema.md defines every row. The
+/// plan-shape rows (views_reused, views_reused_subsumed,
+/// compensation_nodes_added, views_materialized) are read off
+/// executed_plan, so on every path they describe the plan that ran; an
+/// adopted follower builds nothing. The other rows come from the compile
+/// whose plan ran and from the runtime (fallback, degraded lookup, the
+/// piggyback funnel).
 struct JobResult : JobCounters {
   uint64_t job_id = 0;
   PlanNodePtr executed_plan;
@@ -95,18 +90,12 @@ struct JobServiceOptions {
   /// signature-keyed plan cache (epoch-validated; byte-identical results).
   /// Off forces a full parse + optimize on every submission.
   bool enable_plan_cache = true;
-  /// Per-submission override of the service-wide execution options (worker
-  /// threads, morsel size); unset uses the options the service was built
-  /// with.
-  std::optional<ExecOptions> exec;
   /// Work sharing across concurrent in-flight jobs: submissions whose
   /// whole-plan signature matches an in-flight execution adopt its result
   /// (one leader executes, followers wait) instead of recomputing it.
-  /// Opt-in; results stay byte-identical either way.
+  /// Opt-in; results stay byte-identical either way. A follower waits at
+  /// most 30 real seconds for its leader, then runs independently.
   bool enable_inflight_sharing = false;
-  /// Upper bound on a follower's wait for its leader (real wall seconds);
-  /// on expiry the follower degrades to independent execution.
-  double sharing_wait_seconds = 30;
   /// Build piggybacking: a job denied a build lock by a live builder waits
   /// (bounded) for the builder's ReportMaterialized and re-optimizes
   /// against the fresh view instead of running reuse-blind. Opt-in; every
@@ -126,6 +115,11 @@ struct JobServiceOptions {
 
 /// \brief The always-online job service: compile (with metadata lookup and
 /// CloudViews rewriting), execute, publish views early, record history.
+///
+/// SubmitJob runs named stages over one JobState: share-join, compile (full
+/// plan-cache hit, metadata lookup, skeleton hit, cold: the first tier that
+/// succeeds serves the job), piggyback, execute with fallback, publish, and
+/// record, ending in one success tail or one failure tail.
 ///
 /// Thread-safe: concurrent SubmitJob calls model concurrent jobs on the
 /// cluster, which is how the build-build synchronization of Sec 6.4 is
@@ -155,9 +149,9 @@ class JobService {
   }
 
   /// Moves the job counters and gauge (and the plan cache's) into the
-  /// shared `metrics` and adds the latency and stage histograms, the
-  /// executor's per-operator counters and the pool's instruments; emits
-  /// one lifecycle trace per submission into `tracer`. Either may be null:
+  /// shared `metrics` and adds the latency histogram, the executor's
+  /// per-operator counters and the pool's instruments; emits one lifecycle
+  /// trace per submission into `tracer`. Either may be null:
   /// without `metrics` the counters stay in a registry the service owns,
   /// and the opt-in instruments stay off. `wall_clock` drives latency
   /// histograms and span times; null uses the real monotonic clock. Call
@@ -194,13 +188,11 @@ class JobService {
   const InflightSharing& inflight_sharing() const { return sharing_; }
 
  private:
-  /// Returns the shared worker pool for a job running with `opts`, creating
-  /// it on first use; null when the job runs single-threaded. The pool is
-  /// shared by every concurrently running job, mirroring the shared
-  /// execution slots of the cluster.
-  ThreadPool* ExecutionPool(const ExecOptions& opts) EXCLUDES(pool_mu_);
+  /// The worker pool every running job shares (the cluster's execution
+  /// slots), created on first use; null when jobs run single-threaded.
+  ThreadPool* ExecutionPool() EXCLUDES(pool_mu_);
 
-  /// Counters and the gauge are never null; the histograms are null
+  /// Counters and the gauge are never null; the latency histogram is null
   /// unless SetObservability wired a shared registry.
   struct Instruments {
     obs::Counter* submitted = nullptr;
@@ -208,10 +200,6 @@ class JobService {
     obs::Counter* failed = nullptr;
     obs::Gauge* active = nullptr;
     obs::Histogram* latency = nullptr;
-    obs::Histogram* stage_lookup = nullptr;
-    obs::Histogram* stage_optimize = nullptr;
-    obs::Histogram* stage_execute = nullptr;
-    obs::Histogram* stage_record = nullptr;
     /// One counter per CV_JOB_COUNTERS row, in table order.
     std::array<obs::Counter*, kNumJobCounters> job_counters{};
     obs::Counter* fallback_jobs = nullptr;
@@ -224,27 +212,25 @@ class JobService {
 
   void Register(obs::MetricsRegistry* metrics);
 
-  /// Success tail of every SubmitJob path: advances each job-counter
-  /// metric by `result`'s value, counts the job as succeeded with
-  /// `latency_seconds`, and finishes the job's trace into `result`.
-  JobResult FinishJob(JobResult result, obs::Span* job_span,
-                      double latency_seconds);
-
-  /// Adds the finished job to the workload repository (the feedback loop)
-  /// under a "record" child of `job_span`.
-  void RecordJob(const JobDefinition& def, const JobResult& result,
-                 obs::Span* job_span);
+  // SubmitJob's stages over one JobState, in order, then its two tails.
+  struct JobState;
+  bool JoinShare(JobState& job);
+  Status Compile(JobState& job);
+  bool ServeFullHit(JobState& job);
+  void LookupViews(JobState& job);
+  bool ServeSkeleton(JobState& job);
+  Status CompileCold(JobState& job);
+  void Piggyback(JobState& job);
+  Status Execute(JobState& job);
+  Status PublishShare(JobState& job);
+  void PublishPlan(JobState& job);
+  JobResult Succeed(JobState& job);
+  Status Fail(JobState& job, Status status);
 
   /// Execution context for one run of `job_id`: storage, the shared pool,
   /// the fault seams, and (with a metadata service) the view publish and
   /// abandon callbacks of Sec 6.4.
-  ExecContext MakeExecContext(uint64_t job_id, const ExecOptions& options,
-                              MonotonicClock* clock);
-
-  /// Releases the build locks held by every Spool node under `root` that
-  /// `job_id` still owns (idempotent per lock). Called whenever a plan
-  /// carrying locks is discarded: execution failure, view-read fallback.
-  void AbandonSpoolLocks(const PlanNodePtr& root, uint64_t job_id);
+  ExecContext MakeExecContext(uint64_t job_id);
 
   /// Registers a finished view with the metadata service; on rejection
   /// (stale lease, lost registration race; counted by the service as

@@ -330,6 +330,48 @@ OUTPUT total TO "overflow_{tag}_{date}";
   EXPECT_GT(served->result.outcome.output_rows, 0);
 }
 
+TEST(NetE2E, DeepScriptsGetATypedErrorAndTheServerKeepsServing) {
+  // Each of these scripts once overflowed the stack of the process hosting
+  // the server: 6,000 nested parentheses, a sum of 60,000 terms, and 50,000
+  // chained statements. The parser's limits refuse each with a ParseError.
+  ServerFixture fx = StartServerFixture();
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  const std::string head =
+      "clicks = EXTRACT user:int, page:string, latency:int, when:date\n"
+      "         FROM \"clicks_{date}\";\n";
+  const std::string tail = "OUTPUT s TO \"deep_{tag}_{date}\";\n";
+  std::string sum = "0";
+  for (int i = 0; i < 60000; ++i) sum += "+1";
+  std::string chained = head + "s = SELECT * FROM clicks WHERE latency > 0;\n";
+  for (int i = 1; i < 50000; ++i) {
+    chained += "s = SELECT * FROM s WHERE latency > 0;\n";
+  }
+  const std::string scripts[] = {
+      head + "s = SELECT page FROM clicks WHERE latency > " +
+          std::string(6000, '(') + "1" + std::string(6000, ')') + ";\n" +
+          tail,
+      head + "s = SELECT page FROM clicks WHERE latency > " + sum + ";\n" +
+          tail,
+      chained + tail};
+  for (const std::string& script : scripts) {
+    SubmitRequest hostile = NetSubmit("tmpl-deep", "d", "2024-01-01", 1);
+    hostile.script = script;
+    auto refused = client->Submit(hostile);
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    ASSERT_EQ(refused->kind, Client::SubmitReply::Kind::kError);
+    EXPECT_EQ(refused->error.code,
+              static_cast<uint8_t>(StatusCode::kParseError))
+        << refused->error.message;
+  }
+
+  // Same server, same connection: a well-formed job still runs.
+  auto served = client->Submit(NetSubmit("tmpl-ok", "ok", "2024-01-01", 1));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->kind, Client::SubmitReply::Kind::kResult);
+  EXPECT_GT(served->result.outcome.output_rows, 0);
+}
+
 /// A Sleeper that parks every caller until Release().
 class GateSleeper : public fault::Sleeper {
  public:

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "optimizer/rules.h"
 #include "parser/parser.h"
 #include "signature/signature.h"
 
@@ -414,6 +420,152 @@ OUTPUT f TO "x" CLUSTERED BY k INTO 2147483647;
 )",
                         {});
   EXPECT_TRUE(r.ok()) << r.status().ToString();
+}
+
+// --- Limits: no script builds a tree deep enough to overflow the stack --
+
+constexpr char kClicks[] =
+    "clicks = EXTRACT user:int, page:string, latency:int FROM \"clicks\";\n";
+
+/// `depth` levels of nesting made of `open` ... "1" ... `close`.
+std::string Nesting(int depth, const std::string& open,
+                    const std::string& close) {
+  std::string expr = "1";
+  for (int i = 0; i < depth; ++i) expr = open + expr + close;
+  return std::string(kClicks) + "s = SELECT page FROM clicks WHERE " + expr +
+         " > 0;\nOUTPUT s TO \"out\";\n";
+}
+
+/// A select item summing `terms` ones: an expression `terms` levels tall.
+std::string AdditionChain(int terms) {
+  std::string chain = "1";
+  for (int i = 1; i < terms; ++i) chain += "+1";
+  return std::string(kClicks) + "s = SELECT " + chain +
+         " AS x FROM clicks;\nOUTPUT s TO \"out\";\n";
+}
+
+/// `statements` chained SELECTs, each over the one before and each with
+/// `predicate` as its WHERE when given: an Extract, one node per
+/// statement and the Output make the plan `statements` + 2 levels tall.
+std::string StatementChain(int statements, const std::string& predicate = "") {
+  std::string script = kClicks;
+  std::string prev = "clicks";
+  for (int i = 0; i < statements; ++i) {
+    std::string name = "s" + std::to_string(i);
+    script += name + " = SELECT " +
+              (predicate.empty() ? "page, latency FROM " + prev
+                                 : "* FROM " + prev + " WHERE " + predicate) +
+              ";\n";
+    prev = name;
+  }
+  return script + "OUTPUT " + prev + " TO \"out\";\n";
+}
+
+Result<PlanNodePtr> ParseBare(const std::string& script) {
+  return ScopeScriptParser().Parse(script, {});
+}
+
+void ExpectRefused(const std::string& script, const std::string& why) {
+  auto r = ParseBare(script);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find(why), std::string::npos)
+      << r.status().ToString();
+}
+
+int ExprHeight(const Expr& e) {
+  int below = 0;
+  for (const auto& child : e.children()) {
+    below = std::max(below, ExprHeight(*child));
+  }
+  return below + 1;
+}
+
+TEST(ParserLimitTest, NestingDepthAtAndPastTheLimit) {
+  constexpr int kMax = ScopeScriptParser::kMaxNestingDepth;
+  const std::pair<std::string, std::string> kinds[] = {
+      {"(", ")"}, {"abs(", ")"}, {"- ", ""}, {"NOT ", ""}};
+  for (const auto& [open, close] : kinds) {
+    auto at = ParseBare(Nesting(kMax, open, close));
+    ASSERT_TRUE(at.ok()) << open << ": " << at.status().ToString();
+    ExpectRefused(Nesting(kMax + 1, open, close), "nests deeper than");
+  }
+}
+
+TEST(ParserLimitTest, ExpressionHeightAtAndPastTheLimit) {
+  constexpr int kMax = ScopeScriptParser::kMaxExprHeight;
+  auto at = ParseBare(AdditionChain(kMax));
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  ASSERT_TRUE((*at)->Bind().ok());
+  const auto& project = static_cast<const ProjectNode&>(*(*at)->child());
+  EXPECT_EQ(ExprHeight(*project.exprs()[0].expr), kMax);
+  ExpectRefused(AdditionChain(kMax + 1), "expression is taller than");
+}
+
+TEST(ParserLimitTest, StatementChainAtAndPastTheLimit) {
+  constexpr int kMax = ScopeScriptParser::kMaxPlanHeight;
+  auto at = ParseBare(StatementChain(kMax - 2));
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  ASSERT_TRUE((*at)->Bind().ok());
+  ExpectRefused(StatementChain(kMax - 1), "statement chain is taller than");
+}
+
+/// `layers` projections that each redefine latency as a sum of `terms`
+/// items over the one below, then a filter on `condition` on top.
+std::string FilterOverProjections(int layers, int terms,
+                                  const std::string& condition) {
+  std::string sum = "latency";
+  for (int i = 1; i < terms; ++i) sum += "+1";
+  std::string script = kClicks;
+  std::string prev = "clicks";
+  for (int i = 0; i < layers; ++i) {
+    std::string name = "s" + std::to_string(i);
+    script += name + " = SELECT page, " + sum + " AS latency FROM " + prev +
+              ";\n";
+    prev = name;
+  }
+  return script + "f = SELECT * FROM " + prev + " WHERE " + condition +
+         ";\nOUTPUT f TO \"out\";\n";
+}
+
+TEST(ParserLimitTest, ChainExpressionNodesAtAndPastTheLimit) {
+  // Pushing the filter below each projection inlines that projection's
+  // sum into the predicate. Three 339-node sums plus the 7-node condition
+  // reach the limit exactly; the pushed predicate stays within it.
+  constexpr int kMax = ScopeScriptParser::kMaxChainExprNodes;
+  auto plan = ParseBare(FilterOverProjections(3, 170, "latency > 0+1+1"));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE((*plan)->Bind().ok());
+  PlanNodePtr rewritten = PushDownFilters(MergeAdjacentFilters(*plan));
+  ASSERT_TRUE(rewritten->Bind().ok());
+  std::vector<PlanNode*> nodes;
+  CollectNodes(rewritten, &nodes);
+  int filters = 0;
+  for (PlanNode* n : nodes) {
+    if (n->kind() != OpKind::kFilter) continue;
+    ++filters;
+    // Pushed below every projection, the filter reads the input directly.
+    EXPECT_EQ(n->children()[0]->kind(), OpKind::kExtract);
+    EXPECT_LE(ExprHeight(*static_cast<FilterNode*>(n)->predicate()), kMax);
+  }
+  EXPECT_EQ(filters, 1);
+  ExpectRefused(FilterOverProjections(3, 170, "NOT latency > 0+1+1"),
+                "expressions along the statement chain exceed");
+
+  // One predicate counts too: the optimizer re-chains an AND tree's
+  // conjuncts one after another, however balanced the tree was written.
+  std::vector<std::string> level(600, "page == \"p\"");
+  while (level.size() > 1) {
+    std::vector<std::string> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back("(" + level[i] + " AND " + level[i + 1] + ")");
+    }
+    if (level.size() % 2 == 1) next.push_back(level.back());
+    level = std::move(next);
+  }
+  ExpectRefused(std::string(kClicks) + "f = SELECT * FROM clicks WHERE " +
+                    level[0] + ";\nOUTPUT f TO \"out\";\n",
+                "expressions along the statement chain exceed");
 }
 
 }  // namespace

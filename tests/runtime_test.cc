@@ -178,22 +178,25 @@ TEST_F(RuntimeTest, ConcurrentJobsMaterializeExactlyOnce) {
 TEST_F(RuntimeTest, ConcurrentJobsShareTheWorkerPool) {
   // Several jobs running at once, each fanning morsel work out onto the
   // one pool the service owns; exercised under TSan in CI.
+  CloudViewsConfig config = MakeCvConfig();
+  config.exec = ExecOptions{/*worker_threads=*/4, /*morsel_rows=*/128};
+  CloudViews parallel(config);
+  WriteClickStream(parallel.storage(), "clicks_2018-01-01", 2000,
+                   std::hash<std::string>{}("2018-01-01"), "2018-01-01");
   WriteDay("2018-01-01");
   std::vector<JobDefinition> defs;
   for (int i = 0; i < 6; ++i) {
     defs.push_back(JobB("2018-01-01", "_p" + std::to_string(i)));
   }
-  JobServiceOptions options;
-  options.exec = ExecOptions{/*worker_threads=*/4, /*morsel_rows=*/128};
-  auto results = cv_.job_service()->SubmitConcurrent(defs, options);
+  auto results = parallel.job_service()->SubmitConcurrent(defs);
   ASSERT_EQ(results.size(), defs.size());
   for (auto& r : results) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GT(r->run_stats.output_rows, 0);
   }
 
-  // The parallel runs must agree with a single-threaded run of the same
-  // job, row for row.
+  // The parallel runs must agree with a single-threaded instance's run of
+  // the same job, row for row.
   auto ref = cv_.job_service()->SubmitJob(JobB("2018-01-01", "_serial"));
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(ref->run_stats.output_rows, results[0]->run_stats.output_rows);
