@@ -52,7 +52,7 @@ PassResult RunPass(bool strip_design) {
   // Mine annotations, optionally stripping the mined physical design
   // ("views with poor physical design end up not being used", Sec 5.3).
   CloudViewsAnalyzer analyzer(config.analyzer);
-  AnalysisResult analysis = analyzer.Analyze(cv.repository()->Jobs());
+  AnalysisResult analysis = analyzer.Analyze(cv.repository()->Mine());
   if (strip_design) {
     for (auto& comp : analysis.annotations) {
       comp.annotation.design = PhysicalProperties{};

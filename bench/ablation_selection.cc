@@ -19,13 +19,12 @@ int Run() {
       "constraints is the companion BigSubs work");
 
   ClusterRun run = RunClusterInstance(BusinessUnitProfile(), "2018-01-01");
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(run.cv->repository()->Jobs());
+  MinedWindow window = run.cv->repository()->Mine();
 
   auto evaluate = [&](SelectionConfig config, const char* name,
                       TablePrinter* table) {
     ViewSelector selector(config);
-    auto selected = selector.Select(overlap.aggregates());
+    auto selected = selector.Select(window.aggregates);
     double utility = 0, bytes = 0;
     for (const auto* agg : selected) {
       utility += agg->TotalUtility();

@@ -26,9 +26,8 @@ int Run() {
   for (int c = 0; c < 5; ++c) {
     ClusterProfile profile = Fig1ClusterProfile(c);
     ClusterRun run = RunClusterInstance(profile, "2018-01-01");
-    OverlapAnalyzer overlap;
-    overlap.AddJobs(run.cv->repository()->Jobs());
-    OverlapReport report = overlap.BuildReport();
+    MinedWindow window = run.cv->repository()->Mine();
+    OverlapReport report = BuildOverlapReport(window);
     table.AddRow(profile.name,
                  {static_cast<double>(report.total_jobs),
                   report.PctOverlappingJobs(), report.PctUsersWithOverlap(),

@@ -21,9 +21,8 @@ int Run() {
       "few have 100%; avg overlap frequency 1.5..112, median ~2.96");
 
   ClusterRun run = RunClusterInstance(LargestClusterProfile(), "2018-01-01");
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(run.cv->repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = run.cv->repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   // 2(a): per-VC percentage overlap, sorted ascending like the figure.
   std::vector<double> pct_overlap;

@@ -33,9 +33,8 @@ int Run() {
       ">= 10 times; top users have 1000s of overlaps");
 
   ClusterRun run = RunClusterInstance(BusinessUnitProfile(), "2018-01-01");
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(run.cv->repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = run.cv->repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   PrintCdf("Fig 3(a): overlapping subgraphs per job",
            report.overlaps_per_job, 1, 1000);

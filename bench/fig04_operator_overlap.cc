@@ -36,9 +36,8 @@ int Run() {
       "libraries)");
 
   ClusterRun run = RunClusterInstance(BusinessUnitProfile(), "2018-01-01");
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(run.cv->repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = run.cv->repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   int64_t total = 0;
   for (const auto& [kind, count] : report.overlap_occurrences_by_operator) {

@@ -21,9 +21,8 @@ int Run() {
       "view-to-query cost ratio <= 0.01, only 23% > 0.1, 4% > 0.5");
 
   ClusterRun run = RunClusterInstance(BusinessUnitProfile(), "2018-01-01");
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(run.cv->repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = run.cv->repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   DistributionSummary freq, runtime, size, ratio;
   freq.AddAll(report.frequencies);

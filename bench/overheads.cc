@@ -23,27 +23,45 @@ int Run() {
       "using one");
 
   // --- Analyzer cost --------------------------------------------------------
+  // The repository mines each job once as it completes (feeding the
+  // feedback index and its submit time's bucket), and an analyzer run
+  // merges a window's buckets. Both count as analyzer cost, so the run's
+  // records are re-ingested into a fresh repository to time the ingest
+  // share.
   {
     ClusterRun run =
         RunClusterInstance(BusinessUnitProfile(), "2018-01-01");
+    std::vector<JobRecord> records;
+    for (const auto& r : run.cv->repository()->Jobs()) records.push_back(*r);
+    const double jobs =
+        static_cast<double>(std::max<size_t>(1, records.size()));
+    WorkloadRepository repository;
+    double t0 = MonotonicNowSeconds();
+    for (JobRecord& r : records) repository.AddJob(std::move(r));
+    double ingest = MonotonicNowSeconds() - t0;
+    t0 = MonotonicNowSeconds();
+    MinedWindow window = repository.Mine();
+    double merge = MonotonicNowSeconds() - t0;
     CloudViewsAnalyzer analyzer;
-    auto analysis = analyzer.Analyze(run.cv->repository()->Jobs());
-    std::printf("\nanalyzer cost\n");
-    TablePrinter table({"jobs analyzed", "subgraphs mined", "seconds",
-                        "us per job"});
-    table.AddRow({StrFormat("%zu", analysis.jobs_analyzed),
-                  StrFormat("%zu", analysis.subgraphs_mined),
-                  StrFormat("%.3f", analysis.analysis_seconds),
-                  StrFormat("%.1f", 1e6 * analysis.analysis_seconds /
-                                        static_cast<double>(std::max<size_t>(
-                                            1, analysis.jobs_analyzed)))});
+    auto analysis = analyzer.Analyze(std::move(window));
+    double total = ingest + merge + analysis.analysis_seconds;
+
+    std::printf("\nanalyzer cost (%zu jobs, %zu subgraphs mined)\n",
+                analysis.jobs_analyzed, analysis.subgraphs_mined);
+    TablePrinter table({"step", "ms", "us per job"});
+    auto row = [&](const char* step, double seconds) {
+      table.AddRow({step, StrFormat("%.2f", seconds * 1e3),
+                    StrFormat("%.1f", 1e6 * seconds / jobs)});
+    };
+    row("ingest: enumerate, feedback, bucket fold", ingest);
+    row("window merge (Mine)", merge);
+    row("analysis: report, select, order, annotate",
+        analysis.analysis_seconds);
+    row("total", total);
     table.Print(std::cout);
     PaperVsMeasured("analysis scales linearly in jobs",
                     "~2h for 10k-100k jobs",
-                    StrFormat("%.0fus/job here",
-                              1e6 * analysis.analysis_seconds /
-                                  static_cast<double>(std::max<size_t>(
-                                      1, analysis.jobs_analyzed))));
+                    StrFormat("%.0fus/job here", 1e6 * total / jobs));
   }
 
   // --- Metadata lookup latency ----------------------------------------------

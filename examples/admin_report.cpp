@@ -24,9 +24,8 @@ int main() {
     (void)cv.Submit(def, false);
   }
 
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv.repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = cv.repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   std::printf("=== workload overlap summary (%s) ===\n",
               profile.name.c_str());
@@ -44,7 +43,7 @@ int main() {
 
   std::printf("=== top overlapping computations (drill-down) ===\n");
   std::vector<const SubgraphAggregate*> all;
-  for (const auto& [sig, agg] : overlap.aggregates()) {
+  for (const auto& [sig, agg] : window.aggregates) {
     if (agg.IsOverlapping() && agg.subtree_size >= 2) all.push_back(&agg);
   }
   std::sort(all.begin(), all.end(),
@@ -72,7 +71,7 @@ int main() {
   AnalyzerConfig analyzer_config;
   analyzer_config.selection.top_k = 10;
   CloudViewsAnalyzer analyzer(analyzer_config);
-  auto analysis = analyzer.Analyze(cv.repository()->Jobs());
+  auto analysis = analyzer.Analyze(cv.repository()->Mine());
   double saved = 0, storage = 0;
   for (const auto& agg : analysis.selected) {
     saved += agg.TotalUtility();

@@ -1,7 +1,9 @@
 #include "analyzer/analyzer.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "common/clock.h"
 
@@ -9,17 +11,18 @@ namespace cloudviews {
 
 std::vector<uint64_t> ComputeSubmissionOrder(
     const std::vector<const SubgraphAggregate*>& selected,
-    const std::vector<std::shared_ptr<const JobRecord>>& jobs) {
-  std::map<uint64_t, const JobRecord*> by_id;
-  std::map<uint64_t, int> overlap_count;  // selected views containing a job
-  for (const auto& j : jobs) by_id[j->job_id] = j.get();
+    const std::vector<MinedJob>& jobs) {
+  std::unordered_map<uint64_t, const JobRecord*> by_id;
+  // Selected views containing a job.
+  std::unordered_map<uint64_t, int> overlap_count;
+  for (const MinedJob& j : jobs) by_id[j.record->job_id] = j.record.get();
   for (const SubgraphAggregate* agg : selected) {
     for (uint64_t job : agg->jobs) ++overlap_count[job];
   }
 
   // Per selected view (group of jobs sharing the overlap), pick the
   // shortest job — least overlapping on ties — as its builder.
-  std::map<uint64_t, const JobRecord*> builders;
+  std::unordered_map<uint64_t, const JobRecord*> builders;
   for (const SubgraphAggregate* agg : selected) {
     const JobRecord* best = nullptr;
     for (uint64_t job_id : agg->jobs) {
@@ -43,6 +46,7 @@ std::vector<uint64_t> ComputeSubmissionOrder(
   // Builders first, ordered by runtime (ties: fewer overlaps), then all
   // remaining jobs in their original order.
   std::vector<const JobRecord*> builder_list;
+  // order-insensitive: builder_list is sorted by a total order below.
   for (const auto& [id, j] : builders) builder_list.push_back(j);
   std::sort(builder_list.begin(), builder_list.end(),
             [&](const JobRecord* a, const JobRecord* b) {
@@ -56,54 +60,129 @@ std::vector<uint64_t> ComputeSubmissionOrder(
             });
 
   std::vector<uint64_t> order;
-  std::set<uint64_t> placed;
+  std::unordered_set<uint64_t> placed;
   for (const JobRecord* j : builder_list) {
     order.push_back(j->job_id);
     placed.insert(j->job_id);
   }
-  for (const auto& j : jobs) {
-    if (placed.insert(j->job_id).second) order.push_back(j->job_id);
+  for (const MinedJob& j : jobs) {
+    uint64_t id = j.record->job_id;
+    if (placed.insert(id).second) order.push_back(id);
   }
   return order;
 }
 
-AnalysisResult CloudViewsAnalyzer::Analyze(
-    const std::vector<std::shared_ptr<const JobRecord>>& jobs) const {
-  double start = MonotonicNowSeconds();
-  AnalysisResult result;
-  result.jobs_analyzed = jobs.size();
+namespace {
 
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(jobs);
-  result.subgraphs_mined = overlap.aggregates().size();
-  result.report = overlap.BuildReport();
-
-  ViewSelector selector(config_.selection);
-  std::vector<const SubgraphAggregate*> selected =
-      selector.Select(overlap.aggregates());
-
+/// Bound clones of the selected aggregates' first occurrences, by position
+/// in `selected`; null where binding fails. A first occurrence inside
+/// another one's subtree shares that clone: binding runs bottom-up, so each
+/// subtree of a bound clone is exactly what binding its own clone gives.
+std::vector<PlanNodePtr> CloneDefinitions(
+    const std::vector<const SubgraphAggregate*>& selected) {
+  std::vector<PlanNodePtr> out(selected.size());
+  // Bound clones of first occurrences, keyed by the original node; each
+  // points into (and keeps alive) the clone of its outermost ancestor.
+  std::unordered_map<const PlanNode*, PlanNodePtr> clones;
   for (const SubgraphAggregate* agg : selected) {
-    AnnotatedComputation comp;
-    comp.annotation.normalized_signature = agg->normalized;
-    comp.annotation.design = agg->PopularDesign();
-    comp.annotation.expected_rows = agg->AvgRows();
-    comp.annotation.expected_bytes = agg->AvgBytes();
-    comp.annotation.avg_runtime_seconds = agg->AvgLatency();
-    comp.annotation.frequency = agg->frequency;
-    comp.annotation.lifetime_seconds = agg->max_recurrence_period;
-    comp.annotation.offline = config_.offline_mode;
-    if (agg->definition != nullptr) {
-      comp.annotation.definition = agg->definition;
-      comp.annotation.features = std::make_shared<ViewFeatures>(
-          ComputeViewFeatures(*agg->definition));
-    }
-    for (const auto& t : agg->templates) {
-      comp.tags.push_back("template:" + t);
-    }
-    result.annotations.push_back(std::move(comp));
-    result.selected.push_back(*agg);
+    if (agg->first != nullptr) clones.emplace(agg->first.get(), nullptr);
   }
-  result.submission_order = ComputeSubmissionOrder(selected, jobs);
+  // Ancestors first: a subtree is smaller than any tree containing it.
+  std::vector<size_t> order(selected.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return selected[a]->subtree_size > selected[b]->subtree_size;
+  });
+  for (size_t i : order) {
+    const PlanNode* first = selected[i]->first.get();
+    if (first == nullptr) continue;
+    PlanNodePtr& clone = clones.at(first);
+    if (clone == nullptr) {
+      PlanNodePtr root = first->Clone();
+      if (!root->Bind().ok()) continue;
+      // Record the clone of every first occurrence inside this one.
+      std::vector<std::pair<const PlanNode*, PlanNode*>> stack = {
+          {first, root.get()}};
+      while (!stack.empty()) {
+        auto [original, copy] = stack.back();
+        stack.pop_back();
+        auto it = clones.find(original);
+        if (it != clones.end() && it->second == nullptr) {
+          it->second = PlanNodePtr(root, copy);
+        }
+        for (size_t c = 0; c < original->children().size(); ++c) {
+          stack.push_back({original->children()[c].get(),
+                           copy->children()[c].get()});
+        }
+      }
+    }
+    out[i] = clone;
+  }
+  return out;
+}
+
+}  // namespace
+
+AnalysisResult CloudViewsAnalyzer::Analyze(MinedWindow window,
+                                           obs::Span* trace) const {
+  double start = MonotonicNowSeconds();
+  obs::Span untraced;
+  obs::Span& parent = trace != nullptr ? *trace : untraced;
+  AnalysisResult result;
+  result.jobs_analyzed = window.jobs.size();
+  result.subgraphs_mined = window.aggregates.size();
+
+  {
+    obs::Span span = parent.StartChild("analyzer.report");
+    result.report = BuildOverlapReport(window);
+  }
+
+  std::vector<const SubgraphAggregate*> selected;
+  {
+    obs::Span span = parent.StartChild("analyzer.select");
+    selected = ViewSelector(config_.selection).Select(window.aggregates);
+  }
+
+  {
+    obs::Span span = parent.StartChild("analyzer.order");
+    result.submission_order = ComputeSubmissionOrder(selected, window.jobs);
+  }
+
+  {
+    obs::Span span = parent.StartChild("analyzer.annotate");
+    std::vector<PlanNodePtr> definitions = CloneDefinitions(selected);
+    result.annotations.reserve(selected.size());
+    result.selected.reserve(selected.size());
+    for (size_t i = 0; i < selected.size(); ++i) {
+      const SubgraphAggregate* pick = selected[i];
+      // The window is consumed: each selected aggregate moves into the
+      // result once its annotation is built.
+      SubgraphAggregate& agg = window.aggregates.at(pick->normalized);
+      AnnotatedComputation comp;
+      comp.annotation.normalized_signature = agg.normalized;
+      comp.annotation.design = agg.PopularDesign();
+      comp.annotation.expected_rows = agg.AvgRows();
+      comp.annotation.expected_bytes = agg.AvgBytes();
+      comp.annotation.avg_runtime_seconds = agg.AvgLatency();
+      comp.annotation.frequency = agg.frequency;
+      comp.annotation.lifetime_seconds = agg.max_recurrence_period;
+      comp.annotation.offline = config_.offline_mode;
+      // The definition skeleton the containment matcher verifies
+      // candidates against: a bound clone of the earliest occurrence in the
+      // window. Unbindable, it disables containment for the template, never
+      // the exact tier.
+      if (definitions[i] != nullptr) {
+        comp.annotation.features = std::make_shared<ViewFeatures>(
+            ComputeViewFeatures(*definitions[i]));
+        comp.annotation.definition = std::move(definitions[i]);
+      }
+      for (const auto& t : agg.templates) {
+        comp.tags.push_back("template:" + t);
+      }
+      result.annotations.push_back(std::move(comp));
+      result.selected.push_back(std::move(agg));
+    }
+  }
 
   result.analysis_seconds = MonotonicNowSeconds() - start;
   return result;

@@ -6,6 +6,7 @@
 #include "analyzer/overlap_analyzer.h"
 #include "analyzer/view_selection.h"
 #include "metadata/metadata_service.h"
+#include "obs/trace.h"
 
 namespace cloudviews {
 
@@ -26,21 +27,27 @@ struct AnalysisResult {
   std::vector<uint64_t> submission_order;
   /// Workload-wide overlap report (Figs 1-5, admin dashboard).
   OverlapReport report;
+  /// Wall seconds of the analysis; RunAnalyzerAndLoad includes the window
+  /// merge.
   double analysis_seconds = 0;
   size_t jobs_analyzed = 0;
   size_t subgraphs_mined = 0;
 };
 
-/// \brief The offline CLOUDVIEWS analyzer (Sec 5): mines a window of the
-/// workload repository, selects views, picks physical designs and
-/// expiries, and emits annotations plus job-ordering hints.
+/// \brief The offline CLOUDVIEWS analyzer (Sec 5): over a window the
+/// workload repository mined (WorkloadRepository::Mine), selects views,
+/// picks physical designs and expiries, and emits annotations plus
+/// job-ordering hints.
 class CloudViewsAnalyzer {
  public:
   explicit CloudViewsAnalyzer(AnalyzerConfig config = {})
       : config_(config) {}
 
-  AnalysisResult Analyze(
-      const std::vector<std::shared_ptr<const JobRecord>>& jobs) const;
+  /// Consumes the window: the selected aggregates move into the result.
+  /// Records its stages (analyzer.report, analyzer.select, analyzer.order,
+  /// analyzer.annotate) as children of `trace` when it is given and active.
+  AnalysisResult Analyze(MinedWindow window,
+                         obs::Span* trace = nullptr) const;
 
  private:
   AnalyzerConfig config_;
@@ -51,7 +58,7 @@ class CloudViewsAnalyzer {
 /// it for all the others.
 std::vector<uint64_t> ComputeSubmissionOrder(
     const std::vector<const SubgraphAggregate*>& selected,
-    const std::vector<std::shared_ptr<const JobRecord>>& jobs);
+    const std::vector<MinedJob>& jobs);
 
 }  // namespace cloudviews
 

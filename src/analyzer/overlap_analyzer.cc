@@ -1,99 +1,21 @@
 #include "analyzer/overlap_analyzer.h"
 
 #include <algorithm>
+#include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "signature/signature.h"
-
 namespace cloudviews {
 
-PhysicalProperties SubgraphAggregate::PopularDesign() const {
-  int best_count = -1;
-  PhysicalProperties best;
-  for (const auto& [fp, entry] : designs) {
-    if (entry.first > best_count) {
-      best_count = entry.first;
-      best = entry.second;
-    }
-  }
-  return best;
-}
-
-void CollectInputTemplates(const PlanNode& node, std::set<std::string>* out) {
-  if (node.kind() == OpKind::kExtract) {
-    out->insert(static_cast<const ExtractNode&>(node).template_name());
-  }
-  for (const auto& c : node.children()) {
-    CollectInputTemplates(*c, out);
-  }
-}
-
-void OverlapAnalyzer::AddJob(const std::shared_ptr<const JobRecord>& job) {
-  if (job->plan == nullptr) return;
-  JobFacts facts;
-  facts.job_id = job->job_id;
-  facts.vc = job->vc;
-  facts.user = job->user;
-
-  double job_latency = job->run_stats.latency_seconds;
-
-  for (const auto& entry : EnumerateSubgraphs(job->plan)) {
-    facts.subgraphs.push_back(entry.sigs.normalized);
-    SubgraphAggregate& agg = aggregates_[entry.sigs.normalized];
-    if (agg.frequency == 0) {
-      agg.normalized = entry.sigs.normalized;
-      agg.root_kind = entry.node->kind();
-      agg.subtree_size = entry.subtree_size;
-      agg.output_schema = entry.node->output_schema();
-      // Keep the first occurrence as the definition skeleton; any instance
-      // works, since containment matching only consults instance-stable
-      // structure and resolves concrete bounds per registered instance.
-      agg.definition = entry.node->Clone();
-      if (!agg.definition->Bind().ok()) agg.definition = nullptr;
-    }
-    ++agg.frequency;
-    agg.jobs.insert(job->job_id);
-    agg.users.insert(job->user);
-    agg.vcs.insert(job->vc);
-    agg.templates.insert(job->template_id);
-    CollectInputTemplates(*entry.node, &agg.input_templates);
-    agg.max_recurrence_period =
-        std::max(agg.max_recurrence_period, job->recurrence_period);
-
-    auto it = job->run_stats.operators.find(entry.node->id());
-    if (it != job->run_stats.operators.end()) {
-      agg.sum_rows += it->second.rows;
-      agg.sum_bytes += it->second.bytes;
-      agg.sum_latency += it->second.inclusive_seconds;
-      agg.sum_cpu +=
-          SubtreeCpuSeconds(*entry.node, job->run_stats.operators);
-      agg.sum_job_latency += job_latency;
-    }
-
-    // Mine the output physical properties (Sec 5.3). Delivered() already
-    // traverses down when the root has no explicit properties.
-    PhysicalProperties design = entry.node->Delivered();
-    auto& slot = agg.designs[design.Fingerprint()];
-    slot.first += 1;
-    slot.second = design;
-  }
-  job_facts_.push_back(std::move(facts));
-}
-
-void OverlapAnalyzer::AddJobs(
-    const std::vector<std::shared_ptr<const JobRecord>>& jobs) {
-  for (const auto& j : jobs) AddJob(j);
-}
-
-OverlapReport OverlapAnalyzer::BuildReport() const {
+OverlapReport BuildOverlapReport(const MinedWindow& window) {
+  const auto& aggregates = window.aggregates;
   OverlapReport report;
-  report.total_jobs = job_facts_.size();
-  report.total_subgraph_templates = aggregates_.size();
+  report.total_subgraph_templates = aggregates.size();
 
   // Subgraph-template level metrics.
   std::unordered_map<std::string, double> input_max_freq;
-  for (const auto& [sig, agg] : aggregates_) {
+  for (const auto& [sig, agg] : aggregates) {
     report.total_subgraph_instances += agg.frequency;
     if (agg.IsOverlapping()) {
       ++report.overlapping_subgraph_templates;
@@ -127,7 +49,7 @@ OverlapReport OverlapAnalyzer::BuildReport() const {
   for (const auto& [input, freq] : by_input) {
     report.per_input_max_frequency.push_back(freq);
   }
-  for (const auto& [sig, agg] : aggregates_) {
+  for (const auto& [sig, agg] : aggregates) {
     if (agg.root_kind == OpKind::kOutput && agg.jobs.size() >= 2) {
       ++report.redundant_output_groups;
       report.jobs_with_redundant_output += agg.jobs.size();
@@ -145,33 +67,37 @@ OverlapReport OverlapAnalyzer::BuildReport() const {
   std::set<std::string> users_with_overlap;
   std::set<std::string> all_users;
 
-  for (const auto& facts : job_facts_) {
-    all_users.insert(facts.user);
-    auto& vc = per_vc[facts.vc];
+  for (const MinedJob& job : window.jobs) {
+    // A job without a plan has nothing mined; it counts for nothing here.
+    if (job.record->plan == nullptr) continue;
+    const JobRecord& record = *job.record;
+    ++report.total_jobs;
+    all_users.insert(record.user);
+    auto& vc = per_vc[record.vc];
     ++vc.jobs;
     int64_t job_overlaps = 0;
     bool shares_with_other_job = false;
-    for (const auto& sig : facts.subgraphs) {
-      const auto& agg = aggregates_.at(sig);
+    for (const auto& sig : job.subgraphs) {
+      const auto& agg = aggregates.at(sig);
       // Bare input scans are not computation overlap: every consumer of a
       // popular stream shares them. Job/user/VC overlap requires at least
       // one operator on top of the scan.
       if (agg.subtree_size < 2) continue;
       if (agg.IsOverlapping()) {
         ++job_overlaps;
-        vc_distinct[facts.vc].insert(sig);
+        vc_distinct[record.vc].insert(sig);
       }
       if (agg.SharedAcrossJobs()) shares_with_other_job = true;
     }
     if (shares_with_other_job) {
       ++report.overlapping_jobs;
       ++vc.overlapping_jobs;
-      users_with_overlap.insert(facts.user);
+      users_with_overlap.insert(record.user);
     }
     if (job_overlaps > 0) {
       report.overlaps_per_job.push_back(static_cast<double>(job_overlaps));
-      user_overlaps[facts.user] += static_cast<double>(job_overlaps);
-      vc_overlaps[facts.vc] += static_cast<double>(job_overlaps);
+      user_overlaps[record.user] += static_cast<double>(job_overlaps);
+      vc_overlaps[record.vc] += static_cast<double>(job_overlaps);
     }
   }
 
@@ -182,7 +108,7 @@ OverlapReport OverlapAnalyzer::BuildReport() const {
     if (it != vc_distinct.end() && !it->second.empty()) {
       double sum = 0;
       for (const auto& sig : it->second) {
-        sum += static_cast<double>(aggregates_.at(sig).frequency);
+        sum += static_cast<double>(aggregates.at(sig).frequency);
       }
       entry.avg_overlap_frequency =
           sum / static_cast<double>(it->second.size());

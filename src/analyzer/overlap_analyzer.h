@@ -2,78 +2,12 @@
 #define CLOUDVIEWS_ANALYZER_OVERLAP_ANALYZER_H_
 
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "runtime/workload_repository.h"
+#include "runtime/subgraph_mining.h"
 
 namespace cloudviews {
-
-/// \brief Aggregated view of one computation template (normalized
-/// signature) across every occurrence in the analyzed window.
-struct SubgraphAggregate {
-  Hash128 normalized;
-  OpKind root_kind = OpKind::kExtract;
-  size_t subtree_size = 0;
-  Schema output_schema;
-  /// Bound clone of the first mined occurrence — the definition skeleton
-  /// the containment matcher verifies candidates against structurally.
-  /// Null when the clone could not be bound (disables containment for the
-  /// template, never the exact tier).
-  PlanNodePtr definition;
-
-  /// Total occurrences (the paper's "overlap frequency").
-  int64_t frequency = 0;
-  /// Distinct jobs / precise instances containing it.
-  std::set<uint64_t> jobs;
-  std::set<std::string> users;
-  std::set<std::string> vcs;
-  std::set<std::string> templates;
-  /// Input stream templates consumed inside the subgraph.
-  std::set<std::string> input_templates;
-
-  // Observed runtime statistics, summed over occurrences.
-  double sum_rows = 0;
-  double sum_bytes = 0;
-  double sum_latency = 0;
-  double sum_cpu = 0;
-  /// Latency of the containing job, summed per occurrence (for the
-  /// view-to-query cost ratio of Fig 5d).
-  double sum_job_latency = 0;
-
-  /// Physical designs seen at this subgraph's output, with popularity
-  /// (Sec 5.3: pick the most popular set).
-  std::map<Hash128, std::pair<int, PhysicalProperties>> designs;
-
-  /// Longest recurrence period of any job consuming the subgraph's inputs;
-  /// the lineage-based view lifetime (Sec 5.4).
-  LogicalTime max_recurrence_period = 0;
-
-  double AvgRows() const { return frequency ? sum_rows / frequency : 0; }
-  double AvgBytes() const { return frequency ? sum_bytes / frequency : 0; }
-  double AvgLatency() const {
-    return frequency ? sum_latency / frequency : 0;
-  }
-  double AvgCpu() const { return frequency ? sum_cpu / frequency : 0; }
-  /// Subgraph-latency / containing-job-latency (Fig 5d).
-  double ViewToQueryCostRatio() const {
-    return sum_job_latency > 0 ? sum_latency / sum_job_latency : 0;
-  }
-  /// Total utility = frequency x average runtime (Sec 7.1); the first
-  /// occurrence must still be computed, so savings scale with freq - 1.
-  double TotalUtility() const {
-    return static_cast<double>(frequency - 1) * AvgLatency();
-  }
-  /// The most popular physical design at this subgraph's output.
-  PhysicalProperties PopularDesign() const;
-
-  bool IsOverlapping() const { return frequency >= 2; }
-  /// Overlap across distinct jobs (Fig 1's "overlapping jobs" notion).
-  bool SharedAcrossJobs() const { return jobs.size() >= 2; }
-};
 
 /// Everything the figure benches need about one analyzed window; the data
 /// behind Figs 1-5 and the Sec 5.5 admin dashboard.
@@ -143,35 +77,9 @@ struct OverlapReport {
   std::vector<double> view_query_cost_ratios;
 };
 
-/// \brief Mines every job subgraph in a window and aggregates by normalized
-/// signature — the analysis half of the CloudViews analyzer (Fig 6 left).
-class OverlapAnalyzer {
- public:
-  void AddJob(const std::shared_ptr<const JobRecord>& job);
-  void AddJobs(const std::vector<std::shared_ptr<const JobRecord>>& jobs);
-
-  const std::unordered_map<Hash128, SubgraphAggregate, Hash128Hasher>&
-  aggregates() const {
-    return aggregates_;
-  }
-
-  /// Builds the figure/report data from the mined aggregates.
-  OverlapReport BuildReport() const;
-
- private:
-  struct JobFacts {
-    uint64_t job_id;
-    std::string vc;
-    std::string user;
-    std::vector<Hash128> subgraphs;  // normalized sig of each subgraph
-  };
-
-  std::unordered_map<Hash128, SubgraphAggregate, Hash128Hasher> aggregates_;
-  std::vector<JobFacts> job_facts_;
-};
-
-/// Collects the input stream templates underneath a node.
-void CollectInputTemplates(const PlanNode& node, std::set<std::string>* out);
+/// Builds the figure/report data of a mined window (Figs 1-5, the Sec 5.5
+/// admin dashboard).
+OverlapReport BuildOverlapReport(const MinedWindow& window);
 
 }  // namespace cloudviews
 

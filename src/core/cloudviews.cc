@@ -1,6 +1,7 @@
 #include "core/cloudviews.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace cloudviews {
 
@@ -22,7 +23,7 @@ CloudViews::CloudViews(CloudViewsConfig config)
   if (config_.enable_observability) {
     storage_->SetMetrics(&metrics_, config_.wall_clock);
     metadata_->SetMetrics(&metrics_, config_.wall_clock);
-    repository_->SetMetrics(&metrics_);
+    repository_->SetMetrics(&metrics_, config_.wall_clock);
     tracer_.SetMetrics(&metrics_);
     job_service_->SetObservability(&metrics_, &tracer_,
                                    config_.wall_clock);
@@ -56,9 +57,25 @@ AnalysisResult CloudViews::RunAnalyzerAndLoad() {
 
 AnalysisResult CloudViews::RunAnalyzerAndLoad(LogicalTime from,
                                               LogicalTime to) {
+  // One trace per run; the tracer turns its spans into
+  // cv_job_stage_seconds{stage=analyzer.*} series.
+  obs::Span trace = config_.enable_observability
+                        ? tracer_.StartTrace("analyzer.run")
+                        : obs::Span();
+  double start = MonotonicNowSeconds();
+  MinedWindow window;
+  {
+    obs::Span span = trace.StartChild("analyzer.mine");
+    window = repository_->Mine(from, to);
+  }
   CloudViewsAnalyzer analyzer(config_.analyzer);
-  AnalysisResult result = analyzer.Analyze(repository_->JobsInWindow(from, to));
-  metadata_->LoadAnalysis(result.annotations);
+  AnalysisResult result = analyzer.Analyze(std::move(window), &trace);
+  result.analysis_seconds = MonotonicNowSeconds() - start;
+  {
+    obs::Span span = trace.StartChild("metadata.load_analysis");
+    metadata_->LoadAnalysis(result.annotations);
+  }
+  trace.End();
   MutexLock lock(stats_mu_);
   jobs_since_analysis_ = 0;
   view_hits_since_analysis_ = 0;

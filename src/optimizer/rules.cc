@@ -3,6 +3,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "parser/parser.h"
+
 namespace cloudviews {
 
 namespace {
@@ -26,6 +28,26 @@ ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
     acc = And(acc, conjuncts[i]);
   }
   return acc;
+}
+
+size_t ExprNodes(const Expr& expr) {
+  size_t n = 1;
+  for (const auto& c : expr.children()) n += ExprNodes(*c);
+  return n;
+}
+
+/// Nodes `pred` would have with every column reference that `defined`
+/// names replaced by its own copy of that definition (`defined` maps a name
+/// to its expression's node count).
+size_t InlinedNodes(const Expr& pred,
+                    const std::unordered_map<std::string, size_t>& defined) {
+  if (pred.kind() == ExprKind::kColumnRef) {
+    auto it = defined.find(static_cast<const ColumnRefExpr&>(pred).name());
+    return it == defined.end() ? 1 : it->second;
+  }
+  size_t n = 1;
+  for (const auto& c : pred.children()) n += InlinedNodes(*c, defined);
+  return n;
 }
 
 bool RefsSubsetOf(const Expr& expr, const Schema& schema) {
@@ -72,10 +94,21 @@ PlanNodePtr PushDownFilters(PlanNodePtr node) {
 
     case OpKind::kProject: {
       // Rewrite the predicate in terms of the project's input by inlining
-      // the projected expressions.
+      // the projected expressions. Every reference gets its own copy, so
+      // chained projections can multiply the predicate (`x + x AS x`
+      // doubles it per level): past the parser's per-chain budget, the
+      // filter stays above the projection.
       auto* project = static_cast<ProjectNode*>(child.get());
       std::unordered_map<std::string, const NamedExpr*> by_name;
-      for (const auto& ne : project->exprs()) by_name[ne.name] = &ne;
+      std::unordered_map<std::string, size_t> nodes_by_name;
+      for (const auto& ne : project->exprs()) {
+        by_name[ne.name] = &ne;
+        nodes_by_name[ne.name] = ExprNodes(*ne.expr);
+      }
+      if (InlinedNodes(*pred, nodes_by_name) >
+          static_cast<size_t>(ScopeScriptParser::kMaxChainExprNodes)) {
+        return node;
+      }
       ExprPtr substituted = SubstituteColumnRefs(
           *pred, [&](const std::string& name) -> ExprPtr {
             auto it = by_name.find(name);

@@ -1,26 +1,17 @@
 #include "runtime/workload_repository.h"
 
-#include <algorithm>
-
-#include "signature/signature.h"
+#include "obs/timed_lock.h"
 
 namespace cloudviews {
 
-double SubtreeCpuSeconds(const PlanNode& node, const PlanRuntimeStats& stats) {
-  // Pre-order ids: the subtree of a node with id i and size s occupies
-  // exactly ids [i, i + s).
-  int first = node.id();
-  int last = first + static_cast<int>(node.SubtreeSize());
-  double cpu = 0;
-  for (int id = first; id < last; ++id) {
-    auto it = stats.find(id);
-    if (it != stats.end()) cpu += it->second.cpu_seconds;
-  }
-  return cpu;
-}
-
-void WorkloadRepository::SetMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics != nullptr) Register(metrics);
+void WorkloadRepository::SetMetrics(obs::MetricsRegistry* metrics,
+                                    MonotonicClock* wall_clock) {
+  if (metrics == nullptr) return;
+  Register(metrics);
+  obs_.lock_wait = metrics->GetHistogram(
+      "cv_repository_lock_wait_seconds", {}, {},
+      "Wall time waiting for the workload repository's mutex");
+  if (wall_clock != nullptr) wall_clock_ = wall_clock;
 }
 
 void WorkloadRepository::Register(obs::MetricsRegistry* metrics) {
@@ -44,93 +35,50 @@ void WorkloadRepository::Register(obs::MetricsRegistry* metrics) {
 void WorkloadRepository::AddJob(JobRecord record) {
   auto shared = std::make_shared<const JobRecord>(std::move(record));
 
-  // Maintain the feedback index: every subgraph of the executed plan
-  // contributes its observed statistics under its normalized signature.
-  // Subgraph enumeration, signature hashing, and CPU attribution are pure
-  // computation over the immutable record — done before taking mu_ so
-  // repository ingest does not serialize concurrent job completions.
-  struct Observation {
-    Hash128 signature;
-    double rows = 0, bytes = 0, latency = 0, cpu = 0;
-  };
-  std::vector<Observation> observed;
-  if (shared->plan != nullptr) {
-    const PlanRuntimeStats& stats = shared->run_stats.operators;
-    std::vector<SubgraphEntry> entries = EnumerateSubgraphs(shared->plan);
-    // Inclusive CPU for all subtrees in one pass: pre-order ids make each
-    // subtree the id range [i, i + size), so a prefix sum over per-id CPU
-    // answers every range in O(1) (the per-subtree re-walk made ingest
-    // O(n²) in plan size — while holding mu_).
-    int bound = 0;
-    for (const auto& entry : entries) {
-      bound = std::max(bound, entry.node->id() +
-                                  static_cast<int>(entry.node->SubtreeSize()));
-    }
-    std::vector<double> prefix(static_cast<size_t>(bound) + 1, 0.0);
-    for (const auto& [id, op] : stats) {
-      if (id >= 0 && id < bound) {
-        prefix[static_cast<size_t>(id) + 1] = op.cpu_seconds;
-      }
-    }
-    for (size_t i = 1; i < prefix.size(); ++i) prefix[i] += prefix[i - 1];
-    observed.reserve(entries.size());
-    for (const auto& entry : entries) {
-      auto it = stats.find(entry.node->id());
-      if (it == stats.end()) continue;
-      int first = std::clamp(entry.node->id(), 0, bound);
-      int last = std::clamp(
-          entry.node->id() + static_cast<int>(entry.node->SubtreeSize()), 0,
-          bound);
-      Observation o;
-      o.signature = entry.sigs.normalized;
-      o.rows = it->second.rows;
-      o.bytes = it->second.bytes;
-      o.latency = it->second.inclusive_seconds;
-      o.cpu = prefix[static_cast<size_t>(last)] -
-              prefix[static_cast<size_t>(first)];
-      observed.push_back(o);
-    }
-  }
+  // Mining the plan (enumeration, signature hashing, CPU attribution) is
+  // pure computation over the immutable record — done before taking mu_ so
+  // repository ingest does not serialize concurrent job completions. Under
+  // mu_, every subgraph contributes its observed statistics to the
+  // feedback index and the job joins its submit time's bucket.
+  std::vector<SubgraphOccurrence> mined = MineOccurrences(*shared);
 
-  MutexLock lock(mu_);
-  jobs_.push_back(shared);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   obs_.jobs_ingested->Increment();
-  for (const Observation& o : observed) {
-    Accumulator& acc = feedback_[o.signature];
-    acc.rows += o.rows;
-    acc.bytes += o.bytes;
-    acc.latency += o.latency;
+  uint64_t observed = 0;
+  for (const SubgraphOccurrence& o : mined) {
+    if (o.stats == nullptr) continue;
+    Accumulator& acc = feedback_[o.normalized];
+    acc.rows += o.stats->rows;
+    acc.bytes += o.stats->bytes;
+    acc.latency += o.stats->inclusive_seconds;
     acc.cpu += o.cpu;
     ++acc.n;
+    ++observed;
   }
-  obs_.subgraphs_observed->Increment(observed.size());
+  obs_.subgraphs_observed->Increment(observed);
   obs_.indexed_subgraphs->Set(static_cast<double>(feedback_.size()));
+  buckets_.Add(std::move(shared), mined);
 }
 
 size_t WorkloadRepository::NumJobs() const {
-  MutexLock lock(mu_);
-  return jobs_.size();
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  return buckets_.records().size();
 }
 
 std::vector<std::shared_ptr<const JobRecord>> WorkloadRepository::Jobs()
     const {
-  MutexLock lock(mu_);
-  return jobs_;
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  return buckets_.records();
 }
 
-std::vector<std::shared_ptr<const JobRecord>>
-WorkloadRepository::JobsInWindow(LogicalTime from, LogicalTime to) const {
-  MutexLock lock(mu_);
-  std::vector<std::shared_ptr<const JobRecord>> out;
-  for (const auto& j : jobs_) {
-    if (j->submit_time >= from && j->submit_time < to) out.push_back(j);
-  }
-  return out;
+MinedWindow WorkloadRepository::Mine(LogicalTime from, LogicalTime to) const {
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  return buckets_.Merge(from, to);
 }
 
 std::optional<SubgraphObservedStats> WorkloadRepository::Lookup(
     const Hash128& normalized_signature) const {
-  MutexLock lock(mu_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   obs_.lookups->Increment();
   auto it = feedback_.find(normalized_signature);
   if (it == feedback_.end()) return std::nullopt;
@@ -147,7 +95,7 @@ std::optional<SubgraphObservedStats> WorkloadRepository::Lookup(
 }
 
 size_t WorkloadRepository::NumIndexedSubgraphs() const {
-  MutexLock lock(mu_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   return feedback_.size();
 }
 

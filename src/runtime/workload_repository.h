@@ -1,51 +1,33 @@
 #ifndef CLOUDVIEWS_RUNTIME_WORKLOAD_REPOSITORY_H_
 #define CLOUDVIEWS_RUNTIME_WORKLOAD_REPOSITORY_H_
 
+#include <limits>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/mutex.h"
-#include "exec/operator_stats.h"
 #include "obs/metrics.h"
 #include "optimizer/view_interfaces.h"
-#include "plan/plan_node.h"
+#include "runtime/subgraph_mining.h"
 
 namespace cloudviews {
 
-/// \brief One executed job: its metadata, the compiled physical plan, and
-/// the observed runtime statistics — exactly what the SCOPE workload
-/// repository retains and the analyzer mines (Fig 6, left).
-struct JobRecord {
-  uint64_t job_id = 0;
-  std::string cluster;
-  std::string business_unit;
-  std::string vc;
-  std::string user;
-  /// Recurring template identity ("same script template, new data").
-  std::string template_id;
-  int recurring_instance = 0;
-  /// Cadence of the template (hourly/daily/weekly); drives lineage-based
-  /// view expiry (Sec 5.4).
-  LogicalTime recurrence_period = kSecondsPerDay;
-  LogicalTime submit_time = 0;
-  /// Tags for the metadata service's inverted index.
-  std::vector<std::string> tags;
-  /// Executed physical plan with node ids assigned.
-  PlanNodePtr plan;
-  JobRunStats run_stats;
-};
-
 /// \brief Store of executed jobs + an incrementally-maintained feedback
-/// index from normalized subgraph signature to observed statistics.
+/// index from normalized subgraph signature to observed statistics + the
+/// mined subgraphs of every submit time.
 ///
 /// Implements StatsProviderInterface: this is the data source of the
 /// CloudViews feedback loop (Sec 5.1) — it reconciles the compile-time
 /// query trees (plan nodes) with run-time statistics (per-operator stats)
 /// by joining them on node ids, then keys the result by normalized
 /// signature so *any* future job with a common subgraph benefits.
+///
+/// AddJob is the one place a job's subgraphs are enumerated: the pass that
+/// feeds the feedback index also folds the job into the bucket of its
+/// submit time, and Mine merges a window's buckets instead of re-reading
+/// its plans.
 class WorkloadRepository : public StatsProviderInterface {
  public:
   /// Registers the ingest counters (jobs, subgraph observations, feedback
@@ -53,18 +35,27 @@ class WorkloadRepository : public StatsProviderInterface {
   /// repository owns, so they always exist; SetMetrics moves them.
   WorkloadRepository() { Register(&own_metrics_); }
 
-  /// Re-registers the counters and gauge into the shared `metrics` (null
-  /// keeps them private). Call before first use: counts do not carry over.
-  void SetMetrics(obs::MetricsRegistry* metrics);
+  /// Re-registers the counters and gauge into the shared `metrics` and adds
+  /// the `cv_repository_lock_wait_seconds` histogram, timed on
+  /// `wall_clock` (null: the real clock). Null `metrics` changes nothing.
+  /// Call before first use: counts do not carry over.
+  void SetMetrics(obs::MetricsRegistry* metrics,
+                  MonotonicClock* wall_clock = nullptr);
 
   void AddJob(JobRecord record) EXCLUDES(mu_);
 
   size_t NumJobs() const EXCLUDES(mu_);
-  /// Snapshot of all records (shared pointers; records are immutable once
-  /// added).
+  /// Snapshot of all records in ingest order (shared pointers; records are
+  /// immutable once added).
   std::vector<std::shared_ptr<const JobRecord>> Jobs() const EXCLUDES(mu_);
-  std::vector<std::shared_ptr<const JobRecord>> JobsInWindow(
-      LogicalTime from, LogicalTime to) const EXCLUDES(mu_);
+
+  /// The subgraphs of the jobs submitted in [from, to), merged from their
+  /// buckets (SubgraphBuckets::Merge); the defaults mine the whole
+  /// history.
+  MinedWindow Mine(
+      LogicalTime from = std::numeric_limits<LogicalTime>::min(),
+      LogicalTime to = std::numeric_limits<LogicalTime>::max()) const
+      EXCLUDES(mu_);
 
   // StatsProviderInterface:
   std::optional<SubgraphObservedStats> Lookup(
@@ -84,27 +75,30 @@ class WorkloadRepository : public StatsProviderInterface {
     obs::Counter* lookups = nullptr;
     obs::Counter* lookup_hits = nullptr;
     obs::Gauge* indexed_subgraphs = nullptr;
+    /// Null unless SetMetrics wired a shared registry.
+    obs::Histogram* lock_wait = nullptr;
   };
 
   void Register(obs::MetricsRegistry* metrics);
 
   obs::MetricsRegistry own_metrics_;
-  /// Never null; set at construction and by SetMetrics before concurrent
-  /// use, read-only afterwards.
+  /// Set at construction and by SetMetrics before concurrent use,
+  /// read-only afterwards; only the histogram may be null.
   Instruments obs_;
+  MonotonicClock* wall_clock_ = MonotonicClock::Real();
 
-  /// Guards the job history and the feedback index together: AddJob must
-  /// publish a record and its statistics atomically so concurrent Lookup
-  /// calls never see a half-applied observation.
+  /// Guards the records, the feedback index and the buckets together:
+  /// AddJob must publish a record, its statistics and its subgraphs
+  /// atomically so concurrent Lookup and Mine calls never see a
+  /// half-applied job.
   mutable Mutex mu_;
-  std::vector<std::shared_ptr<const JobRecord>> jobs_ GUARDED_BY(mu_);
   std::unordered_map<Hash128, Accumulator, Hash128Hasher> feedback_
       GUARDED_BY(mu_);
+  /// The job history. Its buckets point into the plans of its records,
+  /// which are never dropped: a bound on memory must drop records and
+  /// buckets together.
+  SubgraphBuckets buckets_ GUARDED_BY(mu_);
 };
-
-/// CPU seconds of the subtree rooted at `node` (pre-order node ids must be
-/// assigned; exploits their contiguity within a subtree).
-double SubtreeCpuSeconds(const PlanNode& node, const PlanRuntimeStats& stats);
 
 }  // namespace cloudviews
 

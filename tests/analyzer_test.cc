@@ -60,12 +60,11 @@ TEST_F(AnalyzerTest, AggregatesCountFrequencyAndJobs) {
   RunSharingJob("t2", "vc2", "bob");
   RunUnrelatedJob();
 
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv_.repository()->Jobs());
+  MinedWindow window = cv_.repository()->Mine();
 
   // Find the shared aggregate subgraph (frequency 2, two jobs).
   bool found = false;
-  for (const auto& [sig, agg] : overlap.aggregates()) {
+  for (const auto& [sig, agg] : window.aggregates) {
     if (agg.root_kind == OpKind::kAggregate && agg.frequency == 2) {
       found = true;
       EXPECT_EQ(agg.jobs.size(), 2u);
@@ -87,9 +86,8 @@ TEST_F(AnalyzerTest, ReportPercentagesOnCraftedWorkload) {
   RunSharingJob("t2", "vc2", "bob");
   RunUnrelatedJob();
 
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv_.repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = cv_.repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   EXPECT_EQ(report.total_jobs, 3u);
   EXPECT_EQ(report.overlapping_jobs, 2u);
@@ -109,9 +107,8 @@ TEST_F(AnalyzerTest, ReportPercentagesOnCraftedWorkload) {
 TEST_F(AnalyzerTest, PhysicalDesignPopularityWins) {
   RunSharingJob("t1", "vc1", "alice");
   RunSharingJob("t2", "vc2", "bob");
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv_.repository()->Jobs());
-  for (const auto& [sig, agg] : overlap.aggregates()) {
+  MinedWindow window = cv_.repository()->Mine();
+  for (const auto& [sig, agg] : window.aggregates) {
     if (agg.root_kind == OpKind::kAggregate && agg.frequency == 2) {
       // Both occurrences deliver hash(page); it must be the popular design.
       PhysicalProperties design = agg.PopularDesign();
@@ -125,9 +122,8 @@ TEST_F(AnalyzerTest, PhysicalDesignPopularityWins) {
 TEST_F(AnalyzerTest, LifetimeIsMaxRecurrencePeriod) {
   RunSharingJob("hourly", "vc1", "alice", kSecondsPerHour);
   RunSharingJob("weekly", "vc2", "bob", kSecondsPerWeek);
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv_.repository()->Jobs());
-  for (const auto& [sig, agg] : overlap.aggregates()) {
+  MinedWindow window = cv_.repository()->Mine();
+  for (const auto& [sig, agg] : window.aggregates) {
     if (agg.frequency == 2) {
       // Hourly views consumed by weekly jobs must live a week (Sec 5.4).
       EXPECT_EQ(agg.max_recurrence_period, kSecondsPerWeek);
@@ -141,7 +137,7 @@ TEST_F(AnalyzerTest, AnalyzerProducesAnnotationsWithTags) {
   AnalyzerConfig config;
   config.selection.top_k = 1;
   CloudViewsAnalyzer analyzer(config);
-  AnalysisResult result = analyzer.Analyze(cv_.repository()->Jobs());
+  AnalysisResult result = analyzer.Analyze(cv_.repository()->Mine());
   ASSERT_EQ(result.annotations.size(), 1u);
   const auto& ann = result.annotations[0];
   EXPECT_GE(ann.annotation.frequency, 2);
@@ -289,7 +285,7 @@ TEST_F(AnalyzerTest, SubmissionOrderPutsBuildersFirst) {
   AnalyzerConfig config;
   config.selection.top_k = 1;
   CloudViewsAnalyzer analyzer(config);
-  AnalysisResult result = analyzer.Analyze(cv_.repository()->Jobs());
+  AnalysisResult result = analyzer.Analyze(cv_.repository()->Mine());
   ASSERT_EQ(result.submission_order.size(), 3u);
   // The first job in the order must be one of the two sharing jobs.
   ASSERT_FALSE(result.selected.empty());

@@ -69,7 +69,7 @@ TEST_F(ExplainTest, ExplainSelectionShowsWhy) {
   ASSERT_TRUE(cv_.Submit(Job("jobA", "2018-01-01", "")).ok());
   ASSERT_TRUE(cv_.Submit(Job("jobB", "2018-01-01", "")).ok());
   CloudViewsAnalyzer analyzer(MakeConfig().analyzer);
-  AnalysisResult analysis = analyzer.Analyze(cv_.repository()->Jobs());
+  AnalysisResult analysis = analyzer.Analyze(cv_.repository()->Mine());
   ASSERT_EQ(analysis.selected.size(), 1u);
   std::string text = ExplainViewSelection(analysis);
   EXPECT_NE(text.find("selected because: 2 occurrence(s) across 2 job(s)"),

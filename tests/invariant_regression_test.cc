@@ -58,7 +58,7 @@ class InvariantRegressionTest : public ::testing::Test {
   CloudViews cv_;
 };
 
-// BuildReport() used to emit per_input_max_frequency by iterating a
+// The overlap report used to emit per_input_max_frequency by iterating a
 // std::unordered_map<std::string, double>, so the CDF sample order
 // depended on the string hash; the report was not byte-stable across
 // libraries or runs. The samples must come out ordered by input template
@@ -69,9 +69,8 @@ TEST_F(InvariantRegressionTest, PerInputFrequencySamplesAreNameOrdered) {
   RunScanJob("z", "zeta_{date}", "zeta_2018-01-01");
   RunScanJob("a", "alpha_{date}", "alpha_2018-01-01");
 
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv_.repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = cv_.repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
 
   // Inputs sorted by template name: alpha (freq 1), clicks (the shared
   // aggregate, freq 2), zeta (freq 1).
@@ -87,16 +86,17 @@ TEST_F(InvariantRegressionTest, ReportIsInsensitiveToJobOrder) {
   RunScanJob("z", "zeta_{date}", "zeta_2018-01-01");
   RunScanJob("a", "alpha_{date}", "alpha_2018-01-01");
 
+  // Ingest the same records forward and in reverse into two repositories.
   auto jobs = cv_.repository()->Jobs();
-  OverlapAnalyzer forward;
-  forward.AddJobs(jobs);
+  WorkloadRepository forward;
+  for (const auto& j : jobs) forward.AddJob(*j);
+  WorkloadRepository backward;
+  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
+    backward.AddJob(**it);
+  }
 
-  std::reverse(jobs.begin(), jobs.end());
-  OverlapAnalyzer backward;
-  backward.AddJobs(jobs);
-
-  EXPECT_EQ(forward.BuildReport().per_input_max_frequency,
-            backward.BuildReport().per_input_max_frequency);
+  EXPECT_EQ(BuildOverlapReport(forward.Mine()).per_input_max_frequency,
+            BuildOverlapReport(backward.Mine()).per_input_max_frequency);
 }
 
 }  // namespace

@@ -372,6 +372,38 @@ TEST(NetE2E, DeepScriptsGetATypedErrorAndTheServerKeepsServing) {
   EXPECT_GT(served->result.outcome.output_rows, 0);
 }
 
+TEST(NetE2E, DoublingProjectionChainGetsAResultAndTheServerKeepsServing) {
+  // 40 chained `latency + latency AS latency` projections under a filter:
+  // inlining the filter's predicate through all of them would build 2^41
+  // expression nodes. The optimizer stops at its budget and the job runs.
+  ServerFixture fx = StartServerFixture();
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  std::string script =
+      "clicks = EXTRACT user:int, page:string, latency:int, when:date\n"
+      "         FROM \"clicks_{date}\";\n"
+      "s0 = SELECT page, latency + latency AS latency FROM clicks;\n";
+  for (int i = 1; i < 40; ++i) {
+    script += "s" + std::to_string(i) +
+              " = SELECT page, latency + latency AS latency FROM s" +
+              std::to_string(i - 1) + ";\n";
+  }
+  script += "f = SELECT * FROM s39 WHERE latency > 5;\n";
+  script += "OUTPUT f TO \"doubling_{tag}_{date}\";\n";
+  SubmitRequest doubling = NetSubmit("tmpl-doubling", "d", "2024-01-01", 1);
+  doubling.script = script;
+  auto reply = client->Submit(doubling);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kResult)
+      << reply->error.message;
+
+  // Same server, same connection: a well-formed job still runs.
+  auto served = client->Submit(NetSubmit("tmpl-ok", "ok", "2024-01-01", 1));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->kind, Client::SubmitReply::Kind::kResult);
+  EXPECT_GT(served->result.outcome.output_rows, 0);
+}
+
 /// A Sleeper that parks every caller until Release().
 class GateSleeper : public fault::Sleeper {
  public:

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
+#include "parser/parser.h"
 #include "signature/signature.h"
 #include "tests/test_util.h"
 
@@ -561,6 +563,68 @@ TEST(RulesTest, FilterStopsAtOpaqueOperators) {
   top_plan = PushDownFilters(top_plan);
   EXPECT_EQ(top_plan->kind(), OpKind::kFilter);
   EXPECT_EQ(top_plan->child()->kind(), OpKind::kTop);
+}
+
+size_t ExprNodeCount(const Expr& expr) {
+  size_t n = 1;
+  for (const auto& c : expr.children()) n += ExprNodeCount(*c);
+  return n;
+}
+
+TEST(RulesTest, InliningStopsAtThePredicateBudget) {
+  // Every `latency + latency AS latency` doubles the predicate inlined
+  // through it: pushed through all 40 projections, `latency > 5` would
+  // grow to 2^41 + 1 nodes. The script passes every parser limit.
+  std::string script =
+      "clicks = EXTRACT user:int, page:string, latency:int, when:date\n"
+      "         FROM \"clicks_{date}\";\n"
+      "s0 = SELECT page, latency + latency AS latency FROM clicks;\n";
+  for (int i = 1; i < 40; ++i) {
+    script += StrFormat(
+        "s%d = SELECT page, latency + latency AS latency FROM s%d;\n", i,
+        i - 1);
+  }
+  script += "f = SELECT * FROM s39 WHERE latency > 5;\n";
+  script += "OUTPUT f TO \"deep_{date}\";\n";
+  ParamMap params;
+  params["date"] = DateParam("2018-01-01");
+  auto parsed = ScopeScriptParser().Parse(script, params);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  PlanNodePtr plan = *parsed;
+  ASSERT_TRUE(plan->Bind().ok());
+
+  plan = PushDownFilters(plan);  // returns: nothing near 2^41 is built
+
+  const size_t budget = ScopeScriptParser::kMaxChainExprNodes;
+  std::vector<PlanNode*> nodes;
+  CollectNodes(plan, &nodes);
+  std::vector<FilterNode*> filters;
+  for (PlanNode* n : nodes) {
+    if (n->kind() == OpKind::kFilter) {
+      filters.push_back(static_cast<FilterNode*>(n));
+    }
+  }
+  ASSERT_EQ(filters.size(), 1u);
+  for (FilterNode* f : filters) {
+    EXPECT_LE(ExprNodeCount(*f->predicate()), budget);
+  }
+  // The filter went below every projection it could cross within the
+  // budget (2^9 + 1 nodes after eight), and stopped above the first one
+  // whose inlining would exceed it.
+  const FilterNode& filter = *filters[0];
+  EXPECT_EQ(ExprNodeCount(*filter.predicate()), 513u);
+  ASSERT_EQ(filter.child()->kind(), OpKind::kProject);
+  const auto& below = static_cast<const ProjectNode&>(*filter.child());
+  ExprPtr inlined = SubstituteColumnRefs(
+      *filter.predicate(), [&](const std::string& name) -> ExprPtr {
+        for (const auto& ne : below.exprs()) {
+          if (ne.name == name) return ne.expr->Clone();
+        }
+        return nullptr;
+      });
+  ASSERT_NE(inlined, nullptr);
+  EXPECT_GT(ExprNodeCount(*inlined), budget);
+  ASSERT_TRUE(plan->Bind().ok());
 }
 
 TEST(RulesTest, TripleFilterStackMergesToOne) {

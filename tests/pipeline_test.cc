@@ -141,9 +141,8 @@ TEST_F(PipelineTest, DuplicateConsumersDetectedAndReused) {
                         "2018-01-01")
                   .ok());
 
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv_.repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = cv_.repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
   EXPECT_GE(report.redundant_output_groups, 1u);
   EXPECT_GE(report.jobs_with_redundant_output, 2u);
 

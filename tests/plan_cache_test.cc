@@ -29,6 +29,7 @@ namespace cloudviews {
 namespace {
 
 using testing_util::SharedAggPlan;
+using testing_util::SubtreeCpuSeconds;
 using testing_util::WriteClickStream;
 
 JobDefinition MakeJob(const std::string& id, PlanNodePtr plan) {

@@ -221,6 +221,53 @@ TEST(ReuseMetricsTest, RewriteDecisionsReachTheRegistry) {
 }
 
 // ---------------------------------------------------------------------------
+// Each analyzer run is one trace, "analyzer.run", whose stages the tracer
+// turns into cv_job_stage_seconds series; the repository's mutex, which
+// ingest now holds longer, has a wait histogram.
+// ---------------------------------------------------------------------------
+
+TEST(AnalyzerStagesTest, EachRunMovesEveryStageSeriesByOne) {
+  CloudViews cv;
+  WriteClickStream(cv.storage(), "clicks_2018-01-01", 500, 1, "2018-01-01");
+  for (const char* name : {"a", "b"}) {
+    JobDefinition def;
+    def.template_id = name;
+    def.logical_plan = PlanBuilder::From(SharedAggPlan("2018-01-01"))
+                           .Output(std::string("out_") + name)
+                           .Build();
+    ASSERT_TRUE(cv.Submit(def, false).ok());
+  }
+  obs::MetricsRegistry* m = cv.metrics();
+  EXPECT_GE(m->GetHistogram("cv_repository_lock_wait_seconds")->count(), 2u);
+
+  const std::vector<std::string> stages = {
+      "analyzer.mine",  "analyzer.report",   "analyzer.select",
+      "analyzer.order", "analyzer.annotate", "metadata.load_analysis"};
+  auto count = [&](const std::string& stage) {
+    return m->GetHistogram("cv_job_stage_seconds", {{"stage", stage}})
+        ->count();
+  };
+  for (int run = 1; run <= 2; ++run) {
+    SCOPED_TRACE(run);
+    uint64_t runs_before = count("analyzer.run");
+    std::vector<uint64_t> before;
+    for (const auto& stage : stages) before.push_back(count(stage));
+    AnalysisResult analysis = cv.RunAnalyzerAndLoad();
+    EXPECT_FALSE(analysis.annotations.empty());
+    EXPECT_EQ(count("analyzer.run"), runs_before + 1);
+    for (size_t i = 0; i < stages.size(); ++i) {
+      EXPECT_EQ(count(stages[i]), before[i] + 1) << stages[i];
+    }
+    auto trace = cv.tracer()->LatestTrace();
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(trace->name, "analyzer.run");
+    std::vector<std::string> children;
+    for (const auto& child : trace->children) children.push_back(child->name);
+    EXPECT_EQ(children, stages);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // One stats path: the snapshot accessors read the registered counters and
 // gauges, so observability on and off report the same numbers, and with it
 // on each field equals its series in the exported registry.

@@ -7,6 +7,7 @@ namespace cloudviews {
 namespace {
 
 using testing_util::SharedAggPlan;
+using testing_util::SubtreeCpuSeconds;
 using testing_util::WriteClickStream;
 
 /// Two recurring job templates sharing the SharedAggPlan computation.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "exec/operator_stats.h"
 #include "plan/plan_builder.h"
 #include "storage/storage_manager.h"
 
@@ -54,6 +55,22 @@ inline PlanNodePtr SharedAggPlan(const std::string& date,
       .Aggregate({"page"}, {{AggFunc::kCount, nullptr, "n"},
                             {AggFunc::kSum, Col("latency"), "total_latency"}})
       .Build();
+}
+
+/// CPU seconds of the subtree rooted at `node`, walked one id at a time
+/// (pre-order node ids must be assigned: a subtree of size s rooted at id i
+/// holds exactly ids [i, i + s)). The reference for the repository's
+/// prefix-sum attribution.
+inline double SubtreeCpuSeconds(const PlanNode& node,
+                                const PlanRuntimeStats& stats) {
+  int first = node.id();
+  int last = first + static_cast<int>(node.SubtreeSize());
+  double cpu = 0;
+  for (int id = first; id < last; ++id) {
+    auto it = stats.find(id);
+    if (it != stats.end()) cpu += it->second.cpu_seconds;
+  }
+  return cpu;
 }
 
 }  // namespace testing_util

@@ -70,9 +70,8 @@ TEST(SyntheticWorkloadTest, SharedFragmentsCreateOverlap) {
   for (const auto& def : gen.Instance("2018-01-01")) {
     ASSERT_TRUE(cv.Submit(def, false).ok());
   }
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv.repository()->Jobs());
-  OverlapReport report = overlap.BuildReport();
+  MinedWindow window = cv.repository()->Mine();
+  OverlapReport report = BuildOverlapReport(window);
   EXPECT_GT(report.PctOverlappingJobs(), 30.0);
   EXPECT_GT(report.PctUsersWithOverlap(), 30.0);
   EXPECT_GT(report.overlapping_subgraph_templates, 0u);
@@ -89,9 +88,8 @@ TEST(SyntheticWorkloadTest, Cluster3HasLowestOverlap) {
     for (const auto& def : gen.Instance("2018-01-01")) {
       EXPECT_TRUE(cv.Submit(def, false).ok());
     }
-    OverlapAnalyzer overlap;
-    overlap.AddJobs(cv.repository()->Jobs());
-    return overlap.BuildReport().PctOverlappingJobs();
+    MinedWindow window = cv.repository()->Mine();
+    return BuildOverlapReport(window).PctOverlappingJobs();
   };
   double c1 = measure(0);
   double c3 = measure(2);
@@ -120,11 +118,10 @@ TEST(ProductionWorkloadTest, GroupsShareTheirComputation) {
     ASSERT_TRUE(r.ok()) << def.template_id << ": "
                         << r.status().ToString();
   }
-  OverlapAnalyzer overlap;
-  overlap.AddJobs(cv.repository()->Jobs());
+  MinedWindow window = cv.repository()->Mine();
   // Each group's shared computation must appear exactly group-size times.
   std::set<int64_t> group_frequencies;
-  for (const auto& [sig, agg] : overlap.aggregates()) {
+  for (const auto& [sig, agg] : window.aggregates) {
     if (agg.root_kind == OpKind::kAggregate && agg.frequency >= 4 &&
         agg.jobs.size() == static_cast<size_t>(agg.frequency)) {
       group_frequencies.insert(agg.frequency);
