@@ -5,8 +5,7 @@
 // the suite runs at 10000 rows (median and quartiles of repeated runs),
 // runs a scan->filter->aggregate thread-scaling sweep over 1/2/4/8
 // workers, verifies the outputs are byte-identical across worker counts,
-// measures the wall-clock overhead of metrics instrumentation, and writes
-// the measurements (plus the instrumented run's metric registry) to
+// and writes the measurements (plus the sweep's executor counters) to
 // BENCH_executor.json.
 #include <benchmark/benchmark.h>
 
@@ -32,6 +31,7 @@ namespace {
 struct Env {
   SimulatedClock clock;
   StorageManager storage{&clock};
+  obs::MetricsRegistry metrics;
 
   explicit Env(int64_t rows) {
     Schema schema({{"k", DataType::kInt64},
@@ -60,8 +60,7 @@ struct Env {
   }
 
   double RunPlan(PlanNodePtr plan, ThreadPool* pool = nullptr,
-                 ExecOptions options = {},
-                 obs::MetricsRegistry* metrics = nullptr) {
+                 ExecOptions options = {}) {
     Status st = plan->Bind();
     if (!st.ok()) std::abort();
     AssignNodeIds(plan.get());
@@ -69,7 +68,7 @@ struct Env {
     ctx.storage = &storage;
     ctx.pool = pool;
     ctx.options = options;
-    ctx.metrics = metrics;
+    ctx.metrics = &metrics;
     Executor exec(std::move(ctx));
     auto r = exec.Execute(plan);
     if (!r.ok()) std::abort();
@@ -314,33 +313,6 @@ int RunThreadScalingSweep(const std::vector<OperatorRate>& rates) {
   std::printf("  byte-identical across worker counts: %s\n",
               byte_identical ? "yes" : "NO");
 
-  // Instrumentation overhead: the same pipeline with and without a metrics
-  // registry attached (counters + pool histograms on every morsel). The
-  // acceptance bar for the observability layer is <= 2% wall overhead.
-  obs::MetricsRegistry registry;
-  double plain_best = 1e100;
-  double instrumented_best = 1e100;
-  {
-    constexpr int kOverheadRepeats = 9;
-    for (int i = 0; i < kOverheadRepeats; ++i) {
-      double start = MonotonicNowSeconds();
-      env.RunPlan(make_plan("overhead_plain"), nullptr, Opts(1));
-      plain_best = std::min(plain_best, MonotonicNowSeconds() - start);
-    }
-    for (int i = 0; i < kOverheadRepeats; ++i) {
-      double start = MonotonicNowSeconds();
-      env.RunPlan(make_plan("overhead_instr"), nullptr, Opts(1),
-                  &registry);
-      instrumented_best =
-          std::min(instrumented_best, MonotonicNowSeconds() - start);
-    }
-  }
-  double overhead_fraction = instrumented_best / plain_best - 1.0;
-  std::printf(
-      "  instrumentation overhead: plain=%.2fms instrumented=%.2fms "
-      "(%+.2f%%)\n",
-      plain_best * 1e3, instrumented_best * 1e3, overhead_fraction * 100);
-
   FILE* f = std::fopen("BENCH_executor.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_executor.json\n");
@@ -366,11 +338,6 @@ int RunThreadScalingSweep(const std::vector<OperatorRate>& rates) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"instrumentation\": {\"plain_seconds\": %.6f, "
-               "\"instrumented_seconds\": %.6f, \"overhead_fraction\": "
-               "%.4f},\n",
-               plain_best, instrumented_best, overhead_fraction);
-  std::fprintf(f,
                "  \"operator_rates\": {\"rows\": %lld, \"workers\": 1, "
                "\"repetitions\": %d, \"unit\": \"rows/s\", "
                "\"operators\": [\n",
@@ -384,7 +351,7 @@ int RunThreadScalingSweep(const std::vector<OperatorRate>& rates) {
   }
   std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"metrics\": %s\n",
-               obs::RenderMetricsJson(registry).c_str());
+               obs::RenderMetricsJson(env.metrics).c_str());
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("  wrote BENCH_executor.json\n");

@@ -13,29 +13,27 @@ double ThreadCpuSeconds() {
 
 ThreadPool::ThreadPool(int threads, obs::MetricsRegistry* metrics,
                        const std::string& name, MonotonicClock* clock)
-    : clock_(clock != nullptr ? clock : MonotonicClock::Real()) {
+    : clock_(clock) {
   if (threads < 1) threads = 1;
-  if (metrics != nullptr) {
-    obs::Labels labels = {{"pool", name}};
-    obs_.threads = metrics->GetGauge("cv_threadpool_threads", labels,
-                                     "Worker threads in the pool");
-    obs_.queue_depth =
-        metrics->GetGauge("cv_threadpool_queue_depth", labels,
-                          "Tasks enqueued but not yet started");
-    obs_.busy_workers =
-        metrics->GetGauge("cv_threadpool_busy_workers", labels,
-                          "Threads currently running a task (saturation "
-                          "when equal to cv_threadpool_threads)");
-    obs_.tasks = metrics->GetCounter("cv_threadpool_tasks_total", labels,
-                                     "Tasks executed");
-    obs_.task_wait = metrics->GetHistogram(
-        "cv_threadpool_task_wait_seconds", labels, {},
-        "Delay between task enqueue and start");
-    obs_.task_run =
-        metrics->GetHistogram("cv_threadpool_task_run_seconds", labels, {},
-                              "Task execution wall time");
-    obs_.threads->Set(threads);
-  }
+  metrics = obs::SharedOrOwned(metrics, &own_metrics_);
+  obs::Labels labels = {{"pool", name}};
+  obs_.threads = metrics->GetGauge("cv_threadpool_threads", labels,
+                                   "Worker threads in the pool");
+  obs_.queue_depth = metrics->GetGauge("cv_threadpool_queue_depth", labels,
+                                       "Tasks enqueued but not yet started");
+  obs_.busy_workers =
+      metrics->GetGauge("cv_threadpool_busy_workers", labels,
+                        "Threads currently running a task (saturation "
+                        "when equal to cv_threadpool_threads)");
+  obs_.tasks = metrics->GetCounter("cv_threadpool_tasks_total", labels,
+                                   "Tasks executed");
+  obs_.task_wait =
+      metrics->GetHistogram("cv_threadpool_task_wait_seconds", labels, {},
+                            "Delay between task enqueue and start");
+  obs_.task_run =
+      metrics->GetHistogram("cv_threadpool_task_run_seconds", labels, {},
+                            "Task execution wall time");
+  obs_.threads->Set(threads);
   workers_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -54,21 +52,16 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Enqueue(std::function<void()> task) {
   QueuedTask queued;
   queued.fn = std::move(task);
-  if (obs_.task_wait != nullptr) queued.enqueued_at = clock_->NowSeconds();
+  queued.enqueued_at = clock_->NowSeconds();
   {
     MutexLock lock(mu_);
     queue_.push_back(std::move(queued));
   }
-  // NOLINTNEXTLINE(nullable-instrument): pool instruments are opt-in.
-  if (obs_.queue_depth != nullptr) obs_.queue_depth->Add(1);
+  obs_.queue_depth->Add(1);
   cv_.NotifyOne();
 }
 
 void ThreadPool::RunTask(QueuedTask task) {
-  if (obs_.tasks == nullptr) {
-    task.fn();
-    return;
-  }
   double start = clock_->NowSeconds();
   obs_.task_wait->Observe(start - task.enqueued_at);
   obs_.busy_workers->Add(1);
@@ -86,8 +79,7 @@ bool ThreadPool::RunOne() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
-  // NOLINTNEXTLINE(nullable-instrument): pool instruments are opt-in.
-  if (obs_.queue_depth != nullptr) obs_.queue_depth->Add(-1);
+  obs_.queue_depth->Add(-1);
   RunTask(std::move(task));
   return true;
 }
@@ -102,8 +94,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // NOLINTNEXTLINE(nullable-instrument): pool instruments are opt-in.
-    if (obs_.queue_depth != nullptr) obs_.queue_depth->Add(-1);
+    obs_.queue_depth->Add(-1);
     RunTask(std::move(task));
   }
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,15 +66,15 @@ class ScopedThreadCpuTimer {
 /// fork/join parallelism cannot deadlock on a bounded pool).
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (clamped to at least 1). When `metrics` is
-  /// non-null the pool publishes task throughput, queue depth, saturation
-  /// (busy workers), and task wait/run histograms under
-  /// `cv_threadpool_*{pool=<name>}`; `clock` defaults to the real
-  /// monotonic clock and only matters for the wait/run timings.
+  /// Spawns `threads` workers (clamped to at least 1). The pool publishes
+  /// task throughput, queue depth, saturation (busy workers), and task
+  /// wait/run histograms timed on `clock` under
+  /// `cv_threadpool_*{pool=<name>}`, into `metrics` or, when it is null,
+  /// into a registry the pool owns.
   explicit ThreadPool(int threads,
                       obs::MetricsRegistry* metrics = nullptr,
                       const std::string& name = "exec",
-                      MonotonicClock* clock = nullptr);
+                      MonotonicClock* clock = MonotonicClock::Real());
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -86,11 +87,8 @@ class ThreadPool {
 
   struct QueuedTask {
     std::function<void()> fn;
-    /// Enqueue timestamp (0 when the pool is uninstrumented).
     double enqueued_at = 0;
   };
-  /// Instrument handles, all null when the pool is uninstrumented; a null
-  /// check is the entire per-task overhead in that case.
   struct Instruments {
     obs::Gauge* threads = nullptr;
     obs::Gauge* queue_depth = nullptr;
@@ -109,6 +107,7 @@ class ThreadPool {
   void RunTask(QueuedTask task);
 
   MonotonicClock* clock_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   Instruments obs_;
   Mutex mu_;
   CondVar cv_;

@@ -6,29 +6,23 @@
 namespace cloudviews {
 
 CloudViews::CloudViews(CloudViewsConfig config)
-    : config_(config), clock_(config.clock_start),
-      tracer_(config.wall_clock) {
-  storage_ = std::make_unique<StorageManager>(&clock_);
-  metadata_ = std::make_unique<MetadataService>(
-      &clock_, storage_.get(), config.metadata, config.wall_clock);
-  repository_ = std::make_unique<WorkloadRepository>();
-  job_service_ = std::make_unique<JobService>(
-      &clock_, storage_.get(), metadata_.get(), repository_.get(),
-      config.optimizer, config.exec, config.fault, config.retry,
-      config.sleeper);
-  if (config_.fault != nullptr) {
-    storage_->SetFaultInjector(config_.fault);
-    metadata_->SetFaultInjector(config_.fault);
-  }
-  if (config_.enable_observability) {
-    storage_->SetMetrics(&metrics_, config_.wall_clock);
-    metadata_->SetMetrics(&metrics_, config_.wall_clock);
-    repository_->SetMetrics(&metrics_, config_.wall_clock);
-    tracer_.SetMetrics(&metrics_);
-    job_service_->SetObservability(&metrics_, &tracer_,
-                                   config_.wall_clock);
-    if (config_.fault != nullptr) config_.fault->SetMetrics(&metrics_);
-  }
+    : config_(config),
+      tracer_(config.wall_clock, &metrics_),
+      storage_(std::make_unique<StorageManager>(
+          &clock_, &metrics_, config.wall_clock, config.fault)),
+      metadata_(std::make_unique<MetadataService>(
+          &clock_, storage_.get(), config.metadata, &metrics_,
+          config.wall_clock, config.fault)),
+      repository_(
+          std::make_unique<WorkloadRepository>(&metrics_, config.wall_clock)),
+      job_service_(std::make_unique<JobService>(
+          &clock_, storage_.get(), metadata_.get(), repository_.get(),
+          &metrics_, config.wall_clock,
+          config.enable_observability ? &tracer_ : nullptr, config.optimizer,
+          config.exec, config.fault, config.retry, config.sleeper)) {
+  // Callers build and arm the injector before this instance exists, so it
+  // takes the registry here rather than at its own construction.
+  if (config_.fault != nullptr) config_.fault->SetMetrics(&metrics_);
 }
 
 Result<JobResult> CloudViews::Submit(const JobDefinition& def,

@@ -22,17 +22,14 @@ struct CloudViewsConfig {
   /// Execution options (worker threads, morsel size) for the job service's
   /// shared morsel-driven engine; the default runs single-threaded.
   ExecOptions exec;
-  LogicalTime clock_start = 0;
-  /// Moves every component's counters and gauges into metrics() and turns
-  /// on the opt-in instruments: the tracer, the histograms, the executor's
-  /// per-operator counters and the thread pool's instruments. Off, each
-  /// component counts into a registry of its own (its snapshot accessors
-  /// report the same values either way) and no clock is read for them.
+  /// Attaches the tracer: each job and each analyzer run leaves a trace,
+  /// whose spans feed `cv_job_stage_seconds`. Every other instrument is in
+  /// metrics() either way.
   bool enable_observability = true;
-  /// Wall-time source for metrics/spans AND for the metadata service's
-  /// build-lock leases; null uses the real monotonic clock. Tests inject a
+  /// Wall-time source for the instruments, spans, job and operator timings
+  /// AND for the metadata service's build-lock leases. Tests inject a
   /// FakeMonotonicClock for deterministic profiles and lease expiry.
-  MonotonicClock* wall_clock = nullptr;
+  MonotonicClock* wall_clock = MonotonicClock::Real();
   /// Deterministic fault injector threaded through storage, metadata, and
   /// the executor (see src/fault/). Null (default) disables injection; the
   /// degradation machinery — retries, fallback-to-original-plan, lease
@@ -70,8 +67,8 @@ class CloudViews {
   JobService* job_service() { return job_service_.get(); }
   /// System-wide instrument registry (export via obs::RenderPrometheus).
   obs::MetricsRegistry* metrics() { return &metrics_; }
-  /// Job lifecycle traces; each Submit leaves one finished trace here (and
-  /// on its JobResult).
+  /// Job lifecycle traces; with observability on each Submit leaves one
+  /// finished trace here (and on its JobResult).
   obs::Tracer* tracer() { return &tracer_; }
   const CloudViewsConfig& config() const { return config_; }
 

@@ -107,11 +107,6 @@ struct Executor::ExecState {
   /// Null runs everything inline on the submitting thread.
   ThreadPool* pool = nullptr;
   size_t morsel_rows = 4096;
-  MonotonicClock* clock = nullptr;
-  /// Executor-wide counters (null when uninstrumented).
-  obs::Counter* morsels = nullptr;
-  obs::Counter* rows = nullptr;
-  obs::Counter* bytes = nullptr;
   /// One latch per node that appears under multiple parents; populated
   /// before execution starts, so lookups during execution are lock-free.
   std::unordered_map<const PlanNode*, std::unique_ptr<SharedNodeState>>
@@ -150,6 +145,17 @@ void CollectSharedPostOrder(
 
 }  // namespace
 
+Executor::Executor(ExecContext ctx) : ctx_(std::move(ctx)) {
+  obs::MetricsRegistry* metrics =
+      obs::SharedOrOwned(ctx_.metrics, &own_metrics_);
+  morsels_ = metrics->GetCounter("cv_exec_morsels_total", {},
+                                 "Morsels processed by all operators");
+  rows_ = metrics->GetCounter("cv_exec_rows_total", {},
+                              "Rows produced by all operators");
+  bytes_ = metrics->GetCounter("cv_exec_bytes_total", {},
+                               "Bytes produced by all operators");
+}
+
 Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
   if (!root->bound()) {
     return Status::InvalidArgument("plan must be bound before execution");
@@ -162,15 +168,6 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
       ctx_.options.morsel_rows > 0
           ? static_cast<size_t>(ctx_.options.morsel_rows)
           : size_t{1};
-  state.clock = ctx_.clock != nullptr ? ctx_.clock : MonotonicClock::Real();
-  if (ctx_.metrics != nullptr) {
-    state.morsels = ctx_.metrics->GetCounter(
-        "cv_exec_morsels_total", {}, "Morsels processed by all operators");
-    state.rows = ctx_.metrics->GetCounter(
-        "cv_exec_rows_total", {}, "Rows produced by all operators");
-    state.bytes = ctx_.metrics->GetCounter(
-        "cv_exec_bytes_total", {}, "Bytes produced by all operators");
-  }
   state.stats = &stats;
 
   // DAG support: any node reachable through more than one parent gets a
@@ -186,7 +183,7 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
     }
   }
 
-  double start = state.clock->NowSeconds();
+  double start = ctx_.clock->NowSeconds();
 
   // Shared subtrees run up front, children-first, from the submitting
   // thread (each still uses the pool internally). By the time the main
@@ -207,7 +204,7 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
   }
 
   CV_ASSIGN_OR_RETURN(MorselSet result, ExecuteNode(root.get(), &state));
-  stats.latency_seconds = state.clock->NowSeconds() - start;
+  stats.latency_seconds = ctx_.clock->NowSeconds() - start;
   for (const auto& [id, op] : stats.operators) {
     stats.cpu_seconds += op.cpu_seconds;
   }
@@ -250,7 +247,7 @@ Result<MorselSet> Executor::ExecuteNode(PlanNode* node, ExecState* state) {
 
 Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
                                             ExecState* state) {
-  double subtree_start = state->clock->NowSeconds();
+  double subtree_start = ctx_.clock->NowSeconds();
 
   // Execute children — independent subtrees — concurrently when a pool is
   // available. Error reporting is deterministic: the lowest-index failing
@@ -293,7 +290,7 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   octx.morsel_rows = state->morsel_rows;
   octx.cpu = &cpu;
 
-  double own_start = state->clock->NowSeconds();
+  double own_start = ctx_.clock->NowSeconds();
   CV_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalOperator> op,
                       MakePhysicalOperator(node));
   {
@@ -333,7 +330,7 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
     CV_ASSIGN_OR_RETURN(out, op->Close(octx));
   }
 
-  double end = state->clock->NowSeconds();
+  double end = ctx_.clock->NowSeconds();
   OperatorRuntimeStats op_stats;
   op_stats.node_id = node->id();
   op_stats.kind = node->kind();
@@ -345,12 +342,9 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   // job latency >= root inclusive >= any exclusive still holds.
   op_stats.inclusive_seconds = end - subtree_start;
   op_stats.cpu_seconds = cpu.seconds();
-  // NOLINTNEXTLINE(nullable-instrument): per-operator counters are opt-in.
-  if (state->morsels != nullptr) {
-    state->morsels->Increment(total_morsels);
-    state->rows->Increment(static_cast<uint64_t>(op_stats.rows));
-    state->bytes->Increment(static_cast<uint64_t>(op_stats.bytes));
-  }
+  morsels_->Increment(total_morsels);
+  rows_->Increment(static_cast<uint64_t>(op_stats.rows));
+  bytes_->Increment(static_cast<uint64_t>(op_stats.bytes));
   {
     MutexLock lock(state->mu);
     state->stats->operators[node->id()] = op_stats;

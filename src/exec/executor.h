@@ -2,8 +2,10 @@
 #define CLOUDVIEWS_EXEC_EXECUTOR_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "exec/exec_options.h"
 #include "exec/morsel.h"
@@ -18,9 +20,9 @@ namespace fault {
 class FaultInjector;
 }  // namespace fault
 
-class MonotonicClock;
 class ThreadPool;
 namespace obs {
+class Counter;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -29,13 +31,13 @@ struct ExecContext {
   StorageManager* storage = nullptr;
   uint64_t job_id = 0;
 
-  /// Optional registry for executor counters (morsels, rows, bytes); null
-  /// disables instrumentation entirely.
+  /// Registry for the executor counters (morsels, rows, bytes); null
+  /// gives the executor a registry of its own.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Wall-time source for latency attribution; null uses the real
-  /// monotonic clock. Injectable so span/latency tests are deterministic.
-  MonotonicClock* clock = nullptr;
+  /// Wall-time source for latency attribution. Injectable so span/latency
+  /// tests are deterministic.
+  MonotonicClock* clock = MonotonicClock::Real();
 
   /// Shared worker pool (owned by the job service, not by the job); null or
   /// worker_threads <= 1 runs the plan single-threaded on the submitting
@@ -88,7 +90,8 @@ struct ExecContext {
 /// execution.
 class Executor {
  public:
-  explicit Executor(ExecContext ctx) : ctx_(std::move(ctx)) {}
+  /// Registers the executor counters into `ctx.metrics`.
+  explicit Executor(ExecContext ctx);
 
   /// Runs the plan; job outputs (Output nodes) and views (Spool nodes) are
   /// written to storage. Returns aggregate + per-operator statistics.
@@ -105,6 +108,10 @@ class Executor {
   Result<MorselSet> ExecuteNodeImpl(PlanNode* node, ExecState* state);
 
   ExecContext ctx_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::Counter* morsels_;
+  obs::Counter* rows_;
+  obs::Counter* bytes_;
 };
 
 /// Concatenates batches into one (helper shared with storage/view code).

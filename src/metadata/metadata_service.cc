@@ -7,26 +7,28 @@
 
 namespace cloudviews {
 
-void MetadataService::SetMetrics(obs::MetricsRegistry* metrics,
-                                 MonotonicClock* wall_clock) {
-  if (metrics == nullptr) return;
-  // Keep a constructor-injected lease clock unless explicitly overridden.
-  if (wall_clock != nullptr) wall_clock_ = wall_clock;
-  Register(metrics);
-  obs_.lock_wait = metrics->GetHistogram(
-      "cv_metadata_lock_wait_seconds", {}, {},
-      "Wall time waiting for any metadata-service mutex (aggregate over "
-      "the shard stripes and the analysis-snapshot lock)");
-  for (size_t i = 0; i < kNumShards; ++i) {
-    shards_[i].lock_wait = metrics->GetHistogram(
-        "cv_metadata_shard_lock_wait_seconds",
-        {{"shard", std::to_string(i)}}, {},
-        "Wall time waiting for one signature-keyed metadata shard stripe "
-        "(the per-shard contention signal)");
-  }
-}
+namespace {
 
-void MetadataService::Register(obs::MetricsRegistry* metrics) {
+/// Build-lock expiry = max(kMinLockSeconds, kLockExpiryMultiplier * mined
+/// average runtime of the view subgraph): once expired, another job may
+/// retry the materialization — the fault-tolerance story of Sec 6.1.
+constexpr double kLockExpiryMultiplier = 2.0;
+constexpr double kMinLockSeconds = 60;
+
+}  // namespace
+
+MetadataService::MetadataService(SimulatedClock* clock,
+                                 StorageManager* storage,
+                                 MetadataServiceConfig config,
+                                 obs::MetricsRegistry* metrics,
+                                 MonotonicClock* wall_clock,
+                                 fault::FaultInjector* fault)
+    : clock_(clock),
+      storage_(storage),
+      config_(config),
+      wall_clock_(wall_clock),
+      fault_(fault) {
+  metrics = obs::SharedOrOwned(metrics, &own_metrics_);
   obs_.lookups = metrics->GetCounter("cv_metadata_lookups_total", {},
                                      "Tag-inverted-index lookups (one per "
                                      "submitted job, Fig 9 step 1)");
@@ -72,6 +74,17 @@ void MetadataService::Register(obs::MetricsRegistry* metrics) {
   obs_.registered_views =
       metrics->GetGauge("cv_metadata_registered_views", {},
                         "Currently registered materialized views");
+  obs_.lock_wait = metrics->GetHistogram(
+      "cv_metadata_lock_wait_seconds", {}, {},
+      "Wall time waiting for any metadata-service mutex (aggregate over "
+      "the shard stripes and the analysis-snapshot lock)");
+  for (size_t i = 0; i < kNumShards; ++i) {
+    shards_[i].lock_wait = metrics->GetHistogram(
+        "cv_metadata_shard_lock_wait_seconds",
+        {{"shard", std::to_string(i)}}, {},
+        "Wall time waiting for one signature-keyed metadata shard stripe "
+        "(the per-shard contention signal)");
+  }
 }
 
 void MetadataService::LoadAnalysis(
@@ -280,8 +293,8 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
       if (it->second.job_id != job_id) obs_.leases_reclaimed->Increment();
     }
     double expiry_seconds =
-        std::max(config_.min_lock_seconds,
-                 config_.lock_expiry_multiplier * expected_build_seconds);
+        std::max(kMinLockSeconds,
+                 kLockExpiryMultiplier * expected_build_seconds);
     shard.locks[precise] =
         BuildLock{job_id, now + static_cast<LogicalTime>(expiry_seconds),
                   wall_now + expiry_seconds};

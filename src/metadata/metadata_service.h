@@ -21,12 +21,6 @@
 namespace cloudviews {
 
 struct MetadataServiceConfig {
-  /// Build-lock expiry = max(min_lock_seconds, multiplier * mined average
-  /// runtime of the view subgraph): once expired, another job may retry
-  /// the materialization — the fault-tolerance story of Sec 6.1.
-  double lock_expiry_multiplier = 2.0;
-  double min_lock_seconds = 60;
-
   /// Simulated service-side lookup latency: the paper measured 19ms with a
   /// single service thread and 14.3ms with 5 threads (Sec 7.3).
   double base_lookup_latency_seconds = 0.019;
@@ -53,42 +47,27 @@ struct AnnotatedComputation {
 /// swapped behind a short-critical-section pointer lock.
 class MetadataService : public ViewCatalogInterface {
  public:
-  /// `wall_clock` drives build-lock *leases* (and instrument timing): a
-  /// lock is also considered expired once `min_lock_seconds * multiplier`
-  /// wall seconds elapse, so a crashed builder's lock is reclaimed even if
-  /// nobody advances the simulated clock. Null means the real clock; tests
-  /// inject a FakeMonotonicClock to exercise lease expiry deterministically.
+  /// `wall_clock` drives build-lock *leases* and times the mutex waits: a
+  /// lock is also considered expired once its expiry in wall seconds
+  /// elapses, so a crashed builder's lock is reclaimed even if nobody
+  /// advances the simulated clock. Tests inject a FakeMonotonicClock to
+  /// exercise lease expiry deterministically.
   ///
-  /// The counters and the registered-view gauge are registered here, into
-  /// a registry the service owns, so they always exist; SetMetrics moves
-  /// them.
+  /// The counters, the registered-view gauge and the mutex wait histograms
+  /// (the aggregate `cv_metadata_lock_wait_seconds` plus one labeled
+  /// histogram per shard stripe — the per-shard contention signal) are
+  /// registered into `metrics`, or into a registry the service owns when
+  /// it is null. Lookups and proposals go through `fault`
+  /// (metadata.lookup and metadata.propose points); null disables
+  /// injection.
   MetadataService(SimulatedClock* clock, StorageManager* storage,
                   MetadataServiceConfig config = {},
-                  MonotonicClock* wall_clock = nullptr)
-      : clock_(clock),
-        storage_(storage),
-        config_(config),
-        wall_clock_(wall_clock != nullptr ? wall_clock
-                                          : MonotonicClock::Real()) {
-    Register(&own_metrics_);
-  }
+                  obs::MetricsRegistry* metrics = nullptr,
+                  MonotonicClock* wall_clock = MonotonicClock::Real(),
+                  fault::FaultInjector* fault = nullptr);
 
   /// Number of signature-keyed shard stripes for views + build locks.
   static constexpr size_t kNumShards = 8;
-
-  /// Re-registers the counters and gauge into the shared `metrics` and
-  /// adds the mutex wait histograms (the aggregate
-  /// `cv_metadata_lock_wait_seconds` plus one labeled histogram per shard
-  /// stripe — the per-shard contention signal). `wall_clock` times the
-  /// mutex waits; null keeps the constructor-supplied (or real) clock.
-  /// Null `metrics` changes nothing. Call before first use: counts do not
-  /// carry over.
-  void SetMetrics(obs::MetricsRegistry* metrics,
-                  MonotonicClock* wall_clock = nullptr);
-
-  /// Routes lookups/proposals through `fault` (metadata.lookup and
-  /// metadata.propose points). Call before concurrent use; null disables.
-  void SetFaultInjector(fault::FaultInjector* fault) { fault_ = fault; }
 
   /// Monotone counter bumped on every catalog state change a cached plan
   /// could depend on: analysis reload, view registration / purge / drop,
@@ -274,13 +253,10 @@ class MetadataService : public ViewCatalogInterface {
     /// Wakes WaitForMaterialized piggybackers when a view of this stripe
     /// registers or a build lock is released/abandoned.
     CondVar lock_cv;
-    /// Per-stripe wait histogram (null when uninstrumented); set once in
-    /// SetMetrics before concurrent use.
+    /// Per-stripe wait histogram; set at construction.
     obs::Histogram* lock_wait = nullptr;
   };
 
-  /// Instrument handles. Counters and the gauge are never null; the
-  /// histogram is null unless SetMetrics wired a shared registry.
   struct Instruments {
     obs::Counter* lookups = nullptr;
     obs::Counter* hits = nullptr;
@@ -300,8 +276,6 @@ class MetadataService : public ViewCatalogInterface {
     obs::Gauge* registered_views = nullptr;
     obs::Histogram* lock_wait = nullptr;
   };
-
-  void Register(obs::MetricsRegistry* metrics);
 
   /// True when `lock` is expired on either timeline; see BuildLock.
   static bool LockExpired(const BuildLock& lock, LogicalTime now,
@@ -333,11 +307,8 @@ class MetadataService : public ViewCatalogInterface {
   StorageManager* storage_;
   MetadataServiceConfig config_;
   MonotonicClock* wall_clock_;
-  /// Set once before concurrent use, read-only afterwards.
-  fault::FaultInjector* fault_ = nullptr;
-  obs::MetricsRegistry own_metrics_;
-  /// Set at construction and by SetMetrics before concurrent use,
-  /// read-only afterwards.
+  fault::FaultInjector* fault_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   Instruments obs_;
 
   /// Signature-keyed stripes for registered views + build locks; see Shard.

@@ -23,6 +23,13 @@ void SortLabels(Labels* labels) {
 
 }  // namespace
 
+MetricsRegistry* SharedOrOwned(MetricsRegistry* shared,
+                               std::unique_ptr<MetricsRegistry>* owned) {
+  if (shared != nullptr) return shared;
+  *owned = std::make_unique<MetricsRegistry>();
+  return owned->get();
+}
+
 Histogram::Histogram(HistogramOptions opts) {
   if (opts.num_buckets < 1) opts.num_buckets = 1;
   if (opts.growth <= 1.0) opts.growth = 2.0;

@@ -53,15 +53,13 @@ class Gauge {
 };
 
 /// RAII +1/-1 on a gauge — tracks how many threads are inside a region
-/// (active jobs, in-flight requests). No-op with a null gauge.
+/// (active jobs, in-flight requests).
 class ScopedGaugeIncrement {
  public:
   explicit ScopedGaugeIncrement(Gauge* gauge) : gauge_(gauge) {
-    if (gauge_ != nullptr) gauge_->Add(1);
+    gauge_->Add(1);
   }
-  ~ScopedGaugeIncrement() {
-    if (gauge_ != nullptr) gauge_->Add(-1);
-  }
+  ~ScopedGaugeIncrement() { gauge_->Add(-1); }
   ScopedGaugeIncrement(const ScopedGaugeIncrement&) = delete;
   ScopedGaugeIncrement& operator=(const ScopedGaugeIncrement&) = delete;
 
@@ -174,6 +172,13 @@ class MetricsRegistry {
   static constexpr size_t kShards = 16;
   std::array<Shard, kShards> shards_;
 };
+
+/// The registry a component registers its instruments into, once, in its
+/// constructor: `shared` when the caller passed one, otherwise a registry
+/// the component owns, created into `*owned` (a component built on its
+/// own, as in tests and benches). Either way no instrument is ever null.
+MetricsRegistry* SharedOrOwned(MetricsRegistry* shared,
+                               std::unique_ptr<MetricsRegistry>* owned);
 
 /// Serializes sorted labels into the canonical key / exposition form
 /// `key="value",...` (empty string for no labels). Values are escaped per

@@ -11,39 +11,28 @@ namespace obs {
 
 /// \brief MutexLock that feeds the acquisition wait into a histogram.
 ///
-/// Drop-in replacement for MutexLock on contended paths whose wait time is
-/// a signal worth exporting (e.g. the metadata service's build-lock
-/// mutex). With a null histogram it degenerates to a plain MutexLock —
-/// no clock reads.
+/// Drop-in replacement for MutexLock on every lock that can contend: the
+/// wait is two clock reads and one observe.
 class SCOPED_CAPABILITY TimedMutexLock {
  public:
   TimedMutexLock(Mutex& mu, Histogram* wait_hist, MonotonicClock* clock)
       ACQUIRE(mu)
       : mu_(mu) {
-    if (wait_hist != nullptr) {
-      double start = clock->NowSeconds();
-      mu_.Lock();
-      wait_hist->Observe(clock->NowSeconds() - start);
-    } else {
-      mu_.Lock();
-    }
+    double start = clock->NowSeconds();
+    mu_.Lock();
+    wait_hist->Observe(clock->NowSeconds() - start);
   }
 
   /// Same, feeding the wait into two histograms — a specific one (e.g. one
-  /// metadata shard stripe) and an aggregate one. Either may be null; with
-  /// both null it degenerates to a plain MutexLock.
+  /// metadata shard stripe) and an aggregate one.
   TimedMutexLock(Mutex& mu, Histogram* wait_hist, Histogram* aggregate_hist,
                  MonotonicClock* clock) ACQUIRE(mu)
       : mu_(mu) {
-    if (wait_hist != nullptr || aggregate_hist != nullptr) {
-      double start = clock->NowSeconds();
-      mu_.Lock();
-      double waited = clock->NowSeconds() - start;
-      if (wait_hist != nullptr) wait_hist->Observe(waited);
-      if (aggregate_hist != nullptr) aggregate_hist->Observe(waited);
-    } else {
-      mu_.Lock();
-    }
+    double start = clock->NowSeconds();
+    mu_.Lock();
+    double waited = clock->NowSeconds() - start;
+    wait_hist->Observe(waited);
+    aggregate_hist->Observe(waited);
   }
   ~TimedMutexLock() RELEASE() { mu_.Unlock(); }
 

@@ -139,12 +139,6 @@ Span Tracer::StartTrace(std::string name) {
   return Span(std::move(state), raw, /*is_root=*/true);
 }
 
-void Tracer::SetMetrics(MetricsRegistry* metrics) {
-  MutexLock lock(mu_);
-  metrics_ = metrics;
-  stages_.clear();
-}
-
 void Tracer::ObserveStages(const SpanRecord& span) {
   Histogram*& stage = stages_[span.name];
   if (stage == nullptr) {
@@ -158,7 +152,7 @@ void Tracer::ObserveStages(const SpanRecord& span) {
 
 void Tracer::Deliver(std::shared_ptr<const SpanRecord> root) {
   MutexLock lock(mu_);
-  if (metrics_ != nullptr) ObserveStages(*root);
+  ObserveStages(*root);
   traces_.push_back(std::move(root));
   while (traces_.size() > max_traces_) {
     traces_.pop_front();

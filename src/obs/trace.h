@@ -94,24 +94,24 @@ class Span {
 ///
 /// Thread-safe; each StartTrace is independent, so concurrent jobs build
 /// disjoint span trees. Retention is bounded (oldest traces drop) so an
-/// always-online service does not grow without bound.
+/// always-online service does not grow without bound. Every span of each
+/// finished trace is observed into `cv_job_stage_seconds{stage=<span
+/// name>}`, each name's histogram registered on its first span.
 class Tracer {
  public:
-  /// `clock` null means the process-wide real monotonic clock; tests pass
-  /// a FakeMonotonicClock for deterministic span times.
-  explicit Tracer(MonotonicClock* clock = nullptr, size_t max_traces = 128)
-      : clock_(clock != nullptr ? clock : MonotonicClock::Real()),
+  /// `clock` stamps the spans; tests pass a FakeMonotonicClock for
+  /// deterministic span times. The stage histograms go into `metrics`, or
+  /// into a registry the tracer owns when it is null.
+  explicit Tracer(MonotonicClock* clock = MonotonicClock::Real(),
+                  MetricsRegistry* metrics = nullptr, size_t max_traces = 128)
+      : clock_(clock),
+        metrics_(SharedOrOwned(metrics, &own_metrics_)),
         max_traces_(max_traces > 0 ? max_traces : 1) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   [[nodiscard]] Span StartTrace(std::string name);
-
-  /// Observes every span of each finished trace into `metrics`'
-  /// `cv_job_stage_seconds{stage=<span name>}`, registering each name's
-  /// histogram once. Call before the first trace finishes.
-  void SetMetrics(MetricsRegistry* metrics) EXCLUDES(mu_);
 
   /// Finished root spans, oldest first.
   std::vector<std::shared_ptr<const SpanRecord>> FinishedTraces() const
@@ -130,11 +130,12 @@ class Tracer {
   void ObserveStages(const SpanRecord& span) REQUIRES(mu_);
 
   MonotonicClock* clock_;
+  std::unique_ptr<MetricsRegistry> own_metrics_;
+  MetricsRegistry* metrics_;
   const size_t max_traces_;
   mutable Mutex mu_;
   std::deque<std::shared_ptr<const SpanRecord>> traces_ GUARDED_BY(mu_);
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
-  MetricsRegistry* metrics_ GUARDED_BY(mu_) = nullptr;
   std::unordered_map<std::string, Histogram*> stages_ GUARDED_BY(mu_);
 };
 

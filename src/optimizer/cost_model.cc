@@ -7,6 +7,29 @@
 
 namespace cloudviews {
 
+namespace {
+
+// Weights of the abstract cost model. Shuffles and sorts dominate,
+// mirroring SCOPE where repartitioning and sorting "are often the slowest
+// steps in the job execution" (Sec 5.3).
+constexpr double kScanWeight = 1.0;        // per input row scanned
+constexpr double kFilterWeight = 0.2;      // per input row
+constexpr double kProjectWeight = 0.3;     // per input row
+constexpr double kHashJoinWeight = 1.5;    // per input row (both sides)
+constexpr double kMergeJoinWeight = 0.8;   // per input row (both sides)
+constexpr double kHashAggWeight = 1.5;     // per input row
+constexpr double kStreamAggWeight = 0.6;   // per input row
+constexpr double kSortWeight = 0.4;        // per row * log2(rows)
+constexpr double kShuffleWeight = 4.0;     // per row through an exchange
+constexpr double kProcessWeight = 2.0;     // per input row (opaque user code)
+constexpr double kViewReadWeight = 0.6;    // per view row scanned
+constexpr double kSpoolWeight = 1.2;       // per row written to the view
+constexpr double kOutputWeight = 0.8;      // per row written
+constexpr double kTopWeight = 0.05;        // per output row
+constexpr double kBytesWeight = 2e-5;      // per byte moved at scans/shuffles
+
+}  // namespace
+
 double CostModel::PredicateSelectivity(const Expr& predicate) {
   switch (predicate.kind()) {
     case ExprKind::kComparison: {
@@ -38,7 +61,11 @@ double CostModel::PredicateSelectivity(const Expr& predicate) {
 }
 
 double CostModel::ViewReadCost(double rows, double bytes) const {
-  return rows * config_.view_read_weight + bytes * config_.bytes_weight;
+  return rows * kViewReadWeight + bytes * kBytesWeight;
+}
+
+double CostModel::ViewWriteCost(double rows, double bytes) const {
+  return rows * kSpoolWeight + bytes * kBytesWeight;
 }
 
 double CostModel::LocalCost(const PlanNode& node, double input_rows,
@@ -47,59 +74,53 @@ double CostModel::LocalCost(const PlanNode& node, double input_rows,
   const double out_bytes = node.estimates().bytes;
   switch (node.kind()) {
     case OpKind::kExtract:
-      return out_rows * config_.scan_weight + out_bytes * config_.bytes_weight;
+      return out_rows * kScanWeight + out_bytes * kBytesWeight;
     case OpKind::kViewRead:
       return ViewReadCost(out_rows, out_bytes);
     case OpKind::kFilter:
-      return input_rows * config_.filter_weight;
+      return input_rows * kFilterWeight;
     case OpKind::kProject:
-      return input_rows * config_.project_weight;
+      return input_rows * kProjectWeight;
     case OpKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(node);
-      double w = join.algorithm() == JoinAlgorithm::kMerge
-                     ? config_.merge_join_weight
-                     : config_.hash_join_weight;
+      double w = join.algorithm() == JoinAlgorithm::kMerge ? kMergeJoinWeight
+                                                           : kHashJoinWeight;
       return input_rows * w + out_rows * 0.1;
     }
     case OpKind::kAggregate: {
       const auto& agg = static_cast<const AggregateNode&>(node);
-      double w = agg.algorithm() == AggAlgorithm::kStream
-                     ? config_.stream_agg_weight
-                     : config_.hash_agg_weight;
+      double w = agg.algorithm() == AggAlgorithm::kStream ? kStreamAggWeight
+                                                          : kHashAggWeight;
       return input_rows * w;
     }
     case OpKind::kSort:
-      return input_rows * config_.sort_weight *
-             std::log2(std::max(2.0, input_rows));
+      return input_rows * kSortWeight * std::log2(std::max(2.0, input_rows));
     case OpKind::kExchange:
-      return input_rows * config_.shuffle_weight +
-             input_bytes * config_.bytes_weight;
+      return input_rows * kShuffleWeight + input_bytes * kBytesWeight;
     case OpKind::kUnionAll:
       return input_rows * 0.05;
     case OpKind::kProcess:
-      return input_rows * config_.process_weight;
+      return input_rows * kProcessWeight;
     case OpKind::kReduce:
       // Group-wise user code: per-row processing plus group bookkeeping.
-      return input_rows * config_.process_weight * 1.2;
+      return input_rows * kProcessWeight * 1.2;
     case OpKind::kTop:
-      return out_rows * config_.top_weight;
+      return out_rows * kTopWeight;
     case OpKind::kSpool: {
       // Writing the view plus enforcing its physical design.
       const auto& spool = static_cast<const SpoolNode&>(node);
-      double cost = input_rows * config_.spool_weight +
-                    input_bytes * config_.bytes_weight;
+      double cost = ViewWriteCost(input_rows, input_bytes);
       if (spool.design().partitioning.IsSpecified()) {
-        cost += input_rows * config_.shuffle_weight * 0.5;
+        cost += input_rows * kShuffleWeight * 0.5;
       }
       if (spool.design().sort_order.IsSorted()) {
-        cost += input_rows * config_.sort_weight *
+        cost += input_rows * kSortWeight *
                 std::log2(std::max(2.0, input_rows)) * 0.5;
       }
       return cost;
     }
     case OpKind::kOutput:
-      return input_rows * config_.output_weight +
-             input_bytes * config_.bytes_weight;
+      return input_rows * kOutputWeight + input_bytes * kBytesWeight;
   }
   return 0;
 }
@@ -108,11 +129,13 @@ namespace {
 
 /// Effective parallelism of an operator: bounded by the partition count of
 /// its delivered distribution (singleton stages run at dop 1).
-int EffectiveDop(const PlanNode& node, int default_dop) {
+int EffectiveDop(const PlanNode& node) {
   Partitioning p = node.Delivered().partitioning;
   if (p.scheme == PartitionScheme::kSingleton) return 1;
-  if (p.partition_count > 0) return std::min(default_dop, p.partition_count);
-  return default_dop;
+  if (p.partition_count > 0) {
+    return std::min(CostModel::kDefaultDop, p.partition_count);
+  }
+  return CostModel::kDefaultDop;
 }
 
 void AnnotateInternal(PlanNode* node, const CostModel& model,
@@ -225,7 +248,7 @@ void AnnotateInternal(PlanNode* node, const CostModel& model,
     }
   }
 
-  int dop = EffectiveDop(*node, model.config().default_dop);
+  int dop = EffectiveDop(*node);
   est.cost = children_cost +
              model.LocalCost(*node, input_rows, input_bytes) /
                  static_cast<double>(dop);

@@ -7,32 +7,6 @@
 
 namespace cloudviews {
 
-/// \brief Tunable weights of the abstract cost model.
-///
-/// Shuffles and sorts dominate, mirroring SCOPE where repartitioning and
-/// sorting "are often the slowest steps in the job execution" (Sec 5.3).
-struct CostModelConfig {
-  double scan_weight = 1.0;        // per input row scanned
-  double filter_weight = 0.2;      // per input row
-  double project_weight = 0.3;     // per input row
-  double hash_join_weight = 1.5;   // per input row (both sides)
-  double merge_join_weight = 0.8;  // per input row (both sides)
-  double hash_agg_weight = 1.5;    // per input row
-  double stream_agg_weight = 0.6;  // per input row
-  double sort_weight = 0.4;        // per row * log2(rows)
-  double shuffle_weight = 4.0;     // per row through an exchange
-  double process_weight = 2.0;     // per input row (opaque user code)
-  double view_read_weight = 0.6;   // per view row scanned
-  double spool_weight = 1.2;       // per row written to the view
-  double output_weight = 0.8;      // per row written
-  double top_weight = 0.05;        // per output row
-  double bytes_weight = 2e-5;      // per byte moved at scans/shuffles
-
-  /// Degree of parallelism assumed for partitioned stages: local work is
-  /// divided by min(dop, partition count).
-  int default_dop = 16;
-};
-
 /// \brief Cardinality / size / cost estimation over a plan tree.
 ///
 /// Selectivity heuristics are intentionally crude (the paper's point is
@@ -41,9 +15,9 @@ struct CostModelConfig {
 /// override the estimates — that is the CloudViews feedback loop.
 class CostModel {
  public:
-  explicit CostModel(CostModelConfig config = {}) : config_(config) {}
-
-  const CostModelConfig& config() const { return config_; }
+  /// Degree of parallelism assumed for partitioned stages: local work is
+  /// divided by min(kDefaultDop, partition count).
+  static constexpr int kDefaultDop = 16;
 
   /// Annotates every node's NodeEstimates (rows, bytes, cumulative cost),
   /// bottom-up. `feedback` and `storage` may be null; storage supplies
@@ -58,13 +32,14 @@ class CostModel {
   /// the reuse decision.
   double ViewReadCost(double rows, double bytes) const;
 
+  /// Cost of writing a view of the given size, before enforcing its
+  /// physical design; the materialization cost gate uses it.
+  double ViewWriteCost(double rows, double bytes) const;
+
   /// Cost of this operator alone given total child output rows/bytes
   /// (children estimates must already be annotated).
   double LocalCost(const PlanNode& node, double input_rows,
                    double input_bytes) const;
-
- private:
-  CostModelConfig config_;
 };
 
 }  // namespace cloudviews

@@ -8,9 +8,7 @@ namespace cloudviews {
 
 Result<OptimizedPlan> Optimizer::Optimize(const PlanNodePtr& logical,
                                           const OptimizeContext& ctx) const {
-  MonotonicClock* clock =
-      ctx.clock != nullptr ? ctx.clock : MonotonicClock::Real();
-  double start = clock->NowSeconds();
+  double start = ctx.clock->NowSeconds();
   // With no parent span the local inactive one makes every StartChild /
   // SetAttribute below a no-op.
   obs::Span inactive;
@@ -35,14 +33,12 @@ Result<OptimizedPlan> Optimizer::Optimize(const PlanNodePtr& logical,
     *ctx.skeleton_out = root->Clone();
   }
 
-  return PlanPhysical(std::move(root), ctx, parent, clock, start);
+  return PlanPhysical(std::move(root), ctx, parent, start);
 }
 
 Result<OptimizedPlan> Optimizer::OptimizeFromSkeleton(
     PlanNodePtr skeleton, const OptimizeContext& ctx) const {
-  MonotonicClock* clock =
-      ctx.clock != nullptr ? ctx.clock : MonotonicClock::Real();
-  double start = clock->NowSeconds();
+  double start = ctx.clock->NowSeconds();
   obs::Span inactive;
   obs::Span* parent = ctx.span != nullptr ? ctx.span : &inactive;
 
@@ -50,14 +46,12 @@ Result<OptimizedPlan> Optimizer::OptimizeFromSkeleton(
   // occurrence; rebinding `{param}` holes cannot invalidate schemas, but
   // Bind re-derives them for the new instance anyway.
   CV_RETURN_NOT_OK(skeleton->Bind());
-  return PlanPhysical(std::move(skeleton), ctx, parent, clock, start);
+  return PlanPhysical(std::move(skeleton), ctx, parent, start);
 }
 
 Result<OptimizedPlan> Optimizer::FinishCachedPlan(
     PlanNodePtr root, const OptimizeContext& ctx) const {
-  MonotonicClock* clock =
-      ctx.clock != nullptr ? ctx.clock : MonotonicClock::Real();
-  double start = clock->NowSeconds();
+  double start = ctx.clock->NowSeconds();
 
   CV_RETURN_NOT_OK(root->Bind());
   // Costs are advisory at this point (the plan shape is fixed), but
@@ -69,14 +63,13 @@ Result<OptimizedPlan> Optimizer::FinishCachedPlan(
   OptimizedPlan out;
   out.root = std::move(root);
   out.estimated_cost = out.root->estimates().cost;
-  out.optimize_seconds = clock->NowSeconds() - start;
+  out.optimize_seconds = ctx.clock->NowSeconds() - start;
   return out;
 }
 
 Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
                                               const OptimizeContext& ctx,
                                               obs::Span* parent,
-                                              MonotonicClock* clock,
                                               double start) const {
   // 2. Physical planning: algorithms + property enforcers. Signatures are
   //    computed over this physical tree, mirroring SCOPE plan fingerprints.
@@ -151,7 +144,7 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
 
   out.root = std::move(root);
   out.estimated_cost = out.root->estimates().cost;
-  out.optimize_seconds = clock->NowSeconds() - start;
+  out.optimize_seconds = ctx.clock->NowSeconds() - start;
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/result.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/job_counters.h"
@@ -14,14 +15,11 @@
 
 namespace cloudviews {
 
-class MonotonicClock;
 namespace obs {
 class Span;
 }  // namespace obs
 
 struct OptimizerConfig {
-  CostModelConfig cost;
-  PhysicalPlannerConfig physical;
   /// Logical rewrites (filter pushdown etc.) on/off — ablation knob.
   bool enable_logical_rewrites = true;
   /// Per-job cap on online view materializations; "could be changed by the
@@ -51,8 +49,8 @@ struct OptimizeContext {
   /// the optimizer nests one child span per phase under it. Null disables
   /// tracing.
   obs::Span* span = nullptr;
-  /// Wall-time source for optimize_seconds; null uses the real clock.
-  MonotonicClock* clock = nullptr;
+  /// Wall-time source for optimize_seconds.
+  MonotonicClock* clock = MonotonicClock::Real();
   /// When non-null, Optimize deposits a clone of the logically-rewritten
   /// (pre-physical) tree here — the plan *skeleton* the plan cache stores
   /// so later occurrences of the template skip parse + logical optimize.
@@ -79,10 +77,7 @@ struct OptimizedPlan : JobCounters {
 /// CloudViews reuse / online-materialization tasks (Fig 10).
 class Optimizer {
  public:
-  explicit Optimizer(OptimizerConfig config = {})
-      : config_(config),
-        cost_model_(config.cost),
-        physical_planner_(config.physical) {}
+  explicit Optimizer(OptimizerConfig config = {}) : config_(config) {}
 
   const OptimizerConfig& config() const { return config_; }
 
@@ -115,8 +110,7 @@ class Optimizer {
   /// planning, the view-reuse pass, and the materialization pass.
   Result<OptimizedPlan> PlanPhysical(PlanNodePtr root,
                                      const OptimizeContext& ctx,
-                                     obs::Span* parent, MonotonicClock* clock,
-                                     double start) const;
+                                     obs::Span* parent, double start) const;
 
   OptimizerConfig config_;
   CostModel cost_model_;

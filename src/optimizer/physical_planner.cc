@@ -2,6 +2,13 @@
 
 namespace cloudviews {
 
+namespace {
+
+/// Partition count used for inserted hash exchanges.
+constexpr int kDefaultPartitionCount = 16;
+
+}  // namespace
+
 PlanNodePtr PhysicalPlanner::ChooseAlgorithms(PlanNodePtr node) const {
   for (auto& c : node->mutable_children()) c = ChooseAlgorithms(c);
 
@@ -59,7 +66,7 @@ PlanNodePtr PhysicalPlanner::InsertEnforcers(PlanNodePtr node) const {
       Partitioning target = required.partitioning;
       if (target.partition_count == 0 &&
           target.scheme != PartitionScheme::kSingleton) {
-        target.partition_count = config_.default_partition_count;
+        target.partition_count = kDefaultPartitionCount;
       }
       child = std::make_shared<ExchangeNode>(child, target);
       // A fresh shuffle destroys any sort order the child delivered.

@@ -6,11 +6,6 @@
 
 namespace cloudviews {
 
-struct PhysicalPlannerConfig {
-  /// Partition count used for inserted hash exchanges.
-  int default_partition_count = 16;
-};
-
 /// \brief Turns a logical tree into an executable physical tree.
 ///
 /// Deterministically (1) picks join / aggregate algorithms from the
@@ -21,9 +16,6 @@ struct PhysicalPlannerConfig {
 /// identical trees for signatures to match (Sec 3).
 class PhysicalPlanner {
  public:
-  explicit PhysicalPlanner(PhysicalPlannerConfig config = {})
-      : config_(config) {}
-
   /// The input must be bound; the output is re-bound.
   Result<PlanNodePtr> Plan(PlanNodePtr root) const;
 
@@ -35,8 +27,6 @@ class PhysicalPlanner {
  private:
   PlanNodePtr ChooseAlgorithms(PlanNodePtr node) const;
   PlanNodePtr InsertEnforcers(PlanNodePtr node) const;
-
-  PhysicalPlannerConfig config_;
 };
 
 }  // namespace cloudviews

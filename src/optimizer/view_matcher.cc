@@ -486,7 +486,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
     // Same cost gate as the exact tier: reading the view (at the same
     // DOP) must beat recomputing the subtree.
     double read_cost = cost_model_->ViewReadCost(info.rows, info.bytes) /
-                       std::max(1, cost_model_->config().default_dop);
+                       CostModel::kDefaultDop;
     if (read_cost >= node->estimates().cost) {
       ++counters_->reuse_rejected_by_cost;
       continue;

@@ -1,6 +1,5 @@
 #include "optimizer/view_rewriter.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "signature/signature.h"
@@ -65,7 +64,7 @@ PlanNodePtr ViewRewriter::ReuseInternal(
         // partitioned stage, so compare at the same DOP as subtree costs.
         double read_cost =
             cost_model_->ViewReadCost(view->rows, view->bytes) /
-            std::max(1, cost_model_->config().default_dop);
+            CostModel::kDefaultDop;
         double compute_cost = node->estimates().cost;
         if (read_cost < compute_cost) {
           // compensation: none — exact tier-0 match; the view read alone
@@ -144,9 +143,7 @@ PlanNodePtr ViewRewriter::MaterializeInternal(
     double rows = node->estimates().rows;
     double bytes = node->estimates().bytes;
     double spool_cost =
-        (rows * cost_model_->config().spool_weight +
-         bytes * cost_model_->config().bytes_weight) /
-        std::max(1, cost_model_->config().default_dop);
+        cost_model_->ViewWriteCost(rows, bytes) / CostModel::kDefaultDop;
     if (spool_cost > max_spool_cost) {
       ++counters->materialize_skipped_by_cost;
       return node;

@@ -40,7 +40,6 @@ void ReadPlanShape(const PlanNodePtr& root, bool builds, JobCounters* out) {
 struct JobService::JobState {
   const JobDefinition& def;
   const JobServiceOptions& options;
-  MonotonicClock* wall = nullptr;
   double submit_start = 0;
   bool cloudviews_on = false;
   JobResult result{};
@@ -72,20 +71,27 @@ ThreadPool* JobService::ExecutionPool() {
   return pool_.get();
 }
 
-void JobService::SetObservability(obs::MetricsRegistry* metrics,
-                                  obs::Tracer* tracer,
-                                  MonotonicClock* wall_clock) {
-  metrics_ = metrics;
-  tracer_ = tracer;
-  wall_clock_ = wall_clock != nullptr ? wall_clock : MonotonicClock::Real();
-  if (metrics == nullptr) return;
-  Register(metrics);
-  plan_cache_.SetMetrics(metrics);
-  obs_.latency = metrics->GetHistogram("cv_job_latency_seconds", {}, {},
-                                       "Submit-to-finish wall time");
-}
-
-void JobService::Register(obs::MetricsRegistry* metrics) {
+JobService::JobService(SimulatedClock* clock, StorageManager* storage,
+                       MetadataService* metadata,
+                       WorkloadRepository* repository,
+                       obs::MetricsRegistry* metrics,
+                       MonotonicClock* wall_clock, obs::Tracer* tracer,
+                       OptimizerConfig optimizer_config,
+                       ExecOptions exec_options, fault::FaultInjector* fault,
+                       fault::RetryPolicy retry, fault::Sleeper* sleeper)
+    : clock_(clock),
+      storage_(storage),
+      metadata_(metadata),
+      repository_(repository),
+      metrics_(metrics),
+      wall_clock_(wall_clock),
+      tracer_(tracer),
+      optimizer_(optimizer_config),
+      exec_options_(exec_options),
+      fault_(fault),
+      retry_(retry),
+      sleeper_(sleeper),
+      plan_cache_(PlanCache::kDefaultCapacity, metrics) {
   obs_.submitted = metrics->GetCounter("cv_jobs_submitted_total", {},
                                        "Jobs accepted for execution");
   obs_.succeeded = metrics->GetCounter("cv_jobs_succeeded_total", {},
@@ -94,6 +100,8 @@ void JobService::Register(obs::MetricsRegistry* metrics) {
                                     "Jobs that returned an error");
   obs_.active = metrics->GetGauge("cv_jobs_active", {},
                                   "Jobs currently inside SubmitJob");
+  obs_.latency = metrics->GetHistogram("cv_job_latency_seconds", {}, {},
+                                       "Submit-to-finish wall time");
   for (size_t i = 0; i < kNumJobCounters; ++i) {
     obs_.job_counters[i] = metrics->GetCounter(
         kJobCounterInfo[i].metric, {}, kJobCounterInfo[i].help);
@@ -138,7 +146,6 @@ bool JobService::CachedViewReadsLive(const PlanNodePtr& root) {
   CollectNodes(root, &nodes);
   for (PlanNode* n : nodes) {
     if (n->kind() != OpKind::kViewRead) continue;
-    if (metadata_ == nullptr) return false;
     auto* vr = static_cast<ViewReadNode*>(n);
     auto info = metadata_->FindMaterialized(vr->normalized_signature(),
                                             vr->precise_signature());
@@ -186,20 +193,18 @@ ExecContext JobService::MakeExecContext(uint64_t job_id) {
   exec_ctx.fault = fault_;
   exec_ctx.retry = retry_;
   exec_ctx.sleeper = sleeper_;
-  if (metadata_ != nullptr) {
-    exec_ctx.on_view_materialized = [this, job_id](const SpoolNode& spool,
-                                                   const StreamData& view) {
-      RegisterMaterializedView(spool, view, job_id);
-    };
-    exec_ctx.on_view_abandoned = [this, job_id](const SpoolNode& spool,
-                                                const Status&) {
-      // Do-no-harm path: the view write failed, the partial is gone, the
-      // job keeps running — hand the build lock back so another instance
-      // can retry the materialization.
-      metadata_->AbandonLock(spool.precise_signature(), job_id);
-      obs_.views_abandoned->Increment();
-    };
-  }
+  exec_ctx.on_view_materialized = [this, job_id](const SpoolNode& spool,
+                                                 const StreamData& view) {
+    RegisterMaterializedView(spool, view, job_id);
+  };
+  exec_ctx.on_view_abandoned = [this, job_id](const SpoolNode& spool,
+                                              const Status&) {
+    // Do-no-harm path: the view write failed, the partial is gone, the job
+    // keeps running — hand the build lock back so another instance can
+    // retry the materialization.
+    metadata_->AbandonLock(spool.precise_signature(), job_id);
+    obs_.views_abandoned->Increment();
+  };
   return exec_ctx;
 }
 
@@ -211,8 +216,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     return Status::InvalidArgument("job has no plan");
   }
   JobState job{def, options};
-  job.wall = wall_clock_ != nullptr ? wall_clock_ : MonotonicClock::Real();
-  job.submit_start = job.wall->NowSeconds();
+  job.submit_start = wall_clock_->NowSeconds();
   obs_.submitted->Increment();
   obs::ScopedGaugeIncrement active(obs_.active);
   job.result.job_id = next_job_id_.fetch_add(1);
@@ -227,11 +231,9 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
                         static_cast<int64_t>(def.recurring_instance));
   job.ctx.storage = storage_;
   job.ctx.job_id = job.result.job_id;
-  job.ctx.clock = job.wall;
-  if (options.use_feedback_statistics && repository_ != nullptr) {
-    job.ctx.feedback = repository_;
-  }
-  job.cloudviews_on = options.enable_cloudviews && metadata_ != nullptr;
+  job.ctx.clock = wall_clock_;
+  if (options.use_feedback_statistics) job.ctx.feedback = repository_;
+  job.cloudviews_on = options.enable_cloudviews;
   if (options.enable_plan_cache || options.enable_inflight_sharing) {
     SubgraphSignatures sigs = ComputeSignatures(*def.logical_plan);
     job.normalized_sig = sigs.normalized;
@@ -291,8 +293,7 @@ Status JobService::Compile(JobState& job) {
     // The epoch is read BEFORE the probe and the metadata lookup: a
     // concurrent catalog change then tags this compilation with the older
     // epoch and conservatively invalidates it later — never the reverse.
-    job.result.catalog_epoch =
-        metadata_ != nullptr ? metadata_->CatalogEpoch() : 1;
+    job.result.catalog_epoch = metadata_->CatalogEpoch();
     job.cache_key = PlanCache::Key{job.normalized_sig, job.cloudviews_on};
     job.probe = plan_cache_.Lookup(job.cache_key, job.result.catalog_epoch,
                                    job.precise_sig);
@@ -480,7 +481,7 @@ Status JobService::Execute(JobState& job) {
   obs::Span execute_span = job.span.StartChild("execute");
   ExecContext exec_ctx = MakeExecContext(result.job_id);
   auto run = Executor(exec_ctx).Execute(job.optimized.root);
-  if (!run.ok() && run.status().IsViewUnavailable() && metadata_ != nullptr) {
+  if (!run.ok() && run.status().IsViewUnavailable()) {
     // Fallback-to-original-plan (the ReStore principle): a view this plan
     // was rewritten to read is unavailable, and stored results are an
     // optimization — never a correctness dependency. Discard the rewritten
@@ -595,7 +596,7 @@ JobResult JobService::Succeed(JobState& job) {
   ReadPlanShape(result.executed_plan, !result.shared_execution, &result);
   result.estimated_cost = result.executed_plan->estimates().cost;
   // Record in the workload repository (the feedback loop).
-  if (job.options.record_in_repository && repository_ != nullptr) {
+  if (job.options.record_in_repository) {
     obs::Span record_span = job.span.StartChild("record");
     const JobDefinition& def = job.def;
     JobRecord record;
@@ -617,9 +618,7 @@ JobResult JobService::Succeed(JobState& job) {
     if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));
   });
   obs_.succeeded->Increment();
-  if (obs_.latency != nullptr) {
-    obs_.latency->Observe(job.wall->NowSeconds() - job.submit_start);
-  }
+  obs_.latency->Observe(wall_clock_->NowSeconds() - job.submit_start);
   result.trace = job.span.Finish();
   return std::move(result);
 }
@@ -633,9 +632,7 @@ Status JobService::Fail(JobState& job, Status status) {
     obs_.sharing_leader_failures->Increment();
   }
   obs_.failed->Increment();
-  if (obs_.latency != nullptr) {
-    obs_.latency->Observe(job.wall->NowSeconds() - job.submit_start);
-  }
+  obs_.latency->Observe(wall_clock_->NowSeconds() - job.submit_start);
   // The trace is delivered on failure too, so failed jobs stay
   // diagnosable.
   job.span.SetAttribute("error", status.ToString());
@@ -647,15 +644,12 @@ Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
   if (def.logical_plan == nullptr) {
     return Status::InvalidArgument("job has no plan");
   }
-  if (metadata_ == nullptr) {
-    return Status::InvalidArgument("offline mode needs a metadata service");
-  }
   uint64_t job_id = next_job_id_.fetch_add(1);
 
   OptimizeContext ctx;
   ctx.storage = storage_;
   ctx.job_id = job_id;
-  if (repository_ != nullptr) ctx.feedback = repository_;
+  ctx.feedback = repository_;
   ctx.view_catalog = metadata_;
   std::vector<std::string> tags =
       def.tags.empty() ? DefaultTags(def) : def.tags;

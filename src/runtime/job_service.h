@@ -126,38 +126,19 @@ struct JobServiceOptions {
 /// exercised.
 class JobService {
  public:
-  /// `fault` / `retry` / `sleeper` wire the fault-tolerance machinery:
-  /// injection points, the transient-retry backoff schedule, and the sleep
-  /// seam between attempts (null sleeper = real sleeps). All optional.
+  /// `metrics` receives the instruments of the service, its plan cache,
+  /// its executors and its pool; `wall_clock` times submissions,
+  /// compiles, runs and pool tasks. With a `tracer` each submission leaves
+  /// one lifecycle trace; null records no spans. `fault` / `retry` /
+  /// `sleeper` wire the fault-tolerance machinery: injection points (null:
+  /// none), the transient-retry backoff schedule, and the sleep seam
+  /// between attempts (null: real sleeps).
   JobService(SimulatedClock* clock, StorageManager* storage,
              MetadataService* metadata, WorkloadRepository* repository,
-             OptimizerConfig optimizer_config = {},
-             ExecOptions exec_options = {},
-             fault::FaultInjector* fault = nullptr,
-             fault::RetryPolicy retry = {},
-             fault::Sleeper* sleeper = nullptr)
-      : clock_(clock),
-        storage_(storage),
-        metadata_(metadata),
-        repository_(repository),
-        optimizer_(optimizer_config),
-        exec_options_(exec_options),
-        fault_(fault),
-        retry_(retry),
-        sleeper_(sleeper) {
-    Register(&own_metrics_);
-  }
-
-  /// Moves the job counters and gauge (and the plan cache's) into the
-  /// shared `metrics` and adds the latency histogram, the executor's
-  /// per-operator counters and the pool's instruments; emits one lifecycle
-  /// trace per submission into `tracer`. Either may be null:
-  /// without `metrics` the counters stay in a registry the service owns,
-  /// and the opt-in instruments stay off. `wall_clock` drives latency
-  /// histograms and span times; null uses the real monotonic clock. Call
-  /// before the first submission: counts do not carry over.
-  void SetObservability(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
-                        MonotonicClock* wall_clock = nullptr);
+             obs::MetricsRegistry* metrics, MonotonicClock* wall_clock,
+             obs::Tracer* tracer, OptimizerConfig optimizer_config,
+             ExecOptions exec_options, fault::FaultInjector* fault,
+             fault::RetryPolicy retry, fault::Sleeper* sleeper);
 
   Result<JobResult> SubmitJob(const JobDefinition& def,
                               const JobServiceOptions& options = {});
@@ -192,8 +173,6 @@ class JobService {
   /// slots), created on first use; null when jobs run single-threaded.
   ThreadPool* ExecutionPool() EXCLUDES(pool_mu_);
 
-  /// Counters and the gauge are never null; the latency histogram is null
-  /// unless SetObservability wired a shared registry.
   struct Instruments {
     obs::Counter* submitted = nullptr;
     obs::Counter* succeeded = nullptr;
@@ -209,8 +188,6 @@ class JobService {
     obs::Counter* sharing_leader_failures = nullptr;
     obs::Counter* sharing_degraded = nullptr;
   };
-
-  void Register(obs::MetricsRegistry* metrics);
 
   // SubmitJob's stages over one JobState, in order, then its two tails.
   struct JobState;
@@ -247,21 +224,17 @@ class JobService {
 
   SimulatedClock* clock_;
   StorageManager* storage_;
-  MetadataService* metadata_;  // may be null (CloudViews unavailable)
+  MetadataService* metadata_;
   WorkloadRepository* repository_;
+  /// The executors and the pool register their instruments here too.
+  obs::MetricsRegistry* metrics_;
+  MonotonicClock* wall_clock_;
+  obs::Tracer* tracer_;
   Optimizer optimizer_;
   ExecOptions exec_options_;
-  fault::FaultInjector* fault_ = nullptr;
+  fault::FaultInjector* fault_;
   fault::RetryPolicy retry_;
-  fault::Sleeper* sleeper_ = nullptr;
-  /// The shared registry; null unless SetObservability wired one. The
-  /// executor and the pool register their opt-in instruments here.
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  MonotonicClock* wall_clock_ = nullptr;
-  obs::MetricsRegistry own_metrics_;
-  /// Set at construction and by SetObservability before the first
-  /// submission, read-only afterwards.
+  fault::Sleeper* sleeper_;
   Instruments obs_;
   /// Recurring-job fast path (thread-safe; see PlanCache).
   PlanCache plan_cache_;

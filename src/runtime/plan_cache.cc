@@ -5,11 +5,9 @@
 
 namespace cloudviews {
 
-void PlanCache::SetMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics != nullptr) Register(metrics);
-}
-
-void PlanCache::Register(obs::MetricsRegistry* metrics) {
+PlanCache::PlanCache(size_t capacity, obs::MetricsRegistry* metrics)
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  metrics = obs::SharedOrOwned(metrics, &own_metrics_);
   obs_.hits_full = metrics->GetCounter(
       "cv_plan_cache_hits_full_total", {},
       "Plan-cache probes served the fully optimized physical plan (parse, "

@@ -68,18 +68,12 @@ class PlanCache {
     bool rewritten_valid = false;
   };
 
-  /// Registers the counters and the entry-count gauge into a registry the
-  /// cache owns, so they always exist; SetMetrics moves them.
-  explicit PlanCache(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    Register(&own_metrics_);
-  }
+  /// Registers the counters and the entry-count gauge into `metrics` (or,
+  /// when it is null, a registry the cache owns).
+  explicit PlanCache(size_t capacity = kDefaultCapacity,
+                     obs::MetricsRegistry* metrics = nullptr);
 
   static constexpr size_t kDefaultCapacity = 256;
-
-  /// Re-registers the counters and gauge into the shared `metrics` (null
-  /// keeps them private). Call before first use: counts do not carry over.
-  void SetMetrics(obs::MetricsRegistry* metrics);
 
   /// Probes for `key` at the caller-observed catalog `epoch` (read BEFORE
   /// the probe, so a concurrent catalog change can only make the check
@@ -147,12 +141,8 @@ class PlanCache {
     obs::Gauge* entries = nullptr;
   };
 
-  void Register(obs::MetricsRegistry* metrics);
-
   size_t capacity_;
-  obs::MetricsRegistry own_metrics_;
-  /// Never null; set at construction and by SetMetrics before concurrent
-  /// use, read-only afterwards.
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   Instruments obs_;
 
   mutable Mutex mu_;

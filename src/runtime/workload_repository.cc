@@ -4,17 +4,10 @@
 
 namespace cloudviews {
 
-void WorkloadRepository::SetMetrics(obs::MetricsRegistry* metrics,
-                                    MonotonicClock* wall_clock) {
-  if (metrics == nullptr) return;
-  Register(metrics);
-  obs_.lock_wait = metrics->GetHistogram(
-      "cv_repository_lock_wait_seconds", {}, {},
-      "Wall time waiting for the workload repository's mutex");
-  if (wall_clock != nullptr) wall_clock_ = wall_clock;
-}
-
-void WorkloadRepository::Register(obs::MetricsRegistry* metrics) {
+WorkloadRepository::WorkloadRepository(obs::MetricsRegistry* metrics,
+                                       MonotonicClock* wall_clock)
+    : wall_clock_(wall_clock) {
+  metrics = obs::SharedOrOwned(metrics, &own_metrics_);
   obs_.jobs_ingested =
       metrics->GetCounter("cv_repository_jobs_ingested_total", {},
                           "Executed jobs added to the workload repository");
@@ -30,6 +23,9 @@ void WorkloadRepository::Register(obs::MetricsRegistry* metrics) {
   obs_.indexed_subgraphs =
       metrics->GetGauge("cv_repository_indexed_subgraphs", {},
                         "Distinct subgraph templates with statistics");
+  obs_.lock_wait = metrics->GetHistogram(
+      "cv_repository_lock_wait_seconds", {}, {},
+      "Wall time waiting for the workload repository's mutex");
 }
 
 void WorkloadRepository::AddJob(JobRecord record) {

@@ -31,16 +31,12 @@ namespace cloudviews {
 class WorkloadRepository : public StatsProviderInterface {
  public:
   /// Registers the ingest counters (jobs, subgraph observations, feedback
-  /// lookups) and the indexed-subgraphs gauge into a registry the
-  /// repository owns, so they always exist; SetMetrics moves them.
-  WorkloadRepository() { Register(&own_metrics_); }
-
-  /// Re-registers the counters and gauge into the shared `metrics` and adds
-  /// the `cv_repository_lock_wait_seconds` histogram, timed on
-  /// `wall_clock` (null: the real clock). Null `metrics` changes nothing.
-  /// Call before first use: counts do not carry over.
-  void SetMetrics(obs::MetricsRegistry* metrics,
-                  MonotonicClock* wall_clock = nullptr);
+  /// lookups), the indexed-subgraphs gauge and the
+  /// `cv_repository_lock_wait_seconds` histogram, timed on `wall_clock`,
+  /// into `metrics` (or, when it is null, a registry the repository owns).
+  explicit WorkloadRepository(
+      obs::MetricsRegistry* metrics = nullptr,
+      MonotonicClock* wall_clock = MonotonicClock::Real());
 
   void AddJob(JobRecord record) EXCLUDES(mu_);
 
@@ -75,17 +71,12 @@ class WorkloadRepository : public StatsProviderInterface {
     obs::Counter* lookups = nullptr;
     obs::Counter* lookup_hits = nullptr;
     obs::Gauge* indexed_subgraphs = nullptr;
-    /// Null unless SetMetrics wired a shared registry.
     obs::Histogram* lock_wait = nullptr;
   };
 
-  void Register(obs::MetricsRegistry* metrics);
-
-  obs::MetricsRegistry own_metrics_;
-  /// Set at construction and by SetMetrics before concurrent use,
-  /// read-only afterwards; only the histogram may be null.
+  MonotonicClock* wall_clock_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   Instruments obs_;
-  MonotonicClock* wall_clock_ = MonotonicClock::Real();
 
   /// Guards the records, the feedback index and the buckets together:
   /// AddJob must publish a record, its statistics and its subgraphs

@@ -33,17 +33,12 @@ bool ParseViewPath(const std::string& path, Hash128* normalized,
   return end != nullptr && *end == '\0' && !id_str.empty();
 }
 
-void StorageManager::SetMetrics(obs::MetricsRegistry* metrics,
-                                MonotonicClock* wall_clock) {
-  if (metrics == nullptr) return;
-  Register(metrics);
-  obs_.lock_wait = metrics->GetHistogram(
-      "cv_storage_lock_wait_seconds", {}, {},
-      "Wall time waiting for the storage manager's stream-map mutex");
-  if (wall_clock != nullptr) wall_clock_ = wall_clock;
-}
-
-void StorageManager::Register(obs::MetricsRegistry* metrics) {
+StorageManager::StorageManager(SimulatedClock* clock,
+                               obs::MetricsRegistry* metrics,
+                               MonotonicClock* wall_clock,
+                               fault::FaultInjector* fault)
+    : clock_(clock), wall_clock_(wall_clock), fault_(fault) {
+  metrics = obs::SharedOrOwned(metrics, &own_metrics_);
   obs_.bytes_written = metrics->GetCounter(
       "cv_storage_bytes_written_total", {}, "Bytes written to the store");
   obs_.streams =
@@ -56,6 +51,9 @@ void StorageManager::Register(obs::MetricsRegistry* metrics) {
                         "cost side of the reuse trade-off)");
   obs_.view_count = metrics->GetGauge("cv_storage_views", {},
                                       "Stored materialized-view streams");
+  obs_.lock_wait = metrics->GetHistogram(
+      "cv_storage_lock_wait_seconds", {}, {},
+      "Wall time waiting for the storage manager's stream-map mutex");
 }
 
 void StorageManager::CountStream(const StreamData& data, int sign) {

@@ -60,24 +60,16 @@ std::string EncodeViewPath(const Hash128& normalized,
 class StorageManager {
  public:
   /// Registers the level gauges (streams and bytes, total and the
-  /// materialized-view slice) and the written-bytes counter into a
-  /// registry the manager owns, so they always exist; SetMetrics moves
-  /// them.
-  explicit StorageManager(SimulatedClock* clock) : clock_(clock) {
-    Register(&own_metrics_);
-  }
-
-  /// Re-registers the gauges and counter into the shared `metrics` and
-  /// adds the `cv_storage_lock_wait_seconds` histogram, timed on
-  /// `wall_clock` (null: the real clock). Null `metrics` changes nothing.
-  /// Call before the first write: levels do not carry over.
-  void SetMetrics(obs::MetricsRegistry* metrics,
-                  MonotonicClock* wall_clock = nullptr);
-
-  /// Routes reads/writes through `fault` (storage.read / storage.write /
-  /// storage.view_* points, keyed by stream name). Call before concurrent
-  /// use; null disables injection.
-  void SetFaultInjector(fault::FaultInjector* fault) { fault_ = fault; }
+  /// materialized-view slice), the written-bytes counter and the
+  /// `cv_storage_lock_wait_seconds` histogram, timed on `wall_clock`, into
+  /// `metrics` (or, when it is null, a registry the manager owns). Reads
+  /// and writes go through `fault` (storage.read / storage.write /
+  /// storage.view_* points, keyed by stream name); null disables
+  /// injection.
+  explicit StorageManager(SimulatedClock* clock,
+                          obs::MetricsRegistry* metrics = nullptr,
+                          MonotonicClock* wall_clock = MonotonicClock::Real(),
+                          fault::FaultInjector* fault = nullptr);
 
   /// Writes (or replaces) a stream. Expiry of 0 = never.
   Status WriteStream(StreamData data) EXCLUDES(mu_);
@@ -103,8 +95,6 @@ class StorageManager {
   SimulatedClock* clock() const { return clock_; }
 
  private:
-  void Register(obs::MetricsRegistry* metrics);
-
   /// Installs `data` under its name, replacing any stream of that name,
   /// and moves the level gauges by the difference.
   void Put(StreamHandle data) REQUIRES(mu_);
@@ -119,18 +109,14 @@ class StorageManager {
     obs::Gauge* total_bytes = nullptr;
     obs::Gauge* view_bytes = nullptr;
     obs::Gauge* view_count = nullptr;
-    /// Null unless SetMetrics wired a shared registry.
     obs::Histogram* lock_wait = nullptr;
   };
 
   SimulatedClock* clock_;
-  /// Set once before concurrent use (test/CI wiring), read-only afterwards.
-  fault::FaultInjector* fault_ = nullptr;
-  obs::MetricsRegistry own_metrics_;
-  /// Set at construction and by SetMetrics before concurrent use,
-  /// read-only afterwards; only the histogram may be null.
+  MonotonicClock* wall_clock_;
+  fault::FaultInjector* fault_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   Instruments obs_;
-  MonotonicClock* wall_clock_ = MonotonicClock::Real();
   mutable Mutex mu_;
   std::map<std::string, StreamHandle> streams_ GUARDED_BY(mu_);
 };

@@ -185,13 +185,14 @@ TEST_F(PiggybackWaitTest, InjectedTimeoutFiresWithoutWaiting) {
   FaultSpec spec;
   spec.trigger_every = 1;
   inj.Arm(fault::points::kSharingPiggybackTimeout, spec);
-  service_.SetFaultInjector(&inj);
-  ASSERT_TRUE(service_.ProposeMaterialize(H(1), H(10), 1, 1000));
+  MetadataService service(&clock_, &storage_, {}, nullptr,
+                          MonotonicClock::Real(), &inj);
+  ASSERT_TRUE(service.ProposeMaterialize(H(1), H(10), 1, 1000));
   // A long budget that would stall the test for real; the injection must
   // short-circuit it instantly.
-  Status waited = service_.WaitForMaterialized(H(10), 600);
+  Status waited = service.WaitForMaterialized(H(10), 600);
   EXPECT_TRUE(waited.IsExpired()) << waited.ToString();
-  service_.AbandonLock(H(10), 1);
+  service.AbandonLock(H(10), 1);
 }
 
 // --- End-to-end job-service tests -------------------------------------------
@@ -257,10 +258,11 @@ void ExpectStreamsIdentical(StorageManager* a, const std::string& a_name,
   }
 }
 
-CloudViewsConfig SharingCvConfig() {
+CloudViewsConfig SharingCvConfig(FaultInjector* fault = nullptr) {
   CloudViewsConfig config;
   config.analyzer.selection.top_k = 1;
   config.analyzer.selection.min_frequency = 2;
+  config.fault = fault;
   return config;
 }
 
@@ -438,7 +440,9 @@ class PiggybackServiceTest : public ::testing::Test {
     ASSERT_TRUE(cv_.metadata()->ReportMaterialized(info, 0).ok());
   }
 
-  CloudViews cv_{SharingCvConfig()};
+  /// Unarmed unless a test arms a point.
+  FaultInjector inj_{29};
+  CloudViews cv_{SharingCvConfig(&inj_)};
   SubgraphSignatures sigs_;
   MaterializedViewInfo donor_view_;
   StreamHandle view_stream_;
@@ -517,11 +521,9 @@ TEST_F(PiggybackServiceTest, WaitBudgetExpiryKeepsTheBlindPlan) {
 }
 
 TEST_F(PiggybackServiceTest, InjectedTimeoutShortCircuitsTheWait) {
-  FaultInjector inj(29);
   FaultSpec spec;
   spec.trigger_every = 1;
-  inj.Arm(fault::points::kSharingPiggybackTimeout, spec);
-  cv_.metadata()->SetFaultInjector(&inj);
+  inj_.Arm(fault::points::kSharingPiggybackTimeout, spec);
 
   HoldLockAsForeignBuilder();
   JobServiceOptions options;

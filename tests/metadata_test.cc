@@ -202,13 +202,14 @@ TEST_F(MetadataTest, ProposeAttemptsCountInjectedCallsProposalsDoNot) {
   fault::FaultSpec spec;
   spec.trigger_every = 2;  // every second propose is swallowed
   inj.Arm(fault::points::kMetadataPropose, spec);
-  service_.SetFaultInjector(&inj);
+  MetadataService service(&clock_, &storage_, {}, nullptr,
+                          MonotonicClock::Real(), &inj);
 
   int granted = 0;
   for (uint64_t i = 0; i < 6; ++i) {
-    if (service_.ProposeMaterialize(H(1), H(100 + i), i, 10)) ++granted;
+    if (service.ProposeMaterialize(H(1), H(100 + i), i, 10)) ++granted;
   }
-  auto c = service_.counters();
+  auto c = service.counters();
   EXPECT_EQ(c.propose_attempts, 6u);
   EXPECT_EQ(c.proposals, 3u);  // hits 2, 4, 6 were injected away
   EXPECT_EQ(c.propose_attempts - c.proposals, 3u);

@@ -776,11 +776,10 @@ class RepositoryIngestTest : public ::testing::Test {
 TEST_F(RepositoryIngestTest, PartiallyWiredInstrumentsDoNotCrashOrSkip) {
   JobRecord record = ExecutedRecord();
   {
-    // Wired into a shared registry: the gauge tracks the index and the
+    // Built on a shared registry: the gauge tracks the index and the
     // counters advance there.
     obs::MetricsRegistry registry;
-    WorkloadRepository repo;
-    repo.SetMetrics(&registry);
+    WorkloadRepository repo(&registry);
     repo.AddJob(record);
     EXPECT_GT(repo.NumIndexedSubgraphs(), 0u);
     EXPECT_EQ(registry.GetGauge("cv_repository_indexed_subgraphs")->value(),
@@ -793,7 +792,7 @@ TEST_F(RepositoryIngestTest, PartiallyWiredInstrumentsDoNotCrashOrSkip) {
               0u);
   }
   {
-    // Nothing wired at all.
+    // Built on its own: the repository counts into a registry it owns.
     WorkloadRepository repo;
     repo.AddJob(record);
     EXPECT_GT(repo.NumIndexedSubgraphs(), 0u);

@@ -4,7 +4,9 @@
 // for shared (DAG) subtrees.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -339,6 +341,20 @@ const FieldMetric kStatsFields[] = {
 #undef CV_CACHE_FIELD
 #undef CV_METADATA_FIELD
 
+/// Every counter series of `registry`, keyed by name and labels.
+std::map<std::string, double> CounterSeries(
+    const obs::MetricsRegistry& registry) {
+  std::map<std::string, double> out;
+  for (const obs::FamilySnapshot& family : registry.Snapshot()) {
+    if (family.type != obs::MetricType::kCounter) continue;
+    for (const obs::SeriesSnapshot& series : family.series) {
+      out[family.name + "{" + obs::RenderLabels(series.labels) + "}"] =
+          series.value;
+    }
+  }
+  return out;
+}
+
 /// One deterministic single-threaded workload: history, the analyzer, a
 /// view build, reuse through the skeleton tier, a full-hit re-submission, a
 /// second template reusing the view, a demotion once the view expires, the
@@ -353,12 +369,6 @@ std::unique_ptr<CloudViews> RunStatsWorkload(bool observability,
   config.analyzer.selection.top_k = 1;
   config.analyzer.selection.min_frequency = 2;
   auto cv = std::make_unique<CloudViews>(config);
-  // Observability off, CloudViews leaves the job service on the real
-  // clock; time its runs on the fake one too so the analyzer ranks the
-  // same candidates in both runs. No registry or tracer is wired.
-  if (!observability) {
-    cv->job_service()->SetObservability(nullptr, nullptr, wall_clock);
-  }
   auto job = [](const std::string& id, const std::string& date) {
     PlanBuilder shared = PlanBuilder::From(SharedAggPlan(date));
     PlanBuilder plan =
@@ -403,9 +413,81 @@ TEST(StatsPathTest, ObservabilityOnAndOffReportTheSameStats) {
     EXPECT_EQ(f.read(on.get()), f.read(off.get())) << f.field;
   }
 
-  // Off, the components counted privately: nothing reached metrics().
-  EXPECT_EQ(obs::RenderPrometheus(*off->metrics()).find("cv_plan_cache_"),
-            std::string::npos);
+  // Off, the same counters reached metrics() with the same values.
+  EXPECT_EQ(CounterSeries(*off->metrics()), CounterSeries(*on->metrics()));
+}
+
+/// Instrument families in `registry`, `cv_job_stage_seconds` aside: only
+/// the tracer, which observability attaches, feeds that one.
+std::set<std::string> FamiliesBesidesStages(
+    const obs::MetricsRegistry& registry) {
+  std::set<std::string> out;
+  for (const obs::FamilySnapshot& family : registry.Snapshot()) {
+    if (family.name != "cv_job_stage_seconds") out.insert(family.name);
+  }
+  return out;
+}
+
+TEST(ConstructionWiringTest, ObservabilityOnlyAttachesTheTracer) {
+  FakeMonotonicClock wall_clock{5.0};  // never advances
+  auto make = [&](bool observability) {
+    CloudViewsConfig config;
+    config.enable_observability = observability;
+    config.wall_clock = &wall_clock;
+    return std::make_unique<CloudViews>(config);
+  };
+  auto on = make(true);
+  auto off = make(false);
+
+  // Every component registered its instruments at construction, into the
+  // one registry, whether or not observability is on.
+  const std::set<std::string> constructed =
+      FamiliesBesidesStages(*on->metrics());
+  EXPECT_EQ(FamiliesBesidesStages(*off->metrics()), constructed);
+  for (const char* family :
+       {"cv_storage_lock_wait_seconds", "cv_metadata_lock_wait_seconds",
+        "cv_metadata_shard_lock_wait_seconds",
+        "cv_repository_lock_wait_seconds", "cv_job_latency_seconds"}) {
+    EXPECT_EQ(constructed.count(family), 1u) << family;
+  }
+  std::set<std::string> shards;
+  for (const obs::FamilySnapshot& family : off->metrics()->Snapshot()) {
+    if (family.name != "cv_metadata_shard_lock_wait_seconds") continue;
+    for (const obs::SeriesSnapshot& series : family.series) {
+      shards.insert(obs::RenderLabels(series.labels));
+    }
+  }
+  EXPECT_EQ(shards.size(), MetadataService::kNumShards);
+  EXPECT_EQ(shards.count("shard=\"0\""), 1u);
+  EXPECT_EQ(shards.count("shard=\"7\""), 1u);
+
+  auto submit = [](CloudViews* cv) {
+    WriteClickStream(cv->storage(), "clicks_2018-01-01", 500, 1,
+                     "2018-01-01");
+    JobDefinition def;
+    def.template_id = "jobA";
+    def.logical_plan = PlanBuilder::From(SharedAggPlan("2018-01-01"))
+                           .Output("jobA_2018-01-01")
+                           .Build();
+    return cv->Submit(def);
+  };
+  auto on_result = submit(on.get());
+  auto off_result = submit(off.get());
+  ASSERT_TRUE(on_result.ok()) << on_result.status().ToString();
+  ASSERT_TRUE(off_result.ok()) << off_result.status().ToString();
+  EXPECT_EQ(FamiliesBesidesStages(*off->metrics()),
+            FamiliesBesidesStages(*on->metrics()));
+
+  // Off, the job still times on the injected clock, and no span is kept.
+  EXPECT_EQ(off_result->compile_seconds, 0.0);
+  EXPECT_EQ(off_result->run_stats.latency_seconds, 0.0);
+  ASSERT_FALSE(off_result->run_stats.operators.empty());
+  for (const auto& [id, op] : off_result->run_stats.operators) {
+    EXPECT_EQ(op.exclusive_seconds, 0.0) << "operator " << id;
+  }
+  EXPECT_EQ(off_result->trace, nullptr);
+  EXPECT_TRUE(off->tracer()->FinishedTraces().empty());
+  EXPECT_NE(on_result->trace, nullptr);
 }
 
 TEST(StatsPathTest, EveryStatsFieldEqualsItsExportedSeries) {

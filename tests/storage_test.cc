@@ -128,11 +128,9 @@ TEST(StorageTest, ListByPrefixAndTotals) {
 
 TEST(StorageTest, LevelsTrackEveryChange) {
   SimulatedClock clock(1000);
-  StorageManager storage(&clock);
   obs::MetricsRegistry metrics;
-  storage.SetMetrics(&metrics);
   fault::FaultInjector fault(1);
-  storage.SetFaultInjector(&fault);
+  StorageManager storage(&clock, &metrics, MonotonicClock::Real(), &fault);
 
   // What the test wrote and believes is stored: name -> bytes.
   std::map<std::string, int64_t> stored;

@@ -1,7 +1,7 @@
-// Seeded nullable-instrument violations: counters and gauges are
-// registered at construction and never null, so a null check guarding
-// their update is dead code that hides a missing registration. Histogram
-// observations, other calls and other checks at the bottom stay clean.
+// Seeded nullable-instrument violations: counters, gauges and histograms
+// are registered at construction and never null, so a null check guarding
+// their update is dead code that hides a missing registration. Other calls
+// and other checks at the bottom stay clean.
 struct Instruments {
   Counter* hits = nullptr;
   Gauge* depth = nullptr;
@@ -14,7 +14,7 @@ void Record(Instruments obs_, Counter* rejected_counter_, State* state) {
     obs_.depth->Set(2);
   }
   if (state->depth != nullptr) state->depth->Add(-1);  // violation
-  if (obs_.wait != nullptr) obs_.wait->Observe(0.5);   // histogram: fine
+  if (obs_.wait != nullptr) obs_.wait->Observe(0.5);   // violation
   if (rejected_counter_ != nullptr) Log(rejected_counter_);  // other call
   if (obs_.hits != nullptr) obs_.depth->Set(1);  // another instrument
 }

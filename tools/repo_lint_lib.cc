@@ -248,12 +248,9 @@ size_t SkipMemberExpr(const std::vector<Token>& code, size_t i) {
 }
 
 void RuleNullableInstrument(const FileCtx& ctx, std::vector<Violation>* out) {
-  // Components keep counters and gauges that are never null; src/obs/
-  // itself defines the null-tolerant helpers (ScopedGaugeIncrement).
-  if (ctx.rel_path.rfind("src/", 0) != 0 ||
-      PathContains(ctx.rel_path, "src/obs/")) {
-    return;
-  }
+  // Every component registers its instruments at construction, so none is
+  // ever null.
+  if (ctx.rel_path.rfind("src/", 0) != 0) return;
   const auto& code = ctx.code;
   for (size_t i = 0; i + 1 < code.size(); ++i) {
     if (!code[i].IsIdent("if") || !code[i + 1].IsPunct("(")) continue;
@@ -277,15 +274,16 @@ void RuleNullableInstrument(const FileCtx& ctx, std::vector<Violation>* out) {
       continue;
     }
     const std::string& call = code[j + 1].text;
-    if (call != "Increment" && call != "Set" && call != "Add") continue;
+    if (call != "Increment" && call != "Set" && call != "Add" &&
+        call != "Observe") {
+      continue;
+    }
     std::string x;
     for (size_t k = x_begin; k < x_end; ++k) x += code[k].text;
     out->push_back({ctx.display_path, code[i].line, "nullable-instrument",
                     "null check guarding '" + x + "->" + call +
-                        "'; counters and gauges are registered at "
-                        "construction and never null — drop the check (or "
-                        "NOLINT(nullable-instrument): <why> for an opt-in "
-                        "instrument)"});
+                        "'; instruments are registered at construction "
+                        "and never null — drop the check"});
   }
 }
 
@@ -501,8 +499,8 @@ const std::vector<LintRule>& AllRules() {
        "— use std::from_chars and return a Status",
        "bad_conversion.cc", RuleThrowingConversion},
       {"nullable-instrument",
-       "a null check guarding a counter or gauge update in src/ — they "
-       "are registered at construction and never null",
+       "a null check guarding a counter, gauge or histogram update in "
+       "src/ — instruments are registered at construction and never null",
        "bad_nullable_instrument.cc", RuleNullableInstrument},
       {"boxed-cell",
        "a per-cell .GetValue( or per-row AppendRowFrom( in src/exec/ — "

@@ -146,24 +146,26 @@ TEST(RepoLintTest, NullableInstrumentFires) {
                              ReadFixture("bad_nullable_instrument.cc"));
   EXPECT_EQ(Rules(violations),
             std::set<std::string>{"nullable-instrument"});
-  // Increment, braced Set and Add through `->`; the histogram, the other
-  // call and the check on another instrument stay clean.
-  ASSERT_EQ(violations.size(), 3u);
+  // Increment, braced Set, Add through `->` and the histogram's Observe;
+  // the other call and the check on another instrument stay clean.
+  ASSERT_EQ(violations.size(), 4u);
   EXPECT_EQ(violations[0].line, 12);
   EXPECT_EQ(violations[1].line, 13);
   EXPECT_EQ(violations[2].line, 16);
+  EXPECT_EQ(violations[3].line, 17);
 }
 
 TEST(RepoLintTest, NullableInstrumentScopedToComponents) {
   const std::string fixture = ReadFixture("bad_nullable_instrument.cc");
-  // src/obs/ defines the null-tolerant helpers; tests may wire what they
-  // like.
-  EXPECT_TRUE(LintFile("metrics.cc", "src/obs/metrics.cc", fixture).empty());
+  // All of src/, src/obs/ included; tests may wire what they like.
+  EXPECT_EQ(LintFile("metrics.cc", "src/obs/metrics.cc", fixture).size(),
+            4u);
   EXPECT_TRUE(LintFile("obs_test.cc", "tests/obs_test.cc", fixture).empty());
-  EXPECT_TRUE(LintFile("pool.cc", "src/common/thread_pool.cc",
-                       "// NOLINTNEXTLINE(nullable-instrument): opt-in.\n"
-                       "if (obs_.depth != nullptr) obs_.depth->Add(1);\n")
-                  .empty());
+  EXPECT_TRUE(
+      LintFile("fault_injector.cc", "src/fault/fault_injector.cc",
+               "// NOLINTNEXTLINE(nullable-instrument): opt-in.\n"
+               "if (state.fires != nullptr) state.fires->Increment();\n")
+          .empty());
 }
 
 TEST(RepoLintTest, BoxedCellFires) {
