@@ -2,6 +2,8 @@
 // loaded annotations.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "metadata/metadata_service.h"
 
 namespace cloudviews {
@@ -89,6 +91,37 @@ void BM_FindMaterialized(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FindMaterialized);
+
+/// Containment tier 2.5 probe with `range(0)` live instances of one
+/// template, each over its own core (a recurring view materialized on that
+/// many dates). The probe asks for one core, so its time must not grow
+/// with the instance count.
+void BM_FindSubsumableInstances(benchmark::State& state) {
+  SimulatedClock clock;
+  StorageManager storage(&clock);
+  MetadataService service(&clock, &storage);
+  const Hash128 normalized{1, 1};
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  for (uint64_t i = 0; i < n; ++i) {
+    MaterializedViewInfo info;
+    info.normalized_signature = normalized;
+    info.precise_signature = Hash128{i, 2};
+    info.path = "/views/x/y.ss";
+    auto features = std::make_shared<ViewFeatures>();
+    features->core_precise = Hash128{i, 3};
+    info.reuse_features = std::move(features);
+    // Intentional drop: setup loop, registrations cannot fail here.
+    (void)service.ReportMaterialized(info, 0);
+  }
+  uint64_t i = 0;
+  for (auto _ : state) {
+    Hash128 core{(i++) % n, 3};
+    benchmark::DoNotOptimize(
+        service.FindSubsumableInstances(normalized, core));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FindSubsumableInstances)->Arg(1)->Arg(64)->Arg(512);
 
 }  // namespace
 }  // namespace cloudviews

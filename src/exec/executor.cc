@@ -280,53 +280,59 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   }
   for (auto& s : child_status) CV_RETURN_NOT_OK(s);
 
-  // The operator's own work: open, phased morsel processing, close. Every
-  // callback is wrapped in a thread-CPU timer; cpu_seconds is the sum of
-  // the deltas across all workers that touched this operator.
+  // The operator's own work: open, phased morsel processing, close;
+  // cpu_seconds is the thread-CPU time spent in it. Run inline, it all
+  // happens on this thread, so one clock pair covers it (each read is a
+  // system call). With a pool, every callback is timed on whichever worker
+  // ran it and the deltas are summed: help-while-wait can run another
+  // operator's tasks on a thread waiting here, so an outer timer would
+  // charge them to this operator.
   CpuAccumulator cpu;
+  CpuAccumulator* per_callback = state->pool != nullptr ? &cpu : nullptr;
   OperatorContext octx;
   octx.exec = &ctx_;
   octx.pool = state->pool;
   octx.morsel_rows = state->morsel_rows;
-  octx.cpu = &cpu;
 
   double own_start = ctx_.clock->NowSeconds();
   CV_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalOperator> op,
                       MakePhysicalOperator(node));
-  {
-    ScopedThreadCpuTimer timer(&cpu);
-    CV_RETURN_NOT_OK(op->Open(octx, std::move(inputs)));
-  }
   uint64_t total_morsels = 0;
-  for (size_t phase = 0; phase < op->num_phases(); ++phase) {
-    {
-      ScopedThreadCpuTimer timer(&cpu);
-      CV_RETURN_NOT_OK(op->PreparePhase(octx, phase));
-    }
-    size_t n = op->NumMorsels(phase);
-    total_morsels += n;
-    std::vector<Status> morsel_status(n, Status::OK());
-    ParallelFor(state->pool, n, [&](size_t m) {
-      ScopedThreadCpuTimer timer(&cpu);
-      if (ctx_.fault != nullptr) {
-        Status injected = ctx_.fault->MaybeInject(
-            fault::points::kExecMorsel,
-            std::to_string(ctx_.job_id) + ":" +
-                std::to_string(node->id()) + ":" + std::to_string(phase) +
-                ":" + std::to_string(m));
-        if (!injected.ok()) {
-          morsel_status[m] = std::move(injected);
-          return;
-        }
-      }
-      morsel_status[m] = op->ProcessMorsel(octx, phase, m);
-    });
-    // Deterministic error selection: lowest morsel index wins.
-    for (auto& s : morsel_status) CV_RETURN_NOT_OK(s);
-  }
   MorselSet out;
   {
-    ScopedThreadCpuTimer timer(&cpu);
+    ScopedThreadCpuTimer inline_timer(per_callback == nullptr ? &cpu
+                                                              : nullptr);
+    {
+      ScopedThreadCpuTimer timer(per_callback);
+      CV_RETURN_NOT_OK(op->Open(octx, std::move(inputs)));
+    }
+    for (size_t phase = 0; phase < op->num_phases(); ++phase) {
+      {
+        ScopedThreadCpuTimer timer(per_callback);
+        CV_RETURN_NOT_OK(op->PreparePhase(octx, phase));
+      }
+      size_t n = op->NumMorsels(phase);
+      total_morsels += n;
+      std::vector<Status> morsel_status(n, Status::OK());
+      ParallelFor(state->pool, n, [&](size_t m) {
+        ScopedThreadCpuTimer timer(per_callback);
+        if (ctx_.fault != nullptr) {
+          Status injected = ctx_.fault->MaybeInject(
+              fault::points::kExecMorsel,
+              std::to_string(ctx_.job_id) + ":" +
+                  std::to_string(node->id()) + ":" +
+                  std::to_string(phase) + ":" + std::to_string(m));
+          if (!injected.ok()) {
+            morsel_status[m] = std::move(injected);
+            return;
+          }
+        }
+        morsel_status[m] = op->ProcessMorsel(octx, phase, m);
+      });
+      // Deterministic error selection: lowest morsel index wins.
+      for (auto& s : morsel_status) CV_RETURN_NOT_OK(s);
+    }
+    ScopedThreadCpuTimer timer(per_callback);
     CV_ASSIGN_OR_RETURN(out, op->Close(octx));
   }
 

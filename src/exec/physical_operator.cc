@@ -657,9 +657,12 @@ class SortOperator : public PhysicalOperator {
 
 // ---------------------------------------------------------------------------
 // Exchange. Hash partitioning splits each morsel's rows by partition in
-// parallel, then each partition gathers its rows — in global row order — in
-// parallel across partitions; the output is the partitions concatenated in
-// partition order, matching PartitionBatch + CombineBatches.
+// parallel; the output row sequence is then partition, input morsel, row —
+// exactly PartitionBatch + CombineBatches — and the gather phase copies it
+// out in morsel_rows-sized chunks in parallel. Round-robin builds the same
+// sequence directly. Downstream operators merge in global row order, so
+// cutting the sequence into chunks instead of one morsel per partition
+// changes no result.
 // ---------------------------------------------------------------------------
 
 class ExchangeOperator : public PhysicalOperator {
@@ -673,68 +676,75 @@ class ExchangeOperator : public PhysicalOperator {
     scheme_ = p.scheme;
     count_ = p.partition_count > 0 ? static_cast<size_t>(p.partition_count)
                                    : 1;
-    switch (scheme_) {
-      case PartitionScheme::kAny:
-      case PartitionScheme::kSingleton:
-      case PartitionScheme::kRange:
-        break;
-      case PartitionScheme::kHash: {
-        CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
-        rows_.resize(inputs_[0].size());
-        parts_.resize(count_);
-        break;
-      }
-      case PartitionScheme::kRoundRobin: {
-        offsets_.resize(inputs_[0].size());
-        size_t off = 0;
-        for (size_t m = 0; m < inputs_[0].size(); ++m) {
-          offsets_[m] = off;
-          off += inputs_[0][m].num_rows();
-        }
-        parts_.resize(count_);
-        break;
-      }
+    if (scheme_ == PartitionScheme::kHash) {
+      CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
+      rows_.resize(inputs_[0].size());
     }
     return Status::OK();
   }
 
   size_t num_phases() const override {
-    return scheme_ == PartitionScheme::kHash ? 2 : 1;
-  }
-
-  size_t NumMorsels(size_t phase) const override {
     switch (scheme_) {
       case PartitionScheme::kHash:
-        return phase == 0 ? inputs_[0].size() : count_;
+        return 2;
       case PartitionScheme::kRoundRobin:
-        return count_;
+        return 1;
       default:
         return 0;
     }
   }
 
-  Status ProcessMorsel(OperatorContext&, size_t phase, size_t m) override {
-    if (scheme_ == PartitionScheme::kHash && phase == 0) {
+  Status PreparePhase(OperatorContext& ctx, size_t phase) override {
+    if (phase + 1 != num_phases()) return Status::OK();
+    const MorselSet& in = inputs_[0];
+    order_.reserve(MorselRowCount(in));
+    if (scheme_ == PartitionScheme::kHash) {
+      for (size_t p = 0; p < count_; ++p) {
+        for (size_t mi = 0; mi < in.size(); ++mi) {
+          for (uint32_t r : rows_[mi][p]) {
+            order_.push_back({static_cast<uint32_t>(mi), r});
+          }
+        }
+      }
+    } else {
+      // Global row g goes to partition g % count_.
+      std::vector<size_t> offsets(in.size());
+      for (size_t mi = 0, off = 0; mi < in.size(); ++mi) {
+        offsets[mi] = off;
+        off += in[mi].num_rows();
+      }
+      for (size_t p = 0; p < count_; ++p) {
+        for (size_t mi = 0; mi < in.size(); ++mi) {
+          for (size_t r = (p + count_ - offsets[mi] % count_) % count_;
+               r < in[mi].num_rows(); r += count_) {
+            order_.push_back(
+                {static_cast<uint32_t>(mi), static_cast<uint32_t>(r)});
+          }
+        }
+      }
+    }
+    chunks_ = (order_.size() + ctx.morsel_rows - 1) / ctx.morsel_rows;
+    out_.resize(chunks_);
+    return Status::OK();
+  }
+
+  size_t NumMorsels(size_t phase) const override {
+    if (phase + 1 == num_phases()) return chunks_;
+    return inputs_[0].size();  // hash phase 0: one task per input morsel
+  }
+
+  Status ProcessMorsel(OperatorContext& ctx, size_t phase,
+                       size_t m) override {
+    if (phase + 1 != num_phases()) {
       rows_[m] = HashPartitionRows(inputs_[0][m], cols_, count_);
       return Status::OK();
     }
-    // Gather partition m's rows in global row order.
     Batch out(InputSchema(0));
-    std::vector<uint32_t> round_robin;
-    for (size_t mi = 0; mi < inputs_[0].size(); ++mi) {
-      const Batch& in = inputs_[0][mi];
-      if (scheme_ == PartitionScheme::kHash) {
-        out.AppendSelected(in, rows_[mi][m]);
-        continue;
-      }
-      round_robin.clear();
-      for (size_t r = (m + count_ - offsets_[mi] % count_) % count_;
-           r < in.num_rows(); r += count_) {
-        round_robin.push_back(static_cast<uint32_t>(r));
-      }
-      out.AppendSelected(in, round_robin);
-    }
-    parts_[m] = std::move(out);
+    size_t begin = m * ctx.morsel_rows;
+    size_t end = std::min(begin + ctx.morsel_rows, order_.size());
+    out.AppendGathered(inputs_[0], std::span<const RowRef>(order_).subspan(
+                                       begin, end - begin));
+    out_[m] = std::move(out);
     return Status::OK();
   }
 
@@ -754,13 +764,8 @@ class ExchangeOperator : public PhysicalOperator {
         Batch combined = CombineBatches(InputSchema(0), inputs_[0]);
         return ChunkBatch(SortBatch(combined, keys), ctx.morsel_rows);
       }
-      default: {
-        MorselSet result;
-        for (auto& p : parts_) {
-          if (p.num_rows() > 0) result.push_back(std::move(p));
-        }
-        return result;
-      }
+      default:
+        return std::move(out_);
     }
   }
 
@@ -771,8 +776,10 @@ class ExchangeOperator : public PhysicalOperator {
   /// Hash scheme: rows_[morsel][partition] lists that morsel's rows of the
   /// partition.
   std::vector<std::vector<std::vector<uint32_t>>> rows_;
-  std::vector<size_t> offsets_;
-  MorselSet parts_;
+  /// The output row sequence: partition, then input morsel, then row.
+  std::vector<RowRef> order_;
+  size_t chunks_ = 0;
+  MorselSet out_;
 };
 
 // ---------------------------------------------------------------------------

@@ -19,10 +19,6 @@ struct OperatorContext {
   /// Null means single-threaded: morsels run inline in index order.
   ThreadPool* pool = nullptr;
   size_t morsel_rows = 4096;
-  /// Operator-wide CPU accounting; the driver sums per-thread CPU deltas of
-  /// Open/PreparePhase/ProcessMorsel/Close here from whichever worker ran
-  /// them.
-  CpuAccumulator* cpu = nullptr;
 };
 
 /// \brief One physical operator of the morsel-driven engine: one subclass

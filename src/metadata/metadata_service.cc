@@ -200,15 +200,29 @@ std::optional<MaterializedViewInfo> MetadataService::LookupLive(
   return it->second.info;
 }
 
+std::optional<MetadataService::InstanceKey> MetadataService::IndexKey(
+    const MaterializedViewInfo& info) {
+  if (info.reuse_features == nullptr) return std::nullopt;
+  return InstanceKey{info.normalized_signature,
+                     info.reuse_features->core_precise};
+}
+
+void MetadataService::Unindex(const InstanceKey& key, const Hash128& precise) {
+  auto it = instances_by_core_.find(key);
+  if (it == instances_by_core_.end()) return;
+  it->second.erase(precise);
+  if (it->second.empty()) instances_by_core_.erase(it);
+}
+
 std::vector<MaterializedViewInfo> MetadataService::FindSubsumableInstances(
-    const Hash128& normalized) {
+    const Hash128& normalized, const Hash128& core_precise) {
   // std::set keeps the precise signatures ordered, which is the matcher's
   // determinism contract for instance iteration.
   std::vector<Hash128> precise_sigs;
   {
     MutexLock lock(subsume_mu_);
-    auto it = instances_by_normalized_.find(normalized);
-    if (it == instances_by_normalized_.end()) return {};
+    auto it = instances_by_core_.find(InstanceKey{normalized, core_precise});
+    if (it == instances_by_core_.end()) return {};
     precise_sigs.assign(it->second.begin(), it->second.end());
   }
   std::vector<MaterializedViewInfo> out;
@@ -352,13 +366,12 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
     // Wake piggybackers blocked on this build: the view is now live.
     shard.lock_cv.NotifyAll();
   }
-  {
+  if (auto key = IndexKey(info)) {
     // Secondary containment index; maintained outside the shard mutex
     // (subsume_mu_ never nests with shard mutexes) and validated against
     // the shards at read time, so this brief window is benign.
     MutexLock lock(subsume_mu_);
-    instances_by_normalized_[info.normalized_signature].insert(
-        info.precise_signature);
+    instances_by_core_[*key].insert(info.precise_signature);
   }
   // A newly registered view invalidates cached plans that could have
   // reused it — never serve a stale rewrite.
@@ -437,7 +450,7 @@ Status MetadataService::WaitForMaterialized(const Hash128& precise,
 size_t MetadataService::PurgeExpired() {
   LogicalTime now = clock_->Now();
   std::vector<std::string> paths_to_delete;
-  std::vector<std::pair<Hash128, Hash128>> purged_sigs;  // normalized, precise
+  std::vector<std::pair<InstanceKey, Hash128>> unindex;  // key, precise
   for (Shard& shard : shards_) {
     // Clean the metadata first so no job can be handed an expired view,
     // then delete the physical files (Sec 5.4).
@@ -446,8 +459,9 @@ size_t MetadataService::PurgeExpired() {
     for (auto it = shard.views.begin(); it != shard.views.end();) {
       if (it->second.expires_at != 0 && it->second.expires_at <= now) {
         paths_to_delete.push_back(it->second.info.path);
-        purged_sigs.emplace_back(it->second.info.normalized_signature,
-                                 it->second.info.precise_signature);
+        if (auto key = IndexKey(it->second.info)) {
+          unindex.emplace_back(*key, it->second.info.precise_signature);
+        }
         it = shard.views.erase(it);
         obs_.registered_views->Add(-1);
         obs_.views_purged->Increment();
@@ -456,14 +470,9 @@ size_t MetadataService::PurgeExpired() {
       }
     }
   }
-  if (!purged_sigs.empty()) {
+  if (!unindex.empty()) {
     MutexLock lock(subsume_mu_);
-    for (const auto& [normalized, precise] : purged_sigs) {
-      auto it = instances_by_normalized_.find(normalized);
-      if (it == instances_by_normalized_.end()) continue;
-      it->second.erase(precise);
-      if (it->second.empty()) instances_by_normalized_.erase(it);
-    }
+    for (const auto& [key, precise] : unindex) Unindex(key, precise);
   }
   if (!paths_to_delete.empty()) BumpEpoch();
   for (const auto& path : paths_to_delete) {
@@ -477,7 +486,7 @@ size_t MetadataService::PurgeExpired() {
 
 Status MetadataService::DropView(const Hash128& precise) {
   std::string path;
-  Hash128 normalized;
+  std::optional<InstanceKey> key;
   {
     Shard& shard = ShardFor(precise);
     obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
@@ -487,17 +496,13 @@ Status MetadataService::DropView(const Hash128& precise) {
       return Status::NotFound("view not registered");
     }
     path = it->second.info.path;
-    normalized = it->second.info.normalized_signature;
+    key = IndexKey(it->second.info);
     shard.views.erase(it);
     obs_.registered_views->Add(-1);
   }
-  {
+  if (key.has_value()) {
     MutexLock lock(subsume_mu_);
-    auto it = instances_by_normalized_.find(normalized);
-    if (it != instances_by_normalized_.end()) {
-      it->second.erase(precise);
-      if (it->second.empty()) instances_by_normalized_.erase(it);
-    }
+    Unindex(*key, precise);
   }
   BumpEpoch();
   return storage_->DeleteStream(path);

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -119,10 +120,13 @@ class MetadataService : public ViewCatalogInterface {
                           uint64_t job_id,
                           double expected_build_seconds) override;
 
-  /// Containment tier 2.5: the live materialized instances of one template,
-  /// sorted by precise signature (the matcher's determinism contract).
+  /// Containment tier 2.5: the live materialized instances of one template
+  /// over one core, sorted by precise signature (the matcher's determinism
+  /// contract). The probe reads one index entry, so its cost does not grow
+  /// with the template's history of instances over other inputs.
   std::vector<MaterializedViewInfo> FindSubsumableInstances(
-      const Hash128& normalized) override EXCLUDES(subsume_mu_);
+      const Hash128& normalized, const Hash128& core_precise) override
+      EXCLUDES(subsume_mu_);
 
   // --- Job-manager-facing ---------------------------------------------------
 
@@ -319,16 +323,45 @@ class MetadataService : public ViewCatalogInterface {
   mutable Mutex analysis_mu_;
   std::shared_ptr<const AnalysisSnapshot> analysis_ GUARDED_BY(analysis_mu_);
 
+  /// Key of the containment instance index: a computation template and the
+  /// precise signature of its core (the plan below the cap, i.e. the
+  /// concrete input an instance was computed over).
+  struct InstanceKey {
+    Hash128 normalized;
+    Hash128 core_precise;
+
+    bool operator==(const InstanceKey& other) const {
+      return normalized == other.normalized &&
+             core_precise == other.core_precise;
+    }
+  };
+  struct InstanceKeyHasher {
+    size_t operator()(const InstanceKey& key) const {
+      Hash128Hasher h;
+      size_t seed = h(key.normalized);
+      return seed ^ (h(key.core_precise) + 0x9e3779b97f4a7c15ULL +
+                     (seed << 6) + (seed >> 2));
+    }
+  };
+
+  /// The index key of a registered instance; nullopt when it carries no
+  /// reuse features (such an instance only serves exact matches).
+  static std::optional<InstanceKey> IndexKey(const MaterializedViewInfo& info);
+  /// Removes one instance from the containment index.
+  void Unindex(const InstanceKey& key, const Hash128& precise)
+      REQUIRES(subsume_mu_);
+
   /// Secondary index for containment matching: which precise instances of
-  /// each computation template are registered. Off the FindMaterialized
-  /// hot path (only the containment tiers read it), so a single mutex
-  /// suffices; entries are validated against the shards before use.
+  /// each (template, core) pair are registered. Off the FindMaterialized
+  /// path, so a single mutex suffices; entries are validated against the
+  /// shards before use.
   mutable Mutex subsume_mu_;
-  // shard-stripe: intentionally NOT striped — this normalized-keyed index
-  // is only touched by registration/purge/drop and the (rare) containment
-  // tier 2.5 probe, never by the signature-sharded lookup hot path.
-  std::unordered_map<Hash128, std::set<Hash128>, Hash128Hasher>
-      instances_by_normalized_ GUARDED_BY(subsume_mu_);
+  // On a recurring workload the tier 2.5 probe runs on most compiles, but
+  // it copies only the instances over the query's own core (usually one).
+  // shard-stripe: intentionally NOT striped — one short critical section
+  // per registration, purge, drop and containment probe.
+  std::unordered_map<InstanceKey, std::set<Hash128>, InstanceKeyHasher>
+      instances_by_core_ GUARDED_BY(subsume_mu_);
 
   /// Starts at 1 so 0 can mean "no epoch observed" in callers.
   std::atomic<uint64_t> catalog_epoch_{1};

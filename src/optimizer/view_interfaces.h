@@ -91,12 +91,15 @@ class ViewCatalogInterface {
   }
 
   /// Containment tier 2.5: lists the live materialized instances of one
-  /// computation template, in a deterministic order, so the matcher can
-  /// check per-instance predicate containment. Default: none (catalogs
+  /// computation template whose reuse features name `core_precise` as
+  /// their core (the query's own input), in a deterministic order, so the
+  /// matcher can check per-instance predicate containment. Instances
+  /// without reuse features are never listed. Default: none (catalogs
   /// without instance tracking only serve exact matches).
   virtual std::vector<MaterializedViewInfo> FindSubsumableInstances(
-      const Hash128& normalized) {
+      const Hash128& normalized, const Hash128& core_precise) {
     (void)normalized;
+    (void)core_precise;
     return {};
   }
 };

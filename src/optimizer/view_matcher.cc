@@ -441,8 +441,8 @@ PlanNodePtr CandidateMatcher::TryCandidate(
     }
   }
 
-  // ---- Tier 2.5: a live instance over the same core whose concrete
-  // predicate contains the query's.
+  // ---- Tier 2.5: a live instance over the same core (the catalog lists
+  // only those) whose concrete predicate contains the query's.
   std::vector<ExprPtr> qconjuncts;
   FlattenConjuncts(qcap.filter != nullptr ? qcap.filter->predicate()
                                           : nullptr,
@@ -451,11 +451,10 @@ PlanNodePtr CandidateMatcher::TryCandidate(
   for (const auto& c : qconjuncts) qhashes.push_back(ExprPreciseHash(*c));
 
   bool verified_counted = false;
-  for (const auto& info :
-       catalog_->FindSubsumableInstances(ann.normalized_signature)) {
+  for (const auto& info : catalog_->FindSubsumableInstances(
+           ann.normalized_signature, qf.core_precise)) {
     const auto& rf = info.reuse_features;
     if (!rf) continue;
-    if (rf->core_precise != qf.core_precise) continue;
     if (!rf->predicate.Contains(qf.predicate)) continue;
     if (!verified_counted) {
       verified_counted = true;

@@ -23,8 +23,9 @@ namespace cloudviews {
 ///   tier 2   structural verification against the annotation's definition
 ///            skeleton: core equality, projection / aggregate mapping
 ///   tier 2.5 instance resolution: a live materialized instance with the
-///            same core precise signature whose predicate contains the
-///            query's (interval containment + opaque-conjunct equality)
+///            same core precise signature (one catalog probe keyed by
+///            template and core) whose predicate contains the query's
+///            (interval containment + opaque-conjunct equality)
 ///   tier 3   compensation plan: residual Filter, re-aggregation over the
 ///            coarser group-by (SUM/COUNT/MIN/MAX; AVG as SUM/COUNT), and
 ///            a final Project reproducing the replaced subtree's schema

@@ -2,7 +2,10 @@
 
 #include <set>
 
+#include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
+#include "exec/physical_operator.h"
 #include "exec/processor_registry.h"
 #include "plan/plan_builder.h"
 #include "signature/signature.h"
@@ -522,6 +525,122 @@ TEST_F(ExecTest, PartitionBatchHandlesEmptyAndSingleRow) {
   size_t total = 0;
   for (const auto& p : *one_parts) total += p.num_rows();
   EXPECT_EQ(total, 1u);
+}
+
+// The exchange emits its output row sequence (partition, input morsel,
+// row) in morsel_rows-sized chunks. Column `a` is null only in rows whose
+// hash key k is 3 and column `b` only in rows landing in round-robin
+// partition 1, so each scheme has nulls in only some partitions.
+TEST_F(ExecTest, ExchangeChunksEqualPartitionBatchPlusCombine) {
+  Schema schema({{"k", DataType::kInt64},
+                 {"a", DataType::kString},
+                 {"b", DataType::kInt64}});
+  constexpr size_t kRows = 53;
+  Batch data(schema);
+  for (size_t r = 0; r < kRows; ++r) {
+    int64_t k = static_cast<int64_t>(r % 11);
+    Value a = k == 3 ? Value::Null(DataType::kString)
+                     : Value::String("s" + std::to_string(r));
+    Value b = r % 4 == 1 ? Value::Null(DataType::kInt64)
+                         : Value::Int64(static_cast<int64_t>(r) * 7);
+    ASSERT_TRUE(data.AppendRow({Value::Int64(k), a, b}).ok());
+  }
+  const Partitioning schemes[] = {
+      Partitioning::Hash({"k"}, 5),
+      {PartitionScheme::kRoundRobin, {}, 4},
+  };
+  for (const Partitioning& partitioning : schemes) {
+    auto parts = PartitionBatch(data, partitioning);
+    ASSERT_TRUE(parts.ok());
+    Batch expected = CombineBatches(schema, *parts);
+    for (size_t morsel_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
+      SCOPED_TRACE(partitioning.ToString() + " morsel_rows=" +
+                   std::to_string(morsel_rows));
+      auto plan = PlanBuilder::Extract("t", "t", "g-t", schema)
+                      .Exchange(partitioning)
+                      .Build();
+      ASSERT_TRUE(plan->Bind().ok());
+      auto op = MakePhysicalOperator(plan.get());
+      ASSERT_TRUE(op.ok());
+      OperatorContext octx;
+      octx.morsel_rows = morsel_rows;
+      // Uneven input morsels, so rows of one partition span several.
+      ASSERT_TRUE((*op)->Open(octx, {ChunkBatch(data, 10)}).ok());
+      for (size_t phase = 0; phase < (*op)->num_phases(); ++phase) {
+        ASSERT_TRUE((*op)->PreparePhase(octx, phase).ok());
+        for (size_t m = 0; m < (*op)->NumMorsels(phase); ++m) {
+          ASSERT_TRUE((*op)->ProcessMorsel(octx, phase, m).ok());
+        }
+      }
+      auto out = (*op)->Close(octx);
+      ASSERT_TRUE(out.ok());
+      ASSERT_EQ(out->size(), (kRows + morsel_rows - 1) / morsel_rows);
+      for (size_t m = 0; m + 1 < out->size(); ++m) {
+        EXPECT_EQ((*out)[m].num_rows(), morsel_rows);
+      }
+      Batch actual = CombineBatches(schema, *out);
+      ASSERT_EQ(actual.num_rows(), expected.num_rows());
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        for (size_t r = 0; r < kRows; ++r) {
+          ASSERT_EQ(actual.column(c).IsNull(r), expected.column(c).IsNull(r))
+              << "col " << c << " row " << r;
+          ASSERT_EQ(actual.column(c).GetValue(r).ToString(),
+                    expected.column(c).GetValue(r).ToString())
+              << "col " << c << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+// Inline, one clock pair times each operator; on a pool, every callback is
+// timed on its worker. Both must give every operator some CPU time and the
+// job the sum over its operators.
+TEST_F(ExecTest, CpuAttributionInlineAndOnAPool) {
+  Schema schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+  Batch data(schema);
+  for (int64_t r = 0; r < 3000; ++r) {
+    ASSERT_TRUE(
+        data.AppendRow({Value::Int64(r % 37), Value::Int64(r * 13 % 101)})
+            .ok());
+  }
+  ASSERT_TRUE(storage_
+                  .WriteStream(MakeStreamData("cpu_in", "g-cpu", schema,
+                                              {data}, clock_.Now()))
+                  .ok());
+  auto plan = [&](const std::string& out) {
+    return PlanBuilder::Extract("cpu_in", "cpu_in", "g-cpu", schema)
+        .Filter(Gt(Col("v"), Lit(int64_t{10})))
+        .Exchange(Partitioning::Hash({"k"}, 8))
+        .Aggregate({"k"}, {{AggFunc::kSum, Col("v"), "s"},
+                           {AggFunc::kCount, nullptr, "n"}})
+        .Sort({{"k", true}})
+        .Output(out)
+        .Build();
+  };
+  ThreadPool pool(4);
+  std::vector<std::string> renderings;
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExecContext ctx;
+    ctx.options.worker_threads = workers;
+    ctx.options.morsel_rows = 128;
+    ctx.pool = workers > 1 ? &pool : nullptr;
+    std::string out = "cpu_out_" + std::to_string(workers);
+    JobRunStats stats = Run(plan(out), ctx);
+    ASSERT_EQ(stats.operators.size(), 6u);
+    double sum = 0;
+    for (const auto& [id, op] : stats.operators) {
+      EXPECT_GT(op.cpu_seconds, 0) << "operator " << id;
+      sum += op.cpu_seconds;
+    }
+    EXPECT_DOUBLE_EQ(stats.cpu_seconds, sum);
+    auto handle = storage_.OpenStream(out);
+    ASSERT_TRUE(handle.ok());
+    renderings.push_back(
+        CombineBatches((*handle)->schema, (*handle)->batches).ToString(100));
+  }
+  EXPECT_EQ(renderings[0], renderings[1]);
 }
 
 TEST_F(ExecTest, UnboundPlanRejected) {

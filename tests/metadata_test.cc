@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/fault_injector.h"
 #include "metadata/metadata_service.h"
@@ -18,6 +22,34 @@ AnnotatedComputation Comp(uint64_t sig, std::vector<std::string> tags) {
   comp.annotation.avg_runtime_seconds = 10;
   comp.tags = std::move(tags);
   return comp;
+}
+
+/// A registered instance of template `normalized`; `core` names the
+/// precise signature of the input it was computed over, and an instance
+/// without one carries no reuse features.
+MaterializedViewInfo Instance(uint64_t normalized, uint64_t precise,
+                              std::optional<uint64_t> core,
+                              uint64_t producer = 1) {
+  MaterializedViewInfo info;
+  info.path = "/views/" + std::to_string(normalized) + "/" +
+              std::to_string(precise) + ".ss";
+  info.normalized_signature = H(normalized);
+  info.precise_signature = H(precise);
+  info.producer_job_id = producer;
+  if (core.has_value()) {
+    auto features = std::make_shared<ViewFeatures>();
+    features->core_precise = H(*core, 7);
+    info.reuse_features = std::move(features);
+  }
+  return info;
+}
+
+Hash128 Core(uint64_t core) { return H(core, 7); }
+
+std::vector<Hash128> PreciseOf(const std::vector<MaterializedViewInfo>& infos) {
+  std::vector<Hash128> out;
+  for (const auto& info : infos) out.push_back(info.precise_signature);
+  return out;
 }
 
 class MetadataTest : public ::testing::Test {
@@ -225,6 +257,69 @@ TEST_F(MetadataTest, AttemptsEqualProposalsWithoutInjection) {
   auto c = service_.counters();
   EXPECT_EQ(c.propose_attempts, 2u);
   EXPECT_EQ(c.proposals, 2u);
+}
+
+TEST_F(MetadataTest, SubsumableProbeListsOnlyTheAskedCore) {
+  // Template 1 over three cores, registered out of precise order; template
+  // 2 shares core 1; one instance of template 1 has no reuse features.
+  for (const MaterializedViewInfo& info :
+       {Instance(1, 30, 1), Instance(1, 20, 2), Instance(1, 10, 1),
+        Instance(1, 40, 3), Instance(2, 50, 1), Instance(1, 5, std::nullopt)}) {
+    ASSERT_TRUE(service_.ReportMaterialized(info, 0).ok());
+  }
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(1))),
+            (std::vector<Hash128>{H(10), H(30)}));
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(2))),
+            (std::vector<Hash128>{H(20)}));
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(3))),
+            (std::vector<Hash128>{H(40)}));
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(2), Core(1))),
+            (std::vector<Hash128>{H(50)}));
+  EXPECT_TRUE(service_.FindSubsumableInstances(H(1), Core(4)).empty());
+  EXPECT_TRUE(service_.FindSubsumableInstances(H(3), Core(1)).empty());
+  // The featureless instance serves exact matches only: no core probe,
+  // including one for the zero core it would have, lists it.
+  EXPECT_TRUE(service_.FindMaterialized(H(1), H(5)).has_value());
+  EXPECT_TRUE(service_.FindSubsumableInstances(H(1), Hash128{}).empty());
+}
+
+TEST_F(MetadataTest, SubsumableProbeForgetsPurgedAndDroppedInstances) {
+  Schema s({{"v", DataType::kInt64}});
+  for (const MaterializedViewInfo& info :
+       {Instance(1, 10, 1), Instance(1, 20, 2), Instance(1, 30, 3)}) {
+    ASSERT_TRUE(storage_
+                    .WriteStream(MakeStreamData(info.path, "g", s, {},
+                                                clock_.Now()))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      service_.ReportMaterialized(Instance(1, 10, 1), clock_.Now() + 50)
+          .ok());
+  ASSERT_TRUE(service_.ReportMaterialized(Instance(1, 20, 2), 0).ok());
+  ASSERT_TRUE(service_.ReportMaterialized(Instance(1, 30, 3), 0).ok());
+
+  clock_.AdvanceSeconds(51);
+  ASSERT_EQ(service_.PurgeExpired(), 1u);
+  EXPECT_TRUE(service_.FindSubsumableInstances(H(1), Core(1)).empty());
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(2))),
+            (std::vector<Hash128>{H(20)}));
+
+  ASSERT_TRUE(service_.DropView(H(20)).ok());
+  EXPECT_TRUE(service_.FindSubsumableInstances(H(1), Core(2)).empty());
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(3))),
+            (std::vector<Hash128>{H(30)}));
+
+  // Rebuilt over the same cores, the instances are listed again.
+  ASSERT_TRUE(
+      service_.ReportMaterialized(Instance(1, 10, 1, /*producer=*/2), 0)
+          .ok());
+  ASSERT_TRUE(
+      service_.ReportMaterialized(Instance(1, 20, 2, /*producer=*/2), 0)
+          .ok());
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(1))),
+            (std::vector<Hash128>{H(10)}));
+  EXPECT_EQ(PreciseOf(service_.FindSubsumableInstances(H(1), Core(2))),
+            (std::vector<Hash128>{H(20)}));
 }
 
 TEST(MetadataLatencyTest, ThreadsReduceSimulatedLatency) {

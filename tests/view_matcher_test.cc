@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -648,6 +649,62 @@ TEST_F(SubsumptionServiceTest, AvgAndMinDecomposeFromSumCountView) {
     }
   }
   EXPECT_TRUE(saw_null_avg);
+}
+
+/// The view paths a plan writes (`kind` kSpool) or reads (kViewRead).
+std::vector<std::string> ViewPaths(const PlanNode& node, OpKind kind) {
+  std::vector<std::string> out;
+  if (node.kind() == kind) {
+    out.push_back(kind == OpKind::kSpool
+                      ? static_cast<const SpoolNode&>(node).view_path()
+                      : static_cast<const ViewReadNode&>(node).view_path());
+  }
+  for (const auto& child : node.children()) {
+    for (auto& path : ViewPaths(*child, kind)) out.push_back(std::move(path));
+  }
+  return out;
+}
+
+TEST_F(SubsumptionServiceTest, ManyLiveDatesServeTheQueryDatesInstance) {
+  // The shared aggregate materialized on 30 dates, all live at once: the
+  // tier 2.5 probe must resolve the instance over the query's own input,
+  // not another date's (same template, same predicate, other rows).
+  CloudViews cv(Config());
+  SeedAggView(&cv);
+  ASSERT_EQ(cv.metadata()->NumRegisteredViews(), 1u);
+  std::map<std::string, std::string> view_by_date;
+  view_by_date["2018-01-02"] = cv.metadata()->ListViews()[0].path;
+  for (int day = 3; day <= 31; ++day) {
+    std::string date = "2018-01-" + std::string(day < 10 ? "0" : "") +
+                       std::to_string(day);
+    WriteClickStream(cv.storage(), "clicks_" + date,
+                     900 + static_cast<size_t>(day),
+                     static_cast<uint64_t>(day), date);
+    auto build = cv.Submit(JobA(date));
+    ASSERT_TRUE(build.ok()) << build.status().ToString();
+    std::vector<std::string> built =
+        ViewPaths(*build->executed_plan, OpKind::kSpool);
+    ASSERT_EQ(built.size(), 1u) << date;
+    view_by_date[date] = built[0];
+  }
+  ASSERT_EQ(cv.metadata()->NumRegisteredViews(), 30u);
+
+  obs::Counter* verified =
+      cv.metrics()->GetCounter("cv_containment_verified_total");
+  for (const std::string date : {"2018-01-17", "2018-01-02", "2018-01-31"}) {
+    uint64_t verified_before = verified->value();
+    JobResult r = SubmitAndCompare(
+        &cv, MakeJob("qm-base", PageFilterQuery(date, "M_base_" + date)),
+        "M_base_" + date, MakeJob("qm", PageFilterQuery(date, "M_cv_" + date)),
+        "M_cv_" + date);
+    EXPECT_EQ(r.views_reused_subsumed, 1) << date;
+    EXPECT_EQ(r.containment_verified, 1) << date;
+    EXPECT_EQ(verified->value(), verified_before + 1) << date;
+    ASSERT_NE(r.executed_plan, nullptr);
+    EXPECT_EQ(ViewPaths(*r.executed_plan, OpKind::kViewRead),
+              std::vector<std::string>{view_by_date.at(date)})
+        << date;
+  }
 }
 
 // ---------------------------------------------------------------------------
