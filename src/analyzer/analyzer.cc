@@ -125,6 +125,9 @@ std::vector<PlanNodePtr> CloneDefinitions(
 
 AnalysisResult CloudViewsAnalyzer::Analyze(MinedWindow window,
                                            obs::Span* trace) const {
+  // Benches and admin_report analyze with no instance clock;
+  // CloudViews::RunAnalyzerAndLoad retimes the run with its own.
+  // NOLINTNEXTLINE(real-clock): standalone timing, see above.
   double start = MonotonicNowSeconds();
   obs::Span untraced;
   obs::Span& parent = trace != nullptr ? *trace : untraced;
@@ -184,6 +187,7 @@ AnalysisResult CloudViewsAnalyzer::Analyze(MinedWindow window,
     }
   }
 
+  // NOLINTNEXTLINE(real-clock): standalone timing, see `start`.
   result.analysis_seconds = MonotonicNowSeconds() - start;
   return result;
 }

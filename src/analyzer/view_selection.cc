@@ -169,25 +169,4 @@ std::vector<const SubgraphAggregate*> ViewSelector::Select(
   return candidates;
 }
 
-std::vector<const SubgraphAggregate*> ViewSelector::SelectForEviction(
-    const std::vector<const SubgraphAggregate*>& selected,
-    double bytes_to_reclaim) {
-  std::vector<const SubgraphAggregate*> by_utility = selected;
-  std::sort(by_utility.begin(), by_utility.end(),
-            [](const SubgraphAggregate* a, const SubgraphAggregate* b) {
-              if (a->TotalUtility() != b->TotalUtility()) {
-                return a->TotalUtility() < b->TotalUtility();  // min first
-              }
-              return a->normalized < b->normalized;
-            });
-  std::vector<const SubgraphAggregate*> out;
-  double reclaimed = 0;
-  for (const SubgraphAggregate* agg : by_utility) {
-    if (reclaimed >= bytes_to_reclaim) break;
-    reclaimed += agg->AvgBytes();
-    out.push_back(agg);
-  }
-  return out;
-}
-
 }  // namespace cloudviews

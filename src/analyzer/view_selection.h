@@ -54,12 +54,6 @@ class ViewSelector {
       const std::unordered_map<Hash128, SubgraphAggregate, Hash128Hasher>&
           aggregates) const;
 
-  /// Inverse objective for reclaiming space: picks the views with *minimum*
-  /// utility whose sizes sum to at least `bytes_to_reclaim` (Sec 5.4).
-  static std::vector<const SubgraphAggregate*> SelectForEviction(
-      const std::vector<const SubgraphAggregate*>& selected,
-      double bytes_to_reclaim);
-
  private:
   std::vector<const SubgraphAggregate*> Filter(
       const std::unordered_map<Hash128, SubgraphAggregate, Hash128Hasher>&

@@ -56,7 +56,7 @@ AnalysisResult CloudViews::RunAnalyzerAndLoad(LogicalTime from,
   obs::Span trace = config_.enable_observability
                         ? tracer_.StartTrace("analyzer.run")
                         : obs::Span();
-  double start = MonotonicNowSeconds();
+  double start = config_.wall_clock->NowSeconds();
   MinedWindow window;
   {
     obs::Span span = trace.StartChild("analyzer.mine");
@@ -64,7 +64,7 @@ AnalysisResult CloudViews::RunAnalyzerAndLoad(LogicalTime from,
   }
   CloudViewsAnalyzer analyzer(config_.analyzer);
   AnalysisResult result = analyzer.Analyze(std::move(window), &trace);
-  result.analysis_seconds = MonotonicNowSeconds() - start;
+  result.analysis_seconds = config_.wall_clock->NowSeconds() - start;
   {
     obs::Span span = trace.StartChild("metadata.load_analysis");
     metadata_->LoadAnalysis(result.annotations);

@@ -1,6 +1,5 @@
 #include "core/explain.h"
 
-#include <set>
 #include <type_traits>
 
 #include "common/string_util.h"
@@ -13,14 +12,8 @@ namespace cloudviews {
 namespace {
 
 void AppendAnalyzedNode(const PlanNode* node, const PlanRuntimeStats& stats,
-                        int depth, std::set<const PlanNode*>* seen,
-                        std::string* out) {
+                        int depth, std::string* out) {
   std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  if (!seen->insert(node).second) {
-    *out += StrFormat("%s%s [shared, stats under node %d above]\n",
-                      indent.c_str(), node->Label().c_str(), node->id());
-    return;
-  }
   auto it = stats.find(node->id());
   if (it != stats.end()) {
     const OperatorRuntimeStats& s = it->second;
@@ -35,7 +28,7 @@ void AppendAnalyzedNode(const PlanNode* node, const PlanRuntimeStats& stats,
                       node->Label().c_str());
   }
   for (const auto& child : node->children()) {
-    AppendAnalyzedNode(child.get(), stats, depth + 1, seen, out);
+    AppendAnalyzedNode(child.get(), stats, depth + 1, out);
   }
 }
 
@@ -54,18 +47,11 @@ void AppendSpanLines(const obs::SpanRecord& span, int depth,
 }
 
 void PlanNodeToJson(const PlanNode* node, const PlanRuntimeStats& stats,
-                    std::set<const PlanNode*>* seen, obs::JsonWriter* w) {
+                    obs::JsonWriter* w) {
   w->BeginObject();
   w->Key("node_id").Int(node->id());
   w->Key("label").String(node->Label());
   w->Key("kind").String(OpKindToString(node->kind()));
-  if (!seen->insert(node).second) {
-    // Shared subtree: the stats and children already appear under the
-    // first occurrence of this node_id.
-    w->Key("shared").Bool(true);
-    w->EndObject();
-    return;
-  }
   auto it = stats.find(node->id());
   if (it != stats.end()) {
     const OperatorRuntimeStats& s = it->second;
@@ -78,7 +64,7 @@ void PlanNodeToJson(const PlanNode* node, const PlanRuntimeStats& stats,
   if (!node->children().empty()) {
     w->Key("children").BeginArray();
     for (const auto& child : node->children()) {
-      PlanNodeToJson(child.get(), stats, seen, w);
+      PlanNodeToJson(child.get(), stats, w);
     }
     w->EndArray();
   }
@@ -194,9 +180,8 @@ std::string ExplainAnalyze(const JobResult& result) {
   }
   if (result.executed_plan != nullptr) {
     out += "  plan:\n";
-    std::set<const PlanNode*> seen;
     AppendAnalyzedNode(result.executed_plan.get(),
-                       result.run_stats.operators, 2, &seen, &out);
+                       result.run_stats.operators, 2, &out);
   }
   return out;
 }
@@ -235,9 +220,8 @@ std::string JobProfileJson(const JobResult& result) {
   }
   w.Key("plan");
   if (result.executed_plan != nullptr) {
-    std::set<const PlanNode*> seen;
     PlanNodeToJson(result.executed_plan.get(), result.run_stats.operators,
-                   &seen, &w);
+                   &w);
   } else {
     w.Null();
   }

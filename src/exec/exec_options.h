@@ -10,8 +10,10 @@ namespace cloudviews {
 /// and then merge or accumulate in a deterministic global row order, so a
 /// multi-worker run reproduces the single-threaded engine byte for byte.
 struct ExecOptions {
-  /// Worker threads executing one job's plan. 1 = run everything inline on
-  /// the submitting thread (the legacy operator-at-a-time schedule).
+  /// Worker threads executing one job's plan; above 1 the job service
+  /// builds its shared pool from it (the executor itself follows
+  /// ExecContext::pool). 1 = run everything inline on the submitting
+  /// thread (the legacy operator-at-a-time schedule).
   int worker_threads = 1;
 
   /// Maximum rows per morsel, the scheduling granule for intra-operator

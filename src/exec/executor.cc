@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -90,27 +89,8 @@ Result<std::vector<Batch>> PartitionBatch(const Batch& data,
   return Status::Internal("unknown partition scheme");
 }
 
-/// First-execution-wins latch for a plan node reachable through more than
-/// one parent. The first arriving thread runs the node; later arrivals
-/// block on `cv` and copy the memoized result.
-struct Executor::SharedNodeState {
-  Mutex mu;
-  CondVar cv;
-  bool started GUARDED_BY(mu) = false;
-  bool done GUARDED_BY(mu) = false;
-  Status status GUARDED_BY(mu) = Status::OK();
-  MorselSet result GUARDED_BY(mu);
-};
-
 /// Shared (per Execute call) driver state.
 struct Executor::ExecState {
-  /// Null runs everything inline on the submitting thread.
-  ThreadPool* pool = nullptr;
-  size_t morsel_rows = 4096;
-  /// One latch per node that appears under multiple parents; populated
-  /// before execution starts, so lookups during execution are lock-free.
-  std::unordered_map<const PlanNode*, std::unique_ptr<SharedNodeState>>
-      shared_nodes;
   Mutex mu;
   /// Aggregate stats for the whole Execute call; concurrently-finishing
   /// operators insert their per-operator rows under mu.
@@ -119,33 +99,22 @@ struct Executor::ExecState {
 
 namespace {
 
-/// Counts how many distinct parent edges reach each node. Stops descending
-/// on re-visit, so shared subtrees are walked once.
-void CountParentEdges(const PlanNode* node,
-                      std::unordered_map<const PlanNode*, int>* counts) {
-  if (++(*counts)[node] > 1) return;
+/// False when some node under `node` is reachable through two parents;
+/// stops at the first node it meets twice.
+bool IsTree(const PlanNode* node, std::unordered_set<const PlanNode*>* seen) {
+  if (!seen->insert(node).second) return false;
   for (const auto& child : node->children()) {
-    CountParentEdges(child.get(), counts);
+    if (!IsTree(child.get(), seen)) return false;
   }
-}
-
-/// Collects the multi-parent nodes in post-order (children before
-/// parents), visiting each node once, so pre-execution runs every shared
-/// subtree after the shared subtrees it itself depends on.
-void CollectSharedPostOrder(
-    PlanNode* node, const std::unordered_map<const PlanNode*, int>& counts,
-    std::unordered_set<const PlanNode*>* visited,
-    std::vector<PlanNode*>* out) {
-  if (!visited->insert(node).second) return;
-  for (const auto& child : node->children()) {
-    CollectSharedPostOrder(child.get(), counts, visited, out);
-  }
-  if (counts.at(node) > 1) out->push_back(node);
+  return true;
 }
 
 }  // namespace
 
 Executor::Executor(ExecContext ctx) : ctx_(std::move(ctx)) {
+  if (ctx_.options.morsel_rows < 1) {
+    ctx_.options.morsel_rows = ExecOptions{}.morsel_rows;
+  }
   obs::MetricsRegistry* metrics =
       obs::SharedOrOwned(ctx_.metrics, &own_metrics_);
   morsels_ = metrics->GetCounter("cv_exec_morsels_total", {},
@@ -160,49 +129,16 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
   if (!root->bound()) {
     return Status::InvalidArgument("plan must be bound before execution");
   }
+  std::unordered_set<const PlanNode*> seen;
+  if (!IsTree(root.get(), &seen)) {
+    return Status::InvalidArgument(
+        "plan must be a tree: a node is reachable through two parents");
+  }
   JobRunStats stats;
   ExecState state;
-  state.pool =
-      ctx_.options.worker_threads > 1 ? ctx_.pool : nullptr;
-  state.morsel_rows =
-      ctx_.options.morsel_rows > 0
-          ? static_cast<size_t>(ctx_.options.morsel_rows)
-          : size_t{1};
   state.stats = &stats;
 
-  // DAG support: any node reachable through more than one parent gets a
-  // run-once latch so its cpu_seconds is attributed exactly once.
-  std::unordered_map<const PlanNode*, int> edge_counts;
-  CountParentEdges(root.get(), &edge_counts);
-  // order-insensitive: only populates the keyed shared-node map; nothing
-  // downstream observes the visitation order.
-  for (const auto& [node, count] : edge_counts) {
-    if (count > 1) {
-      state.shared_nodes.emplace(node,
-                                 std::make_unique<SharedNodeState>());
-    }
-  }
-
   double start = ctx_.clock->NowSeconds();
-
-  // Shared subtrees run up front, children-first, from the submitting
-  // thread (each still uses the pool internally). By the time the main
-  // walk — or any pool task — reaches one, its latch is already done.
-  // This matters for correctness, not just latency: the help-while-wait
-  // scheduler may lend the thread *executing* a shared node to the other
-  // parent's task, and if that task then blocked on the same latch the
-  // pool would deadlock on its own stack.
-  if (!state.shared_nodes.empty()) {
-    std::unordered_set<const PlanNode*> visited;
-    std::vector<PlanNode*> shared_order;
-    CollectSharedPostOrder(root.get(), edge_counts, &visited,
-                           &shared_order);
-    for (PlanNode* node : shared_order) {
-      auto r = ExecuteNode(node, &state);
-      if (!r.ok()) return r.status();
-    }
-  }
-
   CV_ASSIGN_OR_RETURN(MorselSet result, ExecuteNode(root.get(), &state));
   stats.latency_seconds = ctx_.clock->NowSeconds() - start;
   for (const auto& [id, op] : stats.operators) {
@@ -214,70 +150,23 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
 }
 
 Result<MorselSet> Executor::ExecuteNode(PlanNode* node, ExecState* state) {
-  auto it = state->shared_nodes.find(node);
-  if (it == state->shared_nodes.end()) {
-    return ExecuteNodeImpl(node, state);
-  }
-  SharedNodeState* shared = it->second.get();
-  {
-    MutexLock lock(shared->mu);
-    if (shared->started) {
-      // The subtree already ran (shared nodes are pre-executed before the
-      // main walk, so within one Execute this is always an immediate
-      // memoized read; the wait only spins if a future caller races two
-      // Execute calls over one latch, which per-Execute state precludes).
-      while (!shared->done) shared->cv.Wait(shared->mu);
-      if (!shared->status.ok()) return shared->status;
-      return shared->result;
-    }
-    shared->started = true;
-  }
-  Result<MorselSet> r = ExecuteNodeImpl(node, state);
-  MutexLock lock(shared->mu);
-  if (r.ok()) {
-    shared->result = std::move(r).ValueOrDie();
-  } else {
-    shared->status = r.status();
-  }
-  shared->done = true;
-  shared->cv.NotifyAll();
-  if (!shared->status.ok()) return shared->status;
-  return shared->result;
-}
-
-Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
-                                            ExecState* state) {
   double subtree_start = ctx_.clock->NowSeconds();
 
-  // Execute children — independent subtrees — concurrently when a pool is
-  // available. Error reporting is deterministic: the lowest-index failing
-  // child wins regardless of completion order.
+  // Children are independent subtrees: they run concurrently on the pool
+  // (inline without one, or for a single child). Error reporting is
+  // deterministic: the lowest-index failing child wins regardless of
+  // completion order.
   size_t num_children = node->children().size();
   std::vector<MorselSet> inputs(num_children);
   std::vector<Status> child_status(num_children, Status::OK());
-  if (state->pool != nullptr && num_children > 1) {
-    TaskGroup group(state->pool);
-    for (size_t i = 0; i < num_children; ++i) {
-      group.Spawn([this, node, state, i, &inputs, &child_status] {
-        auto r = ExecuteNode(node->children()[i].get(), state);
-        if (r.ok()) {
-          inputs[i] = std::move(r).ValueOrDie();
-        } else {
-          child_status[i] = r.status();
-        }
-      });
+  ParallelFor(ctx_.pool, num_children, [&](size_t i) {
+    auto r = ExecuteNode(node->children()[i].get(), state);
+    if (r.ok()) {
+      inputs[i] = std::move(r).ValueOrDie();
+    } else {
+      child_status[i] = r.status();
     }
-    group.Wait();
-  } else {
-    for (size_t i = 0; i < num_children; ++i) {
-      auto r = ExecuteNode(node->children()[i].get(), state);
-      if (r.ok()) {
-        inputs[i] = std::move(r).ValueOrDie();
-      } else {
-        child_status[i] = r.status();
-      }
-    }
-  }
+  });
   for (auto& s : child_status) CV_RETURN_NOT_OK(s);
 
   // The operator's own work: open, phased morsel processing, close;
@@ -288,11 +177,11 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   // operator's tasks on a thread waiting here, so an outer timer would
   // charge them to this operator.
   CpuAccumulator cpu;
-  CpuAccumulator* per_callback = state->pool != nullptr ? &cpu : nullptr;
+  CpuAccumulator* per_callback = ctx_.pool != nullptr ? &cpu : nullptr;
   OperatorContext octx;
   octx.exec = &ctx_;
-  octx.pool = state->pool;
-  octx.morsel_rows = state->morsel_rows;
+  octx.pool = ctx_.pool;
+  octx.morsel_rows = static_cast<size_t>(ctx_.options.morsel_rows);
 
   double own_start = ctx_.clock->NowSeconds();
   CV_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalOperator> op,
@@ -314,7 +203,7 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
       size_t n = op->NumMorsels(phase);
       total_morsels += n;
       std::vector<Status> morsel_status(n, Status::OK());
-      ParallelFor(state->pool, n, [&](size_t m) {
+      ParallelFor(ctx_.pool, n, [&](size_t m) {
         ScopedThreadCpuTimer timer(per_callback);
         if (ctx_.fault != nullptr) {
           Status injected = ctx_.fault->MaybeInject(

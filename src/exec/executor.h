@@ -39,9 +39,8 @@ struct ExecContext {
   /// tests are deterministic.
   MonotonicClock* clock = MonotonicClock::Real();
 
-  /// Shared worker pool (owned by the job service, not by the job); null or
-  /// worker_threads <= 1 runs the plan single-threaded on the submitting
-  /// thread.
+  /// Shared worker pool (owned by the job service, not by the job); null
+  /// runs the plan single-threaded on the submitting thread.
   ThreadPool* pool = nullptr;
   ExecOptions options;
 
@@ -81,13 +80,9 @@ struct ExecContext {
 /// are scheduled onto the shared thread pool; per-operator cpu_seconds are
 /// the sum of thread-CPU deltas across every worker that touched the
 /// operator. Results are byte-identical for every worker count and morsel
-/// size. Plans must be bound and have node ids assigned.
-///
-/// Plans may be DAGs: a subtree reachable through more than one parent
-/// (e.g. a rewritten common subexpression feeding two joins) is executed
-/// exactly once and its result shared, so cpu_seconds is never double
-/// counted and per-node stats rows are written once per physical
-/// execution.
+/// size. Plans must be bound, have node ids assigned and be trees (the
+/// optimizer clones every plan it serves); a plan in which a node is
+/// reachable through two parents is rejected before anything runs.
 class Executor {
  public:
   /// Registers the executor counters into `ctx.metrics`.
@@ -99,13 +94,8 @@ class Executor {
 
  private:
   struct ExecState;
-  struct SharedNodeState;
 
-  /// Memoizing wrapper: shared (multi-parent) nodes run once, later
-  /// arrivals block until the first execution finishes and reuse its
-  /// result.
   Result<MorselSet> ExecuteNode(PlanNode* node, ExecState* state);
-  Result<MorselSet> ExecuteNodeImpl(PlanNode* node, ExecState* state);
 
   ExecContext ctx_;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;

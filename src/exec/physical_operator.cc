@@ -18,27 +18,68 @@ namespace cloudviews {
 
 namespace {
 
+/// `morsels` without its empty batches, in order.
+MorselSet DropEmpty(MorselSet morsels) {
+  std::erase_if(morsels, [](const Batch& b) { return b.num_rows() == 0; });
+  return morsels;
+}
+
+/// Group-start flags of one morsel of an input sorted on `cols`: flags[r]
+/// is 1 iff row r differs from row r - 1. Row 0 is left to
+/// StitchGroupStarts, which compares it with the previous morsel.
+std::vector<uint8_t> GroupStartFlags(const Batch& in,
+                                     const std::vector<int>& cols) {
+  std::vector<uint8_t> flags(in.num_rows());
+  for (size_t r = 1; r < in.num_rows(); ++r) {
+    flags[r] = CompareRowsOnColumns(in, r - 1, cols, in, r, cols) != 0;
+  }
+  return flags;
+}
+
+/// Sets the row-0 flag of every non-empty morsel: the first row of the
+/// input starts a group, and a later morsel's first row starts one iff it
+/// differs from the last row of the non-empty morsel before it.
+void StitchGroupStarts(const MorselSet& in, const std::vector<int>& cols,
+                       std::vector<std::vector<uint8_t>>* flags) {
+  const Batch* prev = nullptr;
+  for (size_t m = 0; m < in.size(); ++m) {
+    if (in[m].num_rows() == 0) continue;
+    (*flags)[m][0] =
+        prev == nullptr || CompareRowsOnColumns(*prev, prev->num_rows() - 1,
+                                                cols, in[m], 0, cols) != 0;
+    prev = &in[m];
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Extract / ViewRead: storage scans re-chunked into morsels. Slices are
 // planned sequentially in Open; materializing each slice is the parallel
-// morsel work.
+// morsel work. Only opening the stream differs between the two, plus the
+// merge a sorted multi-partition view needs.
 // ---------------------------------------------------------------------------
 
-class ExtractOperator : public PhysicalOperator {
+class ScanOperator : public PhysicalOperator {
  public:
   using PhysicalOperator::PhysicalOperator;
 
   Status Open(OperatorContext& ctx, std::vector<MorselSet> inputs) override {
     CV_RETURN_NOT_OK(PhysicalOperator::Open(ctx, std::move(inputs)));
-    auto* extract = static_cast<ExtractNode*>(node_);
-    CV_ASSIGN_OR_RETURN(stream_,
-                        ctx.exec->storage->OpenStream(extract->stream_name()));
-    if (!(stream_->schema == extract->output_schema())) {
-      return Status::TypeError("stream '" + extract->stream_name() +
-                               "' schema does not match EXTRACT declaration");
+    if (node_->kind() == OpKind::kExtract) {
+      auto* extract = static_cast<ExtractNode*>(node_);
+      CV_ASSIGN_OR_RETURN(
+          stream_, ctx.exec->storage->OpenStream(extract->stream_name()));
+      if (!(stream_->schema == extract->output_schema())) {
+        return Status::TypeError("stream '" + extract->stream_name() +
+                                 "' schema does not match EXTRACT "
+                                 "declaration");
+      }
+    } else {
+      CV_RETURN_NOT_OK(OpenView(ctx));
     }
-    slices_ = PlanMorselSlices(stream_->batches, ctx.morsel_rows);
-    out_.resize(slices_.size());
+    if (!need_sort_) {
+      slices_ = PlanMorselSlices(stream_->batches, ctx.morsel_rows);
+      out_.resize(slices_.size());
+    }
     return Status::OK();
   }
 
@@ -50,22 +91,15 @@ class ExtractOperator : public PhysicalOperator {
     return Status::OK();
   }
 
-  Result<MorselSet> Close(OperatorContext&) override {
-    return std::move(out_);
+  Result<MorselSet> Close(OperatorContext& ctx) override {
+    if (!need_sort_) return std::move(out_);
+    Batch combined = CombineBatches(stream_->schema, stream_->batches);
+    return ChunkBatch(SortBatch(combined, stream_->props.sort_order.keys),
+                      ctx.morsel_rows);
   }
 
  private:
-  StreamHandle stream_;
-  std::vector<MorselSlice> slices_;
-  MorselSet out_;
-};
-
-class ViewReadOperator : public PhysicalOperator {
- public:
-  using PhysicalOperator::PhysicalOperator;
-
-  Status Open(OperatorContext& ctx, std::vector<MorselSet> inputs) override {
-    CV_RETURN_NOT_OK(PhysicalOperator::Open(ctx, std::move(inputs)));
+  Status OpenView(OperatorContext& ctx) {
     auto* view = static_cast<ViewReadNode*>(node_);
     // A view read is an optimization, never a correctness dependency:
     // retry transient failures, then surface kViewUnavailable so the job
@@ -90,29 +124,9 @@ class ViewReadOperator : public PhysicalOperator {
     // (the k-way merge a distributed reader performs).
     need_sort_ = stream_->props.sort_order.IsSorted() &&
                  stream_->batches.size() > 1;
-    if (!need_sort_) {
-      slices_ = PlanMorselSlices(stream_->batches, ctx.morsel_rows);
-      out_.resize(slices_.size());
-    }
     return Status::OK();
   }
 
-  size_t NumMorsels(size_t) const override { return slices_.size(); }
-
-  Status ProcessMorsel(OperatorContext&, size_t, size_t m) override {
-    const MorselSlice& s = slices_[m];
-    out_[m] = MaterializeSlice(stream_->batches[s.batch], s.begin, s.end);
-    return Status::OK();
-  }
-
-  Result<MorselSet> Close(OperatorContext& ctx) override {
-    if (!need_sort_) return std::move(out_);
-    Batch combined = CombineBatches(stream_->schema, stream_->batches);
-    return ChunkBatch(SortBatch(combined, stream_->props.sort_order.keys),
-                      ctx.morsel_rows);
-  }
-
- private:
   StreamHandle stream_;
   bool need_sort_ = false;
   std::vector<MorselSlice> slices_;
@@ -124,7 +138,8 @@ class ViewReadOperator : public PhysicalOperator {
 // input morsel order, so concatenation equals the single-threaded result.
 // ---------------------------------------------------------------------------
 
-class FilterOperator : public PhysicalOperator {
+/// One output morsel per input morsel; subclasses fill out_[m].
+class PerMorselOperator : public PhysicalOperator {
  public:
   using PhysicalOperator::PhysicalOperator;
 
@@ -135,6 +150,18 @@ class FilterOperator : public PhysicalOperator {
   }
 
   size_t NumMorsels(size_t) const override { return inputs_[0].size(); }
+
+  Result<MorselSet> Close(OperatorContext&) override {
+    return DropEmpty(std::move(out_));
+  }
+
+ protected:
+  MorselSet out_;
+};
+
+class FilterOperator : public PerMorselOperator {
+ public:
+  using PerMorselOperator::PerMorselOperator;
 
   Status ProcessMorsel(OperatorContext&, size_t, size_t m) override {
     auto* filter = static_cast<FilterNode*>(node_);
@@ -153,30 +180,11 @@ class FilterOperator : public PhysicalOperator {
     out_[m] = std::move(out);
     return Status::OK();
   }
-
-  Result<MorselSet> Close(OperatorContext&) override {
-    MorselSet result;
-    for (auto& m : out_) {
-      if (m.num_rows() > 0) result.push_back(std::move(m));
-    }
-    return result;
-  }
-
- private:
-  MorselSet out_;
 };
 
-class ProjectOperator : public PhysicalOperator {
+class ProjectOperator : public PerMorselOperator {
  public:
-  using PhysicalOperator::PhysicalOperator;
-
-  Status Open(OperatorContext& ctx, std::vector<MorselSet> inputs) override {
-    CV_RETURN_NOT_OK(PhysicalOperator::Open(ctx, std::move(inputs)));
-    out_.resize(inputs_[0].size());
-    return Status::OK();
-  }
-
-  size_t NumMorsels(size_t) const override { return inputs_[0].size(); }
+  using PerMorselOperator::PerMorselOperator;
 
   Status ProcessMorsel(OperatorContext&, size_t, size_t m) override {
     auto* project = static_cast<ProjectNode*>(node_);
@@ -190,17 +198,6 @@ class ProjectOperator : public PhysicalOperator {
     out_[m] = std::move(out);
     return Status::OK();
   }
-
-  Result<MorselSet> Close(OperatorContext&) override {
-    MorselSet result;
-    for (auto& m : out_) {
-      if (m.num_rows() > 0) result.push_back(std::move(m));
-    }
-    return result;
-  }
-
- private:
-  MorselSet out_;
 };
 
 // ---------------------------------------------------------------------------
@@ -307,13 +304,7 @@ class JoinOperator : public PhysicalOperator {
   }
 
   Result<MorselSet> Close(OperatorContext& ctx) override {
-    if (!merge_) {
-      MorselSet result;
-      for (auto& m : probe_out_) {
-        if (m.num_rows() > 0) result.push_back(std::move(m));
-      }
-      return result;
-    }
+    if (!merge_) return DropEmpty(std::move(probe_out_));
     // Merge join over inputs sorted on the keys (enforced by the
     // optimizer); kept sequential.
     Batch left = CombineBatches(InputSchema(0), inputs_[0]);
@@ -392,6 +383,7 @@ class AggregateOperator : public PhysicalOperator {
                                                          : Mode::kHash;
     }
     pre_.resize(inputs_[0].size());
+    group_starts_.resize(inputs_[0].size());
     return Status::OK();
   }
 
@@ -424,13 +416,7 @@ class AggregateOperator : public PhysicalOperator {
         pre.local_id[r] = it->second;
       }
     } else if (mode_ == Mode::kStream) {
-      // Row r starts a new group iff it differs from row r-1; the r == 0
-      // flag is resolved against the previous morsel's last row in Close.
-      pre.new_group.resize(in.num_rows());
-      for (size_t r = 1; r < in.num_rows(); ++r) {
-        pre.new_group[r] =
-            CompareRowsOnColumns(in, r - 1, gcols_, in, r, gcols_) != 0;
-      }
+      group_starts_[m] = GroupStartFlags(in, gcols_);
     }
     return Status::OK();
   }
@@ -495,23 +481,13 @@ class AggregateOperator : public PhysicalOperator {
         break;
       }
       case Mode::kStream: {
-        bool have_prev = false;
-        size_t pm = 0, pr = 0;
+        StitchGroupStarts(in, gcols_, &group_starts_);
         for (size_t m = 0; m < in.size(); ++m) {
           for (size_t r = 0; r < in[m].num_rows(); ++r) {
-            bool starts_group;
-            if (r == 0) {
-              starts_group = !have_prev ||
-                             CompareRowsOnColumns(in[pm], pr, gcols_, in[m],
-                                                  r, gcols_) != 0;
-            } else {
-              starts_group = pre_[m].new_group[r] != 0;
+            if (group_starts_[m][r] != 0) {
+              groups.push_back({m, r, make_states()});
             }
-            if (starts_group) groups.push_back({m, r, make_states()});
             update(&groups.back(), m, r);
-            have_prev = true;
-            pm = m;
-            pr = r;
           }
         }
         break;
@@ -554,13 +530,14 @@ class AggregateOperator : public PhysicalOperator {
     std::vector<Column> arg_cols;
     std::vector<uint32_t> local_id;
     std::vector<std::pair<Hash128, uint32_t>> local_groups;
-    std::vector<uint8_t> new_group;
   };
 
   AggregateNode* agg_ = nullptr;
   Mode mode_ = Mode::kGlobal;
   std::vector<int> gcols_;
   std::vector<MorselPre> pre_;
+  /// Stream mode: GroupStartFlags per morsel, stitched in Close.
+  std::vector<std::vector<uint8_t>> group_starts_;
 };
 
 // ---------------------------------------------------------------------------
@@ -791,13 +768,12 @@ class UnionAllOperator : public PhysicalOperator {
   using PhysicalOperator::PhysicalOperator;
 
   Result<MorselSet> Close(OperatorContext&) override {
-    MorselSet result;
+    MorselSet all;
     for (auto& child : inputs_) {
-      for (auto& m : child) {
-        if (m.num_rows() > 0) result.push_back(std::move(m));
-      }
+      all.insert(all.end(), std::make_move_iterator(child.begin()),
+                 std::make_move_iterator(child.end()));
     }
-    return result;
+    return DropEmpty(std::move(all));
   }
 };
 
@@ -893,28 +869,16 @@ class ReduceOperator : public PhysicalOperator {
     if (phase != 1) return Status::OK();
     const MorselSet& in = inputs_[0];
     // Stitch per-morsel boundary flags into global group ranges.
+    StitchGroupStarts(in, kcols_, &boundary_);
     offsets_.resize(in.size());
     size_t off = 0;
-    bool have_prev = false;
-    size_t pm = 0, pr = 0;
     for (size_t m = 0; m < in.size(); ++m) {
       offsets_[m] = off;
       for (size_t r = 0; r < in[m].num_rows(); ++r) {
-        bool starts_group;
-        if (r == 0) {
-          starts_group = !have_prev ||
-                         CompareRowsOnColumns(in[pm], pr, kcols_, in[m], r,
-                                              kcols_) != 0;
-        } else {
-          starts_group = boundary_[m][r] != 0;
-        }
-        if (starts_group) {
+        if (boundary_[m][r] != 0) {
           if (!groups_.empty()) groups_.back().second = off + r;
           groups_.push_back({off + r, 0});
         }
-        have_prev = true;
-        pm = m;
-        pr = r;
       }
       off += in[m].num_rows();
     }
@@ -937,13 +901,7 @@ class ReduceOperator : public PhysicalOperator {
 
   Status ProcessMorsel(OperatorContext&, size_t phase, size_t t) override {
     if (phase == 0) {
-      const Batch& in = inputs_[0][t];
-      std::vector<uint8_t> flags(in.num_rows());
-      for (size_t r = 1; r < in.num_rows(); ++r) {
-        flags[r] =
-            CompareRowsOnColumns(in, r - 1, kcols_, in, r, kcols_) != 0;
-      }
-      boundary_[t] = std::move(flags);
+      boundary_[t] = GroupStartFlags(inputs_[0][t], kcols_);
       return Status::OK();
     }
     auto* reduce = static_cast<ReduceNode*>(node_);
@@ -966,11 +924,7 @@ class ReduceOperator : public PhysicalOperator {
   }
 
   Result<MorselSet> Close(OperatorContext&) override {
-    MorselSet result;
-    for (auto& m : out_) {
-      if (m.num_rows() > 0) result.push_back(std::move(m));
-    }
-    return result;
+    return DropEmpty(std::move(out_));
   }
 
  private:
@@ -1093,9 +1047,8 @@ Result<std::unique_ptr<PhysicalOperator>> MakePhysicalOperator(
     PlanNode* node) {
   switch (node->kind()) {
     case OpKind::kExtract:
-      return std::unique_ptr<PhysicalOperator>(std::make_unique<ExtractOperator>(node));
     case OpKind::kViewRead:
-      return std::unique_ptr<PhysicalOperator>(std::make_unique<ViewReadOperator>(node));
+      return std::unique_ptr<PhysicalOperator>(std::make_unique<ScanOperator>(node));
     case OpKind::kFilter:
       return std::unique_ptr<PhysicalOperator>(std::make_unique<FilterOperator>(node));
     case OpKind::kProject:

@@ -193,9 +193,8 @@ std::optional<MaterializedViewInfo> MetadataService::LookupLive(
   obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
                            wall_clock_);
   auto it = shard.views.find(precise);
-  if (it == shard.views.end()) return std::nullopt;
-  if (it->second.expires_at != 0 && it->second.expires_at <= clock_->Now()) {
-    return std::nullopt;  // expired but not yet purged
+  if (it == shard.views.end() || !it->second.LiveAt(clock_->Now())) {
+    return std::nullopt;  // absent, or expired but not yet purged
   }
   return it->second.info;
 }
@@ -235,24 +234,13 @@ std::vector<MaterializedViewInfo> MetadataService::FindSubsumableInstances(
 
 std::optional<MaterializedViewInfo> MetadataService::FindMaterialized(
     const Hash128& normalized, const Hash128& precise) {
-  Shard& shard = ShardFor(precise);
-  obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                           wall_clock_);
-  auto it = shard.views.find(precise);
-  if (it == shard.views.end()) {
+  std::optional<MaterializedViewInfo> info = LookupLive(precise);
+  if (!info.has_value() || !(info->normalized_signature == normalized)) {
     obs_.misses->Increment();
     return std::nullopt;
-  }
-  if (!(it->second.info.normalized_signature == normalized)) {
-    obs_.misses->Increment();
-    return std::nullopt;
-  }
-  if (it->second.expires_at != 0 && it->second.expires_at <= clock_->Now()) {
-    obs_.misses->Increment();
-    return std::nullopt;  // expired but not yet purged
   }
   obs_.hits->Increment();
-  return it->second.info;
+  return info;
 }
 
 bool MetadataService::ProposeMaterialize(const Hash128& normalized,
@@ -423,9 +411,7 @@ Status MetadataService::WaitForMaterialized(const Hash128& precise,
                            wall_clock_);
   for (;;) {
     auto vit = shard.views.find(precise);
-    if (vit != shard.views.end() &&
-        (vit->second.expires_at == 0 ||
-         vit->second.expires_at > clock_->Now())) {
+    if (vit != shard.views.end() && vit->second.LiveAt(clock_->Now())) {
       return Status::OK();  // the build finished; re-probe and rewrite
     }
     auto lit = shard.locks.find(precise);
@@ -457,7 +443,7 @@ size_t MetadataService::PurgeExpired() {
     obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
                              wall_clock_);
     for (auto it = shard.views.begin(); it != shard.views.end();) {
-      if (it->second.expires_at != 0 && it->second.expires_at <= now) {
+      if (!it->second.LiveAt(now)) {
         paths_to_delete.push_back(it->second.info.path);
         if (auto key = IndexKey(it->second.info)) {
           unindex.emplace_back(*key, it->second.info.precise_signature);

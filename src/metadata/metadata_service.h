@@ -218,6 +218,11 @@ class MetadataService : public ViewCatalogInterface {
   struct RegisteredView {
     MaterializedViewInfo info;
     LogicalTime expires_at;
+    /// Unexpired at `now` (0 never expires). An expired view stays
+    /// registered until PurgeExpired but is never served or waited for.
+    bool LiveAt(LogicalTime now) const {
+      return expires_at == 0 || expires_at > now;
+    }
   };
 
   /// Immutable analyzer output + tag inverted index. Replaced wholesale by

@@ -44,7 +44,7 @@ JobServiceServer::JobServiceServer(CloudViews* cv, NetServerConfig config)
                  cv->config().fault, cv->metrics()),
       queue_({config_.submission_queue_capacity,
               config_.submission_workers, "net"},
-             cv->metrics()) {
+             cv->metrics(), cv->config().wall_clock) {
   obs::MetricsRegistry* metrics = cv_->metrics();
   requests_total_ = metrics->GetCounter("cv_net_requests_total", {},
                                         "Frames dispatched by the server");
@@ -379,7 +379,7 @@ bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
   RecordQueued(ticket);
   span->SetAttribute("ticket", ticket);
 
-  double admit_seconds = MonotonicNowSeconds();
+  double admit_seconds = cv_->config().wall_clock->NowSeconds();
   auto token = std::make_shared<AdmissionToken>(std::move(admit.token));
   auto def_ptr = std::make_shared<JobDefinition>(std::move(def));
   bool enable_cloudviews = req.enable_cloudviews;
@@ -419,7 +419,8 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
                                      const std::shared_ptr<obs::Span>& span,
                                      AdmissionToken* token) {
   RecordRunning(ticket);
-  double queue_seconds = MonotonicNowSeconds() - admit_seconds;
+  MonotonicClock* wall_clock = cv_->config().wall_clock;
+  double queue_seconds = wall_clock->NowSeconds() - admit_seconds;
 
   JobServiceOptions options;
   options.enable_cloudviews = enable_cloudviews;
@@ -442,7 +443,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     WireTimings timings = TimingsFromJobResult(*result);
     timings.queue_seconds = queue_seconds;
     RecordDone(ticket, outcome, timings, std::move(profile_json));
-    request_seconds_->Observe(MonotonicNowSeconds() - admit_seconds);
+    request_seconds_->Observe(wall_clock->NowSeconds() - admit_seconds);
     // Release before the job counts as completed and before the response
     // goes out: once a client holds a reply, or Stats() shows the job
     // completed, its in-flight slot is observably free (tests and retry
@@ -460,7 +461,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     }
   } else {
     RecordFailed(ticket, result.status(), std::move(profile_json));
-    request_seconds_->Observe(MonotonicNowSeconds() - admit_seconds);
+    request_seconds_->Observe(wall_clock->NowSeconds() - admit_seconds);
     token->Release();
     failed_.fetch_add(1, std::memory_order_relaxed);
     if (wait) {

@@ -59,18 +59,6 @@ struct JobService::JobState {
   PlanNodePtr skeleton{};
 };
 
-ThreadPool* JobService::ExecutionPool() {
-  if (exec_options_.worker_threads <= 1) return nullptr;
-  MutexLock lock(pool_mu_);
-  if (pool_ == nullptr) {
-    // The submitting thread helps while it waits (TaskGroup::Wait), so
-    // worker_threads - 1 pool workers give worker_threads total threads.
-    pool_ = std::make_unique<ThreadPool>(exec_options_.worker_threads - 1,
-                                         metrics_, "exec", wall_clock_);
-  }
-  return pool_.get();
-}
-
 JobService::JobService(SimulatedClock* clock, StorageManager* storage,
                        MetadataService* metadata,
                        WorkloadRepository* repository,
@@ -91,7 +79,14 @@ JobService::JobService(SimulatedClock* clock, StorageManager* storage,
       fault_(fault),
       retry_(retry),
       sleeper_(sleeper),
-      plan_cache_(PlanCache::kDefaultCapacity, metrics) {
+      plan_cache_(PlanCache::kDefaultCapacity, metrics),
+      // The submitting thread helps while it waits (TaskGroup::Wait), so
+      // worker_threads - 1 pool workers give worker_threads total threads.
+      pool_(exec_options.worker_threads > 1
+                ? std::make_unique<ThreadPool>(
+                      exec_options.worker_threads - 1, metrics, "exec",
+                      wall_clock)
+                : nullptr) {
   obs_.submitted = metrics->GetCounter("cv_jobs_submitted_total", {},
                                        "Jobs accepted for execution");
   obs_.succeeded = metrics->GetCounter("cv_jobs_succeeded_total", {},
@@ -189,7 +184,7 @@ ExecContext JobService::MakeExecContext(uint64_t job_id) {
   exec_ctx.metrics = metrics_;
   exec_ctx.clock = wall_clock_;
   exec_ctx.options = exec_options_;
-  exec_ctx.pool = ExecutionPool();
+  exec_ctx.pool = pool_.get();
   exec_ctx.fault = fault_;
   exec_ctx.retry = retry_;
   exec_ctx.sleeper = sleeper_;

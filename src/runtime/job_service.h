@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "exec/exec_options.h"
@@ -169,10 +168,6 @@ class JobService {
   const InflightSharing& inflight_sharing() const { return sharing_; }
 
  private:
-  /// The worker pool every running job shares (the cluster's execution
-  /// slots), created on first use; null when jobs run single-threaded.
-  ThreadPool* ExecutionPool() EXCLUDES(pool_mu_);
-
   struct Instruments {
     obs::Counter* submitted = nullptr;
     obs::Counter* succeeded = nullptr;
@@ -241,8 +236,9 @@ class JobService {
   /// Work sharing across concurrent in-flight submissions (thread-safe).
   InflightSharing sharing_;
   std::atomic<uint64_t> next_job_id_{1};
-  Mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mu_);  // lazily created
+  /// The worker pool every running job shares (the cluster's execution
+  /// slots); null when jobs run single-threaded (worker_threads <= 1).
+  const std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace cloudviews

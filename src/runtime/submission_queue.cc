@@ -2,13 +2,12 @@
 
 #include <utility>
 
-#include "common/clock.h"
-
 namespace cloudviews {
 
 SubmissionQueue::SubmissionQueue(const Options& options,
-                                 obs::MetricsRegistry* metrics)
-    : capacity_(options.capacity > 0 ? options.capacity : 1) {
+                                 obs::MetricsRegistry* metrics,
+                                 MonotonicClock* clock)
+    : capacity_(options.capacity > 0 ? options.capacity : 1), clock_(clock) {
   obs::Labels labels{{"queue", options.name}};
   depth_gauge_ = metrics->GetGauge(
       "cv_submission_queue_depth", labels,
@@ -48,9 +47,9 @@ SubmissionQueue::Admit SubmissionQueue::TryEnqueue(
       rejected_counter_->Increment();
       return Admit::kQueueFull;
     }
-    double now = MonotonicNowSeconds();
+    double now = clock_->NowSeconds();
     queue_.push_back([this, now, task = std::move(task)] {
-      queue_wait_->Observe(MonotonicNowSeconds() - now);
+      queue_wait_->Observe(clock_->NowSeconds() - now);
       task();
     });
     // The admitted counter moves inside the same critical section as the

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/mutex.h"
 #include "obs/metrics.h"
 
@@ -36,8 +37,10 @@ class SubmissionQueue {
   };
 
   /// `metrics` is required (the queue's counters, gauges and wait
-  /// histogram live there). Workers start immediately.
-  SubmissionQueue(const Options& options, obs::MetricsRegistry* metrics);
+  /// histogram live there); `clock` times the wait histogram. Workers
+  /// start immediately.
+  SubmissionQueue(const Options& options, obs::MetricsRegistry* metrics,
+                  MonotonicClock* clock = MonotonicClock::Real());
   /// Shuts down (drains queued tasks first).
   ~SubmissionQueue();
 
@@ -77,6 +80,7 @@ class SubmissionQueue {
   void WorkerLoop() EXCLUDES(mu_);
 
   const size_t capacity_;
+  MonotonicClock* const clock_;
 
   mutable Mutex mu_;
   CondVar work_cv_;   // signals workers: task available or shutdown

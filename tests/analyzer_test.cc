@@ -267,17 +267,6 @@ TEST(ViewSelectorTest, KnapsackBeatsGreedyOnDensityTrap) {
   EXPECT_DOUBLE_EQ(total(knapsack), 100.0);
 }
 
-TEST(ViewSelectorTest, EvictionPicksMinimumUtility) {
-  auto a1 = MakeAgg(1, 5, 10.0, 100);
-  auto a2 = MakeAgg(2, 5, 1.0, 100);
-  auto a3 = MakeAgg(3, 5, 5.0, 100);
-  std::vector<const SubgraphAggregate*> selected{&a1, &a2, &a3};
-  auto evict = ViewSelector::SelectForEviction(selected, 150);
-  ASSERT_EQ(evict.size(), 2u);
-  EXPECT_EQ(evict[0]->normalized.hi, 2u);  // lowest utility first
-  EXPECT_EQ(evict[1]->normalized.hi, 3u);
-}
-
 TEST_F(AnalyzerTest, SubmissionOrderPutsBuildersFirst) {
   RunSharingJob("t1", "vc1", "alice");
   RunSharingJob("t2", "vc2", "bob");

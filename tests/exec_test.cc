@@ -7,6 +7,7 @@
 #include "exec/morsel.h"
 #include "exec/physical_operator.h"
 #include "exec/processor_registry.h"
+#include "obs/metrics.h"
 #include "plan/plan_builder.h"
 #include "signature/signature.h"
 
@@ -641,6 +642,33 @@ TEST_F(ExecTest, CpuAttributionInlineAndOnAPool) {
         CombineBatches((*handle)->schema, (*handle)->batches).ToString(100));
   }
   EXPECT_EQ(renderings[0], renderings[1]);
+}
+
+TEST_F(ExecTest, MorselRowsBelowOneFallBackToTheDefault) {
+  // A config typo must not make every operator run one row per task.
+  std::vector<std::pair<uint64_t, std::string>> runs;
+  for (int morsel_rows : {ExecOptions{}.morsel_rows, 0, -5}) {
+    SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
+    obs::MetricsRegistry metrics;
+    ExecContext ctx;
+    ctx.metrics = &metrics;
+    ctx.options.morsel_rows = morsel_rows;
+    std::string out = "morsel_out_" + std::to_string(runs.size());
+    Run(Sales()
+            .Filter(Gt(Col("amount"), Lit(15.0)))
+            .Sort({{"amount", false}})
+            .Output(out)
+            .Build(),
+        ctx);
+    auto handle = storage_.OpenStream(out);
+    ASSERT_TRUE(handle.ok());
+    runs.emplace_back(
+        metrics.GetCounter("cv_exec_morsels_total")->value(),
+        CombineBatches((*handle)->schema, (*handle)->batches).ToString(100));
+  }
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[1], runs[0]);
+  EXPECT_EQ(runs[2], runs[0]);
 }
 
 TEST_F(ExecTest, UnboundPlanRejected) {

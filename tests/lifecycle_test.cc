@@ -3,6 +3,9 @@
 // early-materialization checkpoint behaviour.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "core/cloudviews.h"
 #include "exec/processor_registry.h"
 #include "tests/test_util.h"
@@ -110,15 +113,44 @@ TEST_F(LifecycleTest, ReclaimDropsMinimumUtilityViewsFirst) {
   auto b = cv.Submit(JobB("2018-01-02"));
   ASSERT_TRUE(b.ok());
   size_t views_before = cv.metadata()->NumRegisteredViews();
-  ASSERT_GE(views_before, 1u);
+  ASSERT_GE(views_before, 2u);  // an order to check
   size_t streams_before = cv.storage()->ListStreams("/views/").size();
   EXPECT_EQ(streams_before, views_before);
 
-  size_t dropped = cv.ReclaimViewStorage(1.0);  // at least one view
-  EXPECT_GE(dropped, 1u);
+  // Sec 5.4 ranks by (frequency - 1) x avg_runtime_seconds, the larger
+  // view first on ties.
+  auto utility = [&cv](const MaterializedViewInfo& view) {
+    auto ann = cv.metadata()->FindAnnotation(view.normalized_signature);
+    EXPECT_TRUE(ann.has_value());
+    return ann.has_value() ? static_cast<double>(ann->frequency - 1) *
+                                 ann->avg_runtime_seconds
+                           : 0.0;
+  };
+  std::vector<MaterializedViewInfo> before = cv.metadata()->ListViews();
+
+  size_t dropped = cv.ReclaimViewStorage(1.0);  // one view's bytes suffice
+  ASSERT_EQ(dropped, 1u);
   EXPECT_EQ(cv.metadata()->NumRegisteredViews(), views_before - dropped);
   EXPECT_EQ(cv.storage()->ListStreams("/views/").size(),
             views_before - dropped);
+  std::set<Hash128> kept;
+  for (const auto& view : cv.metadata()->ListViews()) {
+    kept.insert(view.precise_signature);
+  }
+  const MaterializedViewInfo* victim = nullptr;
+  for (const auto& view : before) {
+    if (kept.count(view.precise_signature) == 0) victim = &view;
+  }
+  ASSERT_NE(victim, nullptr);
+  for (const auto& view : before) {
+    if (&view == victim) continue;
+    EXPECT_TRUE(utility(*victim) < utility(view) ||
+                (utility(*victim) == utility(view) &&
+                 victim->bytes >= view.bytes))
+        << "dropped a view of utility " << utility(*victim) << " and "
+        << victim->bytes << " bytes before one of utility " << utility(view)
+        << " and " << view.bytes << " bytes";
+  }
 
   // Reclaiming "everything" empties the registry.
   cv.ReclaimViewStorage(1e18);

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/mutex.h"
 #include "fault/backoff.h"
 #include "fault/fault_injector.h"
@@ -18,6 +19,7 @@
 #include "net/client.h"
 #include "net/outcome.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "tests/net_test_util.h"
 
@@ -270,6 +272,31 @@ TEST(NetE2E, AsyncTicketLifecycleAndProfile) {
   EXPECT_EQ(profile->ticket, ticket);
   EXPECT_NE(profile->profile_json.find("net.request"), std::string::npos);
   EXPECT_NE(profile->profile_json.find("job"), std::string::npos);
+}
+
+TEST(NetE2E, FrontDoorTimersReadTheInstanceWallClock) {
+  // Under a wall clock that never advances every front-door timer reads 0:
+  // none of them may time itself with the real clock.
+  FakeMonotonicClock frozen{5.0};
+  ServerFixture fx = StartServerFixture(
+      [&frozen](CloudViewsConfig* config) { config->wall_clock = &frozen; });
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  auto reply = client->Submit(NetSubmit("tmpl-clock", "ck", "2024-01-01", 1));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kResult);
+  EXPECT_EQ(reply->result.timings.queue_seconds, 0);
+
+  obs::MetricsRegistry* metrics = fx.cv->metrics();
+  obs::Histogram* request = metrics->GetHistogram("cv_net_request_seconds");
+  obs::Histogram* queue_wait = metrics->GetHistogram(
+      "cv_submission_queue_wait_seconds", {{"queue", "net"}});
+  EXPECT_EQ(request->count(), 1u);
+  EXPECT_EQ(request->sum(), 0);
+  EXPECT_EQ(queue_wait->count(), 1u);
+  EXPECT_EQ(queue_wait->sum(), 0);
+
+  EXPECT_EQ(fx.cv->RunAnalyzerAndLoad().analysis_seconds, 0);
 }
 
 TEST(NetE2E, OutOfRangeLiteralIsATypedErrorAndTheServerKeepsServing) {

@@ -1,7 +1,8 @@
 // Integration tests for the observability subsystem: job lifecycle span
 // trees (deterministic under a fake clock), the metrics the stack emits end
-// to end, per-job profile rendering, and the executor's run-once guarantee
-// for shared (DAG) subtrees.
+// to end, per-job profile rendering, and the executor's refusal of a plan
+// that is not a tree (per-node stats are keyed by node id, one row per
+// node).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/cloudviews.h"
 #include "core/explain.h"
 #include "exec/executor.h"
@@ -505,8 +505,8 @@ TEST(StatsPathTest, EveryStatsFieldEqualsItsExportedSeries) {
 }
 
 // ---------------------------------------------------------------------------
-// DAG execution: a subtree shared by two parents runs exactly once, so
-// executor counters and per-node cpu attribution are not double counted.
+// Executed plans are trees: per-node stats rows are keyed by node id, so a
+// node reachable through two parents is rejected before anything runs.
 // ---------------------------------------------------------------------------
 
 class DagExecTest : public ::testing::Test {
@@ -526,7 +526,7 @@ class DagExecTest : public ::testing::Test {
     schema_ = schema;
   }
 
-  /// agg(k -> sum v) over the base table; the candidate shared subtree.
+  /// agg(k -> sum v) over the base table.
   PlanNodePtr Agg() {
     return PlanBuilder::Extract("t", "t", "g-t", schema_)
         .Aggregate({"k"}, {{AggFunc::kSum, Col("v"), "sv"}})
@@ -534,7 +534,7 @@ class DagExecTest : public ::testing::Test {
   }
 
   /// Join of the aggregate with a renamed projection of `right_input`;
-  /// sharing `Agg()` on both sides makes the plan a DAG.
+  /// passing one `Agg()` as both inputs makes the plan a DAG.
   static PlanNodePtr SelfJoin(PlanNodePtr left, PlanNodePtr right_input) {
     auto renamed = std::make_shared<ProjectNode>(
         std::move(right_input),
@@ -544,20 +544,15 @@ class DagExecTest : public ::testing::Test {
         std::vector<std::pair<std::string, std::string>>{{"k", "k2"}});
   }
 
-  JobRunStats Run(const PlanNodePtr& plan, obs::MetricsRegistry* metrics,
-                  ThreadPool* pool = nullptr) {
+  Result<JobRunStats> Run(const PlanNodePtr& plan,
+                          obs::MetricsRegistry* metrics) {
     EXPECT_TRUE(plan->Bind().ok());
     AssignNodeIds(plan.get());
     ExecContext ctx;
     ctx.storage = &storage_;
     ctx.metrics = metrics;
-    ctx.pool = pool;
-    if (pool != nullptr) ctx.options.worker_threads = 4;
     ctx.options.morsel_rows = 64;
-    Executor exec(ctx);
-    auto result = exec.Execute(plan);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return *result;
+    return Executor(ctx).Execute(plan);
   }
 
   SimulatedClock clock_;
@@ -565,49 +560,19 @@ class DagExecTest : public ::testing::Test {
   Schema schema_;
 };
 
-TEST_F(DagExecTest, SharedSubtreeExecutesOnce) {
+TEST_F(DagExecTest, PlanThatIsNotATreeIsRejectedBeforeAnythingRuns) {
   auto shared = Agg();
-  auto dag_plan = SelfJoin(shared, shared);  // two parents for `shared`
-  auto tree_plan = SelfJoin(Agg(), Agg());   // same shape, no sharing
-
   obs::MetricsRegistry dag_metrics;
+  auto dag = Run(SelfJoin(shared, shared), &dag_metrics);
+  EXPECT_TRUE(dag.status().IsInvalidArgument()) << dag.status().ToString();
+  EXPECT_EQ(CounterValue(&dag_metrics, "cv_exec_morsels_total"), 0);
+
+  // The same shape built as a tree runs all six operators.
   obs::MetricsRegistry tree_metrics;
-  JobRunStats dag = Run(dag_plan, &dag_metrics);
-  JobRunStats tree = Run(tree_plan, &tree_metrics);
-
-  // Same answer either way.
-  EXPECT_EQ(dag.output_rows, tree.output_rows);
-  EXPECT_EQ(dag.output_bytes, tree.output_bytes);
-
-  // The DAG touches fewer unique operators: extract + agg appear once.
-  EXPECT_EQ(dag.operators.size(), 4u);   // extract, agg, project, join
-  EXPECT_EQ(tree.operators.size(), 6u);  // both subtrees duplicated
-
-  // Executor counters see the shared subtree once, so the DAG run
-  // processes strictly fewer rows/morsels than the cloned-tree run.
-  EXPECT_LT(CounterValue(&dag_metrics, "cv_exec_rows_total"),
-            CounterValue(&tree_metrics, "cv_exec_rows_total"));
-  EXPECT_LT(CounterValue(&dag_metrics, "cv_exec_morsels_total"),
-            CounterValue(&tree_metrics, "cv_exec_morsels_total"));
-
-  // cpu_seconds is the sum over per-operator entries — each written once.
-  double op_cpu = 0;
-  for (const auto& [id, op] : dag.operators) op_cpu += op.cpu_seconds;
-  EXPECT_DOUBLE_EQ(dag.cpu_seconds, op_cpu);
-}
-
-TEST_F(DagExecTest, SharedSubtreeIsRaceFreeUnderThreadPool) {
-  // Both join inputs are schedulable concurrently, so two workers can
-  // arrive at the shared aggregate at once; the run-once latch must hold
-  // (verified for data races by the TSan build).
-  ThreadPool pool(4);
-  for (int i = 0; i < 20; ++i) {
-    auto shared = Agg();
-    auto plan = SelfJoin(shared, shared);
-    obs::MetricsRegistry metrics;
-    JobRunStats stats = Run(plan, &metrics, &pool);
-    EXPECT_EQ(stats.operators.size(), 4u) << "iteration " << i;
-  }
+  auto tree = Run(SelfJoin(Agg(), Agg()), &tree_metrics);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->operators.size(), 6u);
+  EXPECT_GT(CounterValue(&tree_metrics, "cv_exec_morsels_total"), 0);
 }
 
 }  // namespace

@@ -131,9 +131,30 @@ void RuleBannedClock(const FileCtx& ctx, std::vector<Violation>* out) {
     }
     out->push_back({ctx.display_path, t.line, "banned-clock",
                     "'" + t.text +
-                        "' outside common/clock.h and src/obs; use "
-                        "MonotonicClock / MonotonicNowSeconds so time is "
-                        "injectable in tests"});
+                        "' outside common/clock.h and src/obs; read the "
+                        "MonotonicClock* the component was constructed "
+                        "with so tests can inject a fake one"});
+  }
+}
+
+void RuleRealClock(const FileCtx& ctx, std::vector<Violation>* out) {
+  // MonotonicNowSeconds() is MonotonicClock::Real(): a component timing
+  // itself with it escapes the fake clock a test hands the instance.
+  if (ctx.rel_path.rfind("src/", 0) != 0 ||
+      PathContains(ctx.rel_path, "common/clock.h")) {
+    return;
+  }
+  const auto& code = ctx.code;
+  for (size_t i = 0; i + 1 < code.size(); ++i) {
+    if (!code[i].IsIdent("MonotonicNowSeconds") ||
+        !code[i + 1].IsPunct("(")) {
+      continue;
+    }
+    out->push_back({ctx.display_path, code[i].line, "real-clock",
+                    "'MonotonicNowSeconds(' in src/ reads the real clock; "
+                    "read the component's injected MonotonicClock* (the "
+                    "instance wall clock) so one fake clock governs every "
+                    "timer"});
   }
 }
 
@@ -482,6 +503,10 @@ const std::vector<LintRule>& AllRules() {
        "ad-hoc std::chrono clocks outside common/clock.h and src/obs — "
        "use MonotonicClock",
        "bad_clock.cc", RuleBannedClock},
+      {"real-clock",
+       "MonotonicNowSeconds( in src/ outside common/clock.h — read the "
+       "component's injected MonotonicClock",
+       "bad_real_clock.cc", RuleRealClock},
       {"banned-sleep",
        "sleep_for/sleep_until/usleep/nanosleep outside fault/backoff — "
        "use fault::RetryWithBackoff",

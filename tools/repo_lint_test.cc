@@ -68,6 +68,35 @@ TEST(RepoLintTest, BannedClockAllowedInClockHeaderAndObs) {
                   .empty());
 }
 
+TEST(RepoLintTest, RealClockFires) {
+  // The fixture lives in lint_fixtures/ but is linted as if it were a
+  // src/ component, where the rule is scoped.
+  auto violations = LintFile("bad_real_clock.cc",
+                             "src/runtime/bad_real_clock.cc",
+                             ReadFixture("bad_real_clock.cc"));
+  EXPECT_EQ(Rules(violations), std::set<std::string>{"real-clock"});
+  // The bare and the qualified call; the injected clock and the reasoned
+  // NOLINT stay clean.
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0].line, 8);
+  EXPECT_EQ(violations[1].line, 12);
+}
+
+TEST(RepoLintTest, RealClockScopedToSrcOutsideTheClockHeader) {
+  const std::string fixture = ReadFixture("bad_real_clock.cc");
+  // Benches and tests time themselves with the real clock by design.
+  EXPECT_TRUE(
+      LintFile("micro_submit.cc", "bench/micro_submit.cc", fixture).empty());
+  EXPECT_TRUE(LintFile("obs_test.cc", "tests/obs_test.cc", fixture).empty());
+  // clock.h defines the helper.
+  EXPECT_TRUE(LintFile("clock.h", "src/common/clock.h",
+                       "#ifndef CLOUDVIEWS_COMMON_CLOCK_H_\n"
+                       "#define CLOUDVIEWS_COMMON_CLOCK_H_\n"
+                       "inline double MonotonicNowSeconds() { return 0; }\n"
+                       "#endif\n")
+                  .empty());
+}
+
 TEST(RepoLintTest, BannedSyncFires) {
   auto violations = LintFixture("bad_sync.cc");
   EXPECT_EQ(Rules(violations), std::set<std::string>{"banned-sync"});
