@@ -28,6 +28,10 @@ enum class StatusCode : int {
   /// fall back to its original (non-rewritten) plan rather than fail.
   kViewUnavailable = 12,
 };
+/// The last code; the wire codec refuses a larger one.
+constexpr StatusCode LastEnumerator(StatusCode) {
+  return StatusCode::kViewUnavailable;
+}
 
 /// \brief Returns a human-readable name for a status code ("OK",
 /// "Invalid argument", ...).

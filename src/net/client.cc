@@ -7,8 +7,29 @@ namespace net {
 
 namespace {
 
-Status StatusFromError(const ErrorResponse& error) {
-  return Status(static_cast<StatusCode>(error.code), error.message);
+/// One typed round-trip: encodes `request` under its tag, turns a kError
+/// reply into its Status, refuses any other tag than `Reply`'s, and
+/// decodes the reply.
+template <typename Reply, typename Request>
+Result<Reply> Call(Client* client, const Request& request) {
+  WireWriter w;
+  Encode(request, &w);
+  CV_ASSIGN_OR_RETURN(Client::Response resp,
+                      client->Roundtrip(Request::kType, w.bytes()));
+  if (resp.type == MsgType::kError) {
+    ErrorResponse error;
+    CV_RETURN_NOT_OK(Decode(resp.payload, &error));
+    if (error.code == static_cast<uint8_t>(StatusCode::kOk)) {
+      return Status(StatusCode::kParseError, "error reply with an OK code");
+    }
+    return Status(static_cast<StatusCode>(error.code), error.message);
+  }
+  if (resp.type != Reply::kType) {
+    return Status(StatusCode::kParseError, "unexpected response type");
+  }
+  Reply reply;
+  CV_RETURN_NOT_OK(Decode(resp.payload, &reply));
+  return reply;
 }
 
 }  // namespace
@@ -30,27 +51,26 @@ Result<Client::Response> Client::Roundtrip(MsgType type,
 
 Result<Client::SubmitReply> Client::Submit(const SubmitRequest& request) {
   WireWriter w;
-  EncodeSubmitRequest(request, &w);
+  Encode(request, &w);
   CV_ASSIGN_OR_RETURN(Response resp,
-                      Roundtrip(MsgType::kSubmit, w.bytes()));
+                      Roundtrip(SubmitRequest::kType, w.bytes()));
   SubmitReply reply;
   switch (resp.type) {
     case MsgType::kSubmitResult:
       reply.kind = SubmitReply::Kind::kResult;
-      CV_RETURN_NOT_OK(
-          DecodeSubmitResultResponse(resp.payload, &reply.result));
+      CV_RETURN_NOT_OK(Decode(resp.payload, &reply.result));
       return reply;
     case MsgType::kAccepted:
       reply.kind = SubmitReply::Kind::kAccepted;
-      CV_RETURN_NOT_OK(DecodeAcceptedResponse(resp.payload, &reply.accepted));
+      CV_RETURN_NOT_OK(Decode(resp.payload, &reply.accepted));
       return reply;
     case MsgType::kRetryAfter:
       reply.kind = SubmitReply::Kind::kRetryAfter;
-      CV_RETURN_NOT_OK(DecodeRetryAfterResponse(resp.payload, &reply.retry));
+      CV_RETURN_NOT_OK(Decode(resp.payload, &reply.retry));
       return reply;
     case MsgType::kError:
       reply.kind = SubmitReply::Kind::kError;
-      CV_RETURN_NOT_OK(DecodeErrorResponse(resp.payload, &reply.error));
+      CV_RETURN_NOT_OK(Decode(resp.payload, &reply.error));
       return reply;
     default:
       return Status(StatusCode::kParseError,
@@ -82,58 +102,15 @@ Result<Client::SubmitReply> Client::SubmitWithRetry(
 }
 
 Result<StatusResultResponse> Client::QueryStatus(uint64_t ticket) {
-  StatusQueryRequest req;
-  req.ticket = ticket;
-  WireWriter w;
-  EncodeStatusQueryRequest(req, &w);
-  CV_ASSIGN_OR_RETURN(Response resp,
-                      Roundtrip(MsgType::kStatusQuery, w.bytes()));
-  if (resp.type == MsgType::kError) {
-    ErrorResponse error;
-    CV_RETURN_NOT_OK(DecodeErrorResponse(resp.payload, &error));
-    return StatusFromError(error);
-  }
-  if (resp.type != MsgType::kStatusResult) {
-    return Status(StatusCode::kParseError, "unexpected response type");
-  }
-  StatusResultResponse out;
-  CV_RETURN_NOT_OK(DecodeStatusResultResponse(resp.payload, &out));
-  return out;
+  return Call<StatusResultResponse>(this, StatusQueryRequest{ticket});
 }
 
 Result<ProfileResultResponse> Client::FetchProfile(uint64_t ticket) {
-  ProfileFetchRequest req;
-  req.ticket = ticket;
-  WireWriter w;
-  EncodeProfileFetchRequest(req, &w);
-  CV_ASSIGN_OR_RETURN(Response resp,
-                      Roundtrip(MsgType::kProfileFetch, w.bytes()));
-  if (resp.type == MsgType::kError) {
-    ErrorResponse error;
-    CV_RETURN_NOT_OK(DecodeErrorResponse(resp.payload, &error));
-    return StatusFromError(error);
-  }
-  if (resp.type != MsgType::kProfileResult) {
-    return Status(StatusCode::kParseError, "unexpected response type");
-  }
-  ProfileResultResponse out;
-  CV_RETURN_NOT_OK(DecodeProfileResultResponse(resp.payload, &out));
-  return out;
+  return Call<ProfileResultResponse>(this, ProfileFetchRequest{ticket});
 }
 
 Result<ServerStatsResponse> Client::ServerStats() {
-  CV_ASSIGN_OR_RETURN(Response resp, Roundtrip(MsgType::kServerStats, ""));
-  if (resp.type == MsgType::kError) {
-    ErrorResponse error;
-    CV_RETURN_NOT_OK(DecodeErrorResponse(resp.payload, &error));
-    return StatusFromError(error);
-  }
-  if (resp.type != MsgType::kServerStatsResult) {
-    return Status(StatusCode::kParseError, "unexpected response type");
-  }
-  ServerStatsResponse out;
-  CV_RETURN_NOT_OK(DecodeServerStatsResponse(resp.payload, &out));
-  return out;
+  return Call<ServerStatsResponse>(this, ServerStatsRequest{});
 }
 
 }  // namespace net

@@ -223,108 +223,108 @@ void JobServiceServer::ConnectionLoop(
   }
 }
 
+template <typename Reply>
+bool JobServiceServer::Send(Connection* conn, const Reply& reply) {
+  WireWriter w;
+  Encode(reply, &w);
+  fault::FaultInjector* fault = cv_->config().fault;
+  if (fault != nullptr &&
+      !fault->MaybeInject(fault::points::kNetWrite,
+                          std::to_string(conn->id))
+           .ok()) {
+    // Injected write failure: the response is lost and the connection is
+    // torn down, exactly like a peer reset mid-write.
+    conn->sock.ShutdownBoth();
+    return false;
+  }
+  MutexLock lock(conn->write_mu);
+  Status st = SendFrame(&conn->sock, Reply::kType, w.bytes());
+  if (!st.ok()) {
+    conn->sock.ShutdownBoth();
+    return false;
+  }
+  return true;
+}
+
+bool JobServiceServer::SendError(Connection* conn, const Status& status) {
+  return Send(conn,
+              ErrorResponse{static_cast<uint8_t>(status.code()),
+                            status.message()});
+}
+
+template <typename Request, typename Answer>
+bool JobServiceServer::Serve(Connection* conn, const std::string& payload,
+                             Answer&& answer) {
+  Request request;
+  Status st = Decode(payload, &request);
+  if (!st.ok()) {
+    protocol_errors_->Increment();
+    return SendError(conn, st);
+  }
+  auto reply = answer(request);
+  if (!reply.ok()) return SendError(conn, reply.status());
+  return Send(conn, *reply);
+}
+
 bool JobServiceServer::HandleFrame(const std::shared_ptr<Connection>& conn,
                                    const FrameHeader& header,
                                    const std::string& payload) {
   requests_total_->Increment();
-  if (!IsRequestType(header.type)) {
-    protocol_errors_->Increment();
-    // Framing is intact, so the connection survives an unknown tag: reply
-    // with a typed error and keep reading.
-    return SendError(conn.get(),
-                     Status::InvalidArgument(
-                         "unknown request type " +
-                         std::to_string(static_cast<int>(header.type))));
-  }
   switch (static_cast<MsgType>(header.type)) {
     case MsgType::kSubmit:
       return HandleSubmit(conn, payload);
-    case MsgType::kStatusQuery: {
-      StatusQueryRequest req;
-      Status st = DecodeStatusQueryRequest(payload, &req);
-      if (!st.ok()) {
-        protocol_errors_->Increment();
-        return SendError(conn.get(), st);
-      }
-      StatusResultResponse resp;
-      resp.ticket = req.ticket;
-      {
-        MutexLock lock(job_mu_);
-        auto it = jobs_.find(req.ticket);
-        if (it == jobs_.end()) {
-          // Fall through to a typed not-found below (outside the lock).
-        } else {
-          resp.state = it->second.state;
-          resp.outcome = it->second.outcome;
-          resp.timings = it->second.timings;
-          resp.error_code = it->second.error_code;
-          resp.error_message = it->second.error_message;
-          WireWriter w;
-          EncodeStatusResultResponse(resp, &w);
-          return SendResponse(conn.get(), MsgType::kStatusResult, w.bytes());
-        }
-      }
-      return SendError(conn.get(), Status::NotFound(
-                                       "unknown ticket " +
-                                       std::to_string(req.ticket)));
-    }
-    case MsgType::kProfileFetch: {
-      ProfileFetchRequest req;
-      Status st = DecodeProfileFetchRequest(payload, &req);
-      if (!st.ok()) {
-        protocol_errors_->Increment();
-        return SendError(conn.get(), st);
-      }
-      ProfileResultResponse resp;
-      resp.ticket = req.ticket;
-      bool ready = false;
-      bool known = false;
-      {
-        MutexLock lock(job_mu_);
-        auto it = jobs_.find(req.ticket);
-        if (it != jobs_.end()) {
-          known = true;
-          if (it->second.state == WireJobState::kDone ||
-              it->second.state == WireJobState::kFailed) {
-            ready = true;
-            resp.profile_json = it->second.profile_json;
-          }
-        }
-      }
-      if (!known) {
-        return SendError(conn.get(), Status::NotFound(
-                                         "unknown ticket " +
-                                         std::to_string(req.ticket)));
-      }
-      if (!ready) {
-        return SendError(conn.get(),
-                         Status::NotFound("profile not ready for ticket " +
-                                          std::to_string(req.ticket)));
-      }
-      WireWriter w;
-      EncodeProfileResultResponse(resp, &w);
-      return SendResponse(conn.get(), MsgType::kProfileResult, w.bytes());
-    }
-    case MsgType::kServerStats: {
-      if (!payload.empty()) {
-        protocol_errors_->Increment();
-        return SendError(
-            conn.get(),
-            Status(StatusCode::kParseError, "server-stats takes no payload"));
-      }
-      WireWriter w;
-      EncodeServerStatsResponse(Stats(), &w);
-      return SendResponse(conn.get(), MsgType::kServerStatsResult, w.bytes());
-    }
+    case MsgType::kStatusQuery:
+      return Serve<StatusQueryRequest>(
+          conn.get(), payload,
+          [this](const auto& req) { return JobStatus(req.ticket); });
+    case MsgType::kProfileFetch:
+      return Serve<ProfileFetchRequest>(
+          conn.get(), payload,
+          [this](const auto& req) { return JobProfile(req.ticket); });
+    case MsgType::kServerStats:
+      return Serve<ServerStatsRequest>(
+          conn.get(), payload,
+          [this](const auto&) { return Result<ServerStatsResponse>(Stats()); });
     default:
-      return false;  // unreachable: IsRequestType filtered already
+      protocol_errors_->Increment();
+      // Framing is intact, so the connection survives an unknown tag: reply
+      // with a typed error and keep reading.
+      return SendError(conn.get(),
+                       Status::InvalidArgument(
+                           "unknown request type " +
+                           std::to_string(static_cast<int>(header.type))));
   }
+}
+
+Result<StatusResultResponse> JobServiceServer::JobStatus(
+    uint64_t ticket) const {
+  MutexLock lock(job_mu_);
+  auto it = jobs_.find(ticket);
+  if (it == jobs_.end()) {
+    return Status::NotFound("unknown ticket " + std::to_string(ticket));
+  }
+  return it->second.status;
+}
+
+Result<ProfileResultResponse> JobServiceServer::JobProfile(
+    uint64_t ticket) const {
+  MutexLock lock(job_mu_);
+  auto it = jobs_.find(ticket);
+  if (it == jobs_.end()) {
+    return Status::NotFound("unknown ticket " + std::to_string(ticket));
+  }
+  WireJobState state = it->second.status.state;
+  if (state != WireJobState::kDone && state != WireJobState::kFailed) {
+    return Status::NotFound("profile not ready for ticket " +
+                            std::to_string(ticket));
+  }
+  return ProfileResultResponse{ticket, it->second.profile_json};
 }
 
 bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
                                     const std::string& payload) {
   SubmitRequest req;
-  Status st = DecodeSubmitRequest(payload, &req);
+  Status st = Decode(payload, &req);
   if (!st.ok()) {
     protocol_errors_->Increment();
     return SendError(conn.get(), st);
@@ -332,9 +332,12 @@ bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
 
   // The request's root span; the job's whole lifecycle nests under it so a
   // wire job's profile carries compile/execute exactly like an in-process
-  // one, plus the front-door framing.
+  // one, plus the front-door framing. An instance that does not trace gets
+  // an inactive span, so a wire job leaves no trace there either.
   auto span = std::make_shared<obs::Span>(
-      cv_->tracer()->StartTrace("net.request"));
+      cv_->config().enable_observability
+          ? cv_->tracer()->StartTrace("net.request")
+          : obs::Span());
   span->SetAttribute("request", "submit");
   span->SetAttribute("connection", static_cast<uint64_t>(conn->id));
   span->SetAttribute("template_id", req.template_id);
@@ -402,14 +405,7 @@ bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     return SendRetryAfter(conn.get(), reason);
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  if (!wait) {
-    AcceptedResponse resp;
-    resp.ticket = ticket;
-    WireWriter w;
-    EncodeAcceptedResponse(resp, &w);
-    return SendResponse(conn.get(), MsgType::kAccepted, w.bytes());
-  }
-  return true;
+  return wait || Send(conn.get(), AcceptedResponse{ticket});
 }
 
 void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
@@ -451,13 +447,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     token->Release();
     completed_.fetch_add(1, std::memory_order_relaxed);
     if (wait) {
-      SubmitResultResponse resp;
-      resp.ticket = ticket;
-      resp.outcome = outcome;
-      resp.timings = timings;
-      WireWriter w;
-      EncodeSubmitResultResponse(resp, &w);
-      (void)SendResponse(conn.get(), MsgType::kSubmitResult, w.bytes());
+      (void)Send(conn.get(), SubmitResultResponse{ticket, outcome, timings});
     }
   } else {
     RecordFailed(ticket, result.status(), std::move(profile_json));
@@ -470,53 +460,20 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
   }
 }
 
-bool JobServiceServer::SendResponse(Connection* conn, MsgType type,
-                                    const std::string& payload) {
-  fault::FaultInjector* fault = cv_->config().fault;
-  if (fault != nullptr &&
-      !fault->MaybeInject(fault::points::kNetWrite,
-                          std::to_string(conn->id))
-           .ok()) {
-    // Injected write failure: the response is lost and the connection is
-    // torn down, exactly like a peer reset mid-write.
-    conn->sock.ShutdownBoth();
-    return false;
-  }
-  MutexLock lock(conn->write_mu);
-  Status st = SendFrame(&conn->sock, type, payload);
-  if (!st.ok()) {
-    conn->sock.ShutdownBoth();
-    return false;
-  }
-  return true;
-}
-
-bool JobServiceServer::SendError(Connection* conn, const Status& status) {
-  ErrorResponse resp;
-  resp.code = static_cast<uint8_t>(status.code());
-  resp.message = status.message();
-  WireWriter w;
-  EncodeErrorResponse(resp, &w);
-  return SendResponse(conn, MsgType::kError, w.bytes());
-}
-
 bool JobServiceServer::SendRetryAfter(Connection* conn, ShedReason reason) {
-  RetryAfterResponse resp;
-  resp.reason = reason;
-  resp.retry_after_ms = admission_.retry_after_ms();
-  WireWriter w;
-  EncodeRetryAfterResponse(resp, &w);
-  return SendResponse(conn, MsgType::kRetryAfter, w.bytes());
+  return Send(conn, RetryAfterResponse{reason, admission_.retry_after_ms()});
 }
 
 void JobServiceServer::RecordQueued(uint64_t ticket) {
   MutexLock lock(job_mu_);
-  jobs_[ticket].state = WireJobState::kQueued;
+  StatusResultResponse& status = jobs_[ticket].status;
+  status.ticket = ticket;
+  status.state = WireJobState::kQueued;
 }
 
 void JobServiceServer::RecordRunning(uint64_t ticket) {
   MutexLock lock(job_mu_);
-  jobs_[ticket].state = WireJobState::kRunning;
+  jobs_[ticket].status.state = WireJobState::kRunning;
 }
 
 void JobServiceServer::RecordDone(uint64_t ticket, const JobOutcome& outcome,
@@ -524,9 +481,9 @@ void JobServiceServer::RecordDone(uint64_t ticket, const JobOutcome& outcome,
                                   std::string profile_json) {
   MutexLock lock(job_mu_);
   JobRecord& rec = jobs_[ticket];
-  rec.state = WireJobState::kDone;
-  rec.outcome = outcome;
-  rec.timings = timings;
+  rec.status.state = WireJobState::kDone;
+  rec.status.outcome = outcome;
+  rec.status.timings = timings;
   rec.profile_json = std::move(profile_json);
   finished_order_.push_back(ticket);
   EvictFinishedLocked();
@@ -536,9 +493,9 @@ void JobServiceServer::RecordFailed(uint64_t ticket, const Status& status,
                                     std::string profile_json) {
   MutexLock lock(job_mu_);
   JobRecord& rec = jobs_[ticket];
-  rec.state = WireJobState::kFailed;
-  rec.error_code = static_cast<uint8_t>(status.code());
-  rec.error_message = status.message();
+  rec.status.state = WireJobState::kFailed;
+  rec.status.error_code = static_cast<uint8_t>(status.code());
+  rec.status.error_message = status.message();
   rec.profile_json = std::move(profile_json);
   finished_order_.push_back(ticket);
   EvictFinishedLocked();

@@ -74,11 +74,8 @@ class JobServiceServer {
   /// Ticket-table entry; tickets are server-assigned and survive the
   /// submitting connection, so a client may poll from a new connection.
   struct JobRecord {
-    WireJobState state = WireJobState::kQueued;
-    JobOutcome outcome;
-    WireTimings timings;
-    uint8_t error_code = 0;
-    std::string error_message;
+    /// The STATUS_RESULT a status query answers with.
+    StatusResultResponse status;
     std::string profile_json;
   };
 
@@ -100,10 +97,20 @@ class JobServiceServer {
                      const std::shared_ptr<obs::Span>& span,
                      AdmissionToken* token);
 
-  bool SendResponse(Connection* conn, MsgType type,
-                    const std::string& payload);
+  /// Encodes `reply` and sends it under its own tag; false when the
+  /// connection must close (write failure, injected or real).
+  template <typename Reply>
+  bool Send(Connection* conn, const Reply& reply);
   bool SendError(Connection* conn, const Status& status);
   bool SendRetryAfter(Connection* conn, ShedReason reason);
+  /// Decodes a `Request` and sends `answer(request)`'s reply; a payload
+  /// that does not decode, or an error answer, gets kError instead.
+  template <typename Request, typename Answer>
+  bool Serve(Connection* conn, const std::string& payload, Answer&& answer);
+  Result<StatusResultResponse> JobStatus(uint64_t ticket) const
+      EXCLUDES(job_mu_);
+  Result<ProfileResultResponse> JobProfile(uint64_t ticket) const
+      EXCLUDES(job_mu_);
 
   uint64_t NewTicket() { return next_ticket_.fetch_add(1); }
   void RecordQueued(uint64_t ticket);

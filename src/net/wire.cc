@@ -1,7 +1,9 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 namespace cloudviews {
 namespace net {
@@ -24,23 +26,6 @@ double BitsDouble(uint64_t bits) {
 }
 
 }  // namespace
-
-bool IsRequestType(uint8_t t) {
-  switch (static_cast<MsgType>(t)) {
-    case MsgType::kSubmit:
-    case MsgType::kStatusQuery:
-    case MsgType::kProfileFetch:
-    case MsgType::kServerStats:
-      return true;
-    default:
-      return false;
-  }
-}
-
-void WireWriter::U16(uint16_t v) {
-  U8(static_cast<uint8_t>(v & 0xff));
-  U8(static_cast<uint8_t>(v >> 8));
-}
 
 void WireWriter::U32(uint32_t v) {
   for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
@@ -67,18 +52,6 @@ Status WireReader::Need(size_t n) const {
 Status WireReader::U8(uint8_t* v) {
   CV_RETURN_NOT_OK(Need(1));
   *v = static_cast<uint8_t>(buf_[pos_++]);
-  return Status::OK();
-}
-
-Status WireReader::U16(uint16_t* v) {
-  CV_RETURN_NOT_OK(Need(2));
-  uint16_t out = 0;
-  for (int i = 0; i < 2; ++i) {
-    out |= static_cast<uint16_t>(static_cast<uint8_t>(buf_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 2;
-  *v = out;
   return Status::OK();
 }
 
@@ -190,300 +163,229 @@ Status DecodeFrameHeader(const char* bytes, FrameHeader* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Requests
-
-void EncodeSubmitRequest(const SubmitRequest& req, WireWriter* w) {
-  w->Str(req.script);
-  w->U32(static_cast<uint32_t>(req.params.size()));
-  for (const WireParam& p : req.params) {
-    w->Str(p.name);
-    w->U8(static_cast<uint8_t>(p.kind));
-    w->Str(p.text);
-    w->I64(p.int_value);
-  }
-  w->Str(req.template_id);
-  w->Str(req.cluster);
-  w->Str(req.business_unit);
-  w->Str(req.vc);
-  w->Str(req.user);
-  w->I64(req.recurring_instance);
-  w->I64(req.recurrence_period_seconds);
-  w->U32(static_cast<uint32_t>(req.tags.size()));
-  for (const std::string& t : req.tags) w->Str(t);
-  w->Bool(req.enable_cloudviews);
-  w->Bool(req.wait);
-}
-
-Status DecodeSubmitRequest(std::string_view payload, SubmitRequest* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.Str(&out->script));
-  uint32_t nparams = 0;
-  CV_RETURN_NOT_OK(r.U32(&nparams));
-  if (nparams > kMaxListItems) {
-    return Status(StatusCode::kOutOfRange, "wire: too many params");
-  }
-  out->params.clear();
-  out->params.reserve(nparams);
-  for (uint32_t i = 0; i < nparams; ++i) {
-    WireParam p;
-    CV_RETURN_NOT_OK(r.Str(&p.name));
-    uint8_t kind = 0;
-    CV_RETURN_NOT_OK(r.U8(&kind));
-    if (kind > static_cast<uint8_t>(WireParamKind::kString)) {
-      return Status(StatusCode::kParseError, "wire: unknown param kind");
-    }
-    p.kind = static_cast<WireParamKind>(kind);
-    CV_RETURN_NOT_OK(r.Str(&p.text));
-    CV_RETURN_NOT_OK(r.I64(&p.int_value));
-    out->params.push_back(std::move(p));
-  }
-  CV_RETURN_NOT_OK(r.Str(&out->template_id));
-  CV_RETURN_NOT_OK(r.Str(&out->cluster));
-  CV_RETURN_NOT_OK(r.Str(&out->business_unit));
-  CV_RETURN_NOT_OK(r.Str(&out->vc));
-  CV_RETURN_NOT_OK(r.Str(&out->user));
-  CV_RETURN_NOT_OK(r.I64(&out->recurring_instance));
-  CV_RETURN_NOT_OK(r.I64(&out->recurrence_period_seconds));
-  uint32_t ntags = 0;
-  CV_RETURN_NOT_OK(r.U32(&ntags));
-  if (ntags > kMaxListItems) {
-    return Status(StatusCode::kOutOfRange, "wire: too many tags");
-  }
-  out->tags.clear();
-  out->tags.reserve(ntags);
-  for (uint32_t i = 0; i < ntags; ++i) {
-    std::string t;
-    CV_RETURN_NOT_OK(r.Str(&t));
-    out->tags.push_back(std::move(t));
-  }
-  CV_RETURN_NOT_OK(r.Bool(&out->enable_cloudviews));
-  CV_RETURN_NOT_OK(r.Bool(&out->wait));
-  return r.ExpectEnd();
-}
-
-void EncodeStatusQueryRequest(const StatusQueryRequest& req, WireWriter* w) {
-  w->U64(req.ticket);
-}
-
-Status DecodeStatusQueryRequest(std::string_view payload,
-                                StatusQueryRequest* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->ticket));
-  return r.ExpectEnd();
-}
-
-void EncodeProfileFetchRequest(const ProfileFetchRequest& req, WireWriter* w) {
-  w->U64(req.ticket);
-}
-
-Status DecodeProfileFetchRequest(std::string_view payload,
-                                 ProfileFetchRequest* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->ticket));
-  return r.ExpectEnd();
-}
-
-// ---------------------------------------------------------------------------
-// Responses
+// Message codecs
 
 namespace {
 
-void AppendOutcome(const JobOutcome& o, WireWriter* w) {
-  w->U64(o.job_id);
-  w->U64(o.catalog_epoch);
-  w->I64(o.output_rows);
-  w->I64(o.output_bytes);
-  w->U64(o.output_fingerprint.hi);
-  w->U64(o.output_fingerprint.lo);
-  // Counters in CV_JOB_COUNTERS order: tallies as u32, flags as bool.
-  ForEachJobCounter(o, [w](size_t, auto value) {
-    if constexpr (std::is_same_v<decltype(value), bool>) {
-      w->Bool(value);
+/// A StatusCode kept in a u8 member: it travels and is checked like an
+/// enum field.
+template <typename Byte>
+struct StatusByte {
+  Byte& raw;
+};
+template <typename Byte>
+StatusByte(Byte&) -> StatusByte<Byte>;
+
+template <typename T>
+inline constexpr bool kIsStatusByte = false;
+template <typename Byte>
+inline constexpr bool kIsStatusByte<StatusByte<Byte>> = true;
+
+template <typename T>
+inline constexpr bool kIsList = false;
+template <typename T>
+inline constexpr bool kIsList<std::vector<T>> = true;
+
+/// The v2 layout: each message's fields in wire order, the one definition
+/// of the protocol's payloads. `m` is const when encoding and mutable when
+/// decoding; `v` is the Writer or the Reader below, which map each field's
+/// C++ type to its primitive.
+template <typename M, typename V>
+void Fields(M& m, V& v) {
+  using T = std::remove_const_t<M>;
+  if constexpr (std::is_same_v<T, SubmitRequest>) {
+    v(m.script, m.params, m.template_id, m.cluster, m.business_unit, m.vc,
+      m.user, m.recurring_instance, m.recurrence_period_seconds, m.tags,
+      m.enable_cloudviews, m.wait);
+  } else if constexpr (std::is_same_v<T, WireParam>) {
+    v(m.name, m.kind, m.text, m.int_value);
+  } else if constexpr (std::is_same_v<T, StatusQueryRequest> ||
+                       std::is_same_v<T, ProfileFetchRequest> ||
+                       std::is_same_v<T, AcceptedResponse>) {
+    v(m.ticket);
+  } else if constexpr (std::is_same_v<T, ServerStatsRequest>) {
+    // Empty payload.
+  } else if constexpr (std::is_same_v<T, JobOutcome>) {
+    v(m.job_id, m.catalog_epoch, m.output_rows, m.output_bytes,
+      m.output_fingerprint.hi, m.output_fingerprint.lo);
+    // Every CV_JOB_COUNTERS row in table order: tallies as u32, flags as
+    // bool.
+    ForEachJobCounter(m, [&v](size_t, auto& value) { v(value); });
+    v(m.plan_cache_hit);
+  } else if constexpr (std::is_same_v<T, WireTimings>) {
+    v(m.latency_seconds, m.cpu_seconds, m.compile_seconds,
+      m.metadata_lookup_seconds, m.queue_seconds, m.estimated_cost);
+  } else if constexpr (std::is_same_v<T, SubmitResultResponse>) {
+    v(m.ticket, m.outcome, m.timings);
+  } else if constexpr (std::is_same_v<T, StatusResultResponse>) {
+    v(m.ticket, m.state, m.outcome, m.timings, StatusByte{m.error_code},
+      m.error_message);
+  } else if constexpr (std::is_same_v<T, ProfileResultResponse>) {
+    v(m.ticket, m.profile_json);
+  } else if constexpr (std::is_same_v<T, ServerStatsResponse>) {
+    v(m.accepted, m.completed, m.failed, m.shed_queue_full, m.shed_conn_cap,
+      m.shed_draining, m.shed_injected, m.queue_depth, m.inflight,
+      m.connections);
+  } else if constexpr (std::is_same_v<T, ErrorResponse>) {
+    v(StatusByte{m.code}, m.message);
+  } else {
+    static_assert(std::is_same_v<T, RetryAfterResponse>, "no field list");
+    v(m.reason, m.retry_after_ms);
+  }
+}
+
+/// The largest u8 an enum field (or a StatusByte) may carry.
+template <typename T>
+constexpr uint8_t LastByte() {
+  if constexpr (kIsStatusByte<T>) {
+    return static_cast<uint8_t>(LastEnumerator(StatusCode{}));
+  } else {
+    return static_cast<uint8_t>(LastEnumerator(T{}));
+  }
+}
+
+/// Appends each field it is handed.
+struct Writer {
+  WireWriter* w;
+
+  template <typename... Fs>
+  void operator()(const Fs&... fields) {
+    (Put(fields), ...);
+  }
+
+  template <typename T>
+  void Put(const T& x) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      w->Str(x);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w->Bool(x);
+    } else if constexpr (std::is_same_v<T, int> ||
+                         std::is_same_v<T, uint32_t>) {
+      w->U32(static_cast<uint32_t>(x));
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      w->U64(x);
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      w->I64(x);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w->F64(x);
+    } else if constexpr (std::is_enum_v<T>) {
+      w->U8(static_cast<uint8_t>(x));
+    } else if constexpr (kIsStatusByte<T>) {
+      w->U8(x.raw);
+    } else if constexpr (kIsList<T>) {
+      w->U32(static_cast<uint32_t>(x.size()));
+      for (const auto& item : x) Put(item);
     } else {
-      w->U32(static_cast<uint32_t>(value));
+      Fields(x, *this);
     }
-  });
-  w->Bool(o.plan_cache_hit);
-}
+  }
+};
 
-void AppendTimings(const WireTimings& t, WireWriter* w) {
-  w->F64(t.latency_seconds);
-  w->F64(t.cpu_seconds);
-  w->F64(t.compile_seconds);
-  w->F64(t.metadata_lookup_seconds);
-  w->F64(t.queue_seconds);
-  w->F64(t.estimated_cost);
-}
+/// Reads into each field it is handed and checks it. After the first
+/// error it reads nothing more, and `status` holds that error.
+struct Reader {
+  WireReader* r;
+  Status status = Status::OK();
 
-Status ReadTimings(WireReader* r, WireTimings* t) {
-  CV_RETURN_NOT_OK(r->F64(&t->latency_seconds));
-  CV_RETURN_NOT_OK(r->F64(&t->cpu_seconds));
-  CV_RETURN_NOT_OK(r->F64(&t->compile_seconds));
-  CV_RETURN_NOT_OK(r->F64(&t->metadata_lookup_seconds));
-  CV_RETURN_NOT_OK(r->F64(&t->queue_seconds));
-  CV_RETURN_NOT_OK(r->F64(&t->estimated_cost));
-  return Status::OK();
-}
+  template <typename... Fs>
+  void operator()(Fs&&... fields) {
+    (Get(fields), ...);
+  }
+
+  template <typename T>
+  void Get(T& x) {
+    if (!status.ok()) return;
+    if constexpr (std::is_same_v<T, std::string>) {
+      status = r->Str(&x);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      status = r->Bool(&x);
+    } else if constexpr (std::is_same_v<T, int>) {
+      uint32_t raw = 0;
+      status = r->U32(&raw);
+      x = static_cast<int32_t>(raw);
+    } else if constexpr (std::is_same_v<T, uint32_t>) {
+      status = r->U32(&x);
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      status = r->U64(&x);
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      status = r->I64(&x);
+    } else if constexpr (std::is_same_v<T, double>) {
+      status = r->F64(&x);
+    } else if constexpr (std::is_enum_v<T> || kIsStatusByte<T>) {
+      uint8_t raw = 0;
+      status = r->U8(&raw);
+      if (status.ok() && raw > LastByte<T>()) {
+        status = Status(StatusCode::kParseError,
+                        "wire: enum value " + std::to_string(raw) +
+                            " out of range");
+      }
+      if (!status.ok()) return;
+      if constexpr (kIsStatusByte<T>) {
+        x.raw = raw;
+      } else {
+        x = static_cast<T>(raw);
+      }
+    } else if constexpr (kIsList<T>) {
+      uint32_t count = 0;
+      status = r->U32(&count);
+      if (status.ok() && count > kMaxListItems) {
+        status = Status(StatusCode::kOutOfRange, "wire: list too long");
+      }
+      if (!status.ok()) return;
+      x.clear();
+      x.resize(count);
+      for (auto& item : x) Get(item);
+    } else {
+      Fields(x, *this);
+    }
+  }
+};
 
 }  // namespace
 
+template <typename Msg>
+void Encode(const Msg& msg, WireWriter* w) {
+  Writer writer{w};
+  Fields(msg, writer);
+}
+
+template <typename Msg>
+Status Decode(std::string_view payload, Msg* out) {
+  WireReader r(payload);
+  Reader reader{&r};
+  Fields(*out, reader);
+  CV_RETURN_NOT_OK(reader.status);
+  return r.ExpectEnd();
+}
+
+// The messages of wire.h; other translation units link against these.
+template void Encode(const SubmitRequest&, WireWriter*);
+template Status Decode(std::string_view, SubmitRequest*);
+template void Encode(const StatusQueryRequest&, WireWriter*);
+template Status Decode(std::string_view, StatusQueryRequest*);
+template void Encode(const ProfileFetchRequest&, WireWriter*);
+template Status Decode(std::string_view, ProfileFetchRequest*);
+template void Encode(const ServerStatsRequest&, WireWriter*);
+template Status Decode(std::string_view, ServerStatsRequest*);
+template void Encode(const SubmitResultResponse&, WireWriter*);
+template Status Decode(std::string_view, SubmitResultResponse*);
+template void Encode(const AcceptedResponse&, WireWriter*);
+template Status Decode(std::string_view, AcceptedResponse*);
+template void Encode(const StatusResultResponse&, WireWriter*);
+template Status Decode(std::string_view, StatusResultResponse*);
+template void Encode(const ProfileResultResponse&, WireWriter*);
+template Status Decode(std::string_view, ProfileResultResponse*);
+template void Encode(const ServerStatsResponse&, WireWriter*);
+template Status Decode(std::string_view, ServerStatsResponse*);
+template void Encode(const ErrorResponse&, WireWriter*);
+template Status Decode(std::string_view, ErrorResponse*);
+template void Encode(const RetryAfterResponse&, WireWriter*);
+template Status Decode(std::string_view, RetryAfterResponse*);
+
 std::string EncodeJobOutcome(const JobOutcome& outcome) {
   WireWriter w;
-  AppendOutcome(outcome, &w);
+  Encode(outcome, &w);
   return w.Take();
-}
-
-Status DecodeJobOutcome(WireReader* r, JobOutcome* out) {
-  CV_RETURN_NOT_OK(r->U64(&out->job_id));
-  CV_RETURN_NOT_OK(r->U64(&out->catalog_epoch));
-  CV_RETURN_NOT_OK(r->I64(&out->output_rows));
-  CV_RETURN_NOT_OK(r->I64(&out->output_bytes));
-  CV_RETURN_NOT_OK(r->U64(&out->output_fingerprint.hi));
-  CV_RETURN_NOT_OK(r->U64(&out->output_fingerprint.lo));
-  Status read;
-  ForEachJobCounter(*out, [r, &read](size_t, auto& value) {
-    if (!read.ok()) return;
-    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, bool>) {
-      read = r->Bool(&value);
-    } else {
-      uint32_t raw = 0;
-      read = r->U32(&raw);
-      value = static_cast<int32_t>(raw);
-    }
-  });
-  CV_RETURN_NOT_OK(read);
-  return r->Bool(&out->plan_cache_hit);
-}
-
-void EncodeSubmitResultResponse(const SubmitResultResponse& resp,
-                                WireWriter* w) {
-  w->U64(resp.ticket);
-  AppendOutcome(resp.outcome, w);
-  AppendTimings(resp.timings, w);
-}
-
-Status DecodeSubmitResultResponse(std::string_view payload,
-                                  SubmitResultResponse* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->ticket));
-  CV_RETURN_NOT_OK(DecodeJobOutcome(&r, &out->outcome));
-  CV_RETURN_NOT_OK(ReadTimings(&r, &out->timings));
-  return r.ExpectEnd();
-}
-
-void EncodeAcceptedResponse(const AcceptedResponse& resp, WireWriter* w) {
-  w->U64(resp.ticket);
-}
-
-Status DecodeAcceptedResponse(std::string_view payload,
-                              AcceptedResponse* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->ticket));
-  return r.ExpectEnd();
-}
-
-void EncodeStatusResultResponse(const StatusResultResponse& resp,
-                                WireWriter* w) {
-  w->U64(resp.ticket);
-  w->U8(static_cast<uint8_t>(resp.state));
-  AppendOutcome(resp.outcome, w);
-  AppendTimings(resp.timings, w);
-  w->U8(resp.error_code);
-  w->Str(resp.error_message);
-}
-
-Status DecodeStatusResultResponse(std::string_view payload,
-                                  StatusResultResponse* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->ticket));
-  uint8_t state = 0;
-  CV_RETURN_NOT_OK(r.U8(&state));
-  if (state > static_cast<uint8_t>(WireJobState::kFailed)) {
-    return Status(StatusCode::kParseError, "wire: unknown job state");
-  }
-  out->state = static_cast<WireJobState>(state);
-  CV_RETURN_NOT_OK(DecodeJobOutcome(&r, &out->outcome));
-  CV_RETURN_NOT_OK(ReadTimings(&r, &out->timings));
-  CV_RETURN_NOT_OK(r.U8(&out->error_code));
-  CV_RETURN_NOT_OK(r.Str(&out->error_message));
-  return r.ExpectEnd();
-}
-
-void EncodeProfileResultResponse(const ProfileResultResponse& resp,
-                                 WireWriter* w) {
-  w->U64(resp.ticket);
-  w->Str(resp.profile_json);
-}
-
-Status DecodeProfileResultResponse(std::string_view payload,
-                                   ProfileResultResponse* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->ticket));
-  CV_RETURN_NOT_OK(r.Str(&out->profile_json));
-  return r.ExpectEnd();
-}
-
-void EncodeServerStatsResponse(const ServerStatsResponse& resp,
-                               WireWriter* w) {
-  w->U64(resp.accepted);
-  w->U64(resp.completed);
-  w->U64(resp.failed);
-  w->U64(resp.shed_queue_full);
-  w->U64(resp.shed_conn_cap);
-  w->U64(resp.shed_draining);
-  w->U64(resp.shed_injected);
-  w->U64(resp.queue_depth);
-  w->U64(resp.inflight);
-  w->U64(resp.connections);
-}
-
-Status DecodeServerStatsResponse(std::string_view payload,
-                                 ServerStatsResponse* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U64(&out->accepted));
-  CV_RETURN_NOT_OK(r.U64(&out->completed));
-  CV_RETURN_NOT_OK(r.U64(&out->failed));
-  CV_RETURN_NOT_OK(r.U64(&out->shed_queue_full));
-  CV_RETURN_NOT_OK(r.U64(&out->shed_conn_cap));
-  CV_RETURN_NOT_OK(r.U64(&out->shed_draining));
-  CV_RETURN_NOT_OK(r.U64(&out->shed_injected));
-  CV_RETURN_NOT_OK(r.U64(&out->queue_depth));
-  CV_RETURN_NOT_OK(r.U64(&out->inflight));
-  CV_RETURN_NOT_OK(r.U64(&out->connections));
-  return r.ExpectEnd();
-}
-
-void EncodeErrorResponse(const ErrorResponse& resp, WireWriter* w) {
-  w->U8(resp.code);
-  w->Str(resp.message);
-}
-
-Status DecodeErrorResponse(std::string_view payload, ErrorResponse* out) {
-  WireReader r(payload);
-  CV_RETURN_NOT_OK(r.U8(&out->code));
-  if (out->code > static_cast<uint8_t>(StatusCode::kViewUnavailable)) {
-    return Status(StatusCode::kParseError, "wire: unknown status code");
-  }
-  CV_RETURN_NOT_OK(r.Str(&out->message));
-  return r.ExpectEnd();
-}
-
-void EncodeRetryAfterResponse(const RetryAfterResponse& resp, WireWriter* w) {
-  w->U8(static_cast<uint8_t>(resp.reason));
-  w->U32(resp.retry_after_ms);
-}
-
-Status DecodeRetryAfterResponse(std::string_view payload,
-                                RetryAfterResponse* out) {
-  WireReader r(payload);
-  uint8_t reason = 0;
-  CV_RETURN_NOT_OK(r.U8(&reason));
-  if (reason > static_cast<uint8_t>(ShedReason::kInjected)) {
-    return Status(StatusCode::kParseError, "wire: unknown shed reason");
-  }
-  out->reason = static_cast<ShedReason>(reason);
-  CV_RETURN_NOT_OK(r.U32(&out->retry_after_ms));
-  return r.ExpectEnd();
 }
 
 }  // namespace net

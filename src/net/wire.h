@@ -61,14 +61,10 @@ enum class MsgType : uint8_t {
   kRetryAfter = 193,
 };
 
-/// True if `t` names a request tag the server understands.
-bool IsRequestType(uint8_t t);
-
 /// \brief Append-only little-endian payload encoder.
 class WireWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v);
   void U32(uint32_t v);
   void U64(uint64_t v);
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
@@ -92,7 +88,6 @@ class WireReader {
   explicit WireReader(std::string_view buf) : buf_(buf) {}
 
   Status U8(uint8_t* v);
-  Status U16(uint16_t* v);
   Status U32(uint32_t* v);
   Status U64(uint64_t* v);
   Status I64(int64_t* v);
@@ -128,10 +123,18 @@ std::string EncodeFrame(MsgType type, std::string_view payload);
 Status DecodeFrameHeader(const char* bytes, FrameHeader* out);
 
 // ---------------------------------------------------------------------------
-// Requests
+// Messages. Each struct names its frame tag in kType; its fields' wire
+// order is its field list in wire.cc, the one definition of the layout
+// (docs/wire_protocol.md describes it, net_protocol_test pins it).
+//
+// An enum travels as a u8 and decoding refuses a value above the enum's
+// LastEnumerator, declared next to the enum.
 
 /// Typed script parameter on the wire (mirrors parser::ScriptParam).
 enum class WireParamKind : uint8_t { kDate = 0, kInt = 1, kString = 2 };
+constexpr WireParamKind LastEnumerator(WireParamKind) {
+  return WireParamKind::kString;
+}
 
 struct WireParam {
   std::string name;
@@ -142,6 +145,7 @@ struct WireParam {
 };
 
 struct SubmitRequest {
+  static constexpr MsgType kType = MsgType::kSubmit;
   /// ScopeScript source; the server parses it against its own catalog.
   std::string script;
   std::vector<WireParam> params;
@@ -161,17 +165,19 @@ struct SubmitRequest {
 };
 
 struct StatusQueryRequest {
+  static constexpr MsgType kType = MsgType::kStatusQuery;
   uint64_t ticket = 0;
 };
 
 struct ProfileFetchRequest {
+  static constexpr MsgType kType = MsgType::kProfileFetch;
   uint64_t ticket = 0;
 };
 
-// kServerStats has an empty payload; no struct needed.
-
-// ---------------------------------------------------------------------------
-// Responses
+/// Empty payload.
+struct ServerStatsRequest {
+  static constexpr MsgType kType = MsgType::kServerStats;
+};
 
 /// \brief The deterministic slice of a job outcome.
 ///
@@ -207,12 +213,14 @@ struct WireTimings {
 };
 
 struct SubmitResultResponse {
+  static constexpr MsgType kType = MsgType::kSubmitResult;
   uint64_t ticket = 0;
   JobOutcome outcome;
   WireTimings timings;
 };
 
 struct AcceptedResponse {
+  static constexpr MsgType kType = MsgType::kAccepted;
   uint64_t ticket = 0;
 };
 
@@ -222,26 +230,33 @@ enum class WireJobState : uint8_t {
   kDone = 2,
   kFailed = 3,
 };
+constexpr WireJobState LastEnumerator(WireJobState) {
+  return WireJobState::kFailed;
+}
 
 struct StatusResultResponse {
+  static constexpr MsgType kType = MsgType::kStatusResult;
   uint64_t ticket = 0;
   WireJobState state = WireJobState::kQueued;
   /// Valid when state == kDone.
   JobOutcome outcome;
   WireTimings timings;
-  /// Valid when state == kFailed.
+  /// Valid when state == kFailed: a StatusCode, range-checked on decode.
   uint8_t error_code = 0;
   std::string error_message;
 };
 
 struct ProfileResultResponse {
+  static constexpr MsgType kType = MsgType::kProfileResult;
   uint64_t ticket = 0;
   /// The per-job span-tree profile JSON (net.request root with the job's
   /// compile/execute children), same schema as the in-process exporter.
+  /// Empty when the server's instance does not trace.
   std::string profile_json;
 };
 
 struct ServerStatsResponse {
+  static constexpr MsgType kType = MsgType::kServerStatsResult;
   uint64_t accepted = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
@@ -255,6 +270,7 @@ struct ServerStatsResponse {
 };
 
 struct ErrorResponse {
+  static constexpr MsgType kType = MsgType::kError;
   /// StatusCode of the failure, range-checked on decode.
   uint8_t code = 0;
   std::string message;
@@ -266,60 +282,55 @@ enum class ShedReason : uint8_t {
   kDraining = 2,
   kInjected = 3,
 };
+constexpr ShedReason LastEnumerator(ShedReason) {
+  return ShedReason::kInjected;
+}
 
 struct RetryAfterResponse {
+  static constexpr MsgType kType = MsgType::kRetryAfter;
   ShedReason reason = ShedReason::kQueueFull;
   uint32_t retry_after_ms = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Payload codecs. Encode appends to a WireWriter; Decode consumes a full
-// payload (trailing bytes are an error).
+// Payload codecs, defined for every message above. Encode appends to a
+// WireWriter. Decode consumes a whole payload and checks each field as it
+// reads it: str lengths and list counts against their limits before any
+// allocation, enums against their last enumerator, bools against 0/1. It
+// stops at the first error, and trailing bytes are an error.
 
-void EncodeSubmitRequest(const SubmitRequest& req, WireWriter* w);
-Status DecodeSubmitRequest(std::string_view payload, SubmitRequest* out);
-
-void EncodeStatusQueryRequest(const StatusQueryRequest& req, WireWriter* w);
-Status DecodeStatusQueryRequest(std::string_view payload,
-                                StatusQueryRequest* out);
-
-void EncodeProfileFetchRequest(const ProfileFetchRequest& req, WireWriter* w);
-Status DecodeProfileFetchRequest(std::string_view payload,
-                                 ProfileFetchRequest* out);
+template <typename Msg>
+void Encode(const Msg& msg, WireWriter* w);
+template <typename Msg>
+Status Decode(std::string_view payload, Msg* out);
 
 /// Encodes only the deterministic slice; this is the byte string the e2e
 /// byte-identity test compares between wire and in-process submissions.
 std::string EncodeJobOutcome(const JobOutcome& outcome);
-Status DecodeJobOutcome(WireReader* r, JobOutcome* out);
 
-void EncodeSubmitResultResponse(const SubmitResultResponse& resp,
-                                WireWriter* w);
-Status DecodeSubmitResultResponse(std::string_view payload,
-                                  SubmitResultResponse* out);
-
-void EncodeAcceptedResponse(const AcceptedResponse& resp, WireWriter* w);
-Status DecodeAcceptedResponse(std::string_view payload, AcceptedResponse* out);
-
-void EncodeStatusResultResponse(const StatusResultResponse& resp,
-                                WireWriter* w);
-Status DecodeStatusResultResponse(std::string_view payload,
-                                  StatusResultResponse* out);
-
-void EncodeProfileResultResponse(const ProfileResultResponse& resp,
-                                 WireWriter* w);
-Status DecodeProfileResultResponse(std::string_view payload,
-                                   ProfileResultResponse* out);
-
-void EncodeServerStatsResponse(const ServerStatsResponse& resp, WireWriter* w);
-Status DecodeServerStatsResponse(std::string_view payload,
-                                 ServerStatsResponse* out);
-
-void EncodeErrorResponse(const ErrorResponse& resp, WireWriter* w);
-Status DecodeErrorResponse(std::string_view payload, ErrorResponse* out);
-
-void EncodeRetryAfterResponse(const RetryAfterResponse& resp, WireWriter* w);
-Status DecodeRetryAfterResponse(std::string_view payload,
-                                RetryAfterResponse* out);
+// The codec of each message under its own name.
+inline constexpr auto EncodeSubmitRequest = Encode<SubmitRequest>;
+inline constexpr auto DecodeSubmitRequest = Decode<SubmitRequest>;
+inline constexpr auto EncodeStatusQueryRequest = Encode<StatusQueryRequest>;
+inline constexpr auto DecodeStatusQueryRequest = Decode<StatusQueryRequest>;
+inline constexpr auto EncodeProfileFetchRequest = Encode<ProfileFetchRequest>;
+inline constexpr auto DecodeProfileFetchRequest = Decode<ProfileFetchRequest>;
+inline constexpr auto EncodeSubmitResultResponse = Encode<SubmitResultResponse>;
+inline constexpr auto DecodeSubmitResultResponse = Decode<SubmitResultResponse>;
+inline constexpr auto EncodeAcceptedResponse = Encode<AcceptedResponse>;
+inline constexpr auto DecodeAcceptedResponse = Decode<AcceptedResponse>;
+inline constexpr auto EncodeStatusResultResponse = Encode<StatusResultResponse>;
+inline constexpr auto DecodeStatusResultResponse = Decode<StatusResultResponse>;
+inline constexpr auto EncodeProfileResultResponse =
+    Encode<ProfileResultResponse>;
+inline constexpr auto DecodeProfileResultResponse =
+    Decode<ProfileResultResponse>;
+inline constexpr auto EncodeServerStatsResponse = Encode<ServerStatsResponse>;
+inline constexpr auto DecodeServerStatsResponse = Decode<ServerStatsResponse>;
+inline constexpr auto EncodeErrorResponse = Encode<ErrorResponse>;
+inline constexpr auto DecodeErrorResponse = Decode<ErrorResponse>;
+inline constexpr auto EncodeRetryAfterResponse = Encode<RetryAfterResponse>;
+inline constexpr auto DecodeRetryAfterResponse = Decode<RetryAfterResponse>;
 
 }  // namespace net
 }  // namespace cloudviews

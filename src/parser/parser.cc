@@ -104,10 +104,12 @@ class ParserImpl {
   // children this parse built and checked before, so no tree taller than
   // a limit ever exists.
 
-  /// Height and node count of a tree this parse built.
+  /// Height and node count of a tree this parse built; for a plan, also
+  /// its size with every use of a shared dataset expanded.
   struct Shape {
     int height = 1;
     int nodes = 1;
+    int64_t expanded = 1;
   };
   /// The shape of an expression this parse built; leaves are not recorded.
   Shape ShapeOf(const ExprPtr& expr) const {
@@ -128,19 +130,32 @@ class ParserImpl {
     expr_shapes_.emplace(expr, shape);
     return expr;
   }
-  /// Checks a plan node whose largest own expression has `expr_nodes`
-  /// nodes. The optimizer merges stacked filters, splits and re-chains
-  /// their conjuncts, and inlines a projection's expressions into a filter
-  /// it pushes below it, so one predicate can collect the expressions of
-  /// every statement under it: their nodes are summed along each
-  /// root-to-leaf path of the plan (`shape.nodes` of a plan is that sum).
-  Result<PlanNodePtr> Checked(PlanNodePtr plan, int expr_nodes = 0) {
-    Shape shape{1, expr_nodes};
+  /// Checks a plan node with its own expressions `exprs`. The optimizer
+  /// merges stacked filters, splits and re-chains their conjuncts, and
+  /// inlines a projection's expressions into a filter it pushes below it,
+  /// so one predicate can collect the expressions of every statement under
+  /// it: the nodes of each plan node's largest expression are summed along
+  /// each root-to-leaf path of the plan (`shape.nodes` of a plan is that
+  /// sum). A dataset used twice is one node with two parents, but
+  /// signatures and the optimizer's clone walk the plan as a tree:
+  /// `shape.expanded` counts the node, all its expressions' nodes and each
+  /// child's expanded size, so a dataset counts once per use.
+  Result<PlanNodePtr> Checked(PlanNodePtr plan,
+                              const std::vector<ExprPtr>& exprs = {}) {
+    int expr_nodes = 0;
+    int64_t expanded = 1;
+    for (const ExprPtr& expr : exprs) {
+      int nodes = ShapeOf(expr).nodes;
+      expr_nodes = std::max(expr_nodes, nodes);
+      expanded += nodes;
+    }
+    Shape shape{1, expr_nodes, expanded};
     for (const PlanNodePtr& child : plan->children()) {
       auto it = plan_shapes_.find(child);
-      Shape below = it == plan_shapes_.end() ? Shape{1, 0} : it->second;
+      Shape below = it == plan_shapes_.end() ? Shape{1, 0, 1} : it->second;
       shape.height = std::max(shape.height, below.height + 1);
       shape.nodes = std::max(shape.nodes, below.nodes + expr_nodes);
+      shape.expanded += below.expanded;
     }
     if (shape.height > ScopeScriptParser::kMaxPlanHeight) {
       return Fail(StrFormat("statement chain is taller than %d levels",
@@ -150,6 +165,11 @@ class ParserImpl {
       return Fail(StrFormat(
           "expressions along the statement chain exceed %d nodes",
           ScopeScriptParser::kMaxChainExprNodes));
+    }
+    if (shape.expanded > ScopeScriptParser::kMaxExpandedNodes) {
+      return Fail(StrFormat(
+          "plan expands past %d nodes (a dataset counts once per use)",
+          ScopeScriptParser::kMaxExpandedNodes));
     }
     plan_shapes_.emplace(plan, shape);
     return plan;
@@ -371,8 +391,8 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
 
   if (AcceptKeyword("WHERE")) {
     CV_ASSIGN_OR_RETURN(ExprPtr pred, ParseExpr());
-    CV_ASSIGN_OR_RETURN(plan, Checked(std::make_shared<FilterNode>(plan, pred),
-                                      ShapeOf(pred).nodes));
+    CV_ASSIGN_OR_RETURN(
+        plan, Checked(std::make_shared<FilterNode>(plan, pred), {pred}));
   }
 
   std::vector<std::string> group_keys;
@@ -412,16 +432,14 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
         return Fail("column '" + col + "' is neither aggregated nor grouped");
       }
     }
-    int agg_nodes = 0;
+    std::vector<ExprPtr> args;
     for (const auto& agg : aggs) {
-      if (agg.arg != nullptr) {
-        agg_nodes = std::max(agg_nodes, ShapeOf(agg.arg).nodes);
-      }
+      if (agg.arg != nullptr) args.push_back(agg.arg);
     }
     CV_ASSIGN_OR_RETURN(plan, Checked(std::make_shared<AggregateNode>(
                                           plan, std::move(group_keys),
                                           std::move(aggs)),
-                                      agg_nodes));
+                                      args));
   } else if (!(items.size() == 1 && items[0].is_star)) {
     std::vector<NamedExpr> exprs;
     for (auto& item : items) {
@@ -430,13 +448,12 @@ Result<PlanNodePtr> ParserImpl::ParseSelect() {
       }
       exprs.push_back({std::move(item.expr), std::move(item.name)});
     }
-    int project_nodes = 0;
-    for (const auto& ne : exprs) {
-      project_nodes = std::max(project_nodes, ShapeOf(ne.expr).nodes);
-    }
+    std::vector<ExprPtr> items;
+    items.reserve(exprs.size());
+    for (const auto& ne : exprs) items.push_back(ne.expr);
     CV_ASSIGN_OR_RETURN(
         plan, Checked(std::make_shared<ProjectNode>(plan, std::move(exprs)),
-                      project_nodes));
+                      items));
   }
 
   if (AcceptKeyword("ORDER")) {

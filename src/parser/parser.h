@@ -54,11 +54,16 @@ class ScopeScriptParser {
   /// each expression, and of the plan the statements chain together. The
   /// last bound sums, along each path of the plan, the nodes of each plan
   /// node's largest expression: the rewrites can fold all of them into one
-  /// predicate.
+  /// predicate. The expansion budget counts the plan's nodes and all their
+  /// expressions' nodes with a dataset counted once per use, as the passes
+  /// that walk the plan as a tree (signatures, the optimizer's clone) see
+  /// it: a chain of statements that each use the one before twice doubles
+  /// it per statement.
   static constexpr int kMaxNestingDepth = 64;
   static constexpr int kMaxExprHeight = 512;
   static constexpr int kMaxPlanHeight = 128;
   static constexpr int kMaxChainExprNodes = 1024;
+  static constexpr int kMaxExpandedNodes = 65536;
 
   /// Parses and instantiates a script with the given parameters. The
   /// returned plan is unbound. Exactly one OUTPUT statement is required.

@@ -19,6 +19,7 @@
 #include "net/client.h"
 #include "net/outcome.h"
 #include "net/wire.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "parser/parser.h"
 #include "tests/net_test_util.h"
@@ -429,6 +430,67 @@ TEST(NetE2E, DoublingProjectionChainGetsAResultAndTheServerKeepsServing) {
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   ASSERT_EQ(served->kind, Client::SubmitReply::Kind::kResult);
   EXPECT_GT(served->result.outcome.output_rows, 0);
+}
+
+TEST(NetE2E, SelfDoublingUnionChainGetsATypedErrorAndTheServerKeepsServing) {
+  // Each `aN = aN-1 UNION ALL aN-1` uses the dataset before it twice, so
+  // the 40-statement chain (~1 KB, plan height 42) names 2^41 nodes once
+  // every use is expanded, as signatures and the optimizer's clone do. The
+  // parser's expansion budget refuses it with a ParseError.
+  ServerFixture fx = StartServerFixture();
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  std::string script =
+      "a0 = EXTRACT user:int, page:string, latency:int, when:date\n"
+      "     FROM \"clicks_{date}\";\n";
+  for (int i = 1; i <= 40; ++i) {
+    script += "a" + std::to_string(i) + " = a" + std::to_string(i - 1) +
+              " UNION ALL a" + std::to_string(i - 1) + ";\n";
+  }
+  script += "OUTPUT a40 TO \"union_{tag}_{date}\";\n";
+  SubmitRequest hostile = NetSubmit("tmpl-union", "u", "2024-01-01", 1);
+  hostile.script = script;
+  auto refused = client->Submit(hostile);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  ASSERT_EQ(refused->kind, Client::SubmitReply::Kind::kError);
+  EXPECT_EQ(refused->error.code,
+            static_cast<uint8_t>(StatusCode::kParseError))
+      << refused->error.message;
+
+  // Same server, same connection: a well-formed job still runs.
+  auto served = client->Submit(NetSubmit("tmpl-ok", "ok", "2024-01-01", 1));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->kind, Client::SubmitReply::Kind::kResult);
+  EXPECT_GT(served->result.outcome.output_rows, 0);
+}
+
+TEST(NetE2E, UntracedInstanceKeepsNoTraceOfAWireJob) {
+  // enable_observability = false turns tracing off for wire jobs as it
+  // does in process: no net.request trace, no stage histograms, and an
+  // empty stored profile.
+  ServerFixture fx = StartServerFixture([](CloudViewsConfig* config) {
+    config->enable_observability = false;
+  });
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  SubmitRequest req = NetSubmit("tmpl-untraced", "ut", "2024-01-01", 1);
+  req.wait = false;
+  auto reply = client->Submit(req);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kAccepted);
+  uint64_t ticket = reply->accepted.ticket;
+  ASSERT_TRUE(WaitUntil([&client, ticket] {
+    auto status = client->QueryStatus(ticket);
+    return status.ok() && status->state == WireJobState::kDone;
+  }));
+
+  EXPECT_TRUE(fx.cv->tracer()->FinishedTraces().empty());
+  EXPECT_EQ(obs::RenderPrometheus(*fx.cv->metrics()).find(
+                "cv_job_stage_seconds"),
+            std::string::npos);
+  auto profile = client->FetchProfile(ticket);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  EXPECT_EQ(profile->profile_json, "");
 }
 
 /// A Sleeper that parks every caller until Release().

@@ -4,7 +4,13 @@
 /// version mismatches. Every case must end in a typed error or a clean
 /// close, never a crash (CI runs this under ASan/UBSan and TSan).
 
+#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <random>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -196,6 +202,322 @@ TEST(WireCodec, SmallMessagesRoundTrip) {
     ASSERT_TRUE(DecodeRetryAfterResponse(w.bytes(), &out).ok());
     EXPECT_EQ(out.reason, ShedReason::kConnCap);
     EXPECT_EQ(out.retry_after_ms, 40u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The v2 layout, pinned byte for byte
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+std::string Unhex(std::string_view hex) {
+  auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(nibble(hex[i]) << 4 | nibble(hex[i + 1]));
+  }
+  return bytes;
+}
+
+/// Every field set, every counter row non-zero (one negative), so a field
+/// that the encoder or decoder skipped or reordered changes the bytes.
+JobOutcome GoldenOutcome() {
+  JobOutcome o;
+  o.job_id = 0x0102030405060708ULL;
+  o.catalog_epoch = 0xfffffffffffffffeULL;
+  o.output_rows = -5;
+  o.output_bytes = int64_t{1} << 40;
+  o.output_fingerprint = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  ForEachJobCounter(o, [](size_t i, auto& value) {
+    value = static_cast<std::decay_t<decltype(value)>>(i + 1);
+  });
+  o.views_reused = -2;
+  o.plan_cache_hit = true;
+  return o;
+}
+
+WireTimings GoldenTimings() {
+  return {-0.5, std::numeric_limits<double>::quiet_NaN(), 1e300, -0.0,
+          std::numeric_limits<double>::infinity(), 2.5};
+}
+
+/// One of the eleven payloads: its golden encoding, the hex that pins it,
+/// and its decoder followed by its encoder.
+struct Payload {
+  std::string name;
+  std::string encoded;
+  std::string golden_hex;
+  std::function<Status(std::string_view, std::string*)> reencode;
+};
+
+template <typename Msg>
+Payload MakePayload(std::string name, const Msg& golden,
+                    void (*encode)(const Msg&, WireWriter*),
+                    Status (*decode)(std::string_view, Msg*),
+                    std::string golden_hex) {
+  WireWriter w;
+  encode(golden, &w);
+  return {std::move(name), w.Take(), std::move(golden_hex),
+          [encode, decode](std::string_view bytes, std::string* out) {
+            Msg msg;
+            Status st = decode(bytes, &msg);
+            if (!st.ok()) return st;
+            WireWriter again;
+            encode(msg, &again);
+            *out = again.Take();
+            return Status::OK();
+          }};
+}
+
+/// The v2 encoding of each golden payload, 32 bytes a line.
+constexpr char kSubmitHex[] =
+    "140000004f5554505554206120544f20226f5f7b647d223b0300000001000000"
+    "64000a000000323032342d30362d33300000000000000000010000006e010000"
+    "0000f9ffffffffffffff010000007302070000005ac3bc726963680000000000"
+    "00000005000000742de697a50000000002000000627502000000766300000000"
+    "fdffffffffffffff80510100000000000200000000000000050000006461696c"
+    "790100";
+constexpr char kStatusQueryHex[] = "0df0fecaefbeadde";
+constexpr char kProfileFetchHex[] = "0100000000000000";
+constexpr char kOutcomeHex[] =
+    "0807060504030201fefffffffffffffffbffffffffffffff0000000000010000"
+    "efcdab89674523011032547698badcfefeffffff020000000300000004000000"
+    "05000000060000000700000008000000090000000a0000000b000000010d0000"
+    "000e0000000f0000001000000001";
+constexpr char kSubmitResultHex[] =
+    "4d000000000000000807060504030201fefffffffffffffffbffffffffffffff"
+    "0000000000010000efcdab89674523011032547698badcfefeffffff02000000"
+    "030000000400000005000000060000000700000008000000090000000a000000"
+    "0b000000010d0000000e0000000f0000001000000001000000000000e0bf0000"
+    "00000000f87f9c7500883ce4377e0000000000000080000000000000f07f0000"
+    "000000000440";
+constexpr char kAcceptedHex[] = "ffffffffffffffff";
+constexpr char kStatusResultHex[] =
+    "0500000000000000030807060504030201fefffffffffffffffbffffffffffff"
+    "ff0000000000010000efcdab89674523011032547698badcfefeffffff020000"
+    "00030000000400000005000000060000000700000008000000090000000a0000"
+    "000b000000010d0000000e0000000f0000001000000001000000000000e0bf00"
+    "0000000000f87f9c7500883ce4377e0000000000000080000000000000f07f00"
+    "000000000004400c0d0000007669657720e2809420676f6e65";
+constexpr char kProfileResultHex[] = "030000000000000000000000";
+constexpr char kServerStatsHex[] =
+    "0100000000000010020000000000001003000000000000100400000000000010"
+    "0500000000000010060000000000001007000000000000100800000000000010"
+    "09000000000000100a00000000000010";
+constexpr char kErrorHex[] = "0c05000000636166c3a9";
+constexpr char kRetryAfterHex[] = "03feffffff";
+
+std::vector<Payload> GoldenPayloads() {
+  std::vector<Payload> payloads;
+
+  SubmitRequest submit;
+  submit.script = "OUTPUT a TO \"o_{d}\";";
+  submit.params = {{"d", WireParamKind::kDate, "2024-06-30", 0},
+                   {"n", WireParamKind::kInt, "", -7},
+                   {"s", WireParamKind::kString, "Z\xc3\xbcrich", 0}};
+  submit.template_id = "t-\xe6\x97\xa5";
+  submit.cluster = "";
+  submit.business_unit = "bu";
+  submit.vc = "vc";
+  submit.user = "";
+  submit.recurring_instance = -3;
+  submit.recurrence_period_seconds = 86400;
+  submit.tags = {"", "daily"};
+  submit.enable_cloudviews = true;
+  submit.wait = false;
+  payloads.push_back(MakePayload(
+      "SUBMIT", submit, EncodeSubmitRequest, DecodeSubmitRequest, kSubmitHex));
+
+  payloads.push_back(MakePayload(
+      "STATUS_QUERY", StatusQueryRequest{0xdeadbeefcafef00dULL},
+      EncodeStatusQueryRequest, DecodeStatusQueryRequest, kStatusQueryHex));
+  payloads.push_back(MakePayload("PROFILE_FETCH", ProfileFetchRequest{1},
+                                 EncodeProfileFetchRequest,
+                                 DecodeProfileFetchRequest, kProfileFetchHex));
+
+  // JobOutcome has no decoder of its own: it is decoded inside a
+  // SUBMIT_RESULT between a zero ticket and zero timings.
+  payloads.push_back(
+      {"JobOutcome", EncodeJobOutcome(GoldenOutcome()), kOutcomeHex,
+       [](std::string_view bytes, std::string* out) {
+         SubmitResultResponse resp;
+         Status st = DecodeSubmitResultResponse(
+             std::string(8, '\0') + std::string(bytes) + std::string(48, '\0'),
+             &resp);
+         if (st.ok()) *out = EncodeJobOutcome(resp.outcome);
+         return st;
+       }});
+
+  SubmitResultResponse result;
+  result.ticket = 77;
+  result.outcome = GoldenOutcome();
+  result.timings = GoldenTimings();
+  payloads.push_back(MakePayload("SUBMIT_RESULT", result,
+                                 EncodeSubmitResultResponse,
+                                 DecodeSubmitResultResponse, kSubmitResultHex));
+
+  payloads.push_back(MakePayload("ACCEPTED", AcceptedResponse{~uint64_t{0}},
+                                 EncodeAcceptedResponse,
+                                 DecodeAcceptedResponse, kAcceptedHex));
+
+  StatusResultResponse status;
+  status.ticket = 5;
+  status.state = WireJobState::kFailed;
+  status.outcome = GoldenOutcome();
+  status.timings = GoldenTimings();
+  status.error_code = static_cast<uint8_t>(StatusCode::kViewUnavailable);
+  status.error_message = "view \xe2\x80\x94 gone";
+  payloads.push_back(MakePayload("STATUS_RESULT", status,
+                                 EncodeStatusResultResponse,
+                                 DecodeStatusResultResponse, kStatusResultHex));
+
+  payloads.push_back(MakePayload("PROFILE_RESULT",
+                                 ProfileResultResponse{3, ""},
+                                 EncodeProfileResultResponse,
+                                 DecodeProfileResultResponse,
+                                 kProfileResultHex));
+
+  ServerStatsResponse stats;
+  uint64_t next = 0x1000000000000001ULL;
+  for (uint64_t* field :
+       {&stats.accepted, &stats.completed, &stats.failed,
+        &stats.shed_queue_full, &stats.shed_conn_cap, &stats.shed_draining,
+        &stats.shed_injected, &stats.queue_depth, &stats.inflight,
+        &stats.connections}) {
+    *field = next++;
+  }
+  payloads.push_back(MakePayload("SERVER_STATS_RESULT", stats,
+                                 EncodeServerStatsResponse,
+                                 DecodeServerStatsResponse, kServerStatsHex));
+
+  payloads.push_back(MakePayload(
+      "ERROR",
+      ErrorResponse{static_cast<uint8_t>(StatusCode::kViewUnavailable),
+                    "caf\xc3\xa9"},
+      EncodeErrorResponse, DecodeErrorResponse, kErrorHex));
+  payloads.push_back(MakePayload(
+      "RETRY_AFTER", RetryAfterResponse{ShedReason::kInjected, 0xfffffffeu},
+      EncodeRetryAfterResponse, DecodeRetryAfterResponse, kRetryAfterHex));
+  return payloads;
+}
+
+TEST(WireCodec, GoldenBytes) {
+  ASSERT_EQ(kProtocolVersion, 2);
+  std::vector<Payload> payloads = GoldenPayloads();
+  ASSERT_EQ(payloads.size(), 11u);
+  for (const Payload& p : payloads) {
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(Hex(p.encoded), p.golden_hex);
+    std::string reencoded;
+    EXPECT_TRUE(p.reencode(Unhex(p.golden_hex), &reencoded).ok());
+    EXPECT_EQ(Hex(reencoded), p.golden_hex);
+  }
+}
+
+TEST(WireCodec, StatusResultRefusesAnUnknownErrorCode) {
+  StatusResultResponse status;
+  status.state = WireJobState::kFailed;
+  status.error_code = static_cast<uint8_t>(StatusCode::kViewUnavailable);
+  WireWriter w;
+  EncodeStatusResultResponse(status, &w);
+  std::string bytes = w.Take();
+  // error_code is the byte before the trailing empty error_message.
+  const size_t code_at = bytes.size() - 5;
+  StatusResultResponse out;
+  ASSERT_TRUE(DecodeStatusResultResponse(bytes, &out).ok());
+  for (uint8_t code : {uint8_t{13}, uint8_t{255}}) {
+    bytes[code_at] = static_cast<char>(code);
+    EXPECT_EQ(DecodeStatusResultResponse(bytes, &out).code(),
+              StatusCode::kParseError)
+        << "error_code " << static_cast<int>(code);
+  }
+}
+
+uint64_t SeedFromEnv() {
+  const char* env = std::getenv("CV_FAULT_SEED");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
+}
+
+/// Decodes `bytes` with `p`'s decoder: it must return OK or a typed
+/// refusal, and an OK decode must re-encode to exactly `bytes`.
+void ExpectDecodesOrRefuses(const Payload& p, const std::string& bytes,
+                            const std::string& mutation) {
+  std::string reencoded;
+  Status st = p.reencode(bytes, &reencoded);
+  if (st.ok()) {
+    EXPECT_EQ(Hex(reencoded), Hex(bytes)) << p.name << " " << mutation;
+  } else {
+    EXPECT_TRUE(st.code() == StatusCode::kParseError ||
+                st.code() == StatusCode::kOutOfRange)
+        << p.name << " " << mutation << ": " << st.ToString();
+  }
+}
+
+std::string WithU32At(std::string bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
+TEST(WireCodec, MutatedPayloadsDecodeOrRefuse) {
+  const uint64_t seed = SeedFromEnv();
+  SCOPED_TRACE("CV_FAULT_SEED=" + std::to_string(seed));
+  std::mt19937_64 rng(seed);
+  constexpr int kMutationsPerPayload = 2000;
+  for (const Payload& p : GoldenPayloads()) {
+    const std::string& golden = p.encoded;
+    // A hostile length or count at every offset, so each str length and
+    // list count of the layout is hit without the test knowing the layout.
+    for (uint32_t hostile : {kMaxStringBytes + 1, 0xffffffffu,
+                             kMaxListItems + 1}) {
+      for (size_t at = 0; at + 4 <= golden.size(); ++at) {
+        ExpectDecodesOrRefuses(p, WithU32At(golden, at, hostile),
+                               "u32 " + std::to_string(hostile) + " at " +
+                                   std::to_string(at));
+      }
+    }
+    for (int m = 0; m < kMutationsPerPayload; ++m) {
+      std::string bytes = golden;
+      std::string what;
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      switch (rng() % 4) {
+        case 0:
+          for (int f = 0; f < flips && !bytes.empty(); ++f) {
+            size_t bit = rng() % (bytes.size() * 8);
+            bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << bit % 8));
+            what += " flip " + std::to_string(bit);
+          }
+          break;
+        case 1:
+          bytes.resize(rng() % (bytes.size() + 1));
+          what = " truncate to " + std::to_string(bytes.size());
+          break;
+        case 2:
+          for (int f = 0; f < flips; ++f) {
+            bytes += static_cast<char>(rng() & 0xff);
+          }
+          what = " append " + std::to_string(flips);
+          break;
+        default: {
+          // A flip, then a cut: a corrupted field near the end.
+          size_t bit = rng() % (bytes.size() * 8);
+          bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << bit % 8));
+          bytes.resize(bytes.size() - rng() % (bytes.size() / 2 + 1));
+          what = " flip " + std::to_string(bit) + " truncate to " +
+                 std::to_string(bytes.size());
+        }
+      }
+      ExpectDecodesOrRefuses(p, bytes, "mutation " + std::to_string(m) + what);
+    }
   }
 }
 
@@ -460,6 +782,32 @@ TEST(NetSession, UnknownTicketIsNotFound) {
   auto profile = client->FetchProfile(999999);
   ASSERT_FALSE(profile.ok());
   EXPECT_EQ(profile.status().code(), StatusCode::kNotFound);
+}
+
+TEST(NetSession, ClientRefusesAnErrorReplyWithAnOkCode) {
+  // A peer answering kError with status code 0 must not become an OK
+  // Status (a Result built from one aborts): the typed call refuses it.
+  auto listener = Socket::Listen("127.0.0.1", 0, 1);
+  ASSERT_TRUE(listener.ok());
+  auto port = listener->BoundPort();
+  ASSERT_TRUE(port.ok());
+  std::thread peer([&listener] {
+    auto conn = listener->Accept();
+    FrameHeader h;
+    std::string payload;
+    if (!conn.ok() || !RecvFrame(&*conn, &h, &payload).ok()) return;
+    WireWriter w;
+    EncodeErrorResponse({0, "not an error"}, &w);
+    (void)SendFrame(&*conn, MsgType::kError, w.bytes());
+  });
+  auto client = Client::Connect("127.0.0.1", *port);
+  Result<ServerStatsResponse> stats =
+      client.ok() ? client->ServerStats()
+                  : Result<ServerStatsResponse>(client.status());
+  listener->ShutdownBoth();
+  peer.join();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kParseError);
 }
 
 TEST(NetSession, BadScriptGetsParserErrorNotCrash) {

@@ -568,5 +568,54 @@ TEST(ParserLimitTest, ChainExpressionNodesAtAndPastTheLimit) {
                 "expressions along the statement chain exceed");
 }
 
+constexpr char kExtractA0[] =
+    "a0 = EXTRACT user:int, page:string, latency:int FROM \"clicks\";\n";
+
+/// `a0` (a script defining it), then `statements` UNION ALLs, each using
+/// the one before twice, and with `top` a TOP over the last.
+std::string SelfUnionChain(const std::string& a0, int statements,
+                           bool top = false) {
+  std::string script = a0;
+  for (int i = 1; i <= statements; ++i) {
+    std::string prev = "a" + std::to_string(i - 1);
+    script += "a" + std::to_string(i) + " = " + prev + " UNION ALL " + prev +
+              ";\n";
+  }
+  std::string last = "a" + std::to_string(statements);
+  if (top) {
+    script += "t = SELECT * FROM " + last + " TOP 5;\n";
+    last = "t";
+  }
+  return script + "OUTPUT " + last + " TO \"out\";\n";
+}
+
+/// Nodes of `plan` walked as a tree: a node reached twice counts twice.
+int64_t TreeSize(const PlanNode& plan) {
+  int64_t size = 1;
+  for (const PlanNodePtr& child : plan.children()) size += TreeSize(*child);
+  return size;
+}
+
+TEST(ParserLimitTest, ExpandedNodesAtAndPastTheBudget) {
+  // The chain names 2 + statements nodes, but each UNION uses the dataset
+  // before it twice: walked as a tree, 15 statements and the OUTPUT make
+  // 2^16 nodes, the budget exactly, and a TOP over them one more.
+  constexpr int kMax = ScopeScriptParser::kMaxExpandedNodes;
+  auto at = ParseBare(SelfUnionChain(kExtractA0, 15));
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  EXPECT_EQ(TreeSize(**at), kMax);
+  ExpectRefused(SelfUnionChain(kExtractA0, 15, /*top=*/true),
+                "plan expands past");
+
+  // A predicate's nodes count once per use as well. Over a filter whose
+  // predicate has 3 nodes, 13 statements expand to 6 * 2^13 = 49,152
+  // nodes and 14 to 98,304; without the predicate 14 would be 49,152.
+  const std::string filtered =
+      std::string(kClicks) + "a0 = SELECT * FROM clicks WHERE latency > 0;\n";
+  auto below = ParseBare(SelfUnionChain(filtered, 13));
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  ExpectRefused(SelfUnionChain(filtered, 14), "plan expands past");
+}
+
 }  // namespace
 }  // namespace cloudviews

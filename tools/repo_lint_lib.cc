@@ -559,44 +559,6 @@ const std::vector<LintRule>& AllRules() {
   return kRules;
 }
 
-std::string SanitizeLine(const std::string& line, bool* in_block_comment) {
-  std::string out;
-  out.reserve(line.size());
-  for (size_t i = 0; i < line.size(); ++i) {
-    if (*in_block_comment) {
-      if (line[i] == '*' && i + 1 < line.size() && line[i + 1] == '/') {
-        *in_block_comment = false;
-        ++i;
-      }
-      continue;
-    }
-    char c = line[i];
-    if (c == '/' && i + 1 < line.size() && line[i + 1] == '/') break;
-    if (c == '/' && i + 1 < line.size() && line[i + 1] == '*') {
-      *in_block_comment = true;
-      ++i;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      char quote = c;
-      out += quote;
-      ++i;
-      while (i < line.size()) {
-        if (line[i] == '\\') {
-          i += 2;
-          continue;
-        }
-        if (line[i] == quote) break;
-        ++i;
-      }
-      out += quote;  // keep delimiters so tokens cannot join across them
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 std::vector<Violation> LintFile(const std::string& display_path,
                                 const std::string& rel_path,
                                 const std::string& content) {

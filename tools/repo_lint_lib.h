@@ -86,12 +86,6 @@ std::vector<Violation> LintFile(const std::string& display_path,
 /// Unreadable roots are reported as violations with rule "io-error".
 std::vector<Violation> LintTree(const std::vector<std::string>& roots);
 
-/// Line-oriented comment/string stripper kept for callers that work on
-/// single lines. The rules themselves no longer use it — they run on the
-/// Tokenize() stream, which handles what this function cannot (multi-line
-/// raw strings, line splices).
-std::string SanitizeLine(const std::string& line, bool* in_block_comment);
-
 }  // namespace lint
 }  // namespace cloudviews
 

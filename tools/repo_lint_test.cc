@@ -370,19 +370,21 @@ TEST(RepoLintTest, CleanFixturesPass) {
   EXPECT_TRUE(LintFixture("clean.h").empty());
 }
 
-TEST(RepoLintTest, SanitizerStripsCommentsAndStrings) {
-  bool in_block = false;
-  EXPECT_EQ(SanitizeLine("int x;  // new std::mutex", &in_block),
-            "int x;  ");
-  EXPECT_EQ(SanitizeLine("auto s = \"new Widget()\";", &in_block),
-            "auto s = \"\";");
-  EXPECT_EQ(SanitizeLine("a /* new */ b", &in_block), "a  b");
-  EXPECT_FALSE(in_block);
-  EXPECT_EQ(SanitizeLine("start /* spans", &in_block), "start ");
-  EXPECT_TRUE(in_block);
-  EXPECT_EQ(SanitizeLine("still hidden new", &in_block), "");
-  EXPECT_EQ(SanitizeLine("done */ int y = 1;", &in_block), " int y = 1;");
-  EXPECT_FALSE(in_block);
+TEST(RepoLintTest, CommentsAndStringsCannotFireRules) {
+  // The same names as code fire: naked-new and the raw-sync rule.
+  EXPECT_EQ(LintFile("f.cc", "src/f.cc", "std::mutex m;\nint* p = new int;\n")
+                .size(),
+            2u);
+  // A // comment, a string literal, an inline /* */ and a block comment
+  // spanning lines each hold `new` or `std::mutex`; none of them is code.
+  const std::string content =
+      "int x;  // new std::mutex\n"
+      "auto s = \"new Widget()\";\n"
+      "a /* new */ b\n"
+      "start /* spans\n"
+      "still hidden new std::mutex m;\n"
+      "done */ int y = 1;\n";
+  EXPECT_TRUE(LintFile("f.cc", "src/f.cc", content).empty());
 }
 
 TEST(RepoLintTest, ReasonedNolintSuppressesOnlyItsLine) {
