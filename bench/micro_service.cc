@@ -4,8 +4,9 @@
 // followed by an open-loop async flood that overruns the submission queue
 // on purpose — the server must shed with typed RETRY_AFTER, memory stays
 // bounded, and every retried shed eventually lands with zero failed jobs.
-// Writes BENCH_service.json (throughput, p50/p99/p999, queue-depth and
-// shed-count timeline, full metrics dump) and metrics.prom for CI.
+// Writes BENCH_service.json (throughput, p50/p99/p999, the process's peak
+// resident set, queue-depth and shed-count timeline, full metrics dump) and
+// metrics.prom for CI.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -15,6 +16,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_util.h"
 #include "common/mutex.h"
@@ -140,6 +143,13 @@ struct TimelinePoint {
   uint64_t completed = 0;
   uint64_t connections = 0;
 };
+
+/// The process's peak resident set so far, in MB (ru_maxrss is in KiB).
+double PeakRssMb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
 
 uint64_t TotalSheds(const net::ServerStatsResponse& s) {
   return s.shed_queue_full + s.shed_conn_cap + s.shed_draining +
@@ -422,6 +432,8 @@ int Run(const Options& opt) {
       static_cast<unsigned long long>(final_stats.shed_conn_cap),
       open_retries.load(),
       static_cast<unsigned long long>(final_stats.failed));
+  const double peak_rss_mb = PeakRssMb();
+  std::printf("  peak RSS: %.1f MB\n", peak_rss_mb);
 
   FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) return Fail("cannot write BENCH_service.json");
@@ -472,6 +484,7 @@ int Run(const Options& opt) {
       static_cast<unsigned long long>(final_stats.shed_injected),
       open_retries.load(),
       static_cast<unsigned long long>(final_stats.failed));
+  std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n", peak_rss_mb);
   std::fprintf(f, "  \"timeline\": [\n");
   {
     MutexLock lock(timeline_mu);

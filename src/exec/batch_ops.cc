@@ -5,15 +5,7 @@
 
 namespace cloudviews {
 
-namespace {
-
-/// Feeds cell `row` of `col` to `hb` exactly as Value::HashInto feeds the
-/// boxed cell.
-void HashCell(const Column& col, size_t row, HashBuilder* hb) {
-  if (col.IsNull(row)) {
-    hb->Add(uint64_t{0xdeadULL});
-    return;
-  }
+void HashNonNullCell(const Column& col, size_t row, HashBuilder* hb) {
   switch (col.type()) {
     case DataType::kBool:
       hb->Add(col.bool_data()[row] != 0);
@@ -29,6 +21,18 @@ void HashCell(const Column& col, size_t row, HashBuilder* hb) {
       hb->Add(std::string_view(col.string_data()[row]));
       break;
   }
+}
+
+namespace {
+
+/// Feeds cell `row` of `col` to `hb` exactly as Value::HashInto feeds the
+/// boxed cell.
+void HashCell(const Column& col, size_t row, HashBuilder* hb) {
+  if (col.IsNull(row)) {
+    hb->Add(uint64_t{0xdeadULL});
+    return;
+  }
+  HashNonNullCell(col, row, hb);
 }
 
 template <typename T>

@@ -16,6 +16,10 @@ namespace cloudviews {
 Result<std::vector<int>> ResolveColumns(const Schema& schema,
                                         const std::vector<std::string>& names);
 
+/// Feeds the non-null cell `row` of `col` to `hb` exactly as
+/// Value::HashInto feeds the boxed cell; how a null hashes is the caller's.
+void HashNonNullCell(const Column& col, size_t row, HashBuilder* hb);
+
 /// 128-bit key of the given columns of one row (used by hash join, hash
 /// aggregate, and hash partitioning). Read from the typed column vectors,
 /// it hashes exactly what Value::HashInto hashes for each cell, so hash

@@ -36,9 +36,11 @@ struct NetServerConfig {
   /// Hint returned in RETRY_AFTER responses; clients should back off at
   /// least this long before resubmitting.
   uint32_t retry_after_ms = 25;
-  /// Completed-job records kept for status/profile-fetch polling; the
-  /// oldest finished records are evicted past this bound so a long-lived
-  /// server holds bounded memory.
+  /// Completed-job records kept for status polling; the oldest finished
+  /// records are evicted past this bound so a long-lived server holds
+  /// bounded memory. A record holds the job's status and a weak reference
+  /// to its trace: how long a profile can be fetched is the tracer's
+  /// retention, not this bound.
   size_t job_table_capacity = 1 << 16;
 };
 

@@ -1,5 +1,6 @@
 #include "net/outcome.h"
 
+#include "exec/batch_ops.h"
 #include "plan/plan_node.h"
 #include "types/batch.h"
 
@@ -22,7 +23,7 @@ Hash128 FingerprintStream(const StreamData& stream) {
         if (col.IsNull(r)) {
           hb.Add(std::string_view("null"));
         } else {
-          col.GetValue(r).HashInto(&hb);
+          HashNonNullCell(col, r, &hb);
         }
       }
     }

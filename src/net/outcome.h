@@ -23,8 +23,10 @@ JobOutcome OutcomeFromJobResult(const JobResult& result,
 /// server's to stamp; left 0 here).
 WireTimings TimingsFromJobResult(const JobResult& result);
 
-/// Stable content hash of one stream: schema fields, then every value of
-/// every row, batch by batch. Null rows hash distinctly from zero values.
+/// Stable content hash of one stream: schema fields, then every cell of
+/// every row, batch by batch. A cell feeds the hash what Value::HashInto
+/// feeds for it, read from the typed column vectors; a null feeds "null",
+/// so nulls hash distinctly from zero values.
 Hash128 FingerprintStream(const StreamData& stream);
 
 }  // namespace net

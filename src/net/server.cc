@@ -61,6 +61,9 @@ JobServiceServer::JobServiceServer(CloudViews* cv, NetServerConfig config)
   request_seconds_ =
       metrics->GetHistogram("cv_net_request_seconds", {}, {},
                             "Submit wall time, admission to response");
+  reply_seconds_ = metrics->GetHistogram(
+      "cv_net_reply_seconds", {}, {},
+      "Wall time to encode and write one reply frame");
 }
 
 JobServiceServer::~JobServiceServer() { Stop(); }
@@ -225,25 +228,23 @@ void JobServiceServer::ConnectionLoop(
 
 template <typename Reply>
 bool JobServiceServer::Send(Connection* conn, const Reply& reply) {
+  MonotonicClock* wall_clock = cv_->config().wall_clock;
+  const double start = wall_clock->NowSeconds();
   WireWriter w;
   Encode(reply, &w);
+  bool sent = false;
   fault::FaultInjector* fault = cv_->config().fault;
-  if (fault != nullptr &&
-      !fault->MaybeInject(fault::points::kNetWrite,
-                          std::to_string(conn->id))
-           .ok()) {
-    // Injected write failure: the response is lost and the connection is
-    // torn down, exactly like a peer reset mid-write.
-    conn->sock.ShutdownBoth();
-    return false;
+  // An injected write failure loses the response like a peer reset
+  // mid-write; either way the connection is torn down.
+  if (fault == nullptr ||
+      fault->MaybeInject(fault::points::kNetWrite, std::to_string(conn->id))
+          .ok()) {
+    MutexLock lock(conn->write_mu);
+    sent = SendFrame(&conn->sock, Reply::kType, w.bytes()).ok();
   }
-  MutexLock lock(conn->write_mu);
-  Status st = SendFrame(&conn->sock, Reply::kType, w.bytes());
-  if (!st.ok()) {
-    conn->sock.ShutdownBoth();
-    return false;
-  }
-  return true;
+  if (!sent) conn->sock.ShutdownBoth();
+  reply_seconds_->Observe(wall_clock->NowSeconds() - start);
+  return sent;
 }
 
 bool JobServiceServer::SendError(Connection* conn, const Status& status) {
@@ -308,28 +309,36 @@ Result<StatusResultResponse> JobServiceServer::JobStatus(
 
 Result<ProfileResultResponse> JobServiceServer::JobProfile(
     uint64_t ticket) const {
-  MutexLock lock(job_mu_);
-  auto it = jobs_.find(ticket);
-  if (it == jobs_.end()) {
-    return Status::NotFound("unknown ticket " + std::to_string(ticket));
+  std::weak_ptr<const obs::SpanRecord> trace;
+  {
+    MutexLock lock(job_mu_);
+    auto it = jobs_.find(ticket);
+    if (it == jobs_.end()) {
+      return Status::NotFound("unknown ticket " + std::to_string(ticket));
+    }
+    WireJobState state = it->second.status.state;
+    if (state != WireJobState::kDone && state != WireJobState::kFailed) {
+      return Status::NotFound("profile not ready for ticket " +
+                              std::to_string(ticket));
+    }
+    trace = it->second.trace;
   }
-  WireJobState state = it->second.status.state;
-  if (state != WireJobState::kDone && state != WireJobState::kFailed) {
-    return Status::NotFound("profile not ready for ticket " +
-                            std::to_string(ticket));
+  // Rendered outside job_mu_, from the tracer's immutable record.
+  ProfileResultResponse reply{ticket, ""};
+  if (!cv_->config().enable_observability) return reply;
+  std::shared_ptr<const obs::SpanRecord> record = trace.lock();
+  if (record == nullptr) {
+    return Status::NotFound("profile of ticket " + std::to_string(ticket) +
+                            " is no longer retained");
   }
-  return ProfileResultResponse{ticket, it->second.profile_json};
+  obs::JsonWriter w;
+  obs::SpanToJson(*record, &w);
+  reply.profile_json = w.Take();
+  return reply;
 }
 
 bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
                                     const std::string& payload) {
-  SubmitRequest req;
-  Status st = Decode(payload, &req);
-  if (!st.ok()) {
-    protocol_errors_->Increment();
-    return SendError(conn.get(), st);
-  }
-
   // The request's root span; the job's whole lifecycle nests under it so a
   // wire job's profile carries compile/execute exactly like an in-process
   // one, plus the front-door framing. An instance that does not trace gets
@@ -340,14 +349,21 @@ bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
           : obs::Span());
   span->SetAttribute("request", "submit");
   span->SetAttribute("connection", static_cast<uint64_t>(conn->id));
+
+  SubmitRequest req;
+  ParamMap params;
+  {
+    obs::Span decode_span = span->StartChild("decode");
+    Status st = Decode(payload, &req);
+    if (st.ok()) st = ParamsFromWire(req.params, &params);
+    if (!st.ok()) {
+      decode_span.SetAttribute("error", st.ToString());
+      protocol_errors_->Increment();
+      return SendError(conn.get(), st);
+    }
+  }
   span->SetAttribute("template_id", req.template_id);
 
-  ParamMap params;
-  st = ParamsFromWire(req.params, &params);
-  if (!st.ok()) {
-    protocol_errors_->Increment();
-    return SendError(conn.get(), st);
-  }
   JobDefinition def;
   {
     obs::Span parse_span = span->StartChild("parse");
@@ -423,22 +439,17 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
   options.parent_span = span.get();
   auto result = cv_->Submit(def, options);
 
-  // Finish the net.request root now so the profile JSON (this request's
-  // span tree, with the job nested inside) is complete before it is stored
-  // or the response goes out.
-  auto record = span->Finish();
-  std::string profile_json;
-  if (record != nullptr) {
-    obs::JsonWriter w;
-    obs::SpanToJson(*record, &w);
-    profile_json = w.Take();
-  }
+  // Finish the net.request root (this request's span tree, with the job
+  // nested inside) before the outcome is recorded or the reply goes out,
+  // so a client that fetches the profile after its reply finds the trace.
+  // The ticket keeps a weak reference: the tracer's copy is the only one.
+  std::weak_ptr<const obs::SpanRecord> trace = span->Finish();
 
   if (result.ok()) {
     JobOutcome outcome = OutcomeFromJobResult(*result, cv_->storage());
     WireTimings timings = TimingsFromJobResult(*result);
     timings.queue_seconds = queue_seconds;
-    RecordDone(ticket, outcome, timings, std::move(profile_json));
+    RecordDone(ticket, outcome, timings, std::move(trace));
     request_seconds_->Observe(wall_clock->NowSeconds() - admit_seconds);
     // Release before the job counts as completed and before the response
     // goes out: once a client holds a reply, or Stats() shows the job
@@ -450,7 +461,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
       (void)Send(conn.get(), SubmitResultResponse{ticket, outcome, timings});
     }
   } else {
-    RecordFailed(ticket, result.status(), std::move(profile_json));
+    RecordFailed(ticket, result.status(), std::move(trace));
     request_seconds_->Observe(wall_clock->NowSeconds() - admit_seconds);
     token->Release();
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -478,25 +489,26 @@ void JobServiceServer::RecordRunning(uint64_t ticket) {
 
 void JobServiceServer::RecordDone(uint64_t ticket, const JobOutcome& outcome,
                                   const WireTimings& timings,
-                                  std::string profile_json) {
+                                  std::weak_ptr<const obs::SpanRecord> trace) {
   MutexLock lock(job_mu_);
   JobRecord& rec = jobs_[ticket];
   rec.status.state = WireJobState::kDone;
   rec.status.outcome = outcome;
   rec.status.timings = timings;
-  rec.profile_json = std::move(profile_json);
+  rec.trace = std::move(trace);
   finished_order_.push_back(ticket);
   EvictFinishedLocked();
 }
 
-void JobServiceServer::RecordFailed(uint64_t ticket, const Status& status,
-                                    std::string profile_json) {
+void JobServiceServer::RecordFailed(
+    uint64_t ticket, const Status& status,
+    std::weak_ptr<const obs::SpanRecord> trace) {
   MutexLock lock(job_mu_);
   JobRecord& rec = jobs_[ticket];
   rec.status.state = WireJobState::kFailed;
   rec.status.error_code = static_cast<uint8_t>(status.code());
   rec.status.error_message = status.message();
-  rec.profile_json = std::move(profile_json);
+  rec.trace = std::move(trace);
   finished_order_.push_back(ticket);
   EvictFinishedLocked();
 }

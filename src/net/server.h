@@ -17,6 +17,7 @@
 #include "net/net_config.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/trace.h"
 #include "runtime/submission_queue.h"
 
 namespace cloudviews {
@@ -76,7 +77,10 @@ class JobServiceServer {
   struct JobRecord {
     /// The STATUS_RESULT a status query answers with.
     StatusResultResponse status;
-    std::string profile_json;
+    /// The job's finished net.request trace, while the tracer retains it:
+    /// the tracer's copy is the only one, rendered when PROFILE_FETCH asks.
+    /// Empty on an instance that does not trace.
+    std::weak_ptr<const obs::SpanRecord> trace;
   };
 
   void AcceptLoop();
@@ -116,9 +120,10 @@ class JobServiceServer {
   void RecordQueued(uint64_t ticket);
   void RecordRunning(uint64_t ticket);
   void RecordDone(uint64_t ticket, const JobOutcome& outcome,
-                  const WireTimings& timings, std::string profile_json);
+                  const WireTimings& timings,
+                  std::weak_ptr<const obs::SpanRecord> trace);
   void RecordFailed(uint64_t ticket, const Status& status,
-                    std::string profile_json);
+                    std::weak_ptr<const obs::SpanRecord> trace);
   /// Holds job_mu_; evicts oldest finished records past the table bound.
   void EvictFinishedLocked() REQUIRES(job_mu_);
 
@@ -157,6 +162,7 @@ class JobServiceServer {
   obs::Counter* protocol_errors_ = nullptr;
   obs::Gauge* conns_gauge_ = nullptr;
   obs::Histogram* request_seconds_ = nullptr;
+  obs::Histogram* reply_seconds_ = nullptr;
 };
 
 }  // namespace net

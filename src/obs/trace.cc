@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace cloudviews {
@@ -39,6 +40,8 @@ struct Span::TraceState {
   Mutex mu;
   std::shared_ptr<SpanRecord> root GUARDED_BY(mu);
   bool delivered GUARDED_BY(mu) = false;
+  /// A span of the trace carries an `error` or `degraded` attribute.
+  bool notable GUARDED_BY(mu) = false;
 };
 
 Span& Span::operator=(Span&& other) noexcept {
@@ -70,6 +73,7 @@ void Span::SetAttribute(const std::string& key, const std::string& value) {
   if (!active()) return;
   MutexLock lock(trace_->mu);
   if (trace_->delivered) return;
+  if (key == "error" || key == "degraded") trace_->notable = true;
   for (auto& attr : record_->attributes) {
     if (attr.first == key) {
       attr.second = value;
@@ -105,6 +109,7 @@ std::shared_ptr<const SpanRecord> Span::Finish() {
   if (!active()) return nullptr;
   double now = trace_->clock->NowSeconds();
   std::shared_ptr<const SpanRecord> finished;
+  bool notable = false;
   {
     MutexLock lock(trace_->mu);
     if (!trace_->delivered) {
@@ -113,11 +118,12 @@ std::shared_ptr<const SpanRecord> Span::Finish() {
         CloseOpenSpans(trace_->root.get(), now);
         trace_->delivered = true;
         finished = trace_->root;
+        notable = trace_->notable;
       }
     }
   }
   if (finished != nullptr && trace_->tracer != nullptr) {
-    trace_->tracer->Deliver(finished);
+    trace_->tracer->Deliver(finished, notable);
   }
   record_ = nullptr;
   trace_.reset();
@@ -128,7 +134,10 @@ Span Tracer::StartTrace(std::string name) {
   auto state = std::make_shared<Span::TraceState>();
   state->tracer = this;
   state->clock = clock_;
-  auto root = std::make_shared<SpanRecord>();
+  // Allocated apart from its control block: a weak reference that outlives
+  // the trace (the server's ticket table keeps one per ticket) then pins
+  // the control block only, not the record.
+  std::shared_ptr<SpanRecord> root(std::make_unique<SpanRecord>());
   root->name = std::move(name);
   root->start_seconds = clock_->NowSeconds();
   SpanRecord* raw = root.get();
@@ -150,36 +159,72 @@ void Tracer::ObserveStages(const SpanRecord& span) {
   for (const auto& child : span.children) ObserveStages(*child);
 }
 
-void Tracer::Deliver(std::shared_ptr<const SpanRecord> root) {
+bool Tracer::KeepsOver(const Retained& a, const Retained& b) {
+  if (a.notable != b.notable) return a.notable;
+  if (!a.notable && a.seconds != b.seconds) return a.seconds > b.seconds;
+  return a.seq > b.seq;
+}
+
+void Tracer::Deliver(std::shared_ptr<const SpanRecord> root, bool notable) {
+  // Declared before the lock, so a released tree is freed after `mu_` is.
+  std::shared_ptr<const SpanRecord> released;
   MutexLock lock(mu_);
   ObserveStages(*root);
-  traces_.push_back(std::move(root));
-  while (traces_.size() > max_traces_) {
-    traces_.pop_front();
-    ++dropped_;
+  const double seconds = root->end_seconds - root->start_seconds;
+  latest_.push_back({std::move(root), delivered_++, seconds, notable});
+  if (latest_.size() > latest_capacity_) {
+    released = KeepNotable(std::move(latest_.front()));
+    latest_.pop_front();
   }
+}
+
+std::shared_ptr<const SpanRecord> Tracer::KeepNotable(Retained leaving) {
+  // A heap under KeepsOver has the trace retention ranks lowest at its
+  // front; a full half swaps it out only for a trace ranked above it.
+  if (notable_.size() < notable_capacity_) {
+    notable_.push_back(std::move(leaving));
+    std::push_heap(notable_.begin(), notable_.end(), KeepsOver);
+    return nullptr;
+  }
+  ++dropped_;
+  if (notable_.empty() || !KeepsOver(leaving, notable_.front())) {
+    return std::move(leaving.trace);
+  }
+  std::pop_heap(notable_.begin(), notable_.end(), KeepsOver);
+  std::shared_ptr<const SpanRecord> displaced =
+      std::move(notable_.back().trace);
+  notable_.back() = std::move(leaving);
+  std::push_heap(notable_.begin(), notable_.end(), KeepsOver);
+  return displaced;
 }
 
 std::vector<std::shared_ptr<const SpanRecord>> Tracer::FinishedTraces()
     const {
   MutexLock lock(mu_);
-  return {traces_.begin(), traces_.end()};
+  // Every notable trace left the latest half, so it is older than all of
+  // the latest ones.
+  std::vector<const Retained*> notable;
+  notable.reserve(notable_.size());
+  for (const Retained& r : notable_) notable.push_back(&r);
+  std::sort(notable.begin(), notable.end(),
+            [](const Retained* a, const Retained* b) {
+              return a->seq < b->seq;
+            });
+  std::vector<std::shared_ptr<const SpanRecord>> out;
+  out.reserve(notable.size() + latest_.size());
+  for (const Retained* r : notable) out.push_back(r->trace);
+  for (const Retained& r : latest_) out.push_back(r.trace);
+  return out;
 }
 
 std::shared_ptr<const SpanRecord> Tracer::LatestTrace() const {
   MutexLock lock(mu_);
-  return traces_.empty() ? nullptr : traces_.back();
+  return latest_.empty() ? nullptr : latest_.back().trace;
 }
 
 uint64_t Tracer::dropped_traces() const {
   MutexLock lock(mu_);
   return dropped_;
-}
-
-void Tracer::Clear() {
-  MutexLock lock(mu_);
-  traces_.clear();
-  dropped_ = 0;
 }
 
 }  // namespace obs

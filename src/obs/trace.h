@@ -1,6 +1,7 @@
 #ifndef CLOUDVIEWS_OBS_TRACE_H_
 #define CLOUDVIEWS_OBS_TRACE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -61,6 +62,8 @@ class Span {
   /// still open when their root ends are closed at the root's end time).
   [[nodiscard]] Span StartChild(std::string name);
 
+  /// Sets or overwrites one attribute. An `error` or `degraded` key marks
+  /// the trace failed or degraded, which the tracer's retention favours.
   void SetAttribute(const std::string& key, const std::string& value);
   void SetAttribute(const std::string& key, const char* value);
   void SetAttribute(const std::string& key, int64_t value);
@@ -73,7 +76,8 @@ class Span {
   void End();
 
   /// End() + returns the finished tree (root spans only; inactive or
-  /// non-root spans return null). The tracer retains the same pointer.
+  /// non-root spans return null). The tracer retains the same pointer
+  /// until its retention releases it.
   std::shared_ptr<const SpanRecord> Finish();
 
  private:
@@ -90,51 +94,87 @@ class Span {
   bool is_root_ = false;
 };
 
-/// \brief Produces spans and retains the most recent finished traces.
+/// \brief Produces spans and retains a bounded set of finished traces:
+/// the most recent ones and the notable older ones.
 ///
 /// Thread-safe; each StartTrace is independent, so concurrent jobs build
-/// disjoint span trees. Retention is bounded (oldest traces drop) so an
-/// always-online service does not grow without bound. Every span of each
-/// finished trace is observed into `cv_job_stage_seconds{stage=<span
-/// name>}`, each name's histogram registered on its first span.
+/// disjoint span trees. Retention is bounded by `max_traces` so an
+/// always-online service does not grow without bound, and tail-biased:
+/// half of the bound keeps the latest traces, the other half keeps,
+/// among the traces that leave the latest half, the failed and degraded
+/// ones first (newest first), then the slowest by root duration (newer
+/// first on a tie). A trace is failed or degraded when any of its spans
+/// carries an `error` or `degraded` attribute; the span flags its trace
+/// when the attribute is set, so delivery never walks the tree for it.
+/// Every span of each finished trace is observed into
+/// `cv_job_stage_seconds{stage=<span name>}`, each name's histogram
+/// registered on its first span.
 class Tracer {
  public:
   /// `clock` stamps the spans; tests pass a FakeMonotonicClock for
   /// deterministic span times. The stage histograms go into `metrics`, or
-  /// into a registry the tracer owns when it is null.
+  /// into a registry the tracer owns when it is null. `max_traces` bounds
+  /// the retained traces: the latest (max_traces + 1) / 2 plus
+  /// max_traces / 2 notable ones.
   explicit Tracer(MonotonicClock* clock = MonotonicClock::Real(),
                   MetricsRegistry* metrics = nullptr, size_t max_traces = 128)
       : clock_(clock),
         metrics_(SharedOrOwned(metrics, &own_metrics_)),
-        max_traces_(max_traces > 0 ? max_traces : 1) {}
+        notable_capacity_(max_traces / 2),
+        latest_capacity_(std::max<size_t>(max_traces - max_traces / 2, 1)) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   [[nodiscard]] Span StartTrace(std::string name);
 
-  /// Finished root spans, oldest first.
+  /// Every retained trace, oldest first (by delivery).
   std::vector<std::shared_ptr<const SpanRecord>> FinishedTraces() const
       EXCLUDES(mu_);
+  /// The newest finished trace, or null before the first.
   std::shared_ptr<const SpanRecord> LatestTrace() const EXCLUDES(mu_);
-  /// Traces evicted by the retention bound since construction/Clear.
+  /// Traces released by the retention bound since construction.
   uint64_t dropped_traces() const EXCLUDES(mu_);
-  void Clear() EXCLUDES(mu_);
 
   MonotonicClock* clock() const { return clock_; }
 
  private:
   friend class Span;
 
-  void Deliver(std::shared_ptr<const SpanRecord> root) EXCLUDES(mu_);
+  /// One retained trace with what retention ranks it by.
+  struct Retained {
+    std::shared_ptr<const SpanRecord> trace;
+    uint64_t seq = 0;      // delivery order
+    double seconds = 0;    // root duration
+    bool notable = false;  // failed or degraded
+  };
+
+  /// Whether retention keeps `a` over `b`: failed or degraded before the
+  /// rest, newer first among those; otherwise slower first, then newer.
+  static bool KeepsOver(const Retained& a, const Retained& b);
+
+  /// Publishes a finished root; `notable` when a span of it carries an
+  /// `error` or `degraded` attribute.
+  void Deliver(std::shared_ptr<const SpanRecord> root, bool notable)
+      EXCLUDES(mu_);
+  /// Offers a trace leaving the latest half to the notable half; returns
+  /// the trace retention releases (it, one it displaces, or null).
+  std::shared_ptr<const SpanRecord> KeepNotable(Retained leaving)
+      REQUIRES(mu_);
   void ObserveStages(const SpanRecord& span) REQUIRES(mu_);
 
   MonotonicClock* clock_;
   std::unique_ptr<MetricsRegistry> own_metrics_;
   MetricsRegistry* metrics_;
-  const size_t max_traces_;
+  const size_t notable_capacity_;
+  const size_t latest_capacity_;
   mutable Mutex mu_;
-  std::deque<std::shared_ptr<const SpanRecord>> traces_ GUARDED_BY(mu_);
+  /// The latest traces, oldest first.
+  std::deque<Retained> latest_ GUARDED_BY(mu_);
+  /// The notable half, a heap whose front is the trace retention would
+  /// release first (KeepsOver orders it).
+  std::vector<Retained> notable_ GUARDED_BY(mu_);
+  uint64_t delivered_ GUARDED_BY(mu_) = 0;
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
   std::unordered_map<std::string, Histogram*> stages_ GUARDED_BY(mu_);
 };

@@ -264,6 +264,7 @@ bool JobService::JoinShare(JobState& job) {
   wait_span.SetAttribute("adopted", shared.ok);
   if (!shared.ok) {
     wait_span.SetAttribute("degraded_cause", shared.status.ToString());
+    wait_span.SetAttribute("degraded", true);
     // "Do no harm": the leader failed or the wait timed out — run the job
     // independently, exactly as if sharing were off.
     obs_.sharing_degraded->Increment();
@@ -489,6 +490,7 @@ Status JobService::Execute(JobState& job) {
     execute_span.SetAttribute("views_fallback",
                               static_cast<int64_t>(result.views_fallback));
     execute_span.SetAttribute("fallback_cause", run.status().ToString());
+    execute_span.SetAttribute("degraded", true);
     obs_.fallback_jobs->Increment();
     // The cached entry (if any) led to or coexists with a plan reading a
     // dead view — drop it so the next occurrence replans from scratch.

@@ -266,13 +266,135 @@ TEST(NetE2E, AsyncTicketLifecycleAndProfile) {
   EXPECT_GT(status->outcome.output_rows, 0);
   EXPECT_GT(status->outcome.job_id, 0u);
 
-  // The stored profile is the request's span tree with the job nested
+  // The fetched profile is the request's span tree with the job nested
   // inside — front door and runtime in one trace.
   auto profile = client->FetchProfile(ticket);
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
   EXPECT_EQ(profile->ticket, ticket);
   EXPECT_NE(profile->profile_json.find("net.request"), std::string::npos);
   EXPECT_NE(profile->profile_json.find("job"), std::string::npos);
+}
+
+/// The tracer's retained net.request trace of `ticket`, or null once the
+/// tracer has dropped it.
+std::shared_ptr<const obs::SpanRecord> RetainedTraceOf(CloudViews* cv,
+                                                       uint64_t ticket) {
+  const std::string id = std::to_string(ticket);
+  for (const auto& trace : cv->tracer()->FinishedTraces()) {
+    if (trace->name != "net.request") continue;
+    for (const auto& [key, value] : trace->attributes) {
+      if (key == "ticket" && value == id) return trace;
+    }
+  }
+  return nullptr;
+}
+
+TEST(NetE2E, FetchedProfileIsTheRetainedTraceRendered) {
+  // PROFILE_RESULT carries the tracer's retained net.request trace of the
+  // ticket as SpanToJson renders it, byte for byte.
+  FakeMonotonicClock clock{3.0};
+  ServerFixture fx = StartServerFixture(
+      [&clock](CloudViewsConfig* config) { config->wall_clock = &clock; });
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  auto reply = client->Submit(NetSubmit("tmpl-prof", "pf", "2024-01-01", 1));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kResult);
+  const uint64_t ticket = reply->result.ticket;
+
+  auto profile = client->FetchProfile(ticket);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  auto trace = RetainedTraceOf(fx.cv.get(), ticket);
+  ASSERT_NE(trace, nullptr);
+  ASSERT_NE(trace->Find("job"), nullptr);
+  obs::JsonWriter rendered;
+  obs::SpanToJson(*trace, &rendered);
+  EXPECT_EQ(profile->profile_json, rendered.Take());
+}
+
+/// Submits `count` waited jobs of NetScript(); false on the first job that
+/// does not come back with a result.
+bool SubmitJobs(Client* client, int count) {
+  for (int i = 0; i < count; ++i) {
+    auto reply =
+        client->Submit(NetSubmit("tmpl-later", "lt", "2024-01-01", i + 2));
+    if (!reply.ok() || reply->kind != Client::SubmitReply::Kind::kResult) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(NetE2E, ProfileOfADroppedTraceIsNotFoundWhileItsStatusAnswers) {
+  // Under a frozen clock every trace lasts 0 s, so none is slower than a
+  // newer one: 129 later traces push the first job's trace out of both
+  // the latest and the slowest half of the tracer's bound (128).
+  FakeMonotonicClock clock{3.0};
+  ServerFixture fx = StartServerFixture(
+      [&clock](CloudViewsConfig* config) { config->wall_clock = &clock; });
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  auto first = client->Submit(NetSubmit("tmpl-first", "fs", "2024-01-01", 1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->kind, Client::SubmitReply::Kind::kResult);
+  const uint64_t ticket = first->result.ticket;
+  ASSERT_TRUE(SubmitJobs(&*client, 129));
+  EXPECT_EQ(RetainedTraceOf(fx.cv.get(), ticket), nullptr);
+
+  auto profile = client->FetchProfile(ticket);
+  ASSERT_FALSE(profile.ok());
+  EXPECT_EQ(profile.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(profile.status().message(),
+            "profile of ticket " + std::to_string(ticket) +
+                " is no longer retained");
+  auto status = client->QueryStatus(ticket);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_EQ(status->state, WireJobState::kDone);
+  EXPECT_GT(status->outcome.output_rows, 0);
+  // The newest job's profile is still there.
+  auto latest = client->FetchProfile(ticket + 129);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_NE(latest->profile_json.find("net.request"), std::string::npos);
+}
+
+TEST(NetE2E, ProfileOfAFailedWireJobOutlivesLaterSuccesses) {
+  // The tracer keeps failed traces ahead of unremarkable ones, so the
+  // profile of a job that failed in execution can be fetched after 128
+  // later successful jobs.
+  fault::FaultInjector injector;
+  FakeMonotonicClock clock{3.0};
+  ServerFixture fx = StartServerFixture([&](CloudViewsConfig* config) {
+    config->wall_clock = &clock;
+    config->fault = &injector;
+  });
+  fault::FaultSpec once;
+  once.trigger_every = 1;
+  once.max_fires = 1;
+  injector.Arm(fault::points::kExecMorsel, once);
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  SubmitRequest req = NetSubmit("tmpl-fails", "fl", "2024-01-01", 1);
+  req.wait = false;
+  auto reply = client->Submit(req);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kAccepted);
+  const uint64_t ticket = reply->accepted.ticket;
+  ASSERT_TRUE(WaitUntil([&client, ticket] {
+    auto status = client->QueryStatus(ticket);
+    return status.ok() && status->state == WireJobState::kFailed;
+  }));
+  EXPECT_EQ(injector.fires(fault::points::kExecMorsel), 1u);
+  ASSERT_TRUE(SubmitJobs(&*client, 128));
+
+  auto profile = client->FetchProfile(ticket);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  EXPECT_NE(profile->profile_json.find("\"error\""), std::string::npos)
+      << profile->profile_json;
+  auto trace = RetainedTraceOf(fx.cv.get(), ticket);
+  ASSERT_NE(trace, nullptr);
+  obs::JsonWriter rendered;
+  obs::SpanToJson(*trace, &rendered);
+  EXPECT_EQ(profile->profile_json, rendered.Take());
 }
 
 TEST(NetE2E, FrontDoorTimersReadTheInstanceWallClock) {
@@ -292,10 +414,14 @@ TEST(NetE2E, FrontDoorTimersReadTheInstanceWallClock) {
   obs::Histogram* request = metrics->GetHistogram("cv_net_request_seconds");
   obs::Histogram* queue_wait = metrics->GetHistogram(
       "cv_submission_queue_wait_seconds", {{"queue", "net"}});
+  obs::Histogram* reply_write = metrics->GetHistogram("cv_net_reply_seconds");
   EXPECT_EQ(request->count(), 1u);
   EXPECT_EQ(request->sum(), 0);
   EXPECT_EQ(queue_wait->count(), 1u);
   EXPECT_EQ(queue_wait->sum(), 0);
+  // The reply's write is timed after the client can already read it.
+  EXPECT_TRUE(WaitUntil([reply_write] { return reply_write->count() == 1; }));
+  EXPECT_EQ(reply_write->sum(), 0);
 
   EXPECT_EQ(fx.cv->RunAnalyzerAndLoad().analysis_seconds, 0);
 }

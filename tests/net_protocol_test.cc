@@ -17,6 +17,7 @@
 
 #include "gtest/gtest.h"
 #include "net/client.h"
+#include "net/outcome.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "tests/net_test_util.h"
@@ -519,6 +520,84 @@ TEST(WireCodec, MutatedPayloadsDecodeOrRefuse) {
       ExpectDecodesOrRefuses(p, bytes, "mutation " + std::to_string(m) + what);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Output fingerprint
+
+/// FingerprintStream as written over boxed cells: the reference the typed
+/// version must equal on every input.
+Hash128 BoxedFingerprint(const StreamData& stream) {
+  HashBuilder hb;
+  hb.Add(std::string_view("stream-fingerprint-v1"));
+  hb.Add(static_cast<uint64_t>(stream.schema.num_fields()));
+  for (const Field& f : stream.schema.fields()) {
+    hb.Add(std::string_view(f.name));
+    hb.Add(static_cast<uint64_t>(f.type));
+  }
+  for (const Batch& batch : stream.batches) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        const Column& col = batch.column(c);
+        if (col.IsNull(r)) {
+          hb.Add(std::string_view("null"));
+        } else {
+          col.GetValue(r).HashInto(&hb);
+        }
+      }
+    }
+  }
+  return hb.Finish();
+}
+
+TEST(WireOutcome, FingerprintHashesTypedCellsAsTheBoxedValues) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  StreamData stream;
+  stream.schema = Schema({{"b", DataType::kBool},
+                          {"i", DataType::kInt64},
+                          {"d", DataType::kDouble},
+                          {"s", DataType::kString},
+                          {"t", DataType::kDate}});
+  // Every type with a null, the int64 and date extremes, NaN, ±0.0, ±inf,
+  // and empty, non-ASCII and long strings, over two batches and an empty
+  // one.
+  const std::vector<std::vector<std::vector<Value>>> batches = {
+      {{Value::Bool(true), Value::Int64(kMin), Value::Double(kNaN),
+        Value::String(""), Value::Date(kMin)},
+       {Value::Bool(false), Value::Int64(kMax), Value::Double(-0.0),
+        Value::String("a"), Value::Date(kMax)},
+       {Value::Null(DataType::kBool), Value::Int64(0), Value::Double(0.0),
+        Value::Null(DataType::kString), Value::Date(0)}},
+      {},
+      {{Value::Bool(true), Value::Null(DataType::kInt64),
+        Value::Null(DataType::kDouble),
+        Value::String("a long string past the inline size"),
+        Value::Null(DataType::kDate)},
+       {Value::Bool(false), Value::Int64(-1), Value::Double(-kInf),
+        Value::String("\xff"), Value::Date(17532)},
+       {Value::Bool(true), Value::Int64(1), Value::Double(kInf),
+        Value::String(""), Value::Date(-1)}},
+  };
+  for (const auto& rows : batches) {
+    Batch batch(stream.schema);
+    for (const auto& row : rows) ASSERT_TRUE(batch.AppendRow(row).ok());
+    stream.batches.push_back(std::move(batch));
+  }
+  const Hash128 fingerprint = FingerprintStream(stream);
+  EXPECT_EQ(fingerprint, BoxedFingerprint(stream));
+
+  // Every cell reaches the hash: a null turned into a zero changes it.
+  StreamData zeroed = stream;
+  zeroed.batches[0] = Batch(stream.schema);
+  for (auto row : batches[0]) {
+    if (row[0].is_null()) row[0] = Value::Bool(false);
+    ASSERT_TRUE(zeroed.batches[0].AppendRow(row).ok());
+  }
+  EXPECT_NE(FingerprintStream(zeroed), fingerprint);
+  EXPECT_EQ(FingerprintStream(zeroed), BoxedFingerprint(zeroed));
 }
 
 // ---------------------------------------------------------------------------

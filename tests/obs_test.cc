@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -311,17 +313,73 @@ TEST(TraceTest, RootEndClosesOpenDescendants) {
   EXPECT_DOUBLE_EQ(root->children[0]->end_seconds, 2.0);
 }
 
-TEST(TraceTest, RetentionDropsOldestTraces) {
-  Tracer tracer(MonotonicClock::Real(), nullptr, /*max_traces=*/2);
-  for (int i = 0; i < 3; ++i) {
-    Span s = tracer.StartTrace("t" + std::to_string(i));
-    s.End();
+/// Delivers one trace named `name` lasting `seconds`; `attribute`, when
+/// set, goes on a child span with the value "true".
+void FinishTrace(Tracer* tracer, FakeMonotonicClock* clock,
+                 const std::string& name, double seconds,
+                 const std::string& attribute = "") {
+  Span root = tracer->StartTrace(name);
+  {
+    Span child = root.StartChild("execute");
+    if (!attribute.empty()) child.SetAttribute(attribute, true);
+    clock->AdvanceSeconds(seconds);
   }
-  auto traces = tracer.FinishedTraces();
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces[0]->name, "t1");
-  EXPECT_EQ(traces[1]->name, "t2");
-  EXPECT_EQ(tracer.dropped_traces(), 1u);
+  root.End();
+}
+
+std::vector<std::string> Names(
+    const std::vector<std::shared_ptr<const SpanRecord>>& traces) {
+  std::vector<std::string> names;
+  for (const auto& trace : traces) names.push_back(trace->name);
+  return names;
+}
+
+TEST(TraceTest, RetentionDropsOldestTraces) {
+  // Four slots: the latest two, plus two kept among older traces, failed
+  // ones first, then the slowest. Unremarkable older traces drop.
+  FakeMonotonicClock clock;
+  Tracer tracer(&clock, nullptr, /*max_traces=*/4);
+  FinishTrace(&tracer, &clock, "fast0", 0.1);
+  FinishTrace(&tracer, &clock, "slow1", 5.0);
+  FinishTrace(&tracer, &clock, "failed2", 0.1, "error");
+  FinishTrace(&tracer, &clock, "fast3", 0.2);
+  FinishTrace(&tracer, &clock, "fast4", 0.1);
+  FinishTrace(&tracer, &clock, "fast5", 0.3);
+  FinishTrace(&tracer, &clock, "latest6", 0.1);
+  FinishTrace(&tracer, &clock, "latest7", 0.1);
+  EXPECT_EQ(Names(tracer.FinishedTraces()),
+            (std::vector<std::string>{"slow1", "failed2", "latest6",
+                                      "latest7"}));
+  EXPECT_EQ(tracer.LatestTrace()->name, "latest7");
+  EXPECT_EQ(tracer.dropped_traces(), 4u);
+}
+
+TEST(TraceTest, RetentionKeepsNewerFailedOrDegradedTracesOverSlowOnes) {
+  // One latest slot and one kept among older traces: a failed trace beats
+  // a slower unremarkable one, and a newer degraded trace beats an older
+  // failed one.
+  FakeMonotonicClock clock;
+  Tracer tracer(&clock, nullptr, /*max_traces=*/2);
+  FinishTrace(&tracer, &clock, "failed0", 0.1, "error");
+  FinishTrace(&tracer, &clock, "slow1", 9.0);
+  EXPECT_EQ(Names(tracer.FinishedTraces()),
+            (std::vector<std::string>{"failed0", "slow1"}));
+  FinishTrace(&tracer, &clock, "degraded2", 0.1, "degraded");
+  EXPECT_EQ(Names(tracer.FinishedTraces()),
+            (std::vector<std::string>{"failed0", "degraded2"}));
+  FinishTrace(&tracer, &clock, "fast3", 0.1);
+  EXPECT_EQ(Names(tracer.FinishedTraces()),
+            (std::vector<std::string>{"degraded2", "fast3"}));
+  EXPECT_EQ(tracer.dropped_traces(), 2u);
+
+  // Equally slow traces: the newer one is kept.
+  Tracer ties(&clock, nullptr, /*max_traces=*/2);
+  for (int i = 0; i < 4; ++i) {
+    FinishTrace(&ties, &clock, "t" + std::to_string(i), 1.0);
+  }
+  EXPECT_EQ(Names(ties.FinishedTraces()),
+            (std::vector<std::string>{"t2", "t3"}));
+  EXPECT_EQ(ties.dropped_traces(), 2u);
 }
 
 TEST(TraceTest, SpanToJsonRendersTree) {

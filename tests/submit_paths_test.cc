@@ -472,8 +472,8 @@ TEST_F(SubmitPathsTest, ViewReadFallback) {
   Begin();
   auto r = Submit(JobB(kDay2));
   ExpectRow(r, std::string(kJob) + kLookup + kOptimize +
-                   " execute(views_fallback,fallback_cause,output_rows,"
-                   "output_bytes,cpu_seconds,operators)" +
+                   " execute(views_fallback,fallback_cause,degraded,"
+                   "output_rows,output_bytes,cpu_seconds,operators)" +
                    kRecord);
   EXPECT_EQ(r->views_fallback, 1);
   EXPECT_EQ(r->views_reused, 0);
@@ -574,7 +574,7 @@ TEST_F(SubmitPathsTest, FollowerDegradedByALeaderCrash) {
 
   EXPECT_EQ(Outline(*follower->trace),
             std::string(kJob) +
-                " inflight_wait(adopted,degraded_cause)" + kLookup +
+                " inflight_wait(adopted,degraded_cause,degraded)" + kLookup +
                 kOptimize + kExecute + kRecord);
   EXPECT_FALSE(follower->shared_execution);
   // The degraded follower compiled after the leader registered the view.

@@ -1,6 +1,6 @@
-// Seeded boxed-cell violations: executor code boxing a cell into a Value
-// or copying rows one at a time. The reasoned NOLINT, the free function
-// named GetValue and the bulk copies at the bottom stay clean.
+// Seeded boxed-cell violations: executor or front-door code boxing a cell
+// into a Value or copying rows one at a time. The reasoned NOLINT, the free
+// function named GetValue and the bulk copies at the bottom stay clean.
 #include <vector>
 
 void Hash(const Batch& batch, size_t row, HashBuilder* hb) {

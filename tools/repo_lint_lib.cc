@@ -309,10 +309,14 @@ void RuleNullableInstrument(const FileCtx& ctx, std::vector<Violation>* out) {
 }
 
 void RuleBoxedCell(const FileCtx& ctx, std::vector<Violation>* out) {
-  // The executor hashes, compares and copies rows from the typed column
+  // The executor and the front door (which fingerprints every output on
+  // the wire worker) hash, compare and copy rows from the typed column
   // vectors; a Value per cell (a heap copy per string) belongs to
   // literals, aggregate states and the EvaluateRow reference.
-  if (ctx.rel_path.rfind("src/exec/", 0) != 0) return;
+  if (ctx.rel_path.rfind("src/exec/", 0) != 0 &&
+      ctx.rel_path.rfind("src/net/", 0) != 0) {
+    return;
+  }
   const auto& code = ctx.code;
   for (size_t i = 1; i + 1 < code.size(); ++i) {
     if (!code[i + 1].IsPunct("(")) continue;
@@ -327,9 +331,9 @@ void RuleBoxedCell(const FileCtx& ctx, std::vector<Violation>* out) {
     }
     out->push_back({ctx.display_path, code[i].line, "boxed-cell",
                     what +
-                        " in src/exec/; read the typed column vectors and "
-                        "gather with AppendSelected/AppendGathered (or "
-                        "NOLINT(boxed-cell): <why>)"});
+                        " in src/exec/ or src/net/; read the typed column "
+                        "vectors and gather with AppendSelected/"
+                        "AppendGathered (or NOLINT(boxed-cell): <why>)"});
   }
 }
 
@@ -528,8 +532,8 @@ const std::vector<LintRule>& AllRules() {
        "src/ — instruments are registered at construction and never null",
        "bad_nullable_instrument.cc", RuleNullableInstrument},
       {"boxed-cell",
-       "a per-cell .GetValue( or per-row AppendRowFrom( in src/exec/ — "
-       "read the typed column vectors and use the gathers",
+       "a per-cell .GetValue( or per-row AppendRowFrom( in src/exec/ or "
+       "src/net/ — read the typed column vectors and use the gathers",
        "bad_boxed_cell.cc", RuleBoxedCell},
       {"naked-new",
        "naked 'new' — use std::make_unique/std::make_shared",

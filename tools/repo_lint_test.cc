@@ -212,6 +212,21 @@ TEST(RepoLintTest, BoxedCellFires) {
   EXPECT_EQ(violations[2].line, 14);
 }
 
+TEST(RepoLintTest, BoxedCellFiresInTheFrontDoor) {
+  // The wire worker fingerprints every output, so src/net/ reads the
+  // typed column vectors too; a sibling directory does not match.
+  auto violations = LintFile("outcome.cc", "src/net/outcome.cc",
+                             ReadFixture("bad_boxed_cell.cc"));
+  EXPECT_EQ(Rules(violations), std::set<std::string>{"boxed-cell"});
+  ASSERT_EQ(violations.size(), 3u);
+  EXPECT_EQ(violations[0].line, 7);
+  EXPECT_EQ(violations[1].line, 12);
+  EXPECT_EQ(violations[2].line, 14);
+  EXPECT_TRUE(LintFile("netx.cc", "src/netx/netx.cc",
+                       ReadFixture("bad_boxed_cell.cc"))
+                  .empty());
+}
+
 TEST(RepoLintTest, BoxedCellScopedToExecutor) {
   const std::string fixture = ReadFixture("bad_boxed_cell.cc");
   // Literals, aggregate states, the EvaluateRow reference and tests box
