@@ -57,13 +57,16 @@ class ScopedThreadCpuTimer {
   double start_;
 };
 
-/// \brief A shared fixed-size worker pool for morsel-driven execution.
+/// \brief A fixed-size worker pool.
 ///
-/// One pool is owned by the job service and shared by every concurrently
-/// running job: both independent plan subtrees and intra-operator morsel
-/// work are scheduled here. Tasks must not block except through
-/// TaskGroup::Wait, which lends the waiting thread to the pool (so nested
-/// fork/join parallelism cannot deadlock on a bounded pool).
+/// The job service owns one (`exec`) shared by every concurrently running
+/// job: both independent plan subtrees and intra-operator morsel work are
+/// scheduled there. The network front door owns another (`net`) that runs
+/// admitted submissions. A task may block on anything except a task of the
+/// same pool; it waits for those only through TaskGroup::Wait, which lends
+/// the waiting thread to the pool (so nested fork/join parallelism cannot
+/// deadlock on a bounded pool). A front-door task blocks on its socket and
+/// on shared executions, and fans its job out onto the `exec` pool.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (clamped to at least 1). The pool publishes
@@ -75,12 +78,16 @@ class ThreadPool {
                       obs::MetricsRegistry* metrics = nullptr,
                       const std::string& name = "exec",
                       MonotonicClock* clock = MonotonicClock::Real());
+  /// Runs every task enqueued before it, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
+
+  /// Runs `task` once on a worker; fire-and-forget.
+  void Enqueue(std::function<void()> task) EXCLUDES(mu_);
 
  private:
   friend class TaskGroup;
@@ -98,7 +105,6 @@ class ThreadPool {
     obs::Histogram* task_run = nullptr;
   };
 
-  void Enqueue(std::function<void()> task) EXCLUDES(mu_);
   /// Runs one queued task on the calling thread; false if the queue was
   /// empty. Used by waiters to help instead of blocking.
   bool RunOne() EXCLUDES(mu_);

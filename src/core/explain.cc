@@ -86,25 +86,13 @@ std::string ExplainJob(const JobResult& result) {
       result.run_stats.latency_seconds * 1000,
       result.run_stats.cpu_seconds * 1000, result.run_stats.output_rows,
       HumanBytes(result.run_stats.output_bytes).c_str());
-  out += StrFormat(
-      "  cloudviews: %d view(s) reused, %d materialized, %d reuse "
-      "candidate(s) rejected on cost, %d build lock(s) denied\n",
-      result.views_reused, result.views_materialized,
-      result.reuse_rejected_by_cost, result.materialize_lock_denied);
-  if (result.candidates_filtered > 0 || result.views_reused_subsumed > 0) {
-    out += StrFormat(
-        "  containment: %d candidate(s) filtered, %d verified, %d rejected; "
-        "%d view(s) reused by subsumption with %d compensation node(s)\n",
-        result.candidates_filtered, result.containment_verified,
-        result.containment_rejected, result.views_reused_subsumed,
-        result.compensation_nodes_added);
-  }
-  if (result.views_fallback > 0 || result.lookup_degraded) {
-    out += StrFormat(
-        "  degraded: %d view read(s) fell back to the original plan%s\n",
-        result.views_fallback,
-        result.lookup_degraded ? ", metadata lookup unavailable" : "");
-  }
+  // Every per-job counter, in CV_JOB_COUNTERS order; flags print as 0/1.
+  out += "  counters:";
+  ForEachJobCounter(result, [&out](size_t i, auto value) {
+    out += StrFormat(" %s=%d", kJobCounterInfo[i].field,
+                     static_cast<int>(value));
+  });
+  out += "\n";
   if (result.plan_cache_hit) {
     out += StrFormat(
         "  plan cache: hit (recurring-job fast path, catalog epoch %llu)\n",
@@ -118,13 +106,6 @@ std::string ExplainJob(const JobResult& result) {
     out += StrFormat(
         "  work sharing: led a shared execution adopted by %d follower(s)\n",
         result.share_followers);
-  }
-  if (result.piggyback_waits > 0) {
-    out += StrFormat(
-        "  piggyback: %d build-lock wait(s) — %d hit(s), %d timeout(s), %d "
-        "abandoned builder(s)\n",
-        result.piggyback_waits, result.piggyback_hits,
-        result.piggyback_timeouts, result.piggyback_abandoned);
   }
 
   if (result.executed_plan == nullptr) return out;

@@ -52,8 +52,8 @@ inline constexpr char kNetRead[] = "net.read";
 /// Connection write path, keyed by connection id, before each response
 /// frame: an injected fault drops the connection with the response unsent.
 inline constexpr char kNetWrite[] = "net.write";
-/// AdmissionController::TryAdmit, keyed by connection id: an injected
-/// fault sheds the request with a RETRY_AFTER as if the queue were full.
+/// AdmissionController::Admit, keyed by connection id, after the drain
+/// gate: an injected fault sheds the submit with RETRY_AFTER(INJECTED).
 inline constexpr char kNetQueueAdmit[] = "net.queue_admit";
 /// InflightSharing leader, after executing but before fanning the result
 /// out to followers, keyed by the share signature: an injected fault makes

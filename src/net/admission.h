@@ -2,12 +2,15 @@
 #define CLOUDVIEWS_NET_ADMISSION_H_
 
 #include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "common/mutex.h"
 #include "fault/fault_injector.h"
+#include "net/net_config.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 
@@ -16,24 +19,28 @@ namespace net {
 
 class AdmissionController;
 
-/// \brief RAII in-flight-cap token. Holding one means the owning
-/// connection has a submission admitted but not yet responded to; the
-/// destructor releases the slot on every path — response sent, connection
-/// dropped mid-request, or queue rejection — so caps can never leak.
+/// \brief An admitted submission's two slots: one of its connection's
+/// in-flight slots, held until Release, and one global queue slot, held
+/// until Start. The destructor releases both on every path — response
+/// sent, connection dropped mid-request, task never run — so neither can
+/// leak.
 class AdmissionToken {
  public:
-  AdmissionToken() = default;
   AdmissionToken(AdmissionToken&& other) noexcept
-      : controller_(other.controller_), conn_id_(other.conn_id_) {
+      : controller_(other.controller_),
+        conn_id_(other.conn_id_),
+        started_(other.started_) {
     other.controller_ = nullptr;
   }
-  AdmissionToken& operator=(AdmissionToken&& other) noexcept;
   AdmissionToken(const AdmissionToken&) = delete;
   AdmissionToken& operator=(const AdmissionToken&) = delete;
   ~AdmissionToken() { Release(); }
 
+  /// A worker picked the submission up: frees its queue slot.
+  void Start();
+  /// The submission is answered: frees its in-flight slot, and its queue
+  /// slot if it never started. Idempotent.
   void Release();
-  bool held() const { return controller_ != nullptr; }
 
  private:
   friend class AdmissionController;
@@ -42,70 +49,70 @@ class AdmissionToken {
 
   AdmissionController* controller_ = nullptr;
   uint64_t conn_id_ = 0;
+  bool started_ = false;
 };
 
-/// \brief Per-connection in-flight caps + drain gate + shed accounting.
+/// \brief The one place a wire submit is admitted or shed.
 ///
-/// Sits in front of the SubmissionQueue: Acquire enforces everything the
-/// queue cannot see (which connection is asking, whether the server is
-/// draining, injected front-door faults); the queue itself enforces the
-/// global bound. Every shed path is a typed reason so the RETRY_AFTER
-/// response and the metrics agree.
+/// Admit checks, in order: the drain gate (kDraining), the injected fault
+/// points::kNetQueueAdmit keyed by the connection id (kInjected), the
+/// connection's in-flight cap (kConnCap), and the global bound on
+/// submissions admitted but not yet started (kQueueFull). Every refusal is
+/// counted in cv_net_shed_total{reason} and every admission in
+/// cv_net_accepted_total, so RETRY_AFTER replies, the metrics and
+/// SERVER_STATS agree.
 class AdmissionController {
  public:
-  struct Options {
-    int per_connection_inflight_cap = 8;
-    uint32_t retry_after_ms = 25;
-  };
-
-  /// `fault` may be null; `metrics` is required (the shed counters and the
-  /// in-flight gauge live there).
-  AdmissionController(const Options& options, fault::FaultInjector* fault,
+  /// Reads the in-flight cap, the queue bound (at least 1) and the
+  /// RETRY_AFTER hint from `config`. `fault` may be null.
+  AdmissionController(const NetServerConfig& config,
+                      fault::FaultInjector* fault,
                       obs::MetricsRegistry* metrics);
 
-  struct AcquireResult {
-    bool admitted = false;
-    /// Valid when !admitted.
-    ShedReason reason = ShedReason::kQueueFull;
-    /// Valid when admitted; release happens via RAII.
-    AdmissionToken token;
-  };
+  /// Admits a submit from `conn_id`, or returns the reason it is shed. An
+  /// admitted submit's `start(token)` runs inside the controller's critical
+  /// section, so once Drain() returns `start` has run for every admitted
+  /// submit. `start` must keep the token past its return and must not call
+  /// the controller.
+  std::optional<ShedReason> Admit(
+      uint64_t conn_id, const std::function<void(AdmissionToken)>& start)
+      EXCLUDES(mu_);
 
-  /// Tries to take an in-flight slot for `conn_id`. Checked in order:
-  /// draining gate, injected fault (points::kNetQueueAdmit, keyed by the
-  /// connection id), per-connection cap.
-  AcquireResult Acquire(uint64_t conn_id) EXCLUDES(mu_);
+  /// Flips the drain gate: every later Admit sheds with kDraining. False if
+  /// the gate was already flipped.
+  bool Drain() EXCLUDES(mu_);
 
-  /// Counts a shed that happened past Acquire (queue full / draining race)
-  /// so stats cover every RETRY_AFTER actually sent.
-  void RecordShed(ShedReason reason);
-
-  /// Flips the drain gate: every later Acquire sheds with kDraining.
-  void SetDraining() { draining_.store(true, std::memory_order_release); }
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
-
-  uint32_t retry_after_ms() const { return options_.retry_after_ms; }
+  uint32_t retry_after_ms() const { return retry_after_ms_; }
 
   uint64_t shed_count(ShedReason reason) const;
-  /// Admissions currently in flight (tokens held) across all connections.
+  /// Submissions admitted over the controller's lifetime.
+  uint64_t accepted() const { return accepted_->value(); }
+  /// Submissions admitted and not yet released, across connections.
   uint64_t inflight() const EXCLUDES(mu_);
+  /// Submissions admitted and not yet started.
+  uint64_t queued() const EXCLUDES(mu_);
 
  private:
   friend class AdmissionToken;
-  void Release(uint64_t conn_id) EXCLUDES(mu_);
+  void Start() EXCLUDES(mu_);
+  void Release(uint64_t conn_id, bool started) EXCLUDES(mu_);
 
-  const Options options_;
+  const int per_connection_cap_;
+  const size_t queue_capacity_;
+  const uint32_t retry_after_ms_;
   fault::FaultInjector* const fault_;
-  std::atomic<bool> draining_{false};
 
   mutable Mutex mu_;
+  bool draining_ GUARDED_BY(mu_) = false;
   /// conn id -> submissions admitted but not yet released. Entries are
   /// erased at zero so a long-lived server does not accumulate dead ids.
   std::unordered_map<uint64_t, int> inflight_ GUARDED_BY(mu_);
   uint64_t total_inflight_ GUARDED_BY(mu_) = 0;
+  uint64_t queued_ GUARDED_BY(mu_) = 0;
 
   /// cv_net_shed_total{reason}, indexed by ShedReason.
   std::array<obs::Counter*, 4> shed_{};
+  obs::Counter* accepted_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
 };
 

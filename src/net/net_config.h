@@ -28,10 +28,12 @@ struct NetServerConfig {
   /// Per-connection cap on submissions admitted but not yet responded to.
   /// A connection exceeding it gets RETRY_AFTER(CONN_CAP).
   int per_connection_inflight_cap = 8;
-  /// Bound on the submission queue between the wire and JobService. A full
-  /// queue sheds with RETRY_AFTER(QUEUE_FULL) instead of queuing unboundedly.
+  /// Bound on submissions admitted but not yet started by a worker; past it
+  /// a submit sheds with RETRY_AFTER(QUEUE_FULL) instead of queuing
+  /// unboundedly.
   size_t submission_queue_capacity = 256;
-  /// Worker threads draining the submission queue into JobService::SubmitJob.
+  /// Threads of the front door's "net" ThreadPool, which runs admitted
+  /// submissions through JobService::SubmitJob.
   int submission_workers = 4;
   /// Hint returned in RETRY_AFTER responses; clients should back off at
   /// least this long before resubmitting.

@@ -1,5 +1,6 @@
 #include "net/server.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/clock.h"
@@ -40,12 +41,15 @@ Status ParamsFromWire(const std::vector<WireParam>& wire, ParamMap* out) {
 JobServiceServer::JobServiceServer(CloudViews* cv, NetServerConfig config)
     : cv_(cv),
       config_(std::move(config)),
-      admission_({config_.per_connection_inflight_cap, config_.retry_after_ms},
-                 cv->config().fault, cv->metrics()),
-      queue_({config_.submission_queue_capacity,
-              config_.submission_workers, "net"},
-             cv->metrics(), cv->config().wall_clock) {
+      admission_(config_, cv->config().fault, cv->metrics()),
+      pool_(std::make_unique<ThreadPool>(config_.submission_workers,
+                                         cv->metrics(), "net",
+                                         cv->config().wall_clock)) {
   obs::MetricsRegistry* metrics = cv_->metrics();
+  completed_total_ = metrics->GetCounter(
+      "cv_net_completed_total", {}, "Admitted submissions whose job succeeded");
+  failed_total_ = metrics->GetCounter("cv_net_failed_total", {},
+                                      "Admitted submissions whose job failed");
   requests_total_ = metrics->GetCounter("cv_net_requests_total", {},
                                         "Frames dispatched by the server");
   conns_total_ = metrics->GetCounter("cv_net_connections_total", {},
@@ -82,16 +86,17 @@ Result<uint16_t> JobServiceServer::Start() {
 }
 
 void JobServiceServer::Stop() {
-  if (!started_.load() || stopping_.exchange(true)) return;
-  // 1. Refuse new work: later Acquire calls shed with kDraining, and the
+  // The drain gate is the once-flag: only the first Stop() drains.
+  if (!started_.load() || !admission_.Drain()) return;
+  // 1. New work is refused: later submits shed with kDraining, and the
   //    listener stops producing connections.
-  admission_.SetDraining();
   listener_.ShutdownBoth();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // 2. Drain: everything already admitted runs to completion and its
-  //    response is sent before any socket is torn down.
-  queue_.Drain();
-  queue_.Shutdown();
+  // 2. Every admitted submission was enqueued inside admission's critical
+  //    section, which Drain() also took, so all of them are on the pool.
+  //    Destroying it runs each one to completion, reply included, before
+  //    any socket is torn down.
+  pool_.reset();
   // 3. Unblock connection readers and join them.
   {
     MutexLock lock(conns_mu_);
@@ -110,14 +115,14 @@ void JobServiceServer::Stop() {
 
 ServerStatsResponse JobServiceServer::Stats() const {
   ServerStatsResponse stats;
-  stats.accepted = accepted_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
-  stats.failed = failed_.load(std::memory_order_relaxed);
+  stats.accepted = admission_.accepted();
+  stats.completed = completed_total_->value();
+  stats.failed = failed_total_->value();
   stats.shed_queue_full = admission_.shed_count(ShedReason::kQueueFull);
   stats.shed_conn_cap = admission_.shed_count(ShedReason::kConnCap);
   stats.shed_draining = admission_.shed_count(ShedReason::kDraining);
   stats.shed_injected = admission_.shed_count(ShedReason::kInjected);
-  stats.queue_depth = queue_.depth();
+  stats.queue_depth = admission_.queued();
   stats.inflight = admission_.inflight();
   {
     MutexLock lock(conns_mu_);
@@ -148,7 +153,7 @@ void JobServiceServer::ReapFinishedConnections() {
 
 void JobServiceServer::AcceptLoop() {
   fault::FaultInjector* fault = cv_->config().fault;
-  while (!stopping_.load(std::memory_order_acquire)) {
+  for (;;) {
     auto accepted = listener_.Accept();
     if (!accepted.ok()) {
       if (accepted.status().code() == StatusCode::kAborted) break;
@@ -390,37 +395,26 @@ bool JobServiceServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
       static_cast<LogicalTime>(req.recurrence_period_seconds);
   def.tags = req.tags;
 
-  auto admit = admission_.Acquire(conn->id);
-  if (!admit.admitted) {
-    return SendRetryAfter(conn.get(), admit.reason);
-  }
-  uint64_t ticket = NewTicket();
-  RecordQueued(ticket);
-  span->SetAttribute("ticket", ticket);
-
-  double admit_seconds = cv_->config().wall_clock->NowSeconds();
-  auto token = std::make_shared<AdmissionToken>(std::move(admit.token));
   auto def_ptr = std::make_shared<JobDefinition>(std::move(def));
-  bool enable_cloudviews = req.enable_cloudviews;
-  bool wait = req.wait;
-  auto run = [this, conn, ticket, def_ptr, enable_cloudviews, wait,
-              admit_seconds, span, token] {
-    RunSubmission(conn, ticket, *def_ptr, enable_cloudviews, wait,
-                  admit_seconds, span, token.get());
-  };
-  SubmissionQueue::Admit enq = queue_.TryEnqueue(std::move(run));
-  if (enq != SubmissionQueue::Admit::kAdmitted) {
-    ShedReason reason = enq == SubmissionQueue::Admit::kQueueFull
-                            ? ShedReason::kQueueFull
-                            : ShedReason::kDraining;
-    admission_.RecordShed(reason);
-    {
-      MutexLock lock(job_mu_);
-      jobs_.erase(ticket);  // never ran; the ticket is void
-    }
-    return SendRetryAfter(conn.get(), reason);
-  }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
+  const bool enable_cloudviews = req.enable_cloudviews;
+  const bool wait = req.wait;
+  uint64_t ticket = 0;
+  // Runs inside admission's critical section: the ticket, its record and
+  // the span attribute exist before a worker can pick the job up.
+  std::optional<ShedReason> shed =
+      admission_.Admit(conn->id, [&](AdmissionToken admitted) {
+        ticket = NewTicket();
+        RecordQueued(ticket);
+        span->SetAttribute("ticket", ticket);
+        const double admit_seconds = cv_->config().wall_clock->NowSeconds();
+        auto token = std::make_shared<AdmissionToken>(std::move(admitted));
+        pool_->Enqueue([this, conn, ticket, def_ptr, enable_cloudviews, wait,
+                        admit_seconds, span, token] {
+          RunSubmission(conn, ticket, *def_ptr, enable_cloudviews, wait,
+                        admit_seconds, span, token.get());
+        });
+      });
+  if (shed.has_value()) return SendRetryAfter(conn.get(), *shed);
   return wait || Send(conn.get(), AcceptedResponse{ticket});
 }
 
@@ -430,6 +424,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
                                      double admit_seconds,
                                      const std::shared_ptr<obs::Span>& span,
                                      AdmissionToken* token) {
+  token->Start();
   RecordRunning(ticket);
   MonotonicClock* wall_clock = cv_->config().wall_clock;
   double queue_seconds = wall_clock->NowSeconds() - admit_seconds;
@@ -456,7 +451,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     // completed, its in-flight slot is observably free (tests and retry
     // loops rely on that ordering).
     token->Release();
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    completed_total_->Increment();
     if (wait) {
       (void)Send(conn.get(), SubmitResultResponse{ticket, outcome, timings});
     }
@@ -464,7 +459,7 @@ void JobServiceServer::RunSubmission(const std::shared_ptr<Connection>& conn,
     RecordFailed(ticket, result.status(), std::move(trace));
     request_seconds_->Observe(wall_clock->NowSeconds() - admit_seconds);
     token->Release();
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    failed_total_->Increment();
     if (wait) {
       (void)SendError(conn.get(), result.status());
     }

@@ -12,13 +12,13 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/cloudviews.h"
 #include "net/admission.h"
 #include "net/net_config.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/trace.h"
-#include "runtime/submission_queue.h"
 
 namespace cloudviews {
 namespace net {
@@ -28,17 +28,17 @@ namespace net {
 ///
 /// Request flow for a submit:
 ///   read frame -> decode -> parse script against the server's catalog ->
-///   AdmissionController::Acquire (drain gate, injected faults, per-conn
-///   cap) -> SubmissionQueue::TryEnqueue (global bound) -> worker runs
-///   CloudViews::Submit with the request's "net.request" span as parent ->
-///   outcome recorded in the ticket table -> response framed back.
-/// Any admission failure returns a typed kRetryAfter instead of queuing
-/// unboundedly; any protocol failure returns kError or closes, never
-/// crashes.
+///   AdmissionController::Admit (drain gate, injected faults, per-conn
+///   cap, global bound; an admitted submit gets its ticket and is enqueued
+///   on the "net" ThreadPool) -> a pool worker runs CloudViews::Submit with
+///   the request's "net.request" span as parent -> outcome recorded in the
+///   ticket table -> response framed back.
+/// A shed returns a typed kRetryAfter instead of queuing unboundedly; any
+/// protocol failure returns kError or closes, never crashes.
 ///
 /// Stop() is a drain: the admission gate flips first (new submits shed
-/// with kDraining), queued jobs finish, then sockets shut down and threads
-/// join. In-flight work is never dropped.
+/// with kDraining), the pool runs every admitted job and joins, then
+/// sockets shut down and threads join. Admitted work is never dropped.
 class JobServiceServer {
  public:
   /// `cv` must outlive the server. The server shares the instance's
@@ -66,7 +66,7 @@ class JobServiceServer {
     uint64_t id = 0;
     Socket sock;
     /// Serializes response frames: the connection thread (errors, polls)
-    /// and queue workers (submit results) both write.
+    /// and pool workers (submit results) both write.
     Mutex write_mu;
     std::thread thread;
     std::atomic<bool> done{false};
@@ -91,10 +91,10 @@ class JobServiceServer {
                    const FrameHeader& header, const std::string& payload);
   bool HandleSubmit(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
-  /// Runs on a queue worker: executes the job, records the outcome, sends
+  /// Runs on a pool worker: executes the job, records the outcome, sends
   /// the kSubmitResult when the client is waiting. Shared-ptr captures keep
   /// the connection, span, and admission token alive inside the copyable
-  /// queue closure; the token releases when the closure is destroyed.
+  /// pool task; the token releases before the reply is written.
   void RunSubmission(const std::shared_ptr<Connection>& conn, uint64_t ticket,
                      const JobDefinition& def, bool enable_cloudviews,
                      bool wait, double admit_seconds,
@@ -132,12 +132,13 @@ class JobServiceServer {
   CloudViews* const cv_;
   const NetServerConfig config_;
   AdmissionController admission_;
-  SubmissionQueue queue_;
+  /// Runs admitted submissions; Stop() destroys it, which runs every
+  /// queued one. Declared after admission_, which its tasks use.
+  std::unique_ptr<ThreadPool> pool_;
 
   Socket listener_;
   std::thread accept_thread_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
   uint16_t port_ = 0;
 
   std::atomic<uint64_t> next_conn_id_{1};
@@ -151,11 +152,9 @@ class JobServiceServer {
   /// Finished tickets in completion order, for bounded-memory eviction.
   std::deque<uint64_t> finished_order_ GUARDED_BY(job_mu_);
 
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_{0};
-
   // Observability (never null; CloudViews always owns a registry).
+  obs::Counter* completed_total_ = nullptr;
+  obs::Counter* failed_total_ = nullptr;
   obs::Counter* requests_total_ = nullptr;
   obs::Counter* conns_total_ = nullptr;
   obs::Counter* conns_rejected_ = nullptr;

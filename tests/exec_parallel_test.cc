@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "core/cloudviews.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "tpcds/tpcds.h"
 
 namespace cloudviews {
@@ -46,6 +49,51 @@ TEST(ThreadPoolTest, NestedForkJoinDoesNotDeadlockOnSmallPool) {
   }
   outer.Wait();
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, BusyAndDepthGaugesTrackBlockedAndQueuedTasks) {
+  // The gauges a fire-and-forget user of the pool (the front door's "net"
+  // pool) reads: busy_workers counts tasks running, queue_depth counts
+  // tasks enqueued but not started, so together they are the backlog.
+  obs::MetricsRegistry metrics;
+  obs::Labels labels{{"pool", "gauge_test"}};
+  obs::Gauge* busy =
+      metrics.GetGauge("cv_threadpool_busy_workers", labels, "");
+  obs::Gauge* depth = metrics.GetGauge("cv_threadpool_queue_depth", labels, "");
+  obs::Counter* tasks =
+      metrics.GetCounter("cv_threadpool_tasks_total", labels, "");
+
+  Mutex mu;
+  CondVar release_cv;
+  bool released = false;
+  std::atomic<int> started{0};
+  std::atomic<bool> third_ran{false};
+  auto blocker = [&] {
+    ++started;
+    MutexLock lock(mu);
+    while (!released) release_cv.Wait(mu);
+  };
+  {
+    ThreadPool pool(2, &metrics, "gauge_test");
+    // Block both workers, then queue one more task behind them.
+    pool.Enqueue(blocker);
+    pool.Enqueue(blocker);
+    pool.Enqueue([&third_ran] { third_ran = true; });
+    while (started.load() < 2) std::this_thread::yield();
+
+    EXPECT_EQ(busy->value(), 2.0);
+    EXPECT_EQ(depth->value(), 1.0);
+    EXPECT_FALSE(third_ran.load());
+    {
+      MutexLock lock(mu);
+      released = true;
+    }
+    release_cv.NotifyAll();
+  }  // the destructor runs the queued task, then joins
+  EXPECT_TRUE(third_ran.load());
+  EXPECT_EQ(busy->value(), 0.0);
+  EXPECT_EQ(depth->value(), 0.0);
+  EXPECT_EQ(tasks->value(), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ TEST_F(ExplainTest, ExplainJobTracesViewProvenance) {
                 "produced by job %llu",
                 static_cast<unsigned long long>(builder->job_id))),
             std::string::npos);
-  EXPECT_NE(reuse_explain.find("1 view(s) reused"), std::string::npos);
+  EXPECT_NE(reuse_explain.find(" views_reused=1 "), std::string::npos)
+      << reuse_explain;
 }
 
 TEST_F(ExplainTest, ExplainSelectionShowsWhy) {
@@ -84,8 +85,9 @@ TEST_F(ExplainTest, ExplainPlainJobIsQuiet) {
   auto r = cv_.Submit(Job("jobA", "2018-01-01", ""), false);
   ASSERT_TRUE(r.ok());
   std::string text = ExplainJob(*r);
-  EXPECT_NE(text.find("0 view(s) reused, 0 materialized"),
-            std::string::npos);
+  EXPECT_NE(text.find("  counters: views_reused=0 views_materialized=0 "),
+            std::string::npos)
+      << text;
   EXPECT_EQ(text.find("reused view"), std::string::npos);
 }
 

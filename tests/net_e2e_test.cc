@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -243,6 +244,51 @@ TEST(NetE2E, OverloadShedsTypedAndRetriedShedsSucceed) {
     EXPECT_EQ(status->state, WireJobState::kDone);
     EXPECT_GT(status->outcome.output_rows, 0);
   }
+
+  // SERVER_STATS reads the registered instruments: each counter field is
+  // its exported series.
+  stats = fx.server->Stats();
+  const std::string prom = obs::RenderPrometheus(*fx.cv->metrics());
+  const std::pair<const char*, uint64_t> series[] = {
+      {"cv_net_accepted_total", stats.accepted},
+      {"cv_net_completed_total", stats.completed},
+      {"cv_net_failed_total", stats.failed},
+      {"cv_net_shed_total{reason=\"queue_full\"}", stats.shed_queue_full},
+      {"cv_net_shed_total{reason=\"conn_cap\"}", stats.shed_conn_cap},
+      {"cv_net_shed_total{reason=\"draining\"}", stats.shed_draining},
+      {"cv_net_shed_total{reason=\"injected\"}", stats.shed_injected},
+      {"cv_net_inflight", stats.inflight},
+  };
+  for (const auto& [name, value] : series) {
+    const std::string line_start = std::string("\n") + name + " ";
+    size_t pos = prom.find(line_start);
+    ASSERT_NE(pos, std::string::npos) << name << " is not exported";
+    EXPECT_EQ(std::stod(prom.substr(pos + line_start.size())),
+              static_cast<double>(value))
+        << name;
+  }
+}
+
+TEST(NetE2E, ReplyMeansItsInFlightSlotIsFree) {
+  // A submission's admission token is released before its reply is
+  // written (docs/wire_protocol.md), so with one in-flight slot per
+  // connection a client that sends its next submit as soon as a reply
+  // arrives never meets its previous submit's slot.
+  ServerFixture fx = StartServerFixture([](CloudViewsConfig* config) {
+    config->net.submission_workers = 1;
+    config->net.per_connection_inflight_cap = 1;
+  });
+  auto client = Client::Connect("127.0.0.1", fx.port);
+  ASSERT_TRUE(client.ok());
+  for (int i = 0; i < 50; ++i) {
+    auto reply =
+        client->Submit(NetSubmit("tmpl-slot", "sl", "2024-01-01", i + 1));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->kind, Client::SubmitReply::Kind::kResult)
+        << "submit " << i << " got no result (RETRY_AFTER reason "
+        << static_cast<int>(reply->retry.reason) << ")";
+    EXPECT_EQ(fx.server->Stats().inflight, 0u) << "after reply " << i;
+  }
 }
 
 TEST(NetE2E, AsyncTicketLifecycleAndProfile) {
@@ -413,7 +459,7 @@ TEST(NetE2E, FrontDoorTimersReadTheInstanceWallClock) {
   obs::MetricsRegistry* metrics = fx.cv->metrics();
   obs::Histogram* request = metrics->GetHistogram("cv_net_request_seconds");
   obs::Histogram* queue_wait = metrics->GetHistogram(
-      "cv_submission_queue_wait_seconds", {{"queue", "net"}});
+      "cv_threadpool_task_wait_seconds", {{"pool", "net"}});
   obs::Histogram* reply_write = metrics->GetHistogram("cv_net_reply_seconds");
   EXPECT_EQ(request->count(), 1u);
   EXPECT_EQ(request->sum(), 0);

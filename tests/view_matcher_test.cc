@@ -412,11 +412,10 @@ TEST_F(SubsumptionServiceTest, ResidualGroupKeyFilterServedBySubsumption) {
   }
   EXPECT_TRUE(stamped);
   std::string explain = ExplainJob(r);
-  EXPECT_NE(explain.find("containment: 1 candidate(s) filtered"),
-            std::string::npos)
+  EXPECT_NE(explain.find(" candidates_filtered=1 "), std::string::npos)
       << explain;
-  EXPECT_NE(explain.find("1 view(s) reused by subsumption"),
-            std::string::npos);
+  EXPECT_NE(explain.find(" views_reused_subsumed=1 "), std::string::npos)
+      << explain;
   std::string json = JobProfileJson(r);
   EXPECT_NE(json.find("\"views_reused_subsumed\":1"), std::string::npos);
   EXPECT_NE(json.find("\"compensation_nodes_added\":3"), std::string::npos);
@@ -716,8 +715,8 @@ TEST_F(SubsumptionServiceTest, ExactTierAndWarmCacheKeepPreStagedSemantics) {
   SeedAggView(&cv);
 
   // Exact tier-0 reuse: the shared aggregate matches by hash; the
-  // containment tiers never run (zero funnel, no containment_verify span,
-  // no containment line in explain).
+  // containment tiers never run (zero funnel in the result and in
+  // explain, no containment_verify span).
   auto exact = cv.Submit(JobB("2018-01-02"));
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->views_reused, 1);
@@ -727,7 +726,12 @@ TEST_F(SubsumptionServiceTest, ExactTierAndWarmCacheKeepPreStagedSemantics) {
   EXPECT_EQ(exact->compensation_nodes_added, 0);
   ASSERT_NE(exact->trace, nullptr);
   EXPECT_EQ(exact->trace->Find("containment_verify"), nullptr);
-  EXPECT_EQ(ExplainJob(*exact).find("containment:"), std::string::npos);
+  const std::string exact_explain = ExplainJob(*exact);
+  EXPECT_NE(exact_explain.find(" candidates_filtered=0 "), std::string::npos)
+      << exact_explain;
+  EXPECT_NE(exact_explain.find(" views_reused_subsumed=0 "),
+            std::string::npos)
+      << exact_explain;
 
   // Warm recurring resubmission: served from the plan cache with the
   // pre-containment span tree and zero funnel.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+
 #include "analyzer/analyzer.h"
+#include "common/clock.h"
 #include "core/cloudviews.h"
 #include "signature/signature.h"
 #include "workload/production_workload.h"
@@ -132,11 +136,27 @@ TEST(ProductionWorkloadTest, GroupsShareTheirComputation) {
   EXPECT_TRUE(group_frequencies.count(4) == 1);
 }
 
+/// A wall clock that advances 1 µs on every read: an operator's measured
+/// time is a count of clock reads, so view selection, which ranks by
+/// observed time, does not depend on how loaded the host is.
+class TickingClock final : public MonotonicClock {
+ public:
+  double NowSeconds() override {
+    return static_cast<double>(reads_.fetch_add(1, std::memory_order_relaxed)) *
+           1e-6;
+  }
+
+ private:
+  std::atomic<uint64_t> reads_{0};
+};
+
 TEST(ProductionWorkloadTest, EndToEndReuseAcrossTheWorkload) {
   ProductionWorkload::Options options;
   options.rows_per_input = 500;
   ProductionWorkload workload(options);
+  TickingClock clock;
   CloudViewsConfig config;
+  config.wall_clock = &clock;
   config.analyzer.selection.top_k = 3;
   config.analyzer.selection.min_frequency = 3;
   config.analyzer.selection.min_cost_fraction_of_job = 0.2;
