@@ -5,13 +5,14 @@
 // on purpose — the server must shed with typed RETRY_AFTER, memory stays
 // bounded, and every retried shed eventually lands with zero failed jobs.
 // Writes BENCH_service.json (throughput, p50/p99/p999, the process's peak
-// resident set, queue-depth and shed-count timeline, full metrics dump) and
-// metrics.prom for CI.
+// resident set, the storage, metadata and repository lock waits, queue-depth
+// and shed-count timeline, full metrics dump) and metrics.prom for CI.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -434,6 +435,18 @@ int Run(const Options& opt) {
       static_cast<unsigned long long>(final_stats.failed));
   const double peak_rss_mb = PeakRssMb();
   std::printf("  peak RSS: %.1f MB\n", peak_rss_mb);
+  // Where the front door waits: the whole run's waits on the locks every
+  // job takes.
+  const char* lock_waits[] = {"cv_storage_lock_wait_seconds",
+                              "cv_metadata_lock_wait_seconds",
+                              "cv_repository_lock_wait_seconds"};
+  std::printf("  lock waits:");
+  for (const char* name : lock_waits) {
+    const obs::Histogram* h = cv.metrics()->GetHistogram(name);
+    std::printf(" %s sum=%.4fs count=%llu", name, h->sum(),
+                static_cast<unsigned long long>(h->count()));
+  }
+  std::printf("\n");
 
   FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) return Fail("cannot write BENCH_service.json");
@@ -485,6 +498,14 @@ int Run(const Options& opt) {
       open_retries.load(),
       static_cast<unsigned long long>(final_stats.failed));
   std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n", peak_rss_mb);
+  std::fprintf(f, "  \"lock_waits\": {");
+  for (size_t i = 0; i < std::size(lock_waits); ++i) {
+    const obs::Histogram* h = cv.metrics()->GetHistogram(lock_waits[i]);
+    std::fprintf(f, "%s\"%s\": {\"sum_seconds\": %.6f, \"count\": %llu}",
+                 i == 0 ? "" : ", ", lock_waits[i], h->sum(),
+                 static_cast<unsigned long long>(h->count()));
+  }
+  std::fprintf(f, "},\n");
   std::fprintf(f, "  \"timeline\": [\n");
   {
     MutexLock lock(timeline_mu);

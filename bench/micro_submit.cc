@@ -1,8 +1,9 @@
 // Recurring-job submit-path microbenchmark: cold vs warm (plan-cache) and
 // sequential vs concurrent SubmitJob latency, cache on vs off, over a
 // recurring template that materializes and reuses a view — so the metadata
-// hot path (sharded FindMaterialized / ProposeMaterialize) is exercised and
-// its lock-wait histograms land in the exported metrics. Writes
+// hot path (FindMaterialized / ProposeMaterialize under the service's one
+// lock) is exercised and its lock-wait histogram lands in the exported
+// metrics. Writes
 // BENCH_submit.json for the CI bench-smoke artifact.
 #include <algorithm>
 #include <cstdio>
@@ -179,7 +180,7 @@ int Run() {
   auto cache_stats = on_inst.cv->job_service()->plan_cache().stats();
 
   // Concurrent submissions: kConcurrent same-template jobs race on the
-  // sharded metadata service and the plan cache.
+  // metadata service's lock and the plan cache.
   auto concurrent = [&](const char* mode, Instance& inst,
                         const JobServiceOptions& options, int rounds) {
     Sample s;
@@ -255,8 +256,7 @@ int Run() {
       static_cast<unsigned long long>(cache_stats.insertions),
       static_cast<unsigned long long>(cache_stats.evictions));
   // Full instrument dump of the warm cache-on instance: includes the
-  // cv_metadata_lock_wait_seconds aggregate and the per-shard
-  // cv_metadata_shard_lock_wait_seconds{shard=i} histograms.
+  // metadata service's cv_metadata_lock_wait_seconds histogram.
   std::fprintf(f, "  \"metrics\": %s\n",
                obs::RenderMetricsJson(*on_inst.cv->metrics()).c_str());
   std::fprintf(f, "}\n");

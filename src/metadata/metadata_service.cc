@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "obs/timed_lock.h"
 
@@ -76,15 +77,8 @@ MetadataService::MetadataService(SimulatedClock* clock,
                         "Currently registered materialized views");
   obs_.lock_wait = metrics->GetHistogram(
       "cv_metadata_lock_wait_seconds", {}, {},
-      "Wall time waiting for any metadata-service mutex (aggregate over "
-      "the shard stripes and the analysis-snapshot lock)");
-  for (size_t i = 0; i < kNumShards; ++i) {
-    shards_[i].lock_wait = metrics->GetHistogram(
-        "cv_metadata_shard_lock_wait_seconds",
-        {{"shard", std::to_string(i)}}, {},
-        "Wall time waiting for one signature-keyed metadata shard stripe "
-        "(the per-shard contention signal)");
-  }
+      "Wall time waiting for the metadata-service mutex (one observation "
+      "per acquisition)");
 }
 
 void MetadataService::LoadAnalysis(
@@ -101,7 +95,7 @@ void MetadataService::LoadAnalysis(
     }
   }
   {
-    MutexLock lock(analysis_mu_);
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
     analysis_ = std::move(snapshot);
   }
   // New annotations change which rewrites the optimizer would pick.
@@ -110,7 +104,7 @@ void MetadataService::LoadAnalysis(
 
 std::shared_ptr<const MetadataService::AnalysisSnapshot>
 MetadataService::AnalysisView() const {
-  obs::TimedMutexLock lock(analysis_mu_, obs_.lock_wait, wall_clock_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   return analysis_;
 }
 
@@ -130,8 +124,8 @@ std::vector<ViewAnnotation> MetadataService::GetRelevantViews(
   if (latency_seconds != nullptr) {
     *latency_seconds = SimulatedLookupLatency();
   }
-  // Read-mostly path: one pointer copy under analysis_mu_, then the
-  // immutable snapshot is scanned without any lock held.
+  // Read-mostly path: one pointer copy under mu_, then the immutable
+  // snapshot is scanned without any lock held.
   std::shared_ptr<const AnalysisSnapshot> snapshot = AnalysisView();
   std::vector<ViewAnnotation> out;
   if (snapshot == nullptr) return out;
@@ -187,16 +181,11 @@ std::vector<ViewAnnotation> MetadataService::GetContainmentCandidates(
   return out;
 }
 
-std::optional<MaterializedViewInfo> MetadataService::LookupLive(
-    const Hash128& precise) {
-  Shard& shard = ShardFor(precise);
-  obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                           wall_clock_);
-  auto it = shard.views.find(precise);
-  if (it == shard.views.end() || !it->second.LiveAt(clock_->Now())) {
-    return std::nullopt;  // absent, or expired but not yet purged
-  }
-  return it->second.info;
+const MetadataService::RegisteredView* MetadataService::LiveView(
+    const Hash128& precise) const {
+  auto it = views_.find(precise);
+  if (it == views_.end() || !it->second.LiveAt(clock_->Now())) return nullptr;
+  return &it->second;
 }
 
 std::optional<MetadataService::InstanceKey> MetadataService::IndexKey(
@@ -206,36 +195,48 @@ std::optional<MetadataService::InstanceKey> MetadataService::IndexKey(
                      info.reuse_features->core_precise};
 }
 
-void MetadataService::Unindex(const InstanceKey& key, const Hash128& precise) {
-  auto it = instances_by_core_.find(key);
-  if (it == instances_by_core_.end()) return;
-  it->second.erase(precise);
-  if (it->second.empty()) instances_by_core_.erase(it);
+std::string MetadataService::EraseView(
+    std::unordered_map<Hash128, RegisteredView, Hash128Hasher>::iterator it) {
+  if (auto key = IndexKey(it->second.info)) {
+    auto iit = instances_by_core_.find(*key);
+    if (iit != instances_by_core_.end()) {
+      iit->second.erase(it->first);
+      if (iit->second.empty()) instances_by_core_.erase(iit);
+    }
+  }
+  std::string path = std::move(it->second.info.path);
+  views_.erase(it);
+  obs_.registered_views->Add(-1);
+  return path;
 }
 
 std::vector<MaterializedViewInfo> MetadataService::FindSubsumableInstances(
     const Hash128& normalized, const Hash128& core_precise) {
+  std::vector<MaterializedViewInfo> out;
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  auto it = instances_by_core_.find(InstanceKey{normalized, core_precise});
+  if (it == instances_by_core_.end()) return out;
   // std::set keeps the precise signatures ordered, which is the matcher's
   // determinism contract for instance iteration.
-  std::vector<Hash128> precise_sigs;
-  {
-    MutexLock lock(subsume_mu_);
-    auto it = instances_by_core_.find(InstanceKey{normalized, core_precise});
-    if (it == instances_by_core_.end()) return {};
-    precise_sigs.assign(it->second.begin(), it->second.end());
-  }
-  std::vector<MaterializedViewInfo> out;
-  for (const auto& precise : precise_sigs) {
-    auto info = LookupLive(precise);
-    if (info.has_value()) out.push_back(std::move(*info));
+  for (const Hash128& precise : it->second) {
+    if (const RegisteredView* view = LiveView(precise)) {
+      out.push_back(view->info);
+    }
   }
   return out;
 }
 
 std::optional<MaterializedViewInfo> MetadataService::FindMaterialized(
     const Hash128& normalized, const Hash128& precise) {
-  std::optional<MaterializedViewInfo> info = LookupLive(precise);
-  if (!info.has_value() || !(info->normalized_signature == normalized)) {
+  std::optional<MaterializedViewInfo> info;
+  {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    const RegisteredView* view = LiveView(precise);
+    if (view != nullptr && view->info.normalized_signature == normalized) {
+      info = view->info;
+    }
+  }
+  if (!info.has_value()) {
     obs_.misses->Increment();
     return std::nullopt;
   }
@@ -265,21 +266,19 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
     }
   }
   obs_.proposals->Increment();
-  // Orphaned files of a reclaimed lease are deleted after the shard mutex
-  // is released (same metadata-first ordering as PurgeExpired, Sec 5.4).
+  // Orphaned files of a reclaimed lease are deleted after the mutex is
+  // released (same metadata-first ordering as PurgeExpired, Sec 5.4).
   std::string orphan_prefix;
   {
-    Shard& shard = ShardFor(precise);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    if (shard.views.count(precise) > 0) {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    if (views_.count(precise) > 0) {
       obs_.locks_denied->Increment();
       return false;  // already materialized
     }
     LogicalTime now = clock_->Now();
     double wall_now = wall_clock_->NowSeconds();
-    auto it = shard.locks.find(precise);
-    if (it != shard.locks.end()) {
+    auto it = locks_.find(precise);
+    if (it != locks_.end()) {
       if (!LockExpired(it->second, now, wall_now)) {
         obs_.locks_denied->Increment();
         return false;  // a concurrent job is building this view
@@ -297,14 +296,11 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
     double expiry_seconds =
         std::max(kMinLockSeconds,
                  kLockExpiryMultiplier * expected_build_seconds);
-    shard.locks[precise] =
+    locks_[precise] =
         BuildLock{job_id, now + static_cast<LogicalTime>(expiry_seconds),
                   wall_now + expiry_seconds};
     obs_.locks_granted->Increment();
   }
-  // A granted lock is catalog state a cached plan depends on (a cached
-  // plan holding a Spool for this signature would double-build).
-  BumpEpoch();
   if (!orphan_prefix.empty()) {
     for (const auto& name : storage_->ListStreams(orphan_prefix)) {
       // Intentional drop: racing deletions of an unregistered orphan are
@@ -323,11 +319,9 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
     return status;
   };
   {
-    Shard& shard = ShardFor(info.precise_signature);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    auto vit = shard.views.find(info.precise_signature);
-    if (vit != shard.views.end()) {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    auto vit = views_.find(info.precise_signature);
+    if (vit != views_.end()) {
       if (vit->second.info.producer_job_id == info.producer_job_id) {
         return Status::OK();  // idempotent re-report by the same producer
       }
@@ -336,9 +330,8 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
           " already registered by job " +
           std::to_string(vit->second.info.producer_job_id)));
     }
-    auto lit = shard.locks.find(info.precise_signature);
-    if (lit != shard.locks.end() &&
-        lit->second.job_id != info.producer_job_id) {
+    auto lit = locks_.find(info.precise_signature);
+    if (lit != locks_.end() && lit->second.job_id != info.producer_job_id) {
       // Lease fencing: this builder's lock expired and another job took the
       // lease. Its registration is stale — the new builder owns the view.
       return reject(Status::Expired(
@@ -347,19 +340,15 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
           "; stale registration by job " +
           std::to_string(info.producer_job_id) + " rejected"));
     }
-    if (lit != shard.locks.end()) shard.locks.erase(lit);
-    shard.views[info.precise_signature] = RegisteredView{info, expires_at};
+    if (lit != locks_.end()) locks_.erase(lit);
+    views_[info.precise_signature] = RegisteredView{info, expires_at};
+    if (auto key = IndexKey(info)) {
+      instances_by_core_[*key].insert(info.precise_signature);
+    }
     obs_.registered_views->Add(1);
     obs_.views_registered->Increment();
     // Wake piggybackers blocked on this build: the view is now live.
-    shard.lock_cv.NotifyAll();
-  }
-  if (auto key = IndexKey(info)) {
-    // Secondary containment index; maintained outside the shard mutex
-    // (subsume_mu_ never nests with shard mutexes) and validated against
-    // the shards at read time, so this brief window is benign.
-    MutexLock lock(subsume_mu_);
-    instances_by_core_[*key].insert(info.precise_signature);
+    view_cv_.NotifyAll();
   }
   // A newly registered view invalidates cached plans that could have
   // reused it — never serve a stale rewrite.
@@ -368,24 +357,15 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
 }
 
 void MetadataService::AbandonLock(const Hash128& precise, uint64_t job_id) {
-  bool erased = false;
-  {
-    Shard& shard = ShardFor(precise);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    auto it = shard.locks.find(precise);
-    if (it != shard.locks.end() && it->second.job_id == job_id) {
-      shard.locks.erase(it);
-      erased = true;
-      obs_.locks_abandoned->Increment();
-      // Wake piggybackers: their builder gave up, so they should stop
-      // waiting and fall back to their reuse-blind plans.
-      shard.lock_cv.NotifyAll();
-    }
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  auto it = locks_.find(precise);
+  if (it != locks_.end() && it->second.job_id == job_id) {
+    locks_.erase(it);
+    obs_.locks_abandoned->Increment();
+    // Wake piggybackers: their builder gave up, so they should stop
+    // waiting and fall back to their reuse-blind plans.
+    view_cv_.NotifyAll();
   }
-  // The freed lock re-opens the materialization opportunity; cached plans
-  // compiled while it was held would silently skip the build.
-  if (erased) BumpEpoch();
 }
 
 Status MetadataService::WaitForMaterialized(const Hash128& precise,
@@ -406,16 +386,13 @@ Status MetadataService::WaitForMaterialized(const Hash128& precise,
   // forever, and the bound here is a liveness backstop, not lease policy.
   MonotonicClock* real = MonotonicClock::Real();
   const double deadline = real->NowSeconds() + timeout_seconds;
-  Shard& shard = ShardFor(precise);
-  obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                           wall_clock_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   for (;;) {
-    auto vit = shard.views.find(precise);
-    if (vit != shard.views.end() && vit->second.LiveAt(clock_->Now())) {
+    if (LiveView(precise) != nullptr) {
       return Status::OK();  // the build finished; re-probe and rewrite
     }
-    auto lit = shard.locks.find(precise);
-    if (lit == shard.locks.end() ||
+    auto lit = locks_.find(precise);
+    if (lit == locks_.end() ||
         LockExpired(lit->second, clock_->Now(), wall_clock_->NowSeconds())) {
       return Status::NotFound(
           "no live builder for view " + precise.ToHex() +
@@ -428,39 +405,27 @@ Status MetadataService::WaitForMaterialized(const Hash128& precise,
     }
     // Bounded slices: a builder whose lease lapses without any notify (the
     // crashed-builder case) is still detected within one slice.
-    shard.lock_cv.WaitFor(
-        shard.mu, std::chrono::duration<double>(std::min(remaining, 0.05)));
+    view_cv_.WaitFor(mu_,
+                     std::chrono::duration<double>(std::min(remaining, 0.05)));
   }
 }
 
 size_t MetadataService::PurgeExpired() {
   LogicalTime now = clock_->Now();
   std::vector<std::string> paths_to_delete;
-  std::vector<std::pair<InstanceKey, Hash128>> unindex;  // key, precise
-  for (Shard& shard : shards_) {
+  {
     // Clean the metadata first so no job can be handed an expired view,
     // then delete the physical files (Sec 5.4).
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    for (auto it = shard.views.begin(); it != shard.views.end();) {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    for (auto it = views_.begin(); it != views_.end();) {
+      auto next = std::next(it);
       if (!it->second.LiveAt(now)) {
-        paths_to_delete.push_back(it->second.info.path);
-        if (auto key = IndexKey(it->second.info)) {
-          unindex.emplace_back(*key, it->second.info.precise_signature);
-        }
-        it = shard.views.erase(it);
-        obs_.registered_views->Add(-1);
+        paths_to_delete.push_back(EraseView(it));
         obs_.views_purged->Increment();
-      } else {
-        ++it;
       }
+      it = next;
     }
   }
-  if (!unindex.empty()) {
-    MutexLock lock(subsume_mu_);
-    for (const auto& [key, precise] : unindex) Unindex(key, precise);
-  }
-  if (!paths_to_delete.empty()) BumpEpoch();
   for (const auto& path : paths_to_delete) {
     // Intentional drop: the file may already be gone (purged by the
     // storage manager's own expiry sweep), and the metadata entry is
@@ -472,25 +437,12 @@ size_t MetadataService::PurgeExpired() {
 
 Status MetadataService::DropView(const Hash128& precise) {
   std::string path;
-  std::optional<InstanceKey> key;
   {
-    Shard& shard = ShardFor(precise);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    auto it = shard.views.find(precise);
-    if (it == shard.views.end()) {
-      return Status::NotFound("view not registered");
-    }
-    path = it->second.info.path;
-    key = IndexKey(it->second.info);
-    shard.views.erase(it);
-    obs_.registered_views->Add(-1);
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    auto it = views_.find(precise);
+    if (it == views_.end()) return Status::NotFound("view not registered");
+    path = EraseView(it);
   }
-  if (key.has_value()) {
-    MutexLock lock(subsume_mu_);
-    Unindex(*key, precise);
-  }
-  BumpEpoch();
   return storage_->DeleteStream(path);
 }
 
@@ -520,31 +472,23 @@ size_t MetadataService::NumAnnotations() const {
 }
 
 size_t MetadataService::NumActiveLocks() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    n += shard.locks.size();
-  }
-  return n;
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  return locks_.size();
 }
 
 std::vector<std::pair<Hash128, uint64_t>> MetadataService::HeldLocks() const {
   std::vector<std::pair<Hash128, uint64_t>> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (const auto& [precise, held] : shard.locks) {
-      out.emplace_back(precise, held.job_id);
-    }
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  for (const auto& [precise, held] : locks_) {
+    out.emplace_back(precise, held.job_id);
   }
   return out;
 }
 
 std::vector<MaterializedViewInfo> MetadataService::ListViews() const {
   std::vector<MaterializedViewInfo> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (const auto& [precise, view] : shard.views) out.push_back(view.info);
-  }
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  for (const auto& [precise, view] : views_) out.push_back(view.info);
   return out;
 }
 

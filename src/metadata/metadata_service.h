@@ -1,7 +1,6 @@
 #ifndef CLOUDVIEWS_METADATA_METADATA_SERVICE_H_
 #define CLOUDVIEWS_METADATA_METADATA_SERVICE_H_
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -40,12 +39,12 @@ struct AnnotatedComputation {
 /// production; here an in-memory, thread-safe store on the simulated
 /// cluster.
 ///
-/// Concurrency layout (see DESIGN.md "Recurring-job fast path"): the
-/// registered-view map and build locks are striped across kNumShards
-/// signature-keyed shards so concurrent SubmitJobs stop convoying on one
-/// service-wide mutex, while the analyzer output + tag inverted index —
-/// written rarely, read on every lookup — live in an immutable snapshot
-/// swapped behind a short-critical-section pointer lock.
+/// Concurrency layout (see DESIGN.md "Recurring-job fast path"): one mutex
+/// guards the registered views, the build locks, the containment instance
+/// index and the pointer to the analyzer output. That output and its tag
+/// inverted index, written rarely and read on every lookup, are an
+/// immutable snapshot: a lookup copies the pointer under the mutex and
+/// scans it with no lock held. Storage calls never run under the mutex.
 class MetadataService : public ViewCatalogInterface {
  public:
   /// `wall_clock` drives build-lock *leases* and times the mutex waits: a
@@ -54,11 +53,10 @@ class MetadataService : public ViewCatalogInterface {
   /// advances the simulated clock. Tests inject a FakeMonotonicClock to
   /// exercise lease expiry deterministically.
   ///
-  /// The counters, the registered-view gauge and the mutex wait histograms
-  /// (the aggregate `cv_metadata_lock_wait_seconds` plus one labeled
-  /// histogram per shard stripe — the per-shard contention signal) are
-  /// registered into `metrics`, or into a registry the service owns when
-  /// it is null. Lookups and proposals go through `fault`
+  /// The counters, the registered-view gauge and the mutex wait histogram
+  /// (`cv_metadata_lock_wait_seconds`, one observation per acquisition)
+  /// are registered into `metrics`, or into a registry the service owns
+  /// when it is null. Lookups and proposals go through `fault`
   /// (metadata.lookup and metadata.propose points); null disables
   /// injection.
   MetadataService(SimulatedClock* clock, StorageManager* storage,
@@ -67,13 +65,15 @@ class MetadataService : public ViewCatalogInterface {
                   MonotonicClock* wall_clock = MonotonicClock::Real(),
                   fault::FaultInjector* fault = nullptr);
 
-  /// Number of signature-keyed shard stripes for views + build locks.
-  static constexpr size_t kNumShards = 8;
-
-  /// Monotone counter bumped on every catalog state change a cached plan
-  /// could depend on: analysis reload, view registration / purge / drop,
-  /// build-lock grant / release. A plan compiled at epoch E is valid only
-  /// while CatalogEpoch() == E (the plan cache's invalidation signal).
+  /// Monotone counter moved only by the catalog changes that can make a
+  /// served plan stale: an analysis load (new annotations change which
+  /// rewrites the optimizer picks) and an accepted view registration (a
+  /// cached plan could now reuse the view). A plan compiled at epoch E is
+  /// served at the plan cache's full tier only while CatalogEpoch() == E.
+  /// Lock grants and abandons, purges and drops leave it alone: the full
+  /// tier caches only plans that built nothing and were denied no lock,
+  /// and a full-hit serve re-checks that every view the plan reads is
+  /// still registered and live (JobService::CachedViewReadsLive).
   uint64_t CatalogEpoch() const {
     return catalog_epoch_.load(std::memory_order_acquire);
   }
@@ -81,7 +81,7 @@ class MetadataService : public ViewCatalogInterface {
   /// Installs a new analysis (replacing the previous one), rebuilding the
   /// tag inverted index. Called when the analyzer output is refreshed.
   void LoadAnalysis(const std::vector<AnnotatedComputation>& computations)
-      EXCLUDES(analysis_mu_);
+      EXCLUDES(mu_);
 
   /// Step 1/2 of Fig 9: one request per job returning every annotation
   /// relevant to any of the job's tags (may contain false positives — the
@@ -89,36 +89,38 @@ class MetadataService : public ViewCatalogInterface {
   /// latency through `latency_seconds` when non-null.
   std::vector<ViewAnnotation> GetRelevantViews(
       const std::vector<std::string>& tags,
-      double* latency_seconds = nullptr) const EXCLUDES(analysis_mu_);
+      double* latency_seconds = nullptr) const EXCLUDES(mu_);
 
   /// Fallible variant of GetRelevantViews: the metadata.lookup injection
   /// point (keyed by the joined tags) models a lookup timeout. Callers
   /// must degrade to running without reuse, never fail the job.
   Result<std::vector<ViewAnnotation>> TryGetRelevantViews(
       const std::vector<std::string>& tags,
-      double* latency_seconds = nullptr) const EXCLUDES(analysis_mu_);
+      double* latency_seconds = nullptr) const EXCLUDES(mu_);
 
   /// Looks up the loaded annotation for one computation template (admin
   /// drill-down and eviction use this).
   std::optional<ViewAnnotation> FindAnnotation(const Hash128& normalized) const
-      EXCLUDES(analysis_mu_);
+      EXCLUDES(mu_);
 
   /// Containment tier 1: every annotation whose feature table-set key
   /// matches one of `table_set_keys` (the keys of the job's subgraphs).
   /// Lets candidate enumeration touch only same-table-set annotations
-  /// instead of scanning the full catalog. Lock-free snapshot scan, like
-  /// GetRelevantViews.
+  /// instead of scanning the full catalog. Scans the snapshot with no lock
+  /// held, like GetRelevantViews.
   std::vector<ViewAnnotation> GetContainmentCandidates(
-      const std::vector<Hash128>& table_set_keys) const EXCLUDES(analysis_mu_);
+      const std::vector<Hash128>& table_set_keys) const EXCLUDES(mu_);
 
   // --- ViewCatalogInterface (optimizer-facing) -----------------------------
 
   std::optional<MaterializedViewInfo> FindMaterialized(
-      const Hash128& normalized, const Hash128& precise) override;
+      const Hash128& normalized, const Hash128& precise) override
+      EXCLUDES(mu_);
 
   bool ProposeMaterialize(const Hash128& normalized, const Hash128& precise,
                           uint64_t job_id,
-                          double expected_build_seconds) override;
+                          double expected_build_seconds) override
+      EXCLUDES(mu_);
 
   /// Containment tier 2.5: the live materialized instances of one template
   /// over one core, sorted by precise signature (the matcher's determinism
@@ -126,7 +128,7 @@ class MetadataService : public ViewCatalogInterface {
   /// with the template's history of instances over other inputs.
   std::vector<MaterializedViewInfo> FindSubsumableInstances(
       const Hash128& normalized, const Hash128& core_precise) override
-      EXCLUDES(subsume_mu_);
+      EXCLUDES(mu_);
 
   // --- Job-manager-facing ---------------------------------------------------
 
@@ -141,12 +143,13 @@ class MetadataService : public ViewCatalogInterface {
   /// idempotent OK). Callers must drop their written view file on
   /// rejection — the metadata decision is authoritative.
   Status ReportMaterialized(const MaterializedViewInfo& info,
-                            LogicalTime expires_at);
+                            LogicalTime expires_at) EXCLUDES(mu_);
 
   /// Releases a build lock without registering (job failed after
   /// proposing). Idempotent; only the owning job's lock is released. The
   /// lock also auto-expires (logical expiry or wall lease).
-  void AbandonLock(const Hash128& precise, uint64_t job_id) override;
+  void AbandonLock(const Hash128& precise, uint64_t job_id) override
+      EXCLUDES(mu_);
 
   /// Piggyback wait (work sharing): blocks until the view identified by
   /// `precise` becomes live, the live builder disappears, or
@@ -158,14 +161,15 @@ class MetadataService : public ViewCatalogInterface {
   /// The sharing.piggyback_timeout injection point forces the timeout
   /// outcome without waiting. Never call while holding a build lock of
   /// your own — builders must not piggyback on builders.
-  Status WaitForMaterialized(const Hash128& precise, double timeout_seconds);
+  Status WaitForMaterialized(const Hash128& precise, double timeout_seconds)
+      EXCLUDES(mu_);
 
   /// Removes expired views from the metadata *first*, then deletes their
   /// files (Sec 5.4 ordering). Returns the number of views purged.
-  size_t PurgeExpired();
+  size_t PurgeExpired() EXCLUDES(mu_);
 
   /// Drops a view outright (admin reclamation, Sec 5.4).
-  Status DropView(const Hash128& precise);
+  Status DropView(const Hash128& precise) EXCLUDES(mu_);
 
   // --- Introspection ----------------------------------------------------------
 
@@ -192,15 +196,15 @@ class MetadataService : public ViewCatalogInterface {
 
   /// Reads the registered-view gauge; O(1).
   size_t NumRegisteredViews() const;
-  size_t NumAnnotations() const EXCLUDES(analysis_mu_);
-  std::vector<MaterializedViewInfo> ListViews() const;
+  size_t NumAnnotations() const EXCLUDES(mu_);
+  std::vector<MaterializedViewInfo> ListViews() const EXCLUDES(mu_);
 
   /// Build locks currently held (expired-but-unreclaimed included). The
   /// leak-freedom invariant tested after every workload: this must be
   /// empty once all jobs have finished.
-  size_t NumActiveLocks() const;
+  size_t NumActiveLocks() const EXCLUDES(mu_);
   /// (precise signature, owning job) of every held lock, for diagnostics.
-  std::vector<std::pair<Hash128, uint64_t>> HeldLocks() const;
+  std::vector<std::pair<Hash128, uint64_t>> HeldLocks() const EXCLUDES(mu_);
 
   /// Simulated per-request latency under the configured thread count.
   double SimulatedLookupLatency() const;
@@ -226,107 +230,17 @@ class MetadataService : public ViewCatalogInterface {
   };
 
   /// Immutable analyzer output + tag inverted index. Replaced wholesale by
-  /// LoadAnalysis; lookups grab the shared_ptr under analysis_mu_ (a
-  /// pointer copy) and read without any lock — the read-mostly snapshot
-  /// path of the metadata hot path.
+  /// LoadAnalysis; lookups copy the shared_ptr under mu_ and read the
+  /// snapshot with no lock held.
   struct AnalysisSnapshot {
     std::vector<AnnotatedComputation> computations;
-    // shard-stripe: immutable after construction — this map is only ever
-    // read through a shared_ptr<const AnalysisSnapshot>, never mutated
-    // under a service-wide mutex.
     std::unordered_map<std::string, std::set<size_t>> tag_index;
-    // shard-stripe: immutable after construction, read lock-free through
-    // the snapshot pointer like tag_index. Maps a feature table-set key to
-    // the computations over exactly that table set, so containment
-    // candidate enumeration never scans the full catalog.
+    /// Maps a feature table-set key to the computations over exactly that
+    /// table set, so containment candidate enumeration never scans the
+    /// full catalog.
     std::unordered_map<Hash128, std::vector<size_t>, Hash128Hasher>
         table_set_index;
   };
-
-  /// One signature-keyed stripe of the view/lock state. A precise
-  /// signature's views entry and build lock live in the same shard, so
-  /// FindMaterialized / ProposeMaterialize / ReportMaterialized stay
-  /// atomic per signature while different signatures stop convoying on a
-  /// single service-wide mutex (Sec 7.3 measures this lookup path).
-  struct Shard {
-    mutable Mutex mu;
-    // shard-stripe: `mu` is this stripe's own mutex (1/kNumShards of the
-    // keyspace, selected by precise-signature hash), not a service-wide
-    // lock — see DESIGN.md "Recurring-job fast path".
-    std::unordered_map<Hash128, RegisteredView, Hash128Hasher> views
-        GUARDED_BY(mu);
-    // shard-stripe: same stripe mutex as `views` above; a signature's view
-    // and build lock must flip atomically together.
-    std::unordered_map<Hash128, BuildLock, Hash128Hasher> locks
-        GUARDED_BY(mu);
-    /// Wakes WaitForMaterialized piggybackers when a view of this stripe
-    /// registers or a build lock is released/abandoned.
-    CondVar lock_cv;
-    /// Per-stripe wait histogram; set at construction.
-    obs::Histogram* lock_wait = nullptr;
-  };
-
-  struct Instruments {
-    obs::Counter* lookups = nullptr;
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* propose_attempts = nullptr;
-    obs::Counter* proposals = nullptr;
-    obs::Counter* locks_granted = nullptr;
-    obs::Counter* locks_denied = nullptr;
-    obs::Counter* locks_abandoned = nullptr;
-    obs::Counter* leases_reclaimed = nullptr;
-    obs::Counter* stale_registrations = nullptr;
-    obs::Counter* orphans_cleaned = nullptr;
-    obs::Counter* views_registered = nullptr;
-    obs::Counter* views_purged = nullptr;
-    /// Registered views across all shards, moved by +1/-1 inside the shard
-    /// critical section that adds or erases the view.
-    obs::Gauge* registered_views = nullptr;
-    obs::Histogram* lock_wait = nullptr;
-  };
-
-  /// True when `lock` is expired on either timeline; see BuildLock.
-  static bool LockExpired(const BuildLock& lock, LogicalTime now,
-                          double wall_now) {
-    return lock.expires_at <= now || lock.lease_deadline_wall <= wall_now;
-  }
-
-  static size_t ShardIndex(const Hash128& precise) {
-    return static_cast<size_t>(precise.lo) % kNumShards;
-  }
-  Shard& ShardFor(const Hash128& precise) {
-    return shards_[ShardIndex(precise)];
-  }
-
-  /// Counter-free liveness check for one registered instance. Containment
-  /// probes use this instead of FindMaterialized so they do not skew the
-  /// exact-lookup hit/miss counters.
-  std::optional<MaterializedViewInfo> LookupLive(const Hash128& precise);
-
-  /// Catalog changed in a way a cached plan could observe; invalidate.
-  void BumpEpoch() { catalog_epoch_.fetch_add(1, std::memory_order_acq_rel); }
-
-  /// Grabs the current analysis snapshot (may be null before the first
-  /// LoadAnalysis).
-  std::shared_ptr<const AnalysisSnapshot> AnalysisView() const
-      EXCLUDES(analysis_mu_);
-
-  SimulatedClock* clock_;
-  StorageManager* storage_;
-  MetadataServiceConfig config_;
-  MonotonicClock* wall_clock_;
-  fault::FaultInjector* fault_;
-  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
-  Instruments obs_;
-
-  /// Signature-keyed stripes for registered views + build locks; see Shard.
-  std::array<Shard, kNumShards> shards_;
-
-  /// Guards only the snapshot pointer swap — the snapshot itself is
-  /// immutable and read lock-free (see AnalysisSnapshot).
-  mutable Mutex analysis_mu_;
-  std::shared_ptr<const AnalysisSnapshot> analysis_ GUARDED_BY(analysis_mu_);
 
   /// Key of the containment instance index: a computation template and the
   /// precise signature of its core (the plan below the cap, i.e. the
@@ -349,24 +263,86 @@ class MetadataService : public ViewCatalogInterface {
     }
   };
 
+  struct Instruments {
+    obs::Counter* lookups = nullptr;
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* propose_attempts = nullptr;
+    obs::Counter* proposals = nullptr;
+    obs::Counter* locks_granted = nullptr;
+    obs::Counter* locks_denied = nullptr;
+    obs::Counter* locks_abandoned = nullptr;
+    obs::Counter* leases_reclaimed = nullptr;
+    obs::Counter* stale_registrations = nullptr;
+    obs::Counter* orphans_cleaned = nullptr;
+    obs::Counter* views_registered = nullptr;
+    obs::Counter* views_purged = nullptr;
+    /// Registered views, moved by +1/-1 inside the critical section that
+    /// adds or erases the view.
+    obs::Gauge* registered_views = nullptr;
+    obs::Histogram* lock_wait = nullptr;
+  };
+
+  /// True when `lock` is expired on either timeline; see BuildLock.
+  static bool LockExpired(const BuildLock& lock, LogicalTime now,
+                          double wall_now) {
+    return lock.expires_at <= now || lock.lease_deadline_wall <= wall_now;
+  }
+
+  /// The registered view of `precise` when it is live now; null when it is
+  /// absent, or expired but not yet purged. Counts nothing, so containment
+  /// probes do not skew the exact-lookup hit/miss counters.
+  const RegisteredView* LiveView(const Hash128& precise) const REQUIRES(mu_);
+
   /// The index key of a registered instance; nullopt when it carries no
   /// reuse features (such an instance only serves exact matches).
   static std::optional<InstanceKey> IndexKey(const MaterializedViewInfo& info);
-  /// Removes one instance from the containment index.
-  void Unindex(const InstanceKey& key, const Hash128& precise)
-      REQUIRES(subsume_mu_);
 
+  /// Erases one registered view and its containment index entry, and
+  /// returns its file path for the caller to delete once mu_ is released.
+  std::string EraseView(
+      std::unordered_map<Hash128, RegisteredView, Hash128Hasher>::iterator it)
+      REQUIRES(mu_);
+
+  /// Catalog changed in a way a served plan could observe; invalidate.
+  void BumpEpoch() { catalog_epoch_.fetch_add(1, std::memory_order_acq_rel); }
+
+  /// Grabs the current analysis snapshot (may be null before the first
+  /// LoadAnalysis).
+  std::shared_ptr<const AnalysisSnapshot> AnalysisView() const EXCLUDES(mu_);
+
+  SimulatedClock* clock_;
+  StorageManager* storage_;
+  MetadataServiceConfig config_;
+  MonotonicClock* wall_clock_;
+  fault::FaultInjector* fault_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  Instruments obs_;
+
+  /// The one lock of the service; every acquisition is timed into
+  /// `cv_metadata_lock_wait_seconds`.
+  mutable Mutex mu_;
+  /// Wakes WaitForMaterialized piggybackers when a view registers or a
+  /// build lock is abandoned.
+  CondVar view_cv_;
+  // shard-stripe: one lock, not eight signature stripes: on micro_service
+  // (6 clients, 4 workers, 4000 jobs) 87% of stripe acquisitions fell on
+  // one stripe, and all metadata waits summed to under a tenth of the
+  // storage mutex's (DESIGN.md "One metadata lock").
+  std::unordered_map<Hash128, RegisteredView, Hash128Hasher> views_
+      GUARDED_BY(mu_);
+  // shard-stripe: the one lock, per the micro_service measurement on
+  // views_; a signature's view and build lock flip together.
+  std::unordered_map<Hash128, BuildLock, Hash128Hasher> locks_
+      GUARDED_BY(mu_);
+  std::shared_ptr<const AnalysisSnapshot> analysis_ GUARDED_BY(mu_);
   /// Secondary index for containment matching: which precise instances of
-  /// each (template, core) pair are registered. Off the FindMaterialized
-  /// path, so a single mutex suffices; entries are validated against the
-  /// shards before use.
-  mutable Mutex subsume_mu_;
-  // On a recurring workload the tier 2.5 probe runs on most compiles, but
-  // it copies only the instances over the query's own core (usually one).
-  // shard-stripe: intentionally NOT striped — one short critical section
-  // per registration, purge, drop and containment probe.
+  /// each (template, core) pair are registered. It moves in the same
+  /// critical section as views_, so it never names an unregistered view.
+  // shard-stripe: the one lock, per the micro_service measurement on
+  // views_; the probe copies only the instances over the query's core.
   std::unordered_map<InstanceKey, std::set<Hash128>, InstanceKeyHasher>
-      instances_by_core_ GUARDED_BY(subsume_mu_);
+      instances_by_core_ GUARDED_BY(mu_);
 
   /// Starts at 1 so 0 can mean "no epoch observed" in callers.
   std::atomic<uint64_t> catalog_epoch_{1};

@@ -22,18 +22,6 @@ class SCOPED_CAPABILITY TimedMutexLock {
     mu_.Lock();
     wait_hist->Observe(clock->NowSeconds() - start);
   }
-
-  /// Same, feeding the wait into two histograms — a specific one (e.g. one
-  /// metadata shard stripe) and an aggregate one.
-  TimedMutexLock(Mutex& mu, Histogram* wait_hist, Histogram* aggregate_hist,
-                 MonotonicClock* clock) ACQUIRE(mu)
-      : mu_(mu) {
-    double start = clock->NowSeconds();
-    mu_.Lock();
-    double waited = clock->NowSeconds() - start;
-    wait_hist->Observe(waited);
-    aggregate_hist->Observe(waited);
-  }
   ~TimedMutexLock() RELEASE() { mu_.Unlock(); }
 
   TimedMutexLock(const TimedMutexLock&) = delete;

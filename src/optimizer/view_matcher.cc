@@ -9,23 +9,6 @@ namespace cloudviews {
 
 namespace {
 
-/// True when an expression's precise hash is stable across recurring
-/// instances of a template: no parameters, no date literals (both are
-/// abstracted by normalized signatures and change value per instance).
-/// Structural (tier-2) expression matching is only sound for stable exprs;
-/// unstable conjuncts are matched per-instance via precise hashes instead.
-bool IsInstanceStable(const Expr& e) {
-  if (e.kind() == ExprKind::kParameter) return false;
-  if (e.kind() == ExprKind::kLiteral &&
-      static_cast<const LiteralExpr&>(e).value().type() == DataType::kDate) {
-    return false;
-  }
-  for (const auto& c : e.children()) {
-    if (!IsInstanceStable(*c)) return false;
-  }
-  return true;
-}
-
 Hash128 ColRefHash(const std::string& name) {
   ColumnRefExpr ref(name);
   HashBuilder hb;
@@ -218,7 +201,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
   }
   if (vs.cap.project != nullptr) {
     for (const auto& ne : vs.cap.project->exprs()) {
-      if (!IsInstanceStable(*ne.expr)) continue;
+      if (VariesByInstance(*ne.expr)) continue;
       vs.input_by_hash.emplace(ExprPreciseHash(*ne.expr), ne.name);
     }
   } else {
@@ -248,7 +231,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
   // per-group-constant values.
   auto remap = [&](const ExprPtr& canon) -> ExprPtr {
     if (canon == nullptr) return nullptr;
-    if (IsInstanceStable(*canon)) {
+    if (!VariesByInstance(*canon)) {
       auto it = vs.input_by_hash.find(ExprPreciseHash(*canon));
       if (it != vs.input_by_hash.end() &&
           (vs.cap.aggregate == nullptr || vs.group_keys.count(it->second))) {
@@ -338,7 +321,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
                   return it == vprov.end() ? nullptr : it->second->Clone();
                 });
           }
-          if (canon != nullptr && IsInstanceStable(*canon)) {
+          if (canon != nullptr && !VariesByInstance(*canon)) {
             v.stable = true;
             v.canon = ExprPreciseHash(*canon);
           }
@@ -360,7 +343,7 @@ PlanNodePtr CandidateMatcher::TryCandidate(
         Hash128 qcanon;
         if (spec.arg != nullptr) {
           ExprPtr canon = canonical(spec.arg);
-          if (canon == nullptr || !IsInstanceStable(*canon)) return nullptr;
+          if (canon == nullptr || VariesByInstance(*canon)) return nullptr;
           qcanon = ExprPreciseHash(*canon);
         }
         switch (spec.func) {

@@ -303,8 +303,8 @@ Status JobService::Compile(JobState& job) {
 bool JobService::ServeFullHit(JobState& job) {
   if (!job.probe.rewritten_valid) return false;
   // Full hit: same template, same data, unchanged catalog epoch. Still
-  // validate every view read against the live catalog (clock-driven
-  // expiry bumps no epoch) before skipping the whole compile pipeline.
+  // validate every view read against the live catalog (expiry, purges and
+  // drops bump no epoch) before skipping the whole compile pipeline.
   if (!CachedViewReadsLive(job.probe.entry->rewritten)) {
     plan_cache_.OnDemoted();
     return false;
@@ -570,9 +570,9 @@ void JobService::PublishPlan(JobState& job) {
     // Plans that materialized views carry Spool side effects (build locks,
     // view writes) and must not replay; the skeleton tier still serves the
     // template. A lock-denied plan is also excluded: it lacks the Spool a
-    // fresh optimize would add once the lock frees up, and lock expiry
-    // bumps no catalog epoch — a full hit would silently stop trying to
-    // build the view.
+    // fresh optimize would add once the lock frees up, and neither a lock's
+    // release nor its expiry bumps the catalog epoch — a full hit would
+    // silently stop trying to build the view.
     if (job.optimized.views_materialized == 0 &&
         result.materialize_lock_denied == 0) {
       entry.rewritten = job.optimized.root->Clone();

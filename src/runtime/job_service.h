@@ -213,8 +213,8 @@ class JobService {
 
   /// True when every ViewRead under `root` still resolves to the same live
   /// view in the metadata service. Guards serving a cached rewritten plan:
-  /// clock-driven view expiry bumps no catalog epoch, so the epoch check
-  /// alone cannot rule out a stale view scan.
+  /// view expiry, purges and drops bump no catalog epoch, so the epoch
+  /// check alone cannot rule out a stale view scan.
   bool CachedViewReadsLive(const PlanNodePtr& root);
 
   SimulatedClock* clock_;

@@ -2,6 +2,7 @@
 
 #include "expr/aggregate.h"
 #include "expr/expr.h"
+#include "signature/containment.h"
 
 namespace cloudviews {
 
@@ -129,19 +130,6 @@ PlanCache::Stats PlanCache::stats() const {
 
 namespace {
 
-bool ExprHasParamHole(const Expr& expr) {
-  if (expr.kind() == ExprKind::kParameter) return true;
-  if (expr.kind() == ExprKind::kLiteral &&
-      static_cast<const LiteralExpr&>(expr).value().type() ==
-          DataType::kDate) {
-    return true;
-  }
-  for (const ExprPtr& child : expr.children()) {
-    if (child != nullptr && ExprHasParamHole(*child)) return true;
-  }
-  return false;
-}
-
 /// Pre-order collection of the nodes carrying node-local `{param}` holes.
 void CollectParamHoleNodes(PlanNode* node, std::vector<PlanNode*>* out) {
   switch (node->kind()) {
@@ -166,7 +154,7 @@ bool HasExprLevelParamHoles(const PlanNode& plan) {
     case OpKind::kFilter: {
       const auto& filter = static_cast<const FilterNode&>(plan);
       if (filter.predicate() != nullptr &&
-          ExprHasParamHole(*filter.predicate())) {
+          VariesByInstance(*filter.predicate())) {
         return true;
       }
       break;
@@ -174,14 +162,14 @@ bool HasExprLevelParamHoles(const PlanNode& plan) {
     case OpKind::kProject: {
       const auto& project = static_cast<const ProjectNode&>(plan);
       for (const NamedExpr& ne : project.exprs()) {
-        if (ne.expr != nullptr && ExprHasParamHole(*ne.expr)) return true;
+        if (ne.expr != nullptr && VariesByInstance(*ne.expr)) return true;
       }
       break;
     }
     case OpKind::kAggregate: {
       const auto& agg = static_cast<const AggregateNode&>(plan);
       for (const AggregateSpec& spec : agg.aggregates()) {
-        if (spec.arg != nullptr && ExprHasParamHole(*spec.arg)) return true;
+        if (spec.arg != nullptr && VariesByInstance(*spec.arg)) return true;
       }
       break;
     }

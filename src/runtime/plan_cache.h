@@ -28,8 +28,8 @@ namespace cloudviews {
 ///    optimize, re-running only physical planning and the view passes.
 ///  - the *rewritten* physical plan, tagged with the metadata service's
 ///    catalog epoch and the instance's precise signature. It is served
-///    only when the epoch still matches (no view was registered, purged,
-///    or lock-flipped since — never serve a stale rewrite) and the precise
+///    only when the epoch still matches (no analysis was loaded and no
+///    view registered since — never serve a stale rewrite) and the precise
 ///    signature matches (same template over the same data).
 class PlanCache {
  public:
@@ -91,8 +91,8 @@ class PlanCache {
 
   /// Outcome accounting — the service decides after validation/rebinding.
   void OnServed(bool full_hit);
-  /// A full-hit candidate failed live-view validation (clock-driven expiry
-  /// bumps no epoch) and was demoted to the skeleton tier.
+  /// A full-hit candidate failed live-view validation (expiry, purges and
+  /// drops bump no epoch) and was demoted to the skeleton tier.
   void OnDemoted();
   /// A skeleton's `{param}` holes could not be rebound; full replan.
   void OnRebindFailed();

@@ -157,10 +157,14 @@ Hash128 ExprPreciseHash(const Expr& e) {
   return hb.Finish();
 }
 
-bool ContainsParameter(const Expr& e) {
+bool VariesByInstance(const Expr& e) {
   if (e.kind() == ExprKind::kParameter) return true;
-  for (const auto& c : e.children()) {
-    if (ContainsParameter(*c)) return true;
+  if (e.kind() == ExprKind::kLiteral &&
+      static_cast<const LiteralExpr&>(e).value().type() == DataType::kDate) {
+    return true;
+  }
+  for (const ExprPtr& c : e.children()) {
+    if (c != nullptr && VariesByInstance(*c)) return true;
   }
   return false;
 }

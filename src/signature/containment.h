@@ -73,12 +73,13 @@ void FlattenConjuncts(const ExprPtr& predicate, std::vector<ExprPtr>* out);
 /// Standalone precise hash of one expression.
 Hash128 ExprPreciseHash(const Expr& e);
 
-/// True if the expression tree contains a ParameterExpr anywhere. Exprs
-/// with parameters change value across recurring instances, so structural
-/// (template-level) expression matching is only sound for parameter-free
-/// exprs; parameterized conjuncts are still matched per-instance via their
-/// precise hashes.
-bool ContainsParameter(const Expr& e);
+/// True if the expression's value can differ between recurring instances
+/// of one template: a ParameterExpr or a date literal anywhere below
+/// (normalized signatures abstract both). Structural (template-level)
+/// expression matching is only sound for exprs that do not vary, and the
+/// plan cache gives a template whose predicates vary no skeleton tier.
+/// Null children are skipped.
+bool VariesByInstance(const Expr& e);
 
 /// Computes predicate features for a (possibly null) filter predicate.
 PredicateFeatures ComputePredicateFeatures(const ExprPtr& predicate);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "fault/fault_injector.h"
 #include "metadata/metadata_service.h"
 
@@ -351,6 +353,180 @@ TEST_F(MetadataTest, ConcurrentProposalsGrantExactlyOne) {
     }
     for (auto& t : threads) t.join();
     EXPECT_EQ(granted.load(), 1);
+  }
+}
+
+// The seeded mixed workload of the concurrency test below: a small key
+// space of precise signatures, each of a fixed template, registered over a
+// core drawn per registration, so an index entry left behind by a drop or
+// purge would surface under the wrong core.
+constexpr uint64_t kStressPrecise = 8;
+constexpr uint64_t kStressTemplates = 2;
+constexpr uint64_t kStressCores = 2;
+
+uint64_t TemplateOf(uint64_t precise) { return 1 + precise % kStressTemplates; }
+
+/// Registration of `precise` over `core` by `producer`, expiring at
+/// `expires_at`; the expiry rides in `rows` so a probe can check that what
+/// it was handed was live.
+MaterializedViewInfo Registration(uint64_t precise, uint64_t core,
+                                  uint64_t producer, LogicalTime expires_at) {
+  MaterializedViewInfo info =
+      Instance(TemplateOf(precise), 100 + precise, core, producer);
+  info.rows = static_cast<double>(expires_at);
+  return info;
+}
+
+bool LiveAt(const MaterializedViewInfo& info, LogicalTime now) {
+  return info.rows == 0 || info.rows > static_cast<double>(now);
+}
+
+/// True when every instance of a (template, core) probe is of that key,
+/// was live at `before` (the clock reading taken before the probe), and
+/// the list is in precise-signature order.
+bool ProbeIsSound(const std::vector<MaterializedViewInfo>& found,
+                  uint64_t templ, uint64_t core, LogicalTime before) {
+  for (const MaterializedViewInfo& info : found) {
+    if (info.normalized_signature != H(templ) ||
+        TemplateOf(info.precise_signature.hi - 100) != templ ||
+        info.reuse_features == nullptr ||
+        info.reuse_features->core_precise != Core(core) ||
+        !LiveAt(info, before)) {
+      return false;
+    }
+  }
+  return std::is_sorted(
+      found.begin(), found.end(),
+      [](const MaterializedViewInfo& a, const MaterializedViewInfo& b) {
+        return a.precise_signature < b.precise_signature;
+      });
+}
+
+/// One worker: `ops` seeded operations over the shared key space; counts
+/// every unsound probe answer into `unsound`.
+void StressWorker(MetadataService* service, SimulatedClock* clock,
+                  uint64_t seed, int ops, std::atomic<int>* unsound) {
+  Rng rng(seed);
+  for (int i = 0; i < ops; ++i) {
+    const uint64_t p = rng.Uniform(kStressPrecise);
+    const Hash128 norm = H(TemplateOf(p));
+    const Hash128 precise = H(100 + p);
+    const uint64_t job = seed * 1000000 + static_cast<uint64_t>(i) + 1;
+    const LogicalTime before = clock->Now();
+    switch (rng.Uniform(8)) {
+      case 0:
+      case 1: {  // build: propose, then register or abandon
+        if (!service->ProposeMaterialize(norm, precise, job, 10)) break;
+        if (rng.Bernoulli(0.2)) {
+          service->AbandonLock(precise, job);
+          break;
+        }
+        LogicalTime expires =
+            rng.Bernoulli(0.5) ? 0 : before + rng.UniformRange(1, 5);
+        MaterializedViewInfo info = Registration(
+            p, 1 + rng.Uniform(kStressCores), job, expires);
+        if (!service->ReportMaterialized(info, expires).ok()) {
+          service->AbandonLock(precise, job);  // fenced out
+        }
+        break;
+      }
+      case 2: {
+        auto found = service->FindMaterialized(norm, precise);
+        if (found.has_value() &&
+            (found->precise_signature != precise ||
+             found->normalized_signature != norm || !LiveAt(*found, before))) {
+          ++*unsound;
+        }
+        break;
+      }
+      case 3:
+      case 4: {
+        const uint64_t templ = 1 + rng.Uniform(kStressTemplates);
+        const uint64_t core = 1 + rng.Uniform(kStressCores);
+        if (!ProbeIsSound(
+                service->FindSubsumableInstances(H(templ), Core(core)), templ,
+                core, before)) {
+          ++*unsound;
+        }
+        break;
+      }
+      case 5:
+        (void)service->DropView(precise);  // no file was written: NotFound
+        break;
+      case 6:
+        (void)service->WaitForMaterialized(precise, 0.001);
+        break;
+      default:
+        clock->AdvanceSeconds(1);
+        service->PurgeExpired();
+        break;
+    }
+  }
+}
+
+TEST_F(MetadataTest, ConcurrentMixKeepsViewsLocksAndIndexInStep) {
+  constexpr int kThreads = 6;
+  constexpr int kOps = 1500;
+  std::atomic<int> unsound{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      StressWorker(&service_, &clock_, static_cast<uint64_t>(t) + 1, kOps,
+                   &unsound);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(unsound.load(), 0);
+
+  // Quiescent: every build registered or gave its lock back, and each
+  // probe lists exactly the registered live views of its key.
+  EXPECT_EQ(service_.NumActiveLocks(), 0u);
+  const std::vector<MaterializedViewInfo> views = service_.ListViews();
+  EXPECT_EQ(service_.NumRegisteredViews(), views.size());
+  const LogicalTime now = clock_.Now();
+  for (uint64_t templ = 1; templ <= kStressTemplates; ++templ) {
+    for (uint64_t core = 1; core <= kStressCores; ++core) {
+      std::vector<Hash128> expected;
+      for (const MaterializedViewInfo& info : views) {
+        if (info.normalized_signature == H(templ) &&
+            info.reuse_features->core_precise == Core(core) &&
+            LiveAt(info, now)) {
+          expected.push_back(info.precise_signature);
+        }
+      }
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(
+          PreciseOf(service_.FindSubsumableInstances(H(templ), Core(core))),
+          expected)
+          << "template " << templ << " core " << core;
+    }
+  }
+  for (uint64_t p = 0; p < kStressPrecise; ++p) {
+    bool live = false;
+    for (const MaterializedViewInfo& info : views) {
+      if (info.precise_signature == H(100 + p)) live = LiveAt(info, now);
+    }
+    EXPECT_EQ(
+        service_.FindMaterialized(H(TemplateOf(p)), H(100 + p)).has_value(),
+        live)
+        << "precise " << p;
+  }
+
+  // Once every view is dropped, no probe returns anything.
+  for (const MaterializedViewInfo& info : views) {
+    (void)service_.DropView(info.precise_signature);
+  }
+  EXPECT_EQ(service_.NumRegisteredViews(), 0u);
+  EXPECT_TRUE(service_.ListViews().empty());
+  for (uint64_t templ = 1; templ <= kStressTemplates; ++templ) {
+    for (uint64_t core = 1; core <= kStressCores; ++core) {
+      EXPECT_TRUE(
+          service_.FindSubsumableInstances(H(templ), Core(core)).empty());
+    }
+  }
+  for (uint64_t p = 0; p < kStressPrecise; ++p) {
+    EXPECT_FALSE(
+        service_.FindMaterialized(H(TemplateOf(p)), H(100 + p)).has_value());
   }
 }
 

@@ -1,10 +1,11 @@
 // Recurring-job fast-path tests: the signature-keyed plan cache (full and
-// skeleton tiers), its catalog-epoch invalidation triggers (new-view
-// registration, view expiry, build-lock handoff), the fault-matrix
-// interaction (a cached plan whose view read fails still takes the
-// views_fallback path and drops the entry), and the workload-repository
-// ingest fixes (instruments wired or not, O(n) inclusive-CPU
-// attribution).
+// skeleton tiers), its catalog-epoch invalidation triggers (analysis load,
+// new-view registration), the catalog changes that move no epoch
+// (build-lock handoff, purge) and the serve-time demotion that covers them
+// (view expiry, purge), the fault-matrix interaction (a cached plan whose
+// view read fails still takes the views_fallback path and drops the
+// entry), and the workload-repository ingest fixes (instruments wired or
+// not, O(n) inclusive-CPU attribution).
 //
 // The load-bearing assertions mirror the acceptance criteria: a warm-cache
 // submission of a recurring template has NO `logical_rewrite` span in its
@@ -13,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -471,7 +474,7 @@ TEST_F(PlanCacheServiceTest, NewViewRegistrationInvalidatesFullHit) {
   EXPECT_EQ(fourth->views_reused, 1);  // replanned against the live catalog
 }
 
-TEST_F(PlanCacheServiceTest, BuildLockHandoffInvalidatesViaEpoch) {
+TEST_F(PlanCacheServiceTest, BuildLockHandoffLeavesTheEpochAndFullHitsAlone) {
   CloudViews cv(Config());
   SeedHistory(&cv);
   WriteClickStream(cv.storage(), "clicks_2018-01-02", 1500, 2, "2018-01-02");
@@ -484,34 +487,34 @@ TEST_F(PlanCacheServiceTest, BuildLockHandoffInvalidatesViaEpoch) {
   ASSERT_GE(before.hits_full, 1u);
 
   // A build lock changing hands (granted to a phantom builder, then handed
-  // back) is a catalog state change: both transitions bump the epoch.
+  // back) cannot stale a full-tier plan: that tier holds only plans that
+  // built nothing and were denied no lock. Neither transition moves the
+  // epoch, and the cached rewrite keeps being served.
   Hash128 other_norm{0xAAu, 0xBBu};
   Hash128 other_precise{0xCCu, 0xDDu};
-  uint64_t epoch0 = cv.metadata()->CatalogEpoch();
+  const uint64_t epoch = cv.metadata()->CatalogEpoch();
   ASSERT_TRUE(
       cv.metadata()->ProposeMaterialize(other_norm, other_precise, 9999, 10));
-  uint64_t epoch1 = cv.metadata()->CatalogEpoch();
-  EXPECT_GT(epoch1, epoch0);
+  EXPECT_EQ(cv.metadata()->CatalogEpoch(), epoch);
 
   auto during = cv.Submit(JobA("2018-01-02"));
   ASSERT_TRUE(during.ok());
-  auto mid = cv.job_service()->plan_cache().stats();
-  EXPECT_EQ(mid.hits_full, before.hits_full);
-  EXPECT_GT(mid.epoch_invalidations, before.epoch_invalidations);
+  EXPECT_TRUE(during->plan_cache_hit);
+  EXPECT_EQ(during->catalog_epoch, epoch);
   EXPECT_EQ(during->views_reused, 1);
+  auto mid = cv.job_service()->plan_cache().stats();
+  EXPECT_EQ(mid.hits_full, before.hits_full + 1);
+  EXPECT_EQ(mid.epoch_invalidations, before.epoch_invalidations);
 
   cv.metadata()->AbandonLock(other_precise, 9999);
-  EXPECT_GT(cv.metadata()->CatalogEpoch(), epoch1);
+  EXPECT_EQ(cv.metadata()->CatalogEpoch(), epoch);
   auto post = cv.Submit(JobA("2018-01-02"));
   ASSERT_TRUE(post.ok());
-  EXPECT_GT(cv.job_service()->plan_cache().stats().epoch_invalidations,
-            mid.epoch_invalidations);
-
-  // With the catalog quiet again, the tier recovers to full hits.
-  auto settled = cv.Submit(JobA("2018-01-02"));
-  ASSERT_TRUE(settled.ok());
-  EXPECT_GT(cv.job_service()->plan_cache().stats().hits_full,
-            before.hits_full);
+  EXPECT_EQ(post->views_reused, 1);
+  auto after = cv.job_service()->plan_cache().stats();
+  EXPECT_EQ(after.hits_full, mid.hits_full + 1);
+  EXPECT_EQ(after.epoch_invalidations, before.epoch_invalidations);
+  EXPECT_EQ(after.demotions, before.demotions);
 }
 
 TEST_F(PlanCacheServiceTest, ClockDrivenViewExpiryDemotesFullHit) {
@@ -535,7 +538,7 @@ TEST_F(PlanCacheServiceTest, ClockDrivenViewExpiryDemotesFullHit) {
   EXPECT_EQ(r->views_reused, 0);  // the expired view was not read
 }
 
-TEST_F(PlanCacheServiceTest, PurgeExpiredBumpsEpochAndInvalidates) {
+TEST_F(PlanCacheServiceTest, PurgeExpiredLeavesTheEpochAndDemotes) {
   CloudViews cv(Config());
   SeedHistory(&cv);
   WriteClickStream(cv.storage(), "clicks_2018-01-02", 1500, 2, "2018-01-02");
@@ -544,18 +547,24 @@ TEST_F(PlanCacheServiceTest, PurgeExpiredBumpsEpochAndInvalidates) {
   ASSERT_TRUE(cv.Submit(JobA("2018-01-02"))->plan_cache_hit);
   auto before = cv.job_service()->plan_cache().stats();
 
+  // The purge moves no epoch: the cached rewrite still matches, and the
+  // serve-time check that its view is registered and live demotes it.
   cv.clock()->AdvanceSeconds(30 * kSecondsPerDay);
-  uint64_t epoch_before = cv.metadata()->CatalogEpoch();
+  const uint64_t epoch = cv.metadata()->CatalogEpoch();
   ASSERT_GE(cv.PurgeExpired(), 1u);
-  EXPECT_GT(cv.metadata()->CatalogEpoch(), epoch_before);
+  EXPECT_EQ(cv.metadata()->CatalogEpoch(), epoch);
 
   auto r = cv.Submit(JobA("2018-01-02"));
   ASSERT_TRUE(r.ok());
   auto after = cv.job_service()->plan_cache().stats();
-  EXPECT_GT(after.epoch_invalidations, before.epoch_invalidations);
+  EXPECT_EQ(after.demotions, before.demotions + 1);
+  EXPECT_EQ(after.epoch_invalidations, before.epoch_invalidations);
   EXPECT_EQ(after.hits_full, before.hits_full);
-  // The annotation is still live, so the skeleton-tier replan rebuilds.
+  // The annotation is still live, so the skeleton-tier replan rebuilds the
+  // view, and registering it is what moves the epoch.
   EXPECT_EQ(r->views_materialized, 1);
+  EXPECT_EQ(r->views_reused, 0);
+  EXPECT_EQ(cv.metadata()->CatalogEpoch(), epoch + 1);
 }
 
 TEST_F(PlanCacheServiceTest, CachedPlanWhoseViewReadFailsTakesFallback) {
@@ -695,59 +704,124 @@ TEST(PlanCacheTpcdsTest, ByteIdenticalCacheOnVsOffAcrossAllQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Metadata hot path: epoch discipline and per-shard instrumentation
+// Metadata hot path: epoch discipline and lock-wait instrumentation
 // ---------------------------------------------------------------------------
 
-TEST(CatalogEpochTest, EveryCatalogTransitionBumpsTheEpoch) {
+TEST(CatalogEpochTest, OnlyAnalysisLoadsAndAcceptedRegistrationsMoveIt) {
   CloudViews cv;
-  uint64_t epoch = cv.metadata()->CatalogEpoch();
-  EXPECT_GE(epoch, 1u);
+  MetadataService* md = cv.metadata();
+  uint64_t last = md->CatalogEpoch();
+  EXPECT_GE(last, 1u);
+  // How far the epoch moved since the previous call.
+  auto moved = [&] {
+    uint64_t now = md->CatalogEpoch();
+    uint64_t delta = now - last;
+    last = now;
+    return delta;
+  };
+  auto view = [](uint64_t precise, uint64_t producer) {
+    MaterializedViewInfo info;
+    info.path = "/views/epoch/" + std::to_string(precise) + ".ss";
+    info.normalized_signature = Hash128{1, 2};
+    info.precise_signature = Hash128{precise, 4};
+    info.producer_job_id = producer;
+    return info;
+  };
+  const Hash128 norm{1, 2};
 
-  Hash128 norm{1, 2};
-  Hash128 precise{3, 4};
-  ASSERT_TRUE(cv.metadata()->ProposeMaterialize(norm, precise, 1, 10));
-  uint64_t after_grant = cv.metadata()->CatalogEpoch();
-  EXPECT_GT(after_grant, epoch);
+  md->LoadAnalysis({});
+  EXPECT_EQ(moved(), 1u) << "analysis load";
+  ASSERT_TRUE(md->ProposeMaterialize(norm, Hash128{3, 4}, 1, 10));
+  EXPECT_EQ(moved(), 0u) << "lock grant";
+  EXPECT_FALSE(md->ProposeMaterialize(norm, Hash128{3, 4}, 2, 10));
+  EXPECT_EQ(moved(), 0u) << "lock denial";
+  EXPECT_FALSE(md->ReportMaterialized(view(3, 2), 0).ok());
+  EXPECT_EQ(moved(), 0u) << "fenced registration";
+  ASSERT_TRUE(md->ReportMaterialized(view(3, 1), 0).ok());
+  EXPECT_EQ(moved(), 1u) << "accepted registration";
+  ASSERT_TRUE(md->ReportMaterialized(view(3, 1), 0).ok());
+  EXPECT_EQ(moved(), 0u) << "idempotent re-report";
+  EXPECT_FALSE(md->ReportMaterialized(view(3, 2), 0).ok());
+  EXPECT_EQ(moved(), 0u) << "registration of a registered view";
 
-  // A denied proposal changes nothing and must NOT bump.
-  EXPECT_FALSE(cv.metadata()->ProposeMaterialize(norm, precise, 2, 10));
-  EXPECT_EQ(cv.metadata()->CatalogEpoch(), after_grant);
+  ASSERT_TRUE(md->ProposeMaterialize(norm, Hash128{5, 4}, 1, 10));
+  md->AbandonLock(Hash128{5, 4}, 1);
+  EXPECT_EQ(moved(), 0u) << "lock abandon";
+  md->AbandonLock(Hash128{5, 4}, 1);
+  EXPECT_EQ(moved(), 0u) << "abandon of a released lock";
 
-  cv.metadata()->AbandonLock(precise, 1);
-  uint64_t after_abandon = cv.metadata()->CatalogEpoch();
-  EXPECT_GT(after_abandon, after_grant);
-  // Abandoning an already-released lock is a no-op — no bump.
-  cv.metadata()->AbandonLock(precise, 1);
-  EXPECT_EQ(cv.metadata()->CatalogEpoch(), after_abandon);
+  (void)md->DropView(Hash128{3, 4});  // no file was written: NotFound
+  EXPECT_EQ(md->NumRegisteredViews(), 0u);
+  EXPECT_EQ(moved(), 0u) << "drop";
+
+  ASSERT_TRUE(
+      md->ReportMaterialized(view(6, 1), cv.clock()->Now() + 10).ok());
+  EXPECT_EQ(moved(), 1u) << "accepted registration";
+  cv.clock()->AdvanceSeconds(11);
+  ASSERT_EQ(md->PurgeExpired(), 1u);
+  EXPECT_EQ(moved(), 0u) << "purge";
+
+  md->LoadAnalysis({});
+  EXPECT_EQ(moved(), 1u) << "analysis reload";
 }
 
-TEST_F(PlanCacheServiceTest, PerShardLockWaitHistogramsAreExported) {
-  // Shard locks are only taken on the view hot path (FindMaterialized /
-  // ProposeMaterialize / ReportMaterialized), so run a materializing job.
+TEST_F(PlanCacheServiceTest, EveryMetadataCallObservesOneLockWait) {
   CloudViews cv(Config());
-  SeedHistory(&cv);
-  WriteClickStream(cv.storage(), "clicks_2018-01-02", 500, 2, "2018-01-02");
-  ASSERT_TRUE(cv.Submit(JobA("2018-01-02")).ok());
-  ASSERT_GE(cv.metadata()->NumRegisteredViews(), 1u);
+  MetadataService* md = cv.metadata();
+  const obs::Histogram* wait =
+      cv.metrics()->GetHistogram("cv_metadata_lock_wait_seconds");
+  // Observations one call adds to the metadata lock-wait histogram.
+  auto waits = [&](const std::function<void()>& call) {
+    uint64_t before = wait->count();
+    call();
+    return wait->count() - before;
+  };
+  MaterializedViewInfo info;
+  info.path = "/views/waits/1.ss";
+  info.normalized_signature = Hash128{1, 2};
+  info.precise_signature = Hash128{3, 4};
+  info.producer_job_id = 7;
+  auto features = std::make_shared<ViewFeatures>();
+  features->core_precise = Hash128{5, 6};
+  info.reuse_features = features;
 
-  // The aggregate histogram keeps its legacy name (dashboards depend on
-  // it); the per-shard series add contention visibility.
-  size_t aggregate = cv.metrics()
-                         ->GetHistogram("cv_metadata_lock_wait_seconds")
-                         ->count();
-  EXPECT_GE(aggregate, 1u);
-  size_t per_shard_total = 0;
-  for (size_t i = 0; i < MetadataService::kNumShards; ++i) {
-    per_shard_total +=
-        cv.metrics()
-            ->GetHistogram("cv_metadata_shard_lock_wait_seconds",
-                           {{"shard", std::to_string(i)}})
-            ->count();
-  }
-  // Analysis-snapshot reads hit the aggregate without touching a shard, so
-  // per-shard observations are a subset.
-  EXPECT_LE(per_shard_total, aggregate);
-  EXPECT_GE(per_shard_total, 1u);
+  EXPECT_EQ(waits([&] { md->LoadAnalysis({}); }), 1u);
+  EXPECT_EQ(waits([&] { md->GetRelevantViews({"t"}); }), 1u);
+  EXPECT_EQ(waits([&] { (void)md->TryGetRelevantViews({"t"}); }), 1u);
+  EXPECT_EQ(waits([&] { md->FindAnnotation(Hash128{1, 2}); }), 1u);
+  EXPECT_EQ(waits([&] { md->GetContainmentCandidates({Hash128{1, 2}}); }),
+            1u);
+  EXPECT_EQ(waits([&] { md->NumAnnotations(); }), 1u);
+  EXPECT_EQ(waits([&] {
+              md->ProposeMaterialize(Hash128{1, 2}, Hash128{3, 4}, 7, 10);
+            }),
+            1u);
+  EXPECT_EQ(waits([&] { md->NumActiveLocks(); }), 1u);
+  EXPECT_EQ(waits([&] { md->HeldLocks(); }), 1u);
+  EXPECT_EQ(waits([&] { ASSERT_TRUE(md->ReportMaterialized(info, 0).ok()); }),
+            1u);
+  EXPECT_EQ(waits([&] { md->FindMaterialized(Hash128{1, 2}, Hash128{3, 4}); }),
+            1u);
+  EXPECT_EQ(waits([&] {
+              md->FindSubsumableInstances(Hash128{1, 2}, Hash128{5, 6});
+            }),
+            1u);
+  EXPECT_EQ(waits([&] {
+              ASSERT_TRUE(md->WaitForMaterialized(Hash128{3, 4}, 1).ok());
+            }),
+            1u);
+  EXPECT_EQ(waits([&] { md->ListViews(); }), 1u);
+  EXPECT_EQ(waits([&] { md->AbandonLock(Hash128{3, 4}, 7); }), 1u);
+  EXPECT_EQ(waits([&] { md->PurgeExpired(); }), 1u);
+  EXPECT_EQ(waits([&] { (void)md->DropView(Hash128{3, 4}); }), 1u);
+  // The lock-free reads take no lock at all.
+  EXPECT_EQ(waits([&] {
+              md->CatalogEpoch();
+              md->counters();
+              md->NumRegisteredViews();
+              md->SimulatedLookupLatency();
+            }),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include "plan/plan_builder.h"
 #include "plan/plan_node.h"
+#include "signature/containment.h"
 #include "signature/signature.h"
 
 namespace cloudviews {
@@ -336,6 +337,27 @@ TEST(SignatureTest, NewGuidSameNameChangesPrecise) {
   EXPECT_NE(ComputeSignatures(*v1).precise, ComputeSignatures(*v2).precise);
   EXPECT_EQ(ComputeSignatures(*v1).normalized,
             ComputeSignatures(*v2).normalized);
+}
+
+TEST(SignatureTest, VariesByInstanceSeesParametersAndDatesAnywhere) {
+  struct Case {
+    const char* label;
+    ExprPtr expr;
+    bool varies;
+  };
+  const Case cases[] = {
+      {"parameter", Param("limit", Value::Int64(10)), true},
+      {"date literal", DateLit("2018-01-01"), true},
+      {"parameter under arithmetic",
+       Gt(Col("latency"), Add(Param("limit", Value::Int64(10)),
+                              Lit(int64_t{1}))),
+       true},
+      {"neither",
+       Gt(Add(Col("latency"), Lit(int64_t{1})), Lit(int64_t{10})), false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(VariesByInstance(*c.expr), c.varies) << c.label;
+  }
 }
 
 TEST(SignatureTest, DifferentComputationsDiffer) {

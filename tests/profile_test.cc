@@ -446,20 +446,9 @@ TEST(ConstructionWiringTest, ObservabilityOnlyAttachesTheTracer) {
   EXPECT_EQ(FamiliesBesidesStages(*off->metrics()), constructed);
   for (const char* family :
        {"cv_storage_lock_wait_seconds", "cv_metadata_lock_wait_seconds",
-        "cv_metadata_shard_lock_wait_seconds",
         "cv_repository_lock_wait_seconds", "cv_job_latency_seconds"}) {
     EXPECT_EQ(constructed.count(family), 1u) << family;
   }
-  std::set<std::string> shards;
-  for (const obs::FamilySnapshot& family : off->metrics()->Snapshot()) {
-    if (family.name != "cv_metadata_shard_lock_wait_seconds") continue;
-    for (const obs::SeriesSnapshot& series : family.series) {
-      shards.insert(obs::RenderLabels(series.labels));
-    }
-  }
-  EXPECT_EQ(shards.size(), MetadataService::kNumShards);
-  EXPECT_EQ(shards.count("shard=\"0\""), 1u);
-  EXPECT_EQ(shards.count("shard=\"7\""), 1u);
 
   auto submit = [](CloudViews* cv) {
     WriteClickStream(cv->storage(), "clicks_2018-01-01", 500, 1,
