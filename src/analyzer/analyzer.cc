@@ -12,29 +12,29 @@ namespace cloudviews {
 std::vector<uint64_t> ComputeSubmissionOrder(
     const std::vector<const SubgraphAggregate*>& selected,
     const std::vector<MinedJob>& jobs) {
-  std::unordered_map<uint64_t, const JobRecord*> by_id;
+  std::unordered_map<uint64_t, const MinedJob*> by_id;
   // Selected views containing a job.
   std::unordered_map<uint64_t, int> overlap_count;
-  for (const MinedJob& j : jobs) by_id[j.record->job_id] = j.record.get();
+  for (const MinedJob& j : jobs) by_id[j.job_id] = &j;
   for (const SubgraphAggregate* agg : selected) {
     for (uint64_t job : agg->jobs) ++overlap_count[job];
   }
 
   // Per selected view (group of jobs sharing the overlap), pick the
   // shortest job — least overlapping on ties — as its builder.
-  std::unordered_map<uint64_t, const JobRecord*> builders;
+  std::unordered_map<uint64_t, const MinedJob*> builders;
   for (const SubgraphAggregate* agg : selected) {
-    const JobRecord* best = nullptr;
+    const MinedJob* best = nullptr;
     for (uint64_t job_id : agg->jobs) {
       auto it = by_id.find(job_id);
       if (it == by_id.end()) continue;
-      const JobRecord* j = it->second;
+      const MinedJob* j = it->second;
       if (best == nullptr) {
         best = j;
         continue;
       }
-      double jl = j->run_stats.latency_seconds;
-      double bl = best->run_stats.latency_seconds;
+      double jl = j->latency_seconds;
+      double bl = best->latency_seconds;
       if (jl < bl ||
           (jl == bl && overlap_count[j->job_id] < overlap_count[best->job_id])) {
         best = j;
@@ -45,13 +45,13 @@ std::vector<uint64_t> ComputeSubmissionOrder(
 
   // Builders first, ordered by runtime (ties: fewer overlaps), then all
   // remaining jobs in their original order.
-  std::vector<const JobRecord*> builder_list;
+  std::vector<const MinedJob*> builder_list;
   // order-insensitive: builder_list is sorted by a total order below.
   for (const auto& [id, j] : builders) builder_list.push_back(j);
   std::sort(builder_list.begin(), builder_list.end(),
-            [&](const JobRecord* a, const JobRecord* b) {
-              double al = a->run_stats.latency_seconds;
-              double bl = b->run_stats.latency_seconds;
+            [&](const MinedJob* a, const MinedJob* b) {
+              double al = a->latency_seconds;
+              double bl = b->latency_seconds;
               if (al != bl) return al < bl;
               if (overlap_count[a->job_id] != overlap_count[b->job_id]) {
                 return overlap_count[a->job_id] < overlap_count[b->job_id];
@@ -61,12 +61,12 @@ std::vector<uint64_t> ComputeSubmissionOrder(
 
   std::vector<uint64_t> order;
   std::unordered_set<uint64_t> placed;
-  for (const JobRecord* j : builder_list) {
+  for (const MinedJob* j : builder_list) {
     order.push_back(j->job_id);
     placed.insert(j->job_id);
   }
   for (const MinedJob& j : jobs) {
-    uint64_t id = j.record->job_id;
+    uint64_t id = j.job_id;
     if (placed.insert(id).second) order.push_back(id);
   }
   return order;

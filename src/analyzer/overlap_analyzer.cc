@@ -69,11 +69,10 @@ OverlapReport BuildOverlapReport(const MinedWindow& window) {
 
   for (const MinedJob& job : window.jobs) {
     // A job without a plan has nothing mined; it counts for nothing here.
-    if (job.record->plan == nullptr) continue;
-    const JobRecord& record = *job.record;
+    if (!job.has_plan) continue;
     ++report.total_jobs;
-    all_users.insert(record.user);
-    auto& vc = per_vc[record.vc];
+    all_users.insert(job.user);
+    auto& vc = per_vc[job.vc];
     ++vc.jobs;
     int64_t job_overlaps = 0;
     bool shares_with_other_job = false;
@@ -85,19 +84,19 @@ OverlapReport BuildOverlapReport(const MinedWindow& window) {
       if (agg.subtree_size < 2) continue;
       if (agg.IsOverlapping()) {
         ++job_overlaps;
-        vc_distinct[record.vc].insert(sig);
+        vc_distinct[job.vc].insert(sig);
       }
       if (agg.SharedAcrossJobs()) shares_with_other_job = true;
     }
     if (shares_with_other_job) {
       ++report.overlapping_jobs;
       ++vc.overlapping_jobs;
-      users_with_overlap.insert(record.user);
+      users_with_overlap.insert(job.user);
     }
     if (job_overlaps > 0) {
       report.overlaps_per_job.push_back(static_cast<double>(job_overlaps));
-      user_overlaps[record.user] += static_cast<double>(job_overlaps);
-      vc_overlaps[record.vc] += static_cast<double>(job_overlaps);
+      user_overlaps[job.user] += static_cast<double>(job_overlaps);
+      vc_overlaps[job.vc] += static_cast<double>(job_overlaps);
     }
   }
 

@@ -598,18 +598,14 @@ JobResult JobService::Succeed(JobState& job) {
     const JobDefinition& def = job.def;
     JobRecord record;
     record.job_id = result.job_id;
-    record.cluster = def.cluster;
-    record.business_unit = def.business_unit;
     record.vc = def.vc;
     record.user = def.user;
     record.template_id = def.template_id;
-    record.recurring_instance = def.recurring_instance;
     record.recurrence_period = def.recurrence_period;
     record.submit_time = clock_->Now();
-    record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
     record.plan = result.executed_plan;
     record.run_stats = result.run_stats;
-    repository_->AddJob(std::move(record));
+    repository_->AddJob(record);
   }
   ForEachJobCounter(result, [this](size_t i, auto value) {
     if (value) obs_.job_counters[i]->Increment(static_cast<uint64_t>(value));

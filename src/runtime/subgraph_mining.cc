@@ -122,7 +122,7 @@ std::vector<SubgraphOccurrence> MineOccurrences(const JobRecord& record) {
 }
 
 void SubgraphBuckets::AddVariant(std::vector<Variant>* variants,
-                                 const Hash128& key, uint32_t record,
+                                 const Hash128& key, const PlanNodePtr& plan,
                                  const PlanNode* witness) {
   for (Variant& v : *variants) {
     if (v.key == key) {
@@ -130,27 +130,31 @@ void SubgraphBuckets::AddVariant(std::vector<Variant>* variants,
       return;
     }
   }
-  variants->push_back({key, 1, record, witness});
+  variants->push_back({key, 1, {plan, witness}});
 }
 
-void SubgraphBuckets::Add(std::shared_ptr<const JobRecord> record,
+void SubgraphBuckets::Add(const JobRecord& record,
                           const std::vector<SubgraphOccurrence>& mined) {
-  Bucket& bucket = buckets_[record->submit_time];
-  const auto index = static_cast<uint32_t>(records_.size());
-  const double job_latency = record->run_stats.latency_seconds;
-  const LogicalTime period = record->recurrence_period;
-  records_.push_back(std::move(record));
+  Bucket& bucket = buckets_[record.submit_time];
+  const double job_latency = record.run_stats.latency_seconds;
+  const LogicalTime period = record.recurrence_period;
   const auto begin = static_cast<uint32_t>(bucket.keys.size());
-  bucket.jobs.push_back(
-      {index, begin, begin + static_cast<uint32_t>(mined.size())});
+  Job& job = bucket.jobs.emplace_back();
+  job.facts.job_id = record.job_id;
+  job.facts.user = record.user;
+  job.facts.vc = record.vc;
+  job.facts.template_id = record.template_id;
+  job.facts.latency_seconds = job_latency;
+  job.facts.has_plan = record.plan != nullptr;
+  job.begin = begin;
+  job.end = begin + static_cast<uint32_t>(mined.size());
   for (const SubgraphOccurrence& o : mined) {
     auto [it, added] = bucket.index.try_emplace(
         o.normalized, static_cast<uint32_t>(bucket.entries.size()));
     if (added) {
       Entry& entry = bucket.entries.emplace_back();
       entry.normalized = o.normalized;
-      entry.first = o.node;
-      entry.first_record = index;
+      entry.first = {record.plan, o.node};
       entry.subtree_size = o.subtree_size;
     }
     Entry& e = bucket.entries[it->second];
@@ -162,8 +166,8 @@ void SubgraphBuckets::Add(std::shared_ptr<const JobRecord> record,
       e.latency += o.stats->inclusive_seconds;
       e.job_latency += job_latency;
     }
-    AddVariant(&e.designs, o.design, index, o.node);
-    AddVariant(&e.inputs, o.inputs, index, o.node);
+    AddVariant(&e.designs, o.design, record.plan, o.node);
+    AddVariant(&e.inputs, o.inputs, record.plan, o.node);
     bucket.keys.push_back(it->second);
   }
 }
@@ -183,7 +187,7 @@ MinedWindow SubgraphBuckets::Merge(LogicalTime from, LogicalTime to) const {
       SubgraphAggregate& agg = window.aggregates[e.normalized];
       if (agg.frequency == 0) {
         agg.normalized = e.normalized;
-        agg.first = Pin(e.first_record, e.first);
+        agg.first = e.first;
         agg.root_kind = e.first->kind();
         agg.subtree_size = e.subtree_size;
       }
@@ -196,9 +200,7 @@ MinedWindow SubgraphBuckets::Merge(LogicalTime from, LogicalTime to) const {
           std::max(agg.max_recurrence_period, e.max_recurrence_period);
       for (const Variant& d : e.designs) {
         auto& design = agg.designs[d.key];
-        if (design.second == nullptr) {
-          design.second = Pin(d.record, d.witness);
-        }
+        if (design.second == nullptr) design.second = d.witness;
         design.first += d.count;
       }
       for (const Variant& in : e.inputs) {
@@ -210,17 +212,15 @@ MinedWindow SubgraphBuckets::Merge(LogicalTime from, LogicalTime to) const {
       slots.push_back(&agg);
     }
     for (const Job& job : bucket.jobs) {
-      MinedJob& mined = window.jobs.emplace_back();
-      mined.record = records_[job.record];
-      const JobRecord& r = *mined.record;
+      MinedJob& mined = window.jobs.emplace_back(job.facts);
       mined.subgraphs.reserve(job.end - job.begin);
       for (uint32_t k = job.begin; k < job.end; ++k) {
         SubgraphAggregate& agg = *slots[bucket.keys[k]];
         mined.subgraphs.push_back(agg.normalized);
-        agg.jobs.insert(r.job_id);
-        agg.users.insert(r.user);
-        agg.vcs.insert(r.vc);
-        agg.templates.insert(r.template_id);
+        agg.jobs.insert(mined.job_id);
+        agg.users.insert(mined.user);
+        agg.vcs.insert(mined.vc);
+        agg.templates.insert(mined.template_id);
       }
     }
   }

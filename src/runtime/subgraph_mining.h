@@ -17,23 +17,19 @@
 namespace cloudviews {
 
 /// \brief One executed job: its metadata, the compiled physical plan, and
-/// the observed runtime statistics — exactly what the SCOPE workload
-/// repository retains and the analyzer mines (Fig 6, left).
+/// the observed runtime statistics — what the analyzer mines (Fig 6,
+/// left). The repository mines it once at ingest and keeps only facts of
+/// it and the plans its buckets point into (SubgraphBuckets).
 struct JobRecord {
   uint64_t job_id = 0;
-  std::string cluster;
-  std::string business_unit;
   std::string vc;
   std::string user;
   /// Recurring template identity ("same script template, new data").
   std::string template_id;
-  int recurring_instance = 0;
   /// Cadence of the template (hourly/daily/weekly); drives lineage-based
   /// view expiry (Sec 5.4).
   LogicalTime recurrence_period = kSecondsPerDay;
   LogicalTime submit_time = 0;
-  /// Tags for the metadata service's inverted index.
-  std::vector<std::string> tags;
   /// Executed physical plan with node ids assigned.
   PlanNodePtr plan;
   JobRunStats run_stats;
@@ -104,9 +100,17 @@ struct SubgraphAggregate {
   bool SharedAcrossJobs() const { return jobs.size() >= 2; }
 };
 
-/// One job of a mined window.
+/// One job of a mined window: the facts of its record the analyzer reads,
+/// and its subgraphs.
 struct MinedJob {
-  std::shared_ptr<const JobRecord> record;
+  uint64_t job_id = 0;
+  std::string user;
+  std::string vc;
+  std::string template_id;
+  /// The run's JobRunStats::latency_seconds.
+  double latency_seconds = 0;
+  /// False when the record had no plan, so nothing of it was mined.
+  bool has_plan = false;
   /// Normalized signature of each subgraph occurrence, in plan pre-order;
   /// empty when the record has no plan.
   std::vector<Hash128> subgraphs;
@@ -143,25 +147,22 @@ struct SubgraphOccurrence {
 /// record; empty without a plan.
 std::vector<SubgraphOccurrence> MineOccurrences(const JobRecord& record);
 
-/// \brief The ingested job records, and their mined subgraphs in one bucket
-/// per submit time.
+/// \brief The mined subgraphs of the ingested jobs, in one bucket per
+/// submit time.
 ///
 /// A bucket keeps, per normalized signature, the sums, tallies and first
-/// occurrence of its jobs, and per job the keys of its occurrences. It
-/// copies no plan node, schema, design or string: its pointers lead into
-/// the plans of the records, which are never dropped. Not thread-safe;
-/// WorkloadRepository guards it.
+/// occurrence of its jobs, and per job the facts MinedJob carries and the
+/// keys of its occurrences. It copies no plan node, schema or design: a
+/// first occurrence, and each design or input-set variant's witness, is a
+/// node of its job's plan and shares ownership of that plan, so a plan
+/// lives exactly as long as a bucket points into it. Nothing else of a
+/// record outlives Add. Not thread-safe; WorkloadRepository guards it.
 class SubgraphBuckets {
  public:
-  /// Keeps `record` and folds it, mined by MineOccurrences, into its submit
-  /// time's bucket.
-  void Add(std::shared_ptr<const JobRecord> record,
+  /// Folds `record`, mined by MineOccurrences, into its submit time's
+  /// bucket, pinning its plan only where the bucket points into it.
+  void Add(const JobRecord& record,
            const std::vector<SubgraphOccurrence>& mined);
-
-  /// Every record added, in order.
-  const std::vector<std::shared_ptr<const JobRecord>>& records() const {
-    return records_;
-  }
 
   /// Merges the buckets of submit times in [from, to), in time order: the
   /// definition is the first bucket's first occurrence, and the sums are
@@ -174,16 +175,13 @@ class SubgraphBuckets {
   struct Variant {
     Hash128 key;
     int count = 0;
-    /// The witness's record, an index into records_.
-    uint32_t record = 0;
-    const PlanNode* witness = nullptr;
+    std::shared_ptr<const PlanNode> witness;
   };
   /// One normalized signature within a bucket.
   struct Entry {
     Hash128 normalized;
-    /// The bucket's first occurrence, in the plan of records_[first_record].
-    const PlanNode* first = nullptr;
-    uint32_t first_record = 0;
+    /// The bucket's first occurrence.
+    std::shared_ptr<const PlanNode> first;
     uint32_t subtree_size = 0;
     int64_t frequency = 0;
     double rows = 0, bytes = 0, latency = 0, job_latency = 0;
@@ -194,8 +192,8 @@ class SubgraphBuckets {
     std::vector<Variant> inputs;
   };
   struct Job {
-    /// Index into records_.
-    uint32_t record = 0;
+    /// The job's facts; Merge fills a copy's `subgraphs`.
+    MinedJob facts;
     /// This job's occurrences: keys[begin, end).
     uint32_t begin = 0, end = 0;
   };
@@ -207,15 +205,11 @@ class SubgraphBuckets {
     std::vector<uint32_t> keys;
   };
 
+  /// Counts `key` in `variants`; a new one pins `witness`, a node of
+  /// `plan`.
   static void AddVariant(std::vector<Variant>* variants, const Hash128& key,
-                         uint32_t record, const PlanNode* witness);
-  /// Shares ownership of records_[record], pointing at `node` in it.
-  std::shared_ptr<const PlanNode> Pin(uint32_t record,
-                                      const PlanNode* node) const {
-    return {records_[record], node};
-  }
+                         const PlanNodePtr& plan, const PlanNode* witness);
 
-  std::vector<std::shared_ptr<const JobRecord>> records_;
   std::map<LogicalTime, Bucket> buckets_;
 };
 

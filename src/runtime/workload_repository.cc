@@ -28,15 +28,13 @@ WorkloadRepository::WorkloadRepository(obs::MetricsRegistry* metrics,
       "Wall time waiting for the workload repository's mutex");
 }
 
-void WorkloadRepository::AddJob(JobRecord record) {
-  auto shared = std::make_shared<const JobRecord>(std::move(record));
-
+void WorkloadRepository::AddJob(const JobRecord& record) {
   // Mining the plan (enumeration, signature hashing, CPU attribution) is
   // pure computation over the immutable record — done before taking mu_ so
   // repository ingest does not serialize concurrent job completions. Under
   // mu_, every subgraph contributes its observed statistics to the
   // feedback index and the job joins its submit time's bucket.
-  std::vector<SubgraphOccurrence> mined = MineOccurrences(*shared);
+  std::vector<SubgraphOccurrence> mined = MineOccurrences(record);
 
   obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   obs_.jobs_ingested->Increment();
@@ -53,18 +51,11 @@ void WorkloadRepository::AddJob(JobRecord record) {
   }
   obs_.subgraphs_observed->Increment(observed);
   obs_.indexed_subgraphs->Set(static_cast<double>(feedback_.size()));
-  buckets_.Add(std::move(shared), mined);
+  buckets_.Add(record, mined);
 }
 
 size_t WorkloadRepository::NumJobs() const {
-  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
-  return buckets_.records().size();
-}
-
-std::vector<std::shared_ptr<const JobRecord>> WorkloadRepository::Jobs()
-    const {
-  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
-  return buckets_.records();
+  return static_cast<size_t>(obs_.jobs_ingested->value());
 }
 
 MinedWindow WorkloadRepository::Mine(LogicalTime from, LogicalTime to) const {

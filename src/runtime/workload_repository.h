@@ -14,9 +14,10 @@
 
 namespace cloudviews {
 
-/// \brief Store of executed jobs + an incrementally-maintained feedback
-/// index from normalized subgraph signature to observed statistics + the
-/// mined subgraphs of every submit time.
+/// \brief The history of executed jobs, mined at ingest: an
+/// incrementally-maintained feedback index from normalized subgraph
+/// signature to observed statistics + the mined subgraphs of every submit
+/// time.
 ///
 /// Implements StatsProviderInterface: this is the data source of the
 /// CloudViews feedback loop (Sec 5.1) — it reconciles the compile-time
@@ -27,7 +28,7 @@ namespace cloudviews {
 /// AddJob is the one place a job's subgraphs are enumerated: the pass that
 /// feeds the feedback index also folds the job into the bucket of its
 /// submit time, and Mine merges a window's buckets instead of re-reading
-/// its plans.
+/// its plans. No job record is kept.
 class WorkloadRepository : public StatsProviderInterface {
  public:
   /// Registers the ingest counters (jobs, subgraph observations, feedback
@@ -38,12 +39,12 @@ class WorkloadRepository : public StatsProviderInterface {
       obs::MetricsRegistry* metrics = nullptr,
       MonotonicClock* wall_clock = MonotonicClock::Real());
 
-  void AddJob(JobRecord record) EXCLUDES(mu_);
+  /// Mines `record` into the feedback index and its submit time's bucket.
+  /// Only the plan is kept, and only while a bucket points into it.
+  void AddJob(const JobRecord& record) EXCLUDES(mu_);
 
-  size_t NumJobs() const EXCLUDES(mu_);
-  /// Snapshot of all records in ingest order (shared pointers; records are
-  /// immutable once added).
-  std::vector<std::shared_ptr<const JobRecord>> Jobs() const EXCLUDES(mu_);
+  /// Jobs ingested so far (`cv_repository_jobs_ingested_total`).
+  size_t NumJobs() const;
 
   /// The subgraphs of the jobs submitted in [from, to), merged from their
   /// buckets (SubgraphBuckets::Merge); the defaults mine the whole
@@ -78,16 +79,15 @@ class WorkloadRepository : public StatsProviderInterface {
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   Instruments obs_;
 
-  /// Guards the records, the feedback index and the buckets together:
-  /// AddJob must publish a record, its statistics and its subgraphs
-  /// atomically so concurrent Lookup and Mine calls never see a
-  /// half-applied job.
+  /// Guards the feedback index and the buckets together: AddJob must
+  /// publish a job's statistics and its subgraphs atomically so concurrent
+  /// Lookup and Mine calls never see a half-applied job.
   mutable Mutex mu_;
   std::unordered_map<Hash128, Accumulator, Hash128Hasher> feedback_
       GUARDED_BY(mu_);
-  /// The job history. Its buckets point into the plans of its records,
-  /// which are never dropped: a bound on memory must drop records and
-  /// buckets together.
+  /// The job history: per job its facts and subgraph keys, and the plans
+  /// the buckets point into. Dropping a bucket drops the plans it alone
+  /// pins.
   SubgraphBuckets buckets_ GUARDED_BY(mu_);
 };
 

@@ -38,6 +38,7 @@ class InvariantRegressionTest : public ::testing::Test {
                            .Build();
     auto r = cv_.Submit(def, false);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    records_.push_back(testing_util::RecordOf(def, *r, cv_.clock()->Now()));
   }
 
   void RunScanJob(const std::string& name, const std::string& tmpl,
@@ -53,9 +54,12 @@ class InvariantRegressionTest : public ::testing::Test {
             .Build();
     auto r = cv_.Submit(def, false);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    records_.push_back(testing_util::RecordOf(def, *r, cv_.clock()->Now()));
   }
 
   CloudViews cv_;
+  /// The repository's records, in ingest order.
+  std::vector<JobRecord> records_;
 };
 
 // The overlap report used to emit per_input_max_frequency by iterating a
@@ -87,12 +91,12 @@ TEST_F(InvariantRegressionTest, ReportIsInsensitiveToJobOrder) {
   RunScanJob("a", "alpha_{date}", "alpha_2018-01-01");
 
   // Ingest the same records forward and in reverse into two repositories.
-  auto jobs = cv_.repository()->Jobs();
+  ASSERT_EQ(cv_.repository()->NumJobs(), records_.size());
   WorkloadRepository forward;
-  for (const auto& j : jobs) forward.AddJob(*j);
+  for (const JobRecord& j : records_) forward.AddJob(j);
   WorkloadRepository backward;
-  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
-    backward.AddJob(**it);
+  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+    backward.AddJob(*it);
   }
 
   EXPECT_EQ(BuildOverlapReport(forward.Mine()).per_input_max_frequency,

@@ -1,5 +1,8 @@
 // WorkloadRepository::Mine merges per-submit-time buckets filled at ingest.
-// It must return what one pass over every record of the window returns.
+// It must return what one pass over every record of the window returns. The
+// repository keeps no record, so each test keeps its own copies, rebuilt
+// from the job results where a service ran them: they share the executed
+// plans the buckets point into.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,7 +46,12 @@ ReferenceWindow ReferenceFold(
   for (const auto& job : records) {
     if (job->submit_time < from || job->submit_time >= to) continue;
     MinedJob& facts = ref.window.jobs.emplace_back();
-    facts.record = job;
+    facts.job_id = job->job_id;
+    facts.user = job->user;
+    facts.vc = job->vc;
+    facts.template_id = job->template_id;
+    facts.latency_seconds = job->run_stats.latency_seconds;
+    facts.has_plan = job->plan != nullptr;
     if (job->plan == nullptr) continue;
     for (const SubgraphEntry& entry : EnumerateSubgraphs(job->plan)) {
       const Hash128 sig = entry.sigs.normalized;
@@ -178,8 +186,15 @@ void ExpectSameWindow(const MinedWindow& mined, const ReferenceWindow& ref) {
   }
   ASSERT_EQ(mined.jobs.size(), want.jobs.size());
   for (size_t i = 0; i < want.jobs.size(); ++i) {
-    EXPECT_EQ(mined.jobs[i].record, want.jobs[i].record) << i;
-    EXPECT_EQ(mined.jobs[i].subgraphs, want.jobs[i].subgraphs) << i;
+    const MinedJob& m = mined.jobs[i];
+    const MinedJob& r = want.jobs[i];
+    EXPECT_EQ(m.job_id, r.job_id) << i;
+    EXPECT_EQ(m.user, r.user) << i;
+    EXPECT_EQ(m.vc, r.vc) << i;
+    EXPECT_EQ(m.template_id, r.template_id) << i;
+    EXPECT_EQ(m.latency_seconds, r.latency_seconds) << i;
+    EXPECT_EQ(m.has_plan, r.has_plan) << i;
+    EXPECT_EQ(m.subgraphs, r.subgraphs) << i;
   }
 }
 
@@ -214,7 +229,7 @@ ClusterProfile SmallProfile() {
 /// Four days of one small cluster. Every ten jobs the clock moves an hour,
 /// so each day fills three buckets. Days 1-2 run without reuse; then the
 /// analyzer loads views that days 3-4 build and read. One record without a
-/// plan lands on day 3.
+/// plan lands on day 3. `records_` holds every record, in ingest order.
 class MiningTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -232,6 +247,8 @@ class MiningTest : public ::testing::Test {
         auto r = cv_->Submit(jobs[i], day >= 3);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         reused_ += r->views_reused;
+        records_.push_back(std::make_shared<const JobRecord>(
+            testing_util::RecordOf(jobs[i], *r, cv_->clock()->Now())));
         if (day == 3 && i == 15) {
           JobRecord planless;
           planless.job_id = 1u << 30;
@@ -240,6 +257,8 @@ class MiningTest : public ::testing::Test {
           planless.template_id = "planless";
           planless.submit_time = cv_->clock()->Now();
           cv_->repository()->AddJob(planless);
+          records_.push_back(
+              std::make_shared<const JobRecord>(std::move(planless)));
         }
       }
       if (day == 2) cv_->RunAnalyzerAndLoad(0, cv_->clock()->Now() + 1);
@@ -249,13 +268,12 @@ class MiningTest : public ::testing::Test {
   /// Every submit time that holds a bucket, ascending.
   std::vector<LogicalTime> BucketTimes() const {
     std::set<LogicalTime> times;
-    for (const auto& r : cv_->repository()->Jobs()) {
-      times.insert(r->submit_time);
-    }
+    for (const auto& r : records_) times.insert(r->submit_time);
     return {times.begin(), times.end()};
   }
 
   std::unique_ptr<CloudViews> cv_;
+  std::vector<std::shared_ptr<const JobRecord>> records_;
   int reused_ = 0;
 };
 
@@ -288,11 +306,12 @@ TEST_F(MiningTest, MineMatchesTheReferenceFoldOnEveryWindow) {
   }
   ASSERT_GE(windows.size(), 20u);
 
-  auto records = cv_->repository()->Jobs();
+  const auto& records = records_;
   ASSERT_EQ(records.size(), 4u * 30u + 1u);
+  ASSERT_EQ(cv_->repository()->NumJobs(), records.size());
   size_t planless = 0;
   for (const MinedJob& job : cv_->repository()->Mine(t[6], t[9]).jobs) {
-    planless += job.record->plan == nullptr ? 1 : 0;
+    planless += job.has_plan ? 0 : 1;
   }
   EXPECT_EQ(planless, 1u);
   size_t nonempty = 0;
@@ -320,6 +339,7 @@ TEST_F(MiningTest, DefinitionIsTheWindowsEarliestOccurrence) {
   // One template on three days; each window's definition is a clone of
   // that window's earliest occurrence, not of any other.
   CloudViews cv;
+  std::vector<JobRecord> records;
   auto run = [&](int day) {
     cv.clock()->AdvanceTo(day * kSecondsPerDay);
     std::string date = StrFormat("2018-02-0%d", day);
@@ -332,20 +352,22 @@ TEST_F(MiningTest, DefinitionIsTheWindowsEarliestOccurrence) {
     def.logical_plan = PlanBuilder::From(testing_util::SharedAggPlan(date))
                            .Output("daily_" + date)
                            .Build();
-    ASSERT_TRUE(cv.Submit(def, false).ok());
+    auto r = cv.Submit(def, false);
+    ASSERT_TRUE(r.ok());
+    records.push_back(testing_util::RecordOf(def, *r, cv.clock()->Now()));
   };
   run(1);
   run(2);
   run(3);
-  auto records = cv.repository()->Jobs();
   ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(cv.repository()->NumJobs(), 3u);
 
   for (int first_day : {1, 2}) {
     SCOPED_TRACE(StrFormat("window [day %d, day 3]", first_day));
     const LogicalTime from = first_day * kSecondsPerDay;
     AnalysisResult analysis =
         cv.RunAnalyzerAndLoad(from, 3 * kSecondsPerDay + 1);
-    const JobRecord& earliest = *records[static_cast<size_t>(first_day - 1)];
+    const JobRecord& earliest = records[static_cast<size_t>(first_day - 1)];
     ASSERT_EQ(earliest.submit_time, from);
     std::map<Hash128, Hash128> precise_by_normalized;
     for (const SubgraphEntry& e : EnumerateSubgraphs(earliest.plan)) {
@@ -379,6 +401,7 @@ TEST(MiningBucketsTest, InputTemplatesAndSizeFollowTheOccurrences) {
   ASSERT_EQ(through_view->SubtreeHash(SignatureMode::kNormalized), sig);
 
   WorkloadRepository repo;
+  std::vector<std::shared_ptr<const JobRecord>> records;
   for (LogicalTime t : {1, 2}) {
     JobRecord r;
     r.job_id = static_cast<uint64_t>(t);
@@ -389,6 +412,7 @@ TEST(MiningBucketsTest, InputTemplatesAndSizeFollowTheOccurrences) {
     ASSERT_TRUE(r.plan->Bind().ok());
     AssignNodeIds(r.plan.get());
     repo.AddJob(r);
+    records.push_back(std::make_shared<const JobRecord>(std::move(r)));
   }
   MinedWindow window = repo.Mine();
   const SubgraphAggregate& agg = window.aggregates.at(sig);
@@ -396,7 +420,72 @@ TEST(MiningBucketsTest, InputTemplatesAndSizeFollowTheOccurrences) {
   EXPECT_EQ(agg.subtree_size, 2u);
   EXPECT_EQ(agg.input_templates, std::set<std::string>{"clicks_{date}"});
   EXPECT_TRUE(repo.Mine(1, 2).aggregates.at(sig).input_templates.empty());
-  ExpectSameWindow(window, ReferenceFold(repo.Jobs(), 0, 3));
+  ExpectSameWindow(window, ReferenceFold(records, 0, 3));
+}
+
+TEST(MiningBucketsTest, BucketsPinOnlyThePlansTheyPointInto) {
+  // Bucket 1 holds three identical executed jobs and one that reads the
+  // shared aggregate's input through a view, which adds an input-template
+  // set to the same signatures; bucket 2 holds one more identical job. The
+  // test keeps only weak pointers to the plans: after ingest, exactly the
+  // plans holding a bucket's first occurrence or a design or input-set
+  // witness are alive.
+  PlanNodePtr computed = testing_util::SharedAggPlan("2018-01-01");
+  ASSERT_TRUE(computed->Bind().ok());
+  const PlanNode& scan = *computed->child();  // Filter(Extract)
+  PlanNodePtr through_view = computed->Clone();
+  through_view->mutable_children()[0] = std::make_shared<ViewReadNode>(
+      "/views/v", scan.SubtreeHash(SignatureMode::kNormalized),
+      scan.SubtreeHash(SignatureMode::kPrecise), scan.output_schema(),
+      PhysicalProperties{}, 1, 1);
+  ASSERT_TRUE(through_view->Bind().ok());
+  // Record i: a fresh plan on every call, with statistics set by i alone.
+  auto record = [&](size_t i) {
+    JobRecord r;
+    r.job_id = 100 + i;
+    r.user = i == 3 ? "reader" : "u";
+    r.vc = "vc";
+    r.template_id = i == 3 ? "through_view" : "daily";
+    r.submit_time = i == 4 ? 2 : 1;
+    r.plan = PlanBuilder::From((i == 3 ? through_view : computed)->Clone())
+                 .Output("out")
+                 .Build();
+    EXPECT_TRUE(r.plan->Bind().ok());
+    const int nodes = AssignNodeIds(r.plan.get());
+    r.run_stats.latency_seconds = 1.0 + static_cast<double>(i);
+    for (int id = 0; id < nodes; ++id) {
+      OperatorRuntimeStats& op = r.run_stats.operators[id];
+      op.node_id = id;
+      op.rows = 10.0 * static_cast<double>(i + 1) + id;
+      op.bytes = 8 * op.rows;
+      op.inclusive_seconds = 0.01 * static_cast<double>(nodes - id);
+      op.cpu_seconds = 0.001 * static_cast<double>(i + 1);
+    }
+    return r;
+  };
+
+  WorkloadRepository repo;
+  std::vector<std::weak_ptr<PlanNode>> plans;
+  for (size_t i = 0; i < 5; ++i) {
+    JobRecord r = record(i);
+    plans.push_back(r.plan);
+    repo.AddJob(r);
+  }
+  std::vector<bool> alive;
+  for (const auto& plan : plans) alive.push_back(!plan.expired());
+  EXPECT_EQ(alive, (std::vector<bool>{true, false, false, true, true}));
+  EXPECT_EQ(repo.NumJobs(), plans.size());
+
+  // The reference folds the same records: the pinned plans where they
+  // live, identical fresh ones where they were dropped.
+  std::vector<std::shared_ptr<const JobRecord>> records;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    JobRecord r = record(i);
+    if (PlanNodePtr pinned = plans[i].lock()) r.plan = pinned;
+    records.push_back(std::make_shared<const JobRecord>(std::move(r)));
+  }
+  ExpectSameWindow(repo.Mine(), ReferenceFold(records, 0, 3));
+  ExpectSameWindow(repo.Mine(2, 3), ReferenceFold(records, 2, 3));
 }
 
 // --- Concurrency -------------------------------------------------------------
@@ -405,7 +494,7 @@ TEST_F(MiningTest, ConcurrentIngestAndMine) {
   // Four threads ingest the records while a fifth mines the whole history
   // over and over: every window it sees is whole (no half-added job), and
   // the last one matches the reference fold.
-  auto records = cv_->repository()->Jobs();
+  const auto& records = records_;
   WorkloadRepository repo;
   std::atomic<int> adding{4};
   std::vector<std::thread> adders;
@@ -426,7 +515,7 @@ TEST_F(MiningTest, ConcurrentIngestAndMine) {
         occurrences += static_cast<int64_t>(job.subgraphs.size());
         for (const Hash128& sig : job.subgraphs) {
           ASSERT_TRUE(w.aggregates.count(sig));
-          ASSERT_TRUE(w.aggregates.at(sig).jobs.count(job.record->job_id));
+          ASSERT_TRUE(w.aggregates.at(sig).jobs.count(job.job_id));
         }
       }
       int64_t frequencies = 0;
@@ -440,15 +529,26 @@ TEST_F(MiningTest, ConcurrentIngestAndMine) {
   EXPECT_GE(mines, 1);
 
   // The threads interleaved the days; the earliest occurrence is the
-  // earliest by submit time, then by ingest order.
-  auto ingested = repo.Jobs();
-  std::stable_sort(ingested.begin(), ingested.end(),
-                   [](const auto& a, const auto& b) {
-                     return a->submit_time < b->submit_time;
-                   });
+  // earliest by submit time, then by ingest order, which is the order of
+  // the mined jobs: the reference folds the records in that order.
+  std::map<uint64_t, std::shared_ptr<const JobRecord>> by_id;
+  for (const auto& r : records) by_id.emplace(r->job_id, r);
+  MinedWindow window = repo.Mine();
+  std::vector<std::shared_ptr<const JobRecord>> ingested;
+  for (const MinedJob& job : window.jobs) {
+    auto it = by_id.find(job.job_id);
+    ASSERT_NE(it, by_id.end()) << job.job_id;
+    ingested.push_back(it->second);
+    by_id.erase(it);
+  }
+  EXPECT_TRUE(by_id.empty());
+  EXPECT_TRUE(std::is_sorted(ingested.begin(), ingested.end(),
+                             [](const auto& a, const auto& b) {
+                               return a->submit_time < b->submit_time;
+                             }));
   const LogicalTime lo = std::numeric_limits<LogicalTime>::min();
   const LogicalTime hi = std::numeric_limits<LogicalTime>::max();
-  ExpectSameWindow(repo.Mine(), ReferenceFold(ingested, lo, hi));
+  ExpectSameWindow(window, ReferenceFold(ingested, lo, hi));
   EXPECT_EQ(repo.NumJobs(), records.size());
 }
 

@@ -831,7 +831,8 @@ TEST_F(PlanCacheServiceTest, EveryMetadataCallObservesOneLockWait) {
 class RepositoryIngestTest : public ::testing::Test {
  protected:
   /// Executes one TPC-DS query and returns its repository record — a real
-  /// multi-join plan with per-operator runtime stats.
+  /// multi-join plan with per-operator runtime stats — rebuilt from the
+  /// job's result.
   static JobRecord ExecutedRecord() {
     CloudViews cv;
     tpcds::TpcdsOptions small;
@@ -840,10 +841,11 @@ class RepositoryIngestTest : public ::testing::Test {
     small.catalog_sales_rows = 1000;
     small.customers = 200;
     EXPECT_TRUE(tpcds::TpcdsGenerator(small).WriteTables(cv.storage()).ok());
-    auto r = cv.Submit(tpcds::MakeQueryJob(17), false);
+    JobDefinition def = tpcds::MakeQueryJob(17);
+    auto r = cv.Submit(def, false);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(cv.repository()->NumJobs(), 1u);
-    return *cv.repository()->Jobs()[0];
+    return testing_util::RecordOf(def, *r, cv.clock()->Now());
   }
 };
 

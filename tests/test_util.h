@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "exec/operator_stats.h"
 #include "plan/plan_builder.h"
+#include "runtime/job_service.h"
 #include "storage/storage_manager.h"
 
 namespace cloudviews {
@@ -71,6 +72,24 @@ inline double SubtreeCpuSeconds(const PlanNode& node,
     if (it != stats.end()) cpu += it->second.cpu_seconds;
   }
   return cpu;
+}
+
+/// The record the job service ingested for a run of `def`, rebuilt from its
+/// result: it shares the executed plan, so its nodes are the ones the
+/// repository's buckets point into. `submit_time` is the service clock's
+/// time when the job completed.
+inline JobRecord RecordOf(const JobDefinition& def, const JobResult& result,
+                          LogicalTime submit_time) {
+  JobRecord record;
+  record.job_id = result.job_id;
+  record.vc = def.vc;
+  record.user = def.user;
+  record.template_id = def.template_id;
+  record.recurrence_period = def.recurrence_period;
+  record.submit_time = submit_time;
+  record.plan = result.executed_plan;
+  record.run_stats = result.run_stats;
+  return record;
 }
 
 }  // namespace testing_util
