@@ -46,7 +46,7 @@ void BM_OptimizeWithAnnotations(benchmark::State& state) {
     ViewAnnotation ann;
     ann.normalized_signature = entry.sigs.normalized;
     ann.frequency = 3;
-    ctx.annotations.push_back(ann);
+    ctx.annotations.emplace(ann.normalized_signature, ann);
   }
   Optimizer opt;
   for (auto _ : state) {

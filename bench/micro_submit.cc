@@ -108,9 +108,9 @@ struct Instance {
 
 int Run() {
   FigureHeader("micro", "submit-path latency: recurring-job fast path",
-               "warm-cache submissions of a recurring template skip parse + "
-               "logical optimize (Sec 4: compile-time reuse of recurring "
-               "jobs)");
+               "warm-cache submissions of a recurring template skip the "
+               "logical rewrites or the whole compile (Sec 4: compile-time "
+               "reuse of recurring jobs)");
 
   constexpr int kDays = 24;
   constexpr int kConcurrent = 8;
@@ -151,7 +151,7 @@ int Run() {
   // Cache on: the first pass over fresh dates is cold, a second sweep over
   // the same dates serves the skeleton tier (same template, different
   // precise signature per date), and resubmitting one identical job serves
-  // the full tier (parse + optimize + metadata lookup all skipped).
+  // the full tier (metadata lookup and the whole optimizer skipped).
   Instance on_inst(kDays);
   sequential("seq_cache_on_cold", on_inst, cache_on, 1, kDays - 1);
   sequential("seq_cache_on_warm_skeleton", on_inst, cache_on, 1, kDays - 1);

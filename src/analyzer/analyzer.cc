@@ -135,11 +135,6 @@ AnalysisResult CloudViewsAnalyzer::Analyze(MinedWindow window,
   result.jobs_analyzed = window.jobs.size();
   result.subgraphs_mined = window.aggregates.size();
 
-  {
-    obs::Span span = parent.StartChild("analyzer.report");
-    result.report = BuildOverlapReport(window);
-  }
-
   std::vector<const SubgraphAggregate*> selected;
   {
     obs::Span span = parent.StartChild("analyzer.select");

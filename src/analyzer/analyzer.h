@@ -25,8 +25,6 @@ struct AnalysisResult {
   std::vector<SubgraphAggregate> selected;
   /// Job ids ordered so that view-building jobs run first (Sec 6.5).
   std::vector<uint64_t> submission_order;
-  /// Workload-wide overlap report (Figs 1-5, admin dashboard).
-  OverlapReport report;
   /// Wall seconds of the analysis; RunAnalyzerAndLoad includes the window
   /// merge.
   double analysis_seconds = 0;
@@ -44,8 +42,10 @@ class CloudViewsAnalyzer {
       : config_(config) {}
 
   /// Consumes the window: the selected aggregates move into the result.
-  /// Records its stages (analyzer.report, analyzer.select, analyzer.order,
+  /// Records its stages (analyzer.select, analyzer.order,
   /// analyzer.annotate) as children of `trace` when it is given and active.
+  /// The overlap report of Figs 1-5 is not part of a run: callers that
+  /// want it build it from the window (BuildOverlapReport).
   AnalysisResult Analyze(MinedWindow window,
                          obs::Span* trace = nullptr) const;
 

@@ -36,12 +36,6 @@ struct OverlapReport {
                      static_cast<double>(total_subgraph_instances)
                : 0;
   }
-  double PctOverlappingSubgraphTemplates() const {
-    return total_subgraph_templates
-               ? 100.0 * static_cast<double>(overlapping_subgraph_templates) /
-                     static_cast<double>(total_subgraph_templates)
-               : 0;
-  }
 
   /// Per-VC: percentage of the VC's jobs that overlap; average overlap
   /// frequency of its overlapping subgraphs (Fig 2).

@@ -24,7 +24,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  [[nodiscard]] bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -116,9 +116,6 @@ class [[nodiscard]] Status {
   [[nodiscard]] bool IsNotFound() const {
     return code() == StatusCode::kNotFound;
   }
-  [[nodiscard]] bool IsAlreadyExists() const {
-    return code() == StatusCode::kAlreadyExists;
-  }
   [[nodiscard]] bool IsAborted() const {
     return code() == StatusCode::kAborted;
   }

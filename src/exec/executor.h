@@ -51,10 +51,6 @@ struct ExecContext {
   std::function<void(const SpoolNode&, const StreamData&)>
       on_view_materialized;
 
-  /// Expiry assigned to views materialized by this job (0 = never); set
-  /// from the analyzer's lineage-based estimate (Sec 5.4).
-  LogicalTime view_expiry = 0;
-
   /// Invoked when a SpoolNode's view write failed and the partial output
   /// was discarded ("do no harm": the job continues on the spool's input).
   /// The job manager releases the build lock from here.

@@ -982,10 +982,11 @@ class SpoolOperator : public PhysicalOperator {
     } else {
       stored.push_back(std::move(designed));
     }
+    // The spool's lineage lifetime (Sec 5.4) is the one source of expiry;
+    // a spool without one writes a view that never expires.
     LogicalTime now = ctx.exec->storage->clock()->Now();
-    LogicalTime expiry = spool->lifetime_seconds() > 0
-                             ? now + spool->lifetime_seconds()
-                             : ctx.exec->view_expiry;
+    LogicalTime expiry =
+        spool->lifetime_seconds() > 0 ? now + spool->lifetime_seconds() : 0;
     StreamData view = MakeStreamData(spool->view_path(), GenerateGuid(),
                                      in.schema(), std::move(stored), now,
                                      expiry, spool->design());

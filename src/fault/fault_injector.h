@@ -31,7 +31,8 @@ inline constexpr char kStorageViewWrite[] = "storage.view_write";
 /// StorageManager::WriteStream on a view stream; a torn (truncated,
 /// incomplete-flagged) partial is left behind and the write still fails.
 inline constexpr char kStorageViewWriteTorn[] = "storage.view_write.torn";
-/// MetadataService::TryGetRelevantViews (lookup timeout).
+/// MetadataService::GetRelevantViews, keyed by the job's joined tags
+/// (lookup timeout).
 inline constexpr char kMetadataLookup[] = "metadata.lookup";
 /// MetadataService::ProposeMaterialize; an injected fault is surfaced as a
 /// build-lock denial (the job runs, just without materializing).

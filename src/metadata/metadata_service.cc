@@ -30,9 +30,11 @@ MetadataService::MetadataService(SimulatedClock* clock,
       wall_clock_(wall_clock),
       fault_(fault) {
   metrics = obs::SharedOrOwned(metrics, &own_metrics_);
-  obs_.lookups = metrics->GetCounter("cv_metadata_lookups_total", {},
-                                     "Tag-inverted-index lookups (one per "
-                                     "submitted job, Fig 9 step 1)");
+  obs_.lookups = metrics->GetCounter(
+      "cv_metadata_lookups_total", {},
+      "GetRelevantViews requests, tag and table-set matches in one (one "
+      "per CloudViews job the full plan-cache tier does not serve, Fig 9 "
+      "step 1)");
   obs_.hits = metrics->GetCounter(
       "cv_metadata_view_hits_total", {},
       "FindMaterialized calls that returned a live view");
@@ -118,30 +120,10 @@ double MetadataService::SimulatedLookupLatency() const {
           parallel_fraction / std::max(1, config_.service_threads));
 }
 
-std::vector<ViewAnnotation> MetadataService::GetRelevantViews(
-    const std::vector<std::string>& tags, double* latency_seconds) const {
-  obs_.lookups->Increment();
-  if (latency_seconds != nullptr) {
-    *latency_seconds = SimulatedLookupLatency();
-  }
-  // Read-mostly path: one pointer copy under mu_, then the immutable
-  // snapshot is scanned without any lock held.
-  std::shared_ptr<const AnalysisSnapshot> snapshot = AnalysisView();
-  std::vector<ViewAnnotation> out;
-  if (snapshot == nullptr) return out;
-  std::set<size_t> hits;
-  for (const auto& tag : tags) {
-    auto it = snapshot->tag_index.find(tag);
-    if (it == snapshot->tag_index.end()) continue;
-    hits.insert(it->second.begin(), it->second.end());
-  }
-  out.reserve(hits.size());
-  for (size_t i : hits) out.push_back(snapshot->computations[i].annotation);
-  return out;
-}
-
-Result<std::vector<ViewAnnotation>> MetadataService::TryGetRelevantViews(
-    const std::vector<std::string>& tags, double* latency_seconds) const {
+Result<AnnotationIndex> MetadataService::GetRelevantViews(
+    const std::vector<std::string>& tags,
+    const std::vector<Hash128>& table_set_keys,
+    double* latency_seconds) const {
   if (fault_ != nullptr) {
     std::string key;
     for (const auto& tag : tags) {
@@ -150,7 +132,32 @@ Result<std::vector<ViewAnnotation>> MetadataService::TryGetRelevantViews(
     }
     CV_RETURN_NOT_OK(fault_->MaybeInject(fault::points::kMetadataLookup, key));
   }
-  return GetRelevantViews(tags, latency_seconds);
+  obs_.lookups->Increment();
+  if (latency_seconds != nullptr) {
+    *latency_seconds = SimulatedLookupLatency();
+  }
+  // Read-mostly path: one pointer copy under mu_, then the immutable
+  // snapshot is scanned without any lock held.
+  std::shared_ptr<const AnalysisSnapshot> snapshot = AnalysisView();
+  AnnotationIndex out;
+  if (snapshot == nullptr) return out;
+  // Tag matches, then table-set matches, each in ascending load order; a
+  // signature keeps its first copy.
+  auto add_hits = [&](const auto& index, const auto& keys) {
+    std::set<size_t> hits;
+    for (const auto& key : keys) {
+      auto it = index.find(key);
+      if (it == index.end()) continue;
+      hits.insert(it->second.begin(), it->second.end());
+    }
+    for (size_t i : hits) {
+      const ViewAnnotation& a = snapshot->computations[i].annotation;
+      out.try_emplace(a.normalized_signature, a);
+    }
+  };
+  add_hits(snapshot->tag_index, tags);
+  add_hits(snapshot->table_set_index, table_set_keys);
+  return out;
 }
 
 std::optional<ViewAnnotation> MetadataService::FindAnnotation(
@@ -163,22 +170,6 @@ std::optional<ViewAnnotation> MetadataService::FindAnnotation(
     }
   }
   return std::nullopt;
-}
-
-std::vector<ViewAnnotation> MetadataService::GetContainmentCandidates(
-    const std::vector<Hash128>& table_set_keys) const {
-  std::vector<ViewAnnotation> out;
-  std::shared_ptr<const AnalysisSnapshot> snapshot = AnalysisView();
-  if (snapshot == nullptr) return out;
-  std::set<size_t> hits;
-  for (const auto& key : table_set_keys) {
-    auto it = snapshot->table_set_index.find(key);
-    if (it == snapshot->table_set_index.end()) continue;
-    hits.insert(it->second.begin(), it->second.end());
-  }
-  out.reserve(hits.size());
-  for (size_t i : hits) out.push_back(snapshot->computations[i].annotation);
-  return out;
 }
 
 const MetadataService::RegisteredView* MetadataService::LiveView(

@@ -83,33 +83,29 @@ class MetadataService : public ViewCatalogInterface {
   void LoadAnalysis(const std::vector<AnnotatedComputation>& computations)
       EXCLUDES(mu_);
 
-  /// Step 1/2 of Fig 9: one request per job returning every annotation
-  /// relevant to any of the job's tags (may contain false positives — the
-  /// optimizer re-matches signatures). Returns the simulated service
-  /// latency through `latency_seconds` when non-null.
-  std::vector<ViewAnnotation> GetRelevantViews(
+  /// Step 1/2 of Fig 9: the one request per job. Returns, keyed by
+  /// normalized signature, every annotation tagged with one of `tags` and
+  /// every annotation whose feature table-set key is one of
+  /// `table_set_keys` (containment tier 1: the keys of the job's
+  /// subgraphs, so candidate enumeration never scans the catalog). Hits may
+  /// be false positives — the optimizer re-matches signatures. Tag matches
+  /// come first, then table-set matches, each in ascending load order, and
+  /// a signature keeps its first copy. Reads the snapshot once and returns
+  /// the simulated service latency through `latency_seconds` when
+  /// non-null.
+  ///
+  /// The metadata.lookup injection point (keyed by the joined tags) models
+  /// a lookup timeout; a fired fault counts no lookup. Callers must
+  /// degrade to running without reuse, never fail the job.
+  Result<AnnotationIndex> GetRelevantViews(
       const std::vector<std::string>& tags,
-      double* latency_seconds = nullptr) const EXCLUDES(mu_);
-
-  /// Fallible variant of GetRelevantViews: the metadata.lookup injection
-  /// point (keyed by the joined tags) models a lookup timeout. Callers
-  /// must degrade to running without reuse, never fail the job.
-  Result<std::vector<ViewAnnotation>> TryGetRelevantViews(
-      const std::vector<std::string>& tags,
+      const std::vector<Hash128>& table_set_keys = {},
       double* latency_seconds = nullptr) const EXCLUDES(mu_);
 
   /// Looks up the loaded annotation for one computation template (admin
   /// drill-down and eviction use this).
   std::optional<ViewAnnotation> FindAnnotation(const Hash128& normalized) const
       EXCLUDES(mu_);
-
-  /// Containment tier 1: every annotation whose feature table-set key
-  /// matches one of `table_set_keys` (the keys of the job's subgraphs).
-  /// Lets candidate enumeration touch only same-table-set annotations
-  /// instead of scanning the full catalog. Scans the snapshot with no lock
-  /// held, like GetRelevantViews.
-  std::vector<ViewAnnotation> GetContainmentCandidates(
-      const std::vector<Hash128>& table_set_keys) const EXCLUDES(mu_);
 
   // --- ViewCatalogInterface (optimizer-facing) -----------------------------
 

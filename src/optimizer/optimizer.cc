@@ -83,7 +83,6 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
   }
 
   OptimizedPlan out;
-  AnnotationIndex annotations = IndexAnnotations(ctx.annotations);
   ViewRewriter rewriter(&cost_model_, ctx.view_catalog);
 
   // 4. Reuse pass first (Fig 10): never materialize what can be read.
@@ -92,7 +91,7 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
     ViewRewriter::ReuseOptions reuse_options;
     reuse_options.enable_containment = config_.enable_containment_matching;
     reuse_options.parent_span = &span;
-    root = rewriter.ApplyReuse(std::move(root), annotations, &out,
+    root = rewriter.ApplyReuse(std::move(root), ctx.annotations, &out,
                                reuse_options);
     CV_RETURN_NOT_OK(root->Bind());
     if (out.views_reused > 0) {
@@ -120,7 +119,7 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
   {
     obs::Span span = parent->StartChild("materialize");
     root = rewriter.ApplyMaterialization(
-        std::move(root), annotations, ctx.job_id,
+        std::move(root), ctx.annotations, ctx.job_id,
         config_.max_materialized_views_per_job, root->estimates().cost,
         config_.max_materialize_cost_fraction, &out,
         &out.lock_denied_signatures);

@@ -42,8 +42,9 @@ struct OptimizeContext {
   const StatsProviderInterface* feedback = nullptr;
   /// Metadata service view; null disables CloudViews entirely.
   ViewCatalogInterface* view_catalog = nullptr;
-  /// Annotations relevant to this job, fetched from the metadata service.
-  std::vector<ViewAnnotation> annotations;
+  /// Annotations relevant to this job, keyed by normalized signature: the
+  /// result of the job's one metadata lookup.
+  AnnotationIndex annotations;
   uint64_t job_id = 0;
   /// Parent trace span (usually the job's "optimize" stage); when non-null
   /// the optimizer nests one child span per phase under it. Null disables
@@ -53,7 +54,7 @@ struct OptimizeContext {
   MonotonicClock* clock = MonotonicClock::Real();
   /// When non-null, Optimize deposits a clone of the logically-rewritten
   /// (pre-physical) tree here — the plan *skeleton* the plan cache stores
-  /// so later occurrences of the template skip parse + logical optimize.
+  /// so later occurrences of the template skip the logical rewrites.
   PlanNodePtr* skeleton_out = nullptr;
 };
 
@@ -92,7 +93,7 @@ class Optimizer {
   /// instance). Physical planning and the reuse/materialization passes run
   /// fresh against current statistics and the current view catalog, so the
   /// result is identical to a full Optimize of the same instance — only
-  /// parse + logical rewrites are skipped (and no `logical_rewrite` span is
+  /// the logical rewrites are skipped (and no `logical_rewrite` span is
   /// emitted). Takes ownership of `skeleton`; pass a private clone.
   Result<OptimizedPlan> OptimizeFromSkeleton(PlanNodePtr skeleton,
                                              const OptimizeContext& ctx) const;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -47,6 +48,12 @@ struct ViewAnnotation {
   std::shared_ptr<const ViewFeatures> features;
   PlanNodePtr definition;
 };
+
+/// The annotations relevant to one job, keyed by normalized signature: the
+/// metadata service's one lookup per job returns it (Fig 9 steps 1/2) and
+/// the optimizer's view passes probe it in O(1) per subgraph.
+using AnnotationIndex =
+    std::unordered_map<Hash128, ViewAnnotation, Hash128Hasher>;
 
 /// A view instance that is already materialized and available.
 struct MaterializedViewInfo {

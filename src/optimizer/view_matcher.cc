@@ -92,11 +92,11 @@ struct CandidateMatcher::ViewSide {
   const Schema* view_schema = nullptr;
 };
 
-CandidateMatcher::CandidateMatcher(
-    const std::unordered_map<Hash128, ViewAnnotation, Hash128Hasher>&
-        annotations,
-    ViewCatalogInterface* catalog, const CostModel* cost_model,
-    JobCounters* counters, obs::Span* parent_span)
+CandidateMatcher::CandidateMatcher(const AnnotationIndex& annotations,
+                                   ViewCatalogInterface* catalog,
+                                   const CostModel* cost_model,
+                                   JobCounters* counters,
+                                   obs::Span* parent_span)
     : catalog_(catalog),
       cost_model_(cost_model),
       counters_(counters),

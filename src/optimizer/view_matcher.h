@@ -46,8 +46,7 @@ class CandidateMatcher {
   /// `containment_verify` child span — it is only created when at least
   /// one candidate reaches tier 2, so exact-only jobs keep their span
   /// tree byte-identical to tier-0-only builds.
-  CandidateMatcher(const std::unordered_map<Hash128, ViewAnnotation,
-                                            Hash128Hasher>& annotations,
+  CandidateMatcher(const AnnotationIndex& annotations,
                    ViewCatalogInterface* catalog, const CostModel* cost_model,
                    JobCounters* counters, obs::Span* parent_span);
 

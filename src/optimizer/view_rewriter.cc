@@ -7,14 +7,6 @@
 
 namespace cloudviews {
 
-AnnotationIndex IndexAnnotations(const std::vector<ViewAnnotation>& anns) {
-  AnnotationIndex index;
-  for (const auto& a : anns) {
-    index.emplace(a.normalized_signature, a);
-  }
-  return index;
-}
-
 void AbandonSpoolLocks(const PlanNodePtr& root, uint64_t job_id,
                        ViewCatalogInterface* catalog) {
   if (catalog == nullptr || root == nullptr) return;

@@ -1,7 +1,6 @@
 #ifndef CLOUDVIEWS_OPTIMIZER_VIEW_REWRITER_H_
 #define CLOUDVIEWS_OPTIMIZER_VIEW_REWRITER_H_
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,12 +12,6 @@
 #include "plan/plan_node.h"
 
 namespace cloudviews {
-
-/// Annotations indexed by normalized signature for O(1) subgraph matching.
-using AnnotationIndex =
-    std::unordered_map<Hash128, ViewAnnotation, Hash128Hasher>;
-
-AnnotationIndex IndexAnnotations(const std::vector<ViewAnnotation>& anns);
 
 /// Hands back the build lock of every Spool under `root` that `job_id`
 /// holds (idempotent per lock; a null `catalog` holds none). Whoever

@@ -1,6 +1,5 @@
 #include "runtime/job_service.h"
 
-#include <set>
 #include <thread>
 
 #include "fault/fault_injector.h"
@@ -327,13 +326,19 @@ void JobService::LookupViews(JobState& job) {
   std::vector<std::string> tags =
       job.def.tags.empty() ? DefaultTags(job.def) : job.def.tags;
   obs::Span span = job.span.StartChild("metadata_lookup");
+  // Containment tier 1 rides in the same request: the table-set keys of
+  // this job's subgraphs fetch the annotations over the same table sets.
+  std::vector<Hash128> table_set_keys;
+  if (optimizer_.config().enable_containment_matching) {
+    table_set_keys = CollectTableSetKeys(job.def.logical_plan);
+  }
   Status lookup = fault::RetryWithBackoff(
       retry_,
       [&]() -> Status {
-        auto r = metadata_->TryGetRelevantViews(
-            tags, &job.result.metadata_lookup_seconds);
-        if (!r.ok()) return r.status();
-        ctx.annotations = std::move(r).ValueOrDie();
+        CV_ASSIGN_OR_RETURN(
+            ctx.annotations,
+            metadata_->GetRelevantViews(tags, table_set_keys,
+                                        &job.result.metadata_lookup_seconds));
         return Status::OK();
       },
       sleeper_);
@@ -345,19 +350,6 @@ void JobService::LookupViews(JobState& job) {
     job.result.lookup_degraded = true;
     span.SetAttribute("degraded", true);
     span.SetAttribute("error", lookup.ToString());
-  } else if (optimizer_.config().enable_containment_matching) {
-    // Containment tier 1 pre-fetch: annotations over the same table sets
-    // as this job's subgraphs, keyed by the table-set index so candidate
-    // enumeration never scans the full catalog. Tag-matched annotations
-    // already fetched above are not duplicated.
-    std::set<Hash128> have;
-    for (const auto& a : ctx.annotations) have.insert(a.normalized_signature);
-    for (auto& extra : metadata_->GetContainmentCandidates(
-             CollectTableSetKeys(job.def.logical_plan))) {
-      if (have.insert(extra.normalized_signature).second) {
-        ctx.annotations.push_back(std::move(extra));
-      }
-    }
   }
   span.SetAttribute("annotations",
                     static_cast<uint64_t>(ctx.annotations.size()));
@@ -369,7 +361,7 @@ bool JobService::ServeSkeleton(JobState& job) {
   // Skeleton hit: same template, but new data or a moved catalog epoch.
   // Rebind the `{param}` holes onto a clone of the cached logically-
   // rewritten tree, then re-run physical planning + the view passes —
-  // parse and logical optimize are skipped (no `logical_rewrite` span).
+  // the logical rewrites are skipped (no `logical_rewrite` span).
   if (job.probe.entry == nullptr || job.probe.entry->skeleton == nullptr) {
     return false;
   }
@@ -395,8 +387,9 @@ bool JobService::ServeSkeleton(JobState& job) {
 }
 
 Status JobService::CompileCold(JobState& job) {
-  // Cold path: full parse + logical rewrite + physical optimize, capturing
-  // the logically-rewritten skeleton for the cache on the way out.
+  // Cold path: logical rewrite + physical optimize of the parsed plan,
+  // capturing the logically-rewritten skeleton for the cache on the way
+  // out.
   obs::Span optimize_span = job.span.StartChild("optimize");
   job.ctx.span = optimize_span.active() ? &optimize_span : nullptr;
   if (job.options.enable_plan_cache) job.ctx.skeleton_out = &job.skeleton;
@@ -644,12 +637,14 @@ Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
   ctx.job_id = job_id;
   ctx.feedback = repository_;
   ctx.view_catalog = metadata_;
-  std::vector<std::string> tags =
-      def.tags.empty() ? DefaultTags(def) : def.tags;
-  ctx.annotations = metadata_->GetRelevantViews(tags);
+  CV_ASSIGN_OR_RETURN(
+      ctx.annotations,
+      metadata_->GetRelevantViews(def.tags.empty() ? DefaultTags(def)
+                                                   : def.tags));
   // Build every annotated subgraph of this job, regardless of the online
   // per-job cap, and treat offline annotations as materializable.
-  for (auto& ann : ctx.annotations) ann.offline = false;
+  // order-insensitive: each annotation is updated on its own.
+  for (auto& [normalized, ann] : ctx.annotations) ann.offline = false;
   OptimizerConfig config = optimizer_.config();
   config.max_materialized_views_per_job = 1 << 20;
   Optimizer offline_optimizer(config);

@@ -52,8 +52,9 @@ struct JobResult : JobCounters {
   JobRunStats run_stats;
   double compile_seconds = 0;           // optimizer wall time
   double metadata_lookup_seconds = 0;   // simulated service latency
-  /// The plan came from the plan cache (full or skeleton tier): parse +
-  /// logical optimize were skipped — the recurring-job fast path.
+  /// The plan came from the plan cache (full or skeleton tier): the
+  /// logical rewrites were skipped, and on a full hit the metadata lookup
+  /// and the whole optimizer too — the recurring-job fast path.
   bool plan_cache_hit = false;
   /// Metadata-service catalog epoch observed at submit (0 when the plan
   /// cache was disabled for this submission).
@@ -87,7 +88,7 @@ struct JobServiceOptions {
   bool use_feedback_statistics = true;
   /// Recurring-job fast path: serve repeated templates from the
   /// signature-keyed plan cache (epoch-validated; byte-identical results).
-  /// Off forces a full parse + optimize on every submission.
+  /// Off forces a full optimize on every submission.
   bool enable_plan_cache = true;
   /// Work sharing across concurrent in-flight jobs: submissions whose
   /// whole-plan signature matches an in-flight execution adopt its result
@@ -151,7 +152,8 @@ class JobService {
   /// Offline materialization mode (Sec 6.2): extracts the annotated
   /// overlapping subgraphs of `def`'s plan "while excluding any remaining
   /// operation in the job" and materializes just those, before the actual
-  /// workload runs. Returns the number of views built. Annotations marked
+  /// workload runs. Returns the number of views built, or the metadata
+  /// lookup's error before any build lock is taken. Annotations marked
   /// offline never materialize inline; this is how they get built.
   Result<int> MaterializeOfflineViews(const JobDefinition& def);
 

@@ -11,12 +11,12 @@ PlanCache::PlanCache(size_t capacity, obs::MetricsRegistry* metrics)
   metrics = obs::SharedOrOwned(metrics, &own_metrics_);
   obs_.hits_full = metrics->GetCounter(
       "cv_plan_cache_hits_full_total", {},
-      "Plan-cache probes served the fully optimized physical plan (parse, "
-      "logical and physical optimize all skipped)");
+      "Plan-cache probes served the fully optimized physical plan (metadata "
+      "lookup and the whole optimizer skipped)");
   obs_.hits_skeleton = metrics->GetCounter(
       "cv_plan_cache_hits_skeleton_total", {},
-      "Plan-cache probes served the logical skeleton (parse + logical "
-      "optimize skipped; physical + view passes re-run)");
+      "Plan-cache probes served the logical skeleton (logical rewrites "
+      "skipped; physical + view passes re-run)");
   obs_.misses = metrics->GetCounter("cv_plan_cache_misses_total", {},
                                     "Plan-cache probes that found no entry "
                                     "for the template");

@@ -24,8 +24,9 @@ namespace cloudviews {
 ///
 ///  - the *skeleton*: the parsed, logically-rewritten template tree. It is
 ///    catalog-independent, so any later occurrence of the template can
-///    rebind its `{param}` holes onto a clone and skip parse + logical
-///    optimize, re-running only physical planning and the view passes.
+///    rebind its `{param}` holes onto a clone and skip the logical
+///    rewrites, re-running only physical planning and the view passes.
+///    (Parsing is never skipped: the job service receives a parsed plan.)
 ///  - the *rewritten* physical plan, tagged with the metadata service's
 ///    catalog epoch and the instance's precise signature. It is served
 ///    only when the epoch still matches (no analysis was loaded and no

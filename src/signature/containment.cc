@@ -251,19 +251,29 @@ CapDecomposition DecomposeCap(const PlanNode& root) {
 
 namespace {
 
-void CollectTables(const PlanNode& node, std::set<std::string>* out) {
+/// The input template names under `node`, sorted and distinct, in one
+/// post-order walk. When `keys` is non-null it also collects the table-set
+/// key of every reusable subgraph under `node`.
+std::set<std::string> TablesUnder(const PlanNode& node,
+                                  std::set<Hash128>* keys) {
+  std::set<std::string> tables;
   if (node.kind() == OpKind::kExtract) {
-    out->insert(static_cast<const ExtractNode&>(node).template_name());
-    return;
-  }
-  if (node.kind() == OpKind::kViewRead) {
+    tables.insert(static_cast<const ExtractNode&>(node).template_name());
+  } else if (node.kind() == OpKind::kViewRead) {
     // A prior rewrite's view scan: its input tables are not visible here.
     // Tag it distinctly so such subtrees only table-set-match each other.
-    out->insert("view:" +
-                static_cast<const ViewReadNode&>(node).view_path());
-    return;
+    tables.insert("view:" +
+                  static_cast<const ViewReadNode&>(node).view_path());
+  } else {
+    for (const auto& c : node.children()) {
+      std::set<std::string> below = TablesUnder(*c, keys);
+      tables.merge(below);
+    }
   }
-  for (const auto& c : node.children()) CollectTables(*c, out);
+  if (keys != nullptr && IsReusableRoot(node)) {
+    keys->insert(TableSetKey({tables.begin(), tables.end()}));
+  }
+  return tables;
 }
 
 }  // namespace
@@ -277,8 +287,7 @@ Hash128 TableSetKey(const std::vector<std::string>& sorted_tables) {
 
 ViewFeatures ComputeViewFeatures(const PlanNode& root) {
   ViewFeatures f;
-  std::set<std::string> tables;
-  CollectTables(root, &tables);
+  std::set<std::string> tables = TablesUnder(root, nullptr);
   f.tables.assign(tables.begin(), tables.end());
   f.table_set_key = TableSetKey(f.tables);
   for (const auto& field : root.output_schema().fields()) {
@@ -298,21 +307,9 @@ ViewFeatures ComputeViewFeatures(const PlanNode& root) {
 }
 
 std::vector<Hash128> CollectTableSetKeys(const PlanNodePtr& root) {
-  std::vector<Hash128> keys;
-  std::set<std::string> seen_tables_reprs;  // dedup via joined repr
-  for (const auto& entry : EnumerateSubgraphs(root)) {
-    std::set<std::string> tables;
-    CollectTables(*entry.node, &tables);
-    std::string repr;
-    for (const auto& t : tables) {
-      repr += t;
-      repr += '\n';
-    }
-    if (!seen_tables_reprs.insert(repr).second) continue;
-    keys.push_back(TableSetKey(
-        std::vector<std::string>(tables.begin(), tables.end())));
-  }
-  return keys;
+  std::set<Hash128> keys;
+  TablesUnder(*root, &keys);
+  return {keys.begin(), keys.end()};
 }
 
 }  // namespace cloudviews

@@ -147,9 +147,9 @@ ViewFeatures ComputeViewFeatures(const PlanNode& root);
 Hash128 TableSetKey(const std::vector<std::string>& sorted_tables);
 
 /// Collects the distinct table-set keys of every reuse-candidate subgraph
-/// in the plan (one key per distinct input-template set). The runtime uses
-/// this to ask the metadata service for containment candidates relevant to
-/// a job without enumerating the catalog.
+/// in the plan (one key per distinct input-template set, in one post-order
+/// walk). The job's metadata lookup passes them so the containment
+/// candidates relevant to the job arrive without enumerating the catalog.
 std::vector<Hash128> CollectTableSetKeys(const PlanNodePtr& root);
 
 }  // namespace cloudviews

@@ -73,7 +73,8 @@ TEST_F(CoreTest, ScriptDrivenLifecycle) {
 
   auto analysis = cv_.RunAnalyzerAndLoad();
   ASSERT_FALSE(analysis.annotations.empty());
-  EXPECT_GT(analysis.report.PctOverlappingJobs(), 99.0);
+  EXPECT_GT(BuildOverlapReport(cv_.repository()->Mine()).PctOverlappingJobs(),
+            99.0);
 
   // Day 2: materialize then reuse, via scripts only.
   WriteDay("2018-01-02");

@@ -336,15 +336,19 @@ TEST_F(ExecTest, SpoolWritesViewAndPassesThrough) {
   std::string path = EncodeViewPath(sigs.normalized, sigs.precise, 42);
   PhysicalProperties design{Partitioning::Hash({"region"}, 2),
                             {{{"amount", true}}}};
-  auto plan = PlanBuilder::From(std::make_shared<SpoolNode>(
-                  base, path, sigs.normalized, sigs.precise, design))
+  auto spool = std::make_shared<SpoolNode>(base, path, sigs.normalized,
+                                           sigs.precise, design);
+  // The view expires its lineage lifetime after it is written (Sec 5.4).
+  spool->set_lifetime_seconds(12345);
+  clock_.AdvanceSeconds(1000);
+  const LogicalTime written_at = clock_.Now();
+  auto plan = PlanBuilder::From(spool)
                   .Aggregate({}, {{AggFunc::kCount, nullptr, "n"}})
                   .Output("spool_job_out")
                   .Build();
 
   bool published = false;
   ExecContext ctx;
-  ctx.view_expiry = 12345;
   ctx.on_view_materialized = [&](const SpoolNode& node,
                                  const StreamData& view) {
     published = true;
@@ -357,7 +361,7 @@ TEST_F(ExecTest, SpoolWritesViewAndPassesThrough) {
   auto view = storage_.OpenStream(path);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ((*view)->total_rows, 4);
-  EXPECT_EQ((*view)->expires_at, 12345);
+  EXPECT_EQ((*view)->expires_at, written_at + 12345);
   EXPECT_EQ((*view)->batches.size(), 2u);  // two hash partitions
   // Each partition is sorted by amount per the design.
   for (const auto& p : (*view)->batches) {

@@ -434,6 +434,31 @@ TEST_F(FaultPipelineTest, OfflineBuildFailureReleasesEveryRemainingLock) {
   EXPECT_EQ(*retry, 1);
 }
 
+TEST_F(FaultPipelineTest, OfflineBuildReturnsTheLookupFaultBeforeAnyLock) {
+  // An offline pre-job's metadata lookup fails like a job's: the pre-job
+  // returns the lookup's error before its optimize takes any build lock.
+  SeedHistory();
+  FaultSpec spec;
+  spec.trigger_every = 1;
+  spec.code = StatusCode::kAborted;
+  injector_.Arm(fault::points::kMetadataLookup, spec);
+  const uint64_t granted = cv_->metadata()->counters().locks_granted;
+  auto built = cv_->job_service()->MaterializeOfflineViews(JobA("2018-01-02"));
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kAborted);
+  EXPECT_TRUE(fault::IsInjectedFault(built.status()));
+  EXPECT_EQ(injector_.fires(fault::points::kMetadataLookup), 1u);
+  EXPECT_EQ(cv_->metadata()->counters().locks_granted, granted);
+  EXPECT_EQ(cv_->metadata()->NumActiveLocks(), 0u);
+  EXPECT_EQ(cv_->metadata()->NumRegisteredViews(), 0u);
+  injector_.Reset();
+  auto retry = cv_->job_service()->MaterializeOfflineViews(JobA("2018-01-02"));
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(*retry, 1);
+  EXPECT_EQ(cv_->metadata()->NumRegisteredViews(), 1u);
+  EXPECT_EQ(cv_->metadata()->NumActiveLocks(), 0u);
+}
+
 TEST_F(FaultPipelineTest, AbandonLockIsIdempotentAndOwnerChecked) {
   Hash128 norm{1, 2};
   Hash128 precise{3, 4};

@@ -228,8 +228,9 @@ TEST_F(LifecycleTest, LockExpiryUnblocksAfterCrashWithoutAbandon) {
     ASSERT_TRUE(optimized.ok());
     // The annotation is the top-utility subgraph; fetch it from metadata.
     auto anns = cv.metadata()->GetRelevantViews({"template:jobA"});
-    ASSERT_EQ(anns.size(), 1u);
-    norm = anns[0].normalized_signature;
+    ASSERT_TRUE(anns.ok());
+    ASSERT_EQ(anns->size(), 1u);
+    norm = anns->begin()->first;
     // Find the matching subgraph's precise signature in the compiled plan.
     bool found = false;
     std::vector<PlanNode*> nodes;

@@ -6,11 +6,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "fault/fault_injector.h"
 #include "metadata/metadata_service.h"
+#include "obs/metrics.h"
 
 namespace cloudviews {
 namespace {
@@ -70,22 +72,112 @@ TEST_F(MetadataTest, InvertedIndexReturnsRelevantAnnotations) {
   EXPECT_EQ(service_.NumAnnotations(), 3u);
 
   auto hits = service_.GetRelevantViews({"template:a"});
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].normalized_signature, H(1));
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ(hits->begin()->second.normalized_signature, H(1));
 
   // vc:v1 matches two computations (false positives are fine, Sec 6.1).
-  EXPECT_EQ(service_.GetRelevantViews({"vc:v1"}).size(), 2u);
-  EXPECT_EQ(service_.GetRelevantViews({"vc:nope"}).size(), 0u);
+  EXPECT_EQ(service_.GetRelevantViews({"vc:v1"})->size(), 2u);
+  EXPECT_EQ(service_.GetRelevantViews({"vc:nope"})->size(), 0u);
   // Multiple tags union their hits.
-  EXPECT_EQ(service_.GetRelevantViews({"template:a", "vc:v2"}).size(), 2u);
+  EXPECT_EQ(service_.GetRelevantViews({"template:a", "vc:v2"})->size(), 2u);
 }
 
 TEST_F(MetadataTest, ReloadReplacesAnalysis) {
   service_.LoadAnalysis({Comp(1, {"t:a"})});
   service_.LoadAnalysis({Comp(2, {"t:b"})});
   EXPECT_EQ(service_.NumAnnotations(), 1u);
-  EXPECT_EQ(service_.GetRelevantViews({"t:a"}).size(), 0u);
-  EXPECT_EQ(service_.GetRelevantViews({"t:b"}).size(), 1u);
+  EXPECT_EQ(service_.GetRelevantViews({"t:a"})->size(), 0u);
+  EXPECT_EQ(service_.GetRelevantViews({"t:b"})->size(), 1u);
+}
+
+/// A computation tagged `tag` whose features carry the table-set key
+/// `table_set` (no features when nullopt). `marker` (its frequency) tells
+/// two copies of one signature apart.
+AnnotatedComputation Keyed(uint64_t sig, const std::string& tag,
+                           std::optional<Hash128> table_set,
+                           int64_t marker) {
+  AnnotatedComputation comp = Comp(sig, {tag});
+  comp.annotation.frequency = marker;
+  if (table_set.has_value()) {
+    auto features = std::make_shared<ViewFeatures>();
+    features->table_set_key = *table_set;
+    comp.annotation.features = std::move(features);
+  }
+  return comp;
+}
+
+/// (signature, marker) of every entry of a lookup's index, sorted.
+std::vector<std::pair<Hash128, int64_t>> Entries(
+    const Result<AnnotationIndex>& lookup) {
+  std::vector<std::pair<Hash128, int64_t>> out;
+  EXPECT_TRUE(lookup.ok()) << lookup.status().ToString();
+  if (!lookup.ok()) return out;
+  // order-insensitive: sorted below.
+  for (const auto& [normalized, ann] : *lookup) {
+    EXPECT_EQ(normalized, ann.normalized_signature);
+    out.emplace_back(normalized, ann.frequency);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(MetadataTest, OneLookupUnionsTagAndTableSetMatches) {
+  obs::MetricsRegistry metrics;
+  fault::FaultInjector inj(3);
+  MetadataService service(&clock_, &storage_, {}, &metrics,
+                          MonotonicClock::Real(), &inj);
+  const Hash128 k1 = H(100, 1);
+  const Hash128 k2 = H(200, 2);
+  // F and G share signature 5; the marker names the copy.
+  service.LoadAnalysis({Keyed(1, "t", k1, 1),             // A
+                        Keyed(2, "u", k1, 2),             // B
+                        Keyed(3, "t", std::nullopt, 3),   // C
+                        Keyed(4, "u", k2, 4),             // D
+                        Keyed(5, "u", k1, 6),             // F
+                        Keyed(5, "t", k1, 7)});           // G
+  const obs::Counter* lookups =
+      metrics.GetCounter("cv_metadata_lookups_total");
+  const obs::Histogram* waits =
+      metrics.GetHistogram("cv_metadata_lock_wait_seconds");
+  using Contents = std::vector<std::pair<Hash128, int64_t>>;
+
+  // Tag matches come first, so the shared signature keeps G's copy.
+  uint64_t lookups_before = lookups->value();
+  uint64_t waits_before = waits->count();
+  EXPECT_EQ(Entries(service.GetRelevantViews({"t"}, {k1})),
+            (Contents{{H(1), 1}, {H(2), 2}, {H(3), 3}, {H(5), 7}}));
+  EXPECT_EQ(lookups->value(), lookups_before + 1);
+  EXPECT_EQ(waits->count(), waits_before + 1);
+
+  EXPECT_EQ(Entries(service.GetRelevantViews({"t"}, {})),
+            (Contents{{H(1), 1}, {H(3), 3}, {H(5), 7}}));
+  EXPECT_EQ(lookups->value(), lookups_before + 2);
+  EXPECT_EQ(waits->count(), waits_before + 2);
+
+  // Table-set matches alone, in load order: F comes before G.
+  EXPECT_EQ(Entries(service.GetRelevantViews({}, {k1, k2})),
+            (Contents{{H(1), 1}, {H(2), 2}, {H(4), 4}, {H(5), 6}}));
+  EXPECT_EQ(lookups->value(), lookups_before + 3);
+  EXPECT_EQ(waits->count(), waits_before + 3);
+
+  // An injected timeout is returned as is and counts no lookup.
+  fault::FaultSpec spec;
+  spec.trigger_every = 1;
+  spec.code = StatusCode::kAborted;
+  spec.message = "lookup outage";
+  inj.Arm(fault::points::kMetadataLookup, spec);
+  auto failed = service.GetRelevantViews({"t"}, {k1});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kAborted);
+  EXPECT_TRUE(fault::IsInjectedFault(failed.status()));
+  EXPECT_NE(failed.status().message().find("lookup outage"),
+            std::string::npos);
+  EXPECT_EQ(lookups->value(), lookups_before + 3);
+  EXPECT_EQ(waits->count(), waits_before + 3);
+  ASSERT_EQ(inj.events().size(), 1u);
+  EXPECT_EQ(inj.events()[0].point, fault::points::kMetadataLookup);
+  EXPECT_EQ(inj.events()[0].key, "t");
 }
 
 TEST_F(MetadataTest, LockLifecycle) {
@@ -184,7 +276,7 @@ TEST_F(MetadataTest, DropViewDeletesFile) {
 
 TEST_F(MetadataTest, CountersTrackActivity) {
   service_.LoadAnalysis({Comp(1, {"t:a"})});
-  service_.GetRelevantViews({"t:a"});
+  (void)service_.GetRelevantViews({"t:a"});
   service_.ProposeMaterialize(H(1), H(10), 1, 10);
   service_.ProposeMaterialize(H(1), H(10), 2, 10);
   auto c = service_.counters();

@@ -318,6 +318,12 @@ class FakeCatalog : public ViewCatalogInterface {
   std::set<Hash128> locked_;
 };
 
+/// Adds `ann` to the job's annotation index, keyed by its signature.
+void AddAnnotation(OptimizeContext* ctx, ViewAnnotation ann) {
+  Hash128 normalized = ann.normalized_signature;
+  ctx->annotations.emplace(normalized, std::move(ann));
+}
+
 ViewAnnotation AnnotationFor(const PlanNodePtr& subgraph) {
   ViewAnnotation ann;
   ann.normalized_signature =
@@ -337,7 +343,7 @@ TEST(ViewRewriteTest, MaterializationInsertsSpoolUnderLimit) {
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
   ctx.job_id = 11;
-  ctx.annotations.push_back(AnnotationFor(shared));
+  AddAnnotation(&ctx, AnnotationFor(shared));
 
   Optimizer opt;
   auto logical = PlanBuilder::From(shared->Clone())
@@ -365,7 +371,7 @@ TEST(ViewRewriteTest, SecondCompilationIsDeniedTheLock) {
   FakeCatalog catalog;
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(shared));
+  AddAnnotation(&ctx, AnnotationFor(shared));
 
   Optimizer opt;
   auto logical = PlanBuilder::From(shared->Clone()).Output("out").Build();
@@ -393,7 +399,7 @@ TEST(ViewRewriteTest, ReuseReplacesSubtreeWithViewRead) {
 
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(shared));
+  AddAnnotation(&ctx, AnnotationFor(shared));
 
   Optimizer opt;
   auto logical = PlanBuilder::From(shared->Clone())
@@ -425,7 +431,7 @@ TEST(ViewRewriteTest, ExpensiveViewRejectedByCost) {
 
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(shared));
+  AddAnnotation(&ctx, AnnotationFor(shared));
 
   Optimizer opt;
   auto logical = PlanBuilder::From(shared->Clone()).Output("out").Build();
@@ -454,7 +460,7 @@ TEST(ViewRewriteTest, StaleViewNotReusedAfterDataChanges) {
 
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(day1));
+  AddAnnotation(&ctx, AnnotationFor(day1));
 
   Optimizer opt;
   auto day2_logical = Clicks("2018-01-02")
@@ -477,8 +483,8 @@ TEST(ViewRewriteTest, PerJobMaterializationLimitHonored) {
   FakeCatalog catalog;
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(v1));
-  ctx.annotations.push_back(AnnotationFor(v2));
+  AddAnnotation(&ctx, AnnotationFor(v1));
+  AddAnnotation(&ctx, AnnotationFor(v2));
 
   auto logical = PlanBuilder::From(v1->Clone())
                      .UnionAll(PlanBuilder::From(v2->Clone()))
@@ -510,7 +516,7 @@ TEST(ViewRewriteTest, MaterializationCostGateProtectsCheapJobs) {
   FakeCatalog catalog;
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(shared));
+  AddAnnotation(&ctx, AnnotationFor(shared));
   auto logical = PlanBuilder::From(shared->Clone()).Output("out").Build();
 
   OptimizerConfig strict;
@@ -693,7 +699,7 @@ TEST(ViewRewriteTest, OfflineAnnotationSkipsInlineMaterialization) {
   ctx.view_catalog = &catalog;
   ViewAnnotation ann = AnnotationFor(shared);
   ann.offline = true;
-  ctx.annotations.push_back(ann);
+  AddAnnotation(&ctx, ann);
 
   Optimizer opt;
   auto logical = PlanBuilder::From(shared->Clone()).Output("out").Build();
@@ -720,7 +726,7 @@ TEST(ViewRewriteTest, ViewDesignMismatchGetsEnforcerRepair) {
 
   OptimizeContext ctx;
   ctx.view_catalog = &catalog;
-  ctx.annotations.push_back(AnnotationFor(shared));
+  AddAnnotation(&ctx, AnnotationFor(shared));
 
   Optimizer opt;
   auto logical = PlanBuilder::From(shared->Clone())

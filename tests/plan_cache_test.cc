@@ -786,10 +786,13 @@ TEST_F(PlanCacheServiceTest, EveryMetadataCallObservesOneLockWait) {
   info.reuse_features = features;
 
   EXPECT_EQ(waits([&] { md->LoadAnalysis({}); }), 1u);
-  EXPECT_EQ(waits([&] { md->GetRelevantViews({"t"}); }), 1u);
-  EXPECT_EQ(waits([&] { (void)md->TryGetRelevantViews({"t"}); }), 1u);
+  EXPECT_EQ(waits([&] { (void)md->GetRelevantViews({"t"}); }), 1u);
+  EXPECT_EQ(waits([&] {
+              (void)md->GetRelevantViews({"t"}, {Hash128{1, 2}});
+            }),
+            1u);
   EXPECT_EQ(waits([&] { md->FindAnnotation(Hash128{1, 2}); }), 1u);
-  EXPECT_EQ(waits([&] { md->GetContainmentCandidates({Hash128{1, 2}}); }),
+  EXPECT_EQ(waits([&] { (void)md->GetRelevantViews({}, {Hash128{1, 2}}); }),
             1u);
   EXPECT_EQ(waits([&] { md->NumAnnotations(); }), 1u);
   EXPECT_EQ(waits([&] {

@@ -243,8 +243,8 @@ TEST(AnalyzerStagesTest, EachRunMovesEveryStageSeriesByOne) {
   EXPECT_GE(m->GetHistogram("cv_repository_lock_wait_seconds")->count(), 2u);
 
   const std::vector<std::string> stages = {
-      "analyzer.mine",  "analyzer.report",   "analyzer.select",
-      "analyzer.order", "analyzer.annotate", "metadata.load_analysis"};
+      "analyzer.mine",     "analyzer.select",       "analyzer.order",
+      "analyzer.annotate", "metadata.load_analysis"};
   auto count = [&](const std::string& stage) {
     return m->GetHistogram("cv_job_stage_seconds", {{"stage", stage}})
         ->count();

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,9 @@
 #include "obs/export.h"
 #include "optimizer/view_matcher.h"
 #include "signature/containment.h"
+#include "signature/signature.h"
 #include "tests/test_util.h"
+#include "tpcds/tpcds.h"
 
 namespace cloudviews {
 namespace {
@@ -744,6 +747,78 @@ TEST_F(SubsumptionServiceTest, ExactTierAndWarmCacheKeepPreStagedSemantics) {
   EXPECT_NE(warm->trace->Find("plan_cache"), nullptr);
   EXPECT_EQ(warm->trace->Find("containment_verify"), nullptr);
   EXPECT_EQ(warm->trace->Find("optimize"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Table-set keys: the job's one post-order walk against a per-subgraph fold
+// ---------------------------------------------------------------------------
+
+/// Reference for CollectTableSetKeys: for each reusable subgraph, its
+/// sorted Extract templates and `view:` paths through TableSetKey.
+std::set<Hash128> ReferenceTableSetKeys(const PlanNodePtr& root) {
+  std::set<Hash128> keys;
+  for (const SubgraphEntry& entry : EnumerateSubgraphs(root)) {
+    std::set<std::string> tables;
+    std::vector<const PlanNode*> stack = {entry.node};
+    while (!stack.empty()) {
+      const PlanNode* node = stack.back();
+      stack.pop_back();
+      if (node->kind() == OpKind::kExtract) {
+        tables.insert(static_cast<const ExtractNode*>(node)->template_name());
+      } else if (node->kind() == OpKind::kViewRead) {
+        tables.insert("view:" +
+                      static_cast<const ViewReadNode*>(node)->view_path());
+      } else {
+        for (const auto& child : node->children()) {
+          stack.push_back(child.get());
+        }
+      }
+    }
+    keys.insert(TableSetKey({tables.begin(), tables.end()}));
+  }
+  return keys;
+}
+
+/// CollectTableSetKeys returns every reference key, each once; returns
+/// how many keys it returned.
+size_t ExpectKeysMatchReference(const PlanNodePtr& root) {
+  std::vector<Hash128> keys = CollectTableSetKeys(root);
+  std::set<Hash128> distinct(keys.begin(), keys.end());
+  EXPECT_EQ(distinct.size(), keys.size()) << "a key was returned twice";
+  EXPECT_EQ(distinct, ReferenceTableSetKeys(root));
+  return keys.size();
+}
+
+TEST(TableSetKeysTest, OneWalkMatchesTheFoldOnTpcdsPlans) {
+  Optimizer optimizer;
+  size_t multi_key_plans = 0;
+  for (int q = 1; q <= tpcds::kNumQueries; ++q) {
+    SCOPED_TRACE(q);
+    PlanNodePtr logical = tpcds::MakeQueryJob(q).logical_plan;
+    if (ExpectKeysMatchReference(logical) > 1) ++multi_key_plans;
+    auto optimized = optimizer.Optimize(logical, {});
+    ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    ExpectKeysMatchReference(optimized->root);
+  }
+  // Joins and unions over several inputs: subgraphs of one plan over
+  // different table sets.
+  EXPECT_GT(multi_key_plans, 0u);
+}
+
+TEST_F(SubsumptionServiceTest, TableSetKeysOfViewReadingPlansMatchTheFold) {
+  CloudViews cv(Config());
+  SeedAggView(&cv);
+  auto exact = cv.Submit(JobB("2018-01-02"));
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  ASSERT_EQ(exact->views_reused, 1);
+  auto subsumed =
+      cv.Submit(MakeJob("qc", PageFilterQuery("2018-01-02", "C_cv")));
+  ASSERT_TRUE(subsumed.ok()) << subsumed.status().ToString();
+  ASSERT_EQ(subsumed->views_reused_subsumed, 1);
+  // The executed plans read the view: its `view:` name joins the keys of
+  // every subgraph above the read.
+  ExpectKeysMatchReference(exact->executed_plan);
+  ExpectKeysMatchReference(subsumed->executed_plan);
 }
 
 // ---------------------------------------------------------------------------
