@@ -2,8 +2,9 @@
 //
 // Besides the google-benchmark operator suite (now parameterized by worker
 // count), main() times the single-thread rows/s of the five operator plans
-// the suite runs at 10000 rows (median and quartiles of repeated runs),
-// runs a scan->filter->aggregate thread-scaling sweep over 1/2/4/8
+// the suite runs at 10000 rows and of three aggregates shaped like a
+// recurring join->aggregate job's tail (median and quartiles of repeated
+// runs), runs a scan->filter->aggregate thread-scaling sweep over 1/2/4/8
 // workers, verifies the outputs are byte-identical across worker counts,
 // and writes the measurements (plus the sweep's executor counters) to
 // BENCH_executor.json.
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +121,57 @@ PlanNodePtr ExchangePlan(Env& env) {
   return env.Scan().Exchange(Partitioning::Hash({"k"}, 16)).Build();
 }
 
+// The tail shape: a join's ~16k output rows folded into the 4 groups of a
+// string key, with COUNT(*) beside a SUM or a MAX of an int64. "tail" holds
+// the rows in random order; "tail_sorted" holds them sorted on the key, as
+// a stream aggregate reads them.
+constexpr int64_t kTailRows = 16384;
+
+Schema TailSchema() {
+  return Schema({{"g", DataType::kString}, {"n", DataType::kInt64}});
+}
+
+void WriteTailInputs(Env& env) {
+  static const char* kKeys[] = {"2018-01-01", "2018-01-02", "2018-01-03",
+                                "2018-01-04"};
+  Rng rng(11);
+  Batch b(TailSchema());
+  for (int64_t i = 0; i < kTailRows; ++i) {
+    (void)b.AppendRow({Value::String(kKeys[rng.Uniform(4)]),
+                       Value::Int64(static_cast<int64_t>(rng.Uniform(1000)))});
+  }
+  (void)env.storage.WriteStream(
+      MakeStreamData("tail", "g-tail", TailSchema(), {b}, 0));
+  (void)env.storage.WriteStream(MakeStreamData(
+      "tail_sorted", "g-tail-sorted", TailSchema(),
+      {SortBatch(b, {{"g", true}})}, 0));
+}
+
+PlanNodePtr TailAggregate(const char* stream, AggFunc func,
+                          AggAlgorithm algorithm) {
+  auto agg = std::make_shared<AggregateNode>(
+      PlanBuilder::Extract(stream, stream, std::string("g-") + stream,
+                           TailSchema())
+          .Build(),
+      std::vector<std::string>{"g"},
+      std::vector<AggregateSpec>{{AggFunc::kCount, nullptr, "rows"},
+                                 {func, Col("n"), "v"}});
+  agg->set_algorithm(algorithm);
+  return agg;
+}
+
+PlanNodePtr TailCountSumPlan(Env&) {
+  return TailAggregate("tail", AggFunc::kSum, AggAlgorithm::kHash);
+}
+
+PlanNodePtr TailCountMaxPlan(Env&) {
+  return TailAggregate("tail", AggFunc::kMax, AggAlgorithm::kHash);
+}
+
+PlanNodePtr TailStreamCountSumPlan(Env&) {
+  return TailAggregate("tail_sorted", AggFunc::kSum, AggAlgorithm::kStream);
+}
+
 void RunOperatorBenchmark(benchmark::State& state,
                           PlanNodePtr (*plan)(Env&)) {
   Env env(state.range(0));
@@ -160,12 +213,14 @@ void BM_Exchange(benchmark::State& state) {
 BENCHMARK(BM_Exchange)->Args({1000, 1})->Args({10000, 1})->Args({10000, 4});
 
 // ---------------------------------------------------------------------------
-// Operator rates: the single-thread rows/s of each BM_*/10000/1 plan, as the
-// median and quartiles of repeated timed runs.
+// Operator rates: the single-thread rows/s of each BM_*/10000/1 plan and of
+// the tail-shaped aggregates, as the median and quartiles of repeated timed
+// runs.
 // ---------------------------------------------------------------------------
 
 struct OperatorRate {
   const char* name;
+  int64_t rows = 0;
   double median = 0;
   double q1 = 0;
   double q3 = 0;
@@ -178,16 +233,21 @@ std::vector<OperatorRate> MeasureOperatorRates() {
   struct Op {
     const char* name;
     PlanNodePtr (*plan)(Env&);
+    int64_t rows;
   };
-  const Op kOps[] = {{"Filter", FilterPlan},
-                     {"HashAggregate", HashAggregatePlan},
-                     {"Sort", SortPlan},
-                     {"HashJoin", HashJoinPlan},
-                     {"Exchange", ExchangePlan}};
+  const Op kOps[] = {{"Filter", FilterPlan, kRateRows},
+                     {"HashAggregate", HashAggregatePlan, kRateRows},
+                     {"Sort", SortPlan, kRateRows},
+                     {"HashJoin", HashJoinPlan, kRateRows},
+                     {"Exchange", ExchangePlan, kRateRows},
+                     {"TailCountSum", TailCountSumPlan, kTailRows},
+                     {"TailCountMax", TailCountMaxPlan, kTailRows},
+                     {"TailStreamCountSum", TailStreamCountSumPlan, kTailRows}};
   Env env(kRateRows);
-  std::printf("\n=== Operator rates: single thread, %lld rows, median "
-              "[q1, q3] of %d repetitions ===\n",
-              static_cast<long long>(kRateRows), kRateRepetitions);
+  WriteTailInputs(env);
+  std::printf("\n=== Operator rates: single thread, median [q1, q3] of %d "
+              "repetitions ===\n",
+              kRateRepetitions);
   std::vector<OperatorRate> rates;
   for (const Op& op : kOps) {
     // Warm up, and size a repetition to about 0.2 s.
@@ -206,14 +266,15 @@ std::vector<OperatorRate> MeasureOperatorRates() {
       }
       double elapsed = MonotonicNowSeconds() - t0;
       rows_per_s.Add(static_cast<double>(per_repetition) *
-                     static_cast<double>(kRateRows) / elapsed);
+                     static_cast<double>(op.rows) / elapsed);
     }
-    OperatorRate rate{op.name};
+    OperatorRate rate{op.name, op.rows};
     rate.median = rows_per_s.Median();
     rate.q1 = rows_per_s.Percentile(25);
     rate.q3 = rows_per_s.Percentile(75);
-    std::printf("  %-14s %7.2fM rows/s  [%.2fM, %.2fM]\n", op.name,
-                rate.median / 1e6, rate.q1 / 1e6, rate.q3 / 1e6);
+    std::printf("  %-18s %6lld rows %7.2fM rows/s  [%.2fM, %.2fM]\n",
+                op.name, static_cast<long long>(op.rows), rate.median / 1e6,
+                rate.q1 / 1e6, rate.q3 / 1e6);
     rates.push_back(rate);
   }
   return rates;
@@ -338,15 +399,16 @@ int RunThreadScalingSweep(const std::vector<OperatorRate>& rates) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"operator_rates\": {\"rows\": %lld, \"workers\": 1, "
+               "  \"operator_rates\": {\"workers\": 1, "
                "\"repetitions\": %d, \"unit\": \"rows/s\", "
                "\"operators\": [\n",
-               static_cast<long long>(kRateRows), kRateRepetitions);
+               kRateRepetitions);
   for (size_t i = 0; i < rates.size(); ++i) {
     std::fprintf(f,
-                 "    {\"operator\": \"%s\", \"median\": %.0f, \"q1\": "
-                 "%.0f, \"q3\": %.0f}%s\n",
-                 rates[i].name, rates[i].median, rates[i].q1, rates[i].q3,
+                 "    {\"operator\": \"%s\", \"rows\": %lld, \"median\": "
+                 "%.0f, \"q1\": %.0f, \"q3\": %.0f}%s\n",
+                 rates[i].name, static_cast<long long>(rates[i].rows),
+                 rates[i].median, rates[i].q1, rates[i].q3,
                  i + 1 < rates.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");

@@ -143,7 +143,7 @@ const Variant kVariants[] = {
 };
 
 std::string Date(int i) {
-  char buf[16];
+  char buf[32];  // room for any int in both fields
   std::snprintf(buf, sizeof(buf), "2018-%02d-%02d", 3 + i / 28, 1 + i % 28);
   return buf;
 }

@@ -15,13 +15,6 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
   return h;
 }
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 HashBuilder& HashBuilder::Add(uint64_t v) {
   // Two independent accumulation lanes for the two output words.
   a_ = Mix64(a_ ^ v);

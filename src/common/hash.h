@@ -37,7 +37,12 @@ uint64_t Fnv1a64(const void* data, size_t len,
                  uint64_t seed = 0xcbf29ce484222325ULL);
 
 /// Mixes a 64-bit value (splitmix64 finalizer); good avalanche behaviour.
-uint64_t Mix64(uint64_t x);
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// \brief Incremental hasher producing a Hash128.
 ///

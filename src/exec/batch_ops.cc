@@ -1,7 +1,10 @@
 #include "exec/batch_ops.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <numeric>
+#include <string_view>
 
 namespace cloudviews {
 
@@ -33,6 +36,27 @@ void HashCell(const Column& col, size_t row, HashBuilder* hb) {
     return;
   }
   HashNonNullCell(col, row, hb);
+}
+
+/// A double as a group key: its bits, with -0.0 read as 0.0.
+uint64_t DoubleKeyBits(double v) {
+  return std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v);
+}
+
+/// Folds one key column into the running row hashes; `bits(r)` is the
+/// non-null cell r as 64 bits.
+template <typename Bits>
+void MixKeyColumn(const Column& col, Bits bits, std::vector<uint64_t>* hashes) {
+  constexpr uint64_t kNullBits = 0x6e756c6c6b6579ULL;
+  uint64_t* h = hashes->data();
+  const size_t rows = hashes->size();
+  if (!col.HasNulls()) {
+    for (size_t r = 0; r < rows; ++r) h[r] = Mix64(h[r] ^ bits(r));
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    h[r] = Mix64(h[r] ^ (col.IsNull(r) ? kNullBits : bits(r)));
+  }
 }
 
 template <typename T>
@@ -86,6 +110,90 @@ Hash128 RowKey(const Batch& batch, size_t row, const std::vector<int>& cols) {
   HashBuilder hb;
   for (int c : cols) HashCell(batch.column(static_cast<size_t>(c)), row, &hb);
   return hb.Finish();
+}
+
+std::vector<uint64_t> GroupKeyHashes(const Batch& batch,
+                                     const std::vector<int>& cols) {
+  std::vector<uint64_t> hashes(batch.num_rows(), 0);
+  for (int c : cols) {
+    const Column& col = batch.column(static_cast<size_t>(c));
+    switch (col.type()) {
+      case DataType::kBool: {
+        const uint8_t* v = col.bool_data().data();
+        MixKeyColumn(col, [v](size_t r) { return uint64_t{v[r] != 0}; },
+                     &hashes);
+        break;
+      }
+      case DataType::kInt64:
+      case DataType::kDate: {
+        const int64_t* v = col.int64_data().data();
+        MixKeyColumn(
+            col, [v](size_t r) { return static_cast<uint64_t>(v[r]); },
+            &hashes);
+        break;
+      }
+      case DataType::kDouble: {
+        const double* v = col.double_data().data();
+        MixKeyColumn(col, [v](size_t r) { return DoubleKeyBits(v[r]); },
+                     &hashes);
+        break;
+      }
+      case DataType::kString: {
+        const std::string* v = col.string_data().data();
+        MixKeyColumn(
+            col,
+            [v](size_t r) {
+              return static_cast<uint64_t>(
+                  std::hash<std::string_view>()(v[r]));
+            },
+            &hashes);
+        break;
+      }
+    }
+  }
+  return hashes;
+}
+
+bool SameGroupKey(const Batch& a, size_t ra, const Batch& b, size_t rb,
+                  const std::vector<int>& cols) {
+  for (int c : cols) {
+    const Column& x = a.column(static_cast<size_t>(c));
+    const Column& y = b.column(static_cast<size_t>(c));
+    const bool x_null = x.IsNull(ra);
+    if (x_null != y.IsNull(rb)) return false;
+    if (x_null) continue;
+    bool same = true;
+    switch (x.type()) {
+      case DataType::kBool:
+        same = (x.bool_data()[ra] != 0) == (y.bool_data()[rb] != 0);
+        break;
+      case DataType::kInt64:
+      case DataType::kDate:
+        same = x.int64_data()[ra] == y.int64_data()[rb];
+        break;
+      case DataType::kDouble:
+        same = DoubleKeyBits(x.double_data()[ra]) ==
+               DoubleKeyBits(y.double_data()[rb]);
+        break;
+      case DataType::kString:
+        same = x.string_data()[ra] == y.string_data()[rb];
+        break;
+    }
+    if (!same) return false;
+  }
+  return true;
+}
+
+void GroupTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.group == kEmpty) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].group != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
 std::vector<std::vector<uint32_t>> HashPartitionRows(

@@ -361,10 +361,10 @@ class JoinOperator : public PhysicalOperator {
 
 // ---------------------------------------------------------------------------
 // Aggregate. The parallel phase only *precomputes*: argument columns, key
-// hashes, per-morsel group discovery, sort-boundary flags. Close then
-// updates the accumulator states in exact global row order, so every sum
-// (including floating point) is bit-identical to the single-threaded
-// engine, and the group output order is the global first-occurrence order.
+// hashes, per-morsel group discovery, sort-boundary flags. Close numbers the
+// groups in global first-occurrence order, then folds the typed states one
+// aggregate at a time in exact global row order, so every sum (including
+// floating point) is bit-identical to the single-threaded engine.
 // ---------------------------------------------------------------------------
 
 class AggregateOperator : public PhysicalOperator {
@@ -402,92 +402,71 @@ class AggregateOperator : public PhysicalOperator {
         pre.arg_cols.emplace_back(DataType::kInt64);  // placeholder
       }
     }
-    if (mode_ == Mode::kHash) {
-      pre.local_id.resize(in.num_rows());
-      std::unordered_map<Hash128, uint32_t, Hash128Hasher> index;
-      index.reserve(in.num_rows());
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        Hash128 key = RowKey(in, r, gcols_);
-        auto [it, inserted] =
-            index.emplace(key, static_cast<uint32_t>(pre.local_groups.size()));
-        if (inserted) {
-          pre.local_groups.push_back({key, static_cast<uint32_t>(r)});
+    switch (mode_) {
+      case Mode::kGlobal:
+        pre.group_of.assign(in.num_rows(), 0);
+        break;
+      case Mode::kHash: {
+        // Number this morsel's groups in first-occurrence order.
+        pre.key_hashes = GroupKeyHashes(in, gcols_);
+        pre.group_of.resize(in.num_rows());
+        GroupTable table;
+        for (size_t r = 0; r < in.num_rows(); ++r) {
+          auto [group, inserted] =
+              table.FindOrInsert(pre.key_hashes[r], [&](uint32_t g) {
+                return SameGroupKey(in, pre.local_firsts[g], in, r, gcols_);
+              });
+          if (inserted) pre.local_firsts.push_back(static_cast<uint32_t>(r));
+          pre.group_of[r] = group;
         }
-        pre.local_id[r] = it->second;
+        break;
       }
-    } else if (mode_ == Mode::kStream) {
-      group_starts_[m] = GroupStartFlags(in, gcols_);
+      case Mode::kStream:
+        group_starts_[m] = GroupStartFlags(in, gcols_);
+        break;
     }
     return Status::OK();
   }
 
   Result<MorselSet> Close(OperatorContext&) override {
-    struct Group {
-      size_t morsel;
-      size_t row;  // first occurrence: representative for the key columns
-      std::vector<AggState> states;
-    };
-    auto make_states = [&]() {
-      std::vector<AggState> states;
-      for (const auto& spec : agg_->aggregates()) {
-        states.emplace_back(spec.func);
-      }
-      return states;
-    };
-    auto update = [&](Group* g, size_t m, size_t r) {
-      for (size_t a = 0; a < agg_->aggregates().size(); ++a) {
-        if (agg_->aggregates()[a].arg) {
-          // NOLINTNEXTLINE(boxed-cell): AggState accumulates boxed values.
-          g->states[a].Update(pre_[m].arg_cols[a].GetValue(r));
-        } else {
-          g->states[a].UpdateCountStar();
-        }
-      }
-    };
-
     const MorselSet& in = inputs_[0];
-    std::vector<Group> groups;
+    // Each group's first row, in global first-occurrence order; afterwards
+    // every morsel's group_of holds global group ids.
+    std::vector<RowRef> firsts;
     switch (mode_) {
-      case Mode::kGlobal: {
-        groups.push_back({0, 0, make_states()});
-        for (size_t m = 0; m < in.size(); ++m) {
-          for (size_t r = 0; r < in[m].num_rows(); ++r) {
-            update(&groups[0], m, r);
-          }
-        }
+      case Mode::kGlobal:
         break;
-      }
       case Mode::kHash: {
-        std::unordered_map<Hash128, size_t, Hash128Hasher> index;
+        GroupTable table;
         for (size_t m = 0; m < in.size(); ++m) {
-          const MorselPre& pre = pre_[m];
-          // Map this morsel's local groups to global ids; new keys keep
-          // their local first-occurrence order, which is the global one.
-          std::vector<size_t> local_to_global(pre.local_groups.size());
-          for (size_t j = 0; j < pre.local_groups.size(); ++j) {
-            auto [it, inserted] =
-                index.emplace(pre.local_groups[j].first, groups.size());
-            if (inserted) {
-              groups.push_back(
-                  {m, static_cast<size_t>(pre.local_groups[j].second),
-                   make_states()});
-            }
-            local_to_global[j] = it->second;
+          MorselPre& pre = pre_[m];
+          // New keys keep their local first-occurrence order, which is the
+          // global one.
+          std::vector<uint32_t> local_to_global(pre.local_firsts.size());
+          for (size_t j = 0; j < pre.local_firsts.size(); ++j) {
+            const uint32_t row = pre.local_firsts[j];
+            auto [group, inserted] =
+                table.FindOrInsert(pre.key_hashes[row], [&](uint32_t g) {
+                  return SameGroupKey(in[firsts[g].batch], firsts[g].row,
+                                      in[m], row, gcols_);
+                });
+            if (inserted) firsts.push_back({static_cast<uint32_t>(m), row});
+            local_to_global[j] = group;
           }
-          for (size_t r = 0; r < in[m].num_rows(); ++r) {
-            update(&groups[local_to_global[pre.local_id[r]]], m, r);
-          }
+          for (uint32_t& g : pre.group_of) g = local_to_global[g];
         }
         break;
       }
       case Mode::kStream: {
         StitchGroupStarts(in, gcols_, &group_starts_);
         for (size_t m = 0; m < in.size(); ++m) {
+          pre_[m].group_of.resize(in[m].num_rows());
           for (size_t r = 0; r < in[m].num_rows(); ++r) {
             if (group_starts_[m][r] != 0) {
-              groups.push_back({m, r, make_states()});
+              firsts.push_back(
+                  {static_cast<uint32_t>(m), static_cast<uint32_t>(r)});
             }
-            update(&groups.back(), m, r);
+            pre_[m].group_of[r] = static_cast<uint32_t>(firsts.size() - 1);
           }
         }
         break;
@@ -496,28 +475,28 @@ class AggregateOperator : public PhysicalOperator {
 
     Batch out(node_->output_schema());
     // Empty input with group keys yields no rows; without keys it yields
-    // the single global group (already created above).
-    if (!gcols_.empty()) {
-      std::vector<RowRef> firsts;
-      firsts.reserve(groups.size());
-      for (const auto& g : groups) {
-        firsts.push_back(
-            {static_cast<uint32_t>(g.morsel), static_cast<uint32_t>(g.row)});
+    // the single global group.
+    const size_t groups = mode_ == Mode::kGlobal ? 1 : firsts.size();
+    std::vector<const Column*> srcs(in.size());
+    for (size_t k = 0; k < gcols_.size(); ++k) {
+      for (size_t m = 0; m < in.size(); ++m) {
+        srcs[m] = &in[m].column(static_cast<size_t>(gcols_[k]));
       }
-      std::vector<const Column*> srcs(in.size());
-      for (size_t k = 0; k < gcols_.size(); ++k) {
-        for (size_t m = 0; m < in.size(); ++m) {
-          srcs[m] = &in[m].column(static_cast<size_t>(gcols_[k]));
-        }
-        out.column(k).AppendGathered(srcs, firsts);
-      }
+      out.column(k).AppendGathered(srcs, firsts);
     }
-    for (const auto& g : groups) {
-      for (size_t a = 0; a < agg_->aggregates().size(); ++a) {
-        size_t c = gcols_.size() + a;
-        out.column(c).AppendValue(
-            g.states[a].Finish(node_->output_schema().field(c).type));
+    for (size_t a = 0; a < agg_->aggregates().size(); ++a) {
+      const AggregateSpec& spec = agg_->aggregates()[a];
+      AggState state(spec.func,
+                     spec.arg ? spec.arg->output_type() : DataType::kInt64,
+                     groups);
+      for (size_t m = 0; m < in.size(); ++m) {
+        if (spec.arg) {
+          state.Update(pre_[m].arg_cols[a], pre_[m].group_of);
+        } else {
+          state.UpdateCountStar(pre_[m].group_of);
+        }
       }
+      state.Finish(&out.column(gcols_.size() + a));
     }
     MorselSet result;
     if (out.num_rows() > 0) result.push_back(std::move(out));
@@ -528,8 +507,12 @@ class AggregateOperator : public PhysicalOperator {
   enum class Mode { kGlobal, kHash, kStream };
   struct MorselPre {
     std::vector<Column> arg_cols;
-    std::vector<uint32_t> local_id;
-    std::vector<std::pair<Hash128, uint32_t>> local_groups;
+    /// The group of each row: local ids after ProcessMorsel in hash mode,
+    /// global ids once Close has numbered the groups.
+    std::vector<uint32_t> group_of;
+    /// Hash mode: every row's key hash, and each local group's first row.
+    std::vector<uint64_t> key_hashes;
+    std::vector<uint32_t> local_firsts;
   };
 
   AggregateNode* agg_ = nullptr;

@@ -1,11 +1,14 @@
 #ifndef CLOUDVIEWS_EXPR_AGGREGATE_H_
 #define CLOUDVIEWS_EXPR_AGGREGATE_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "expr/expr.h"
+#include "types/batch.h"
 
 namespace cloudviews {
 
@@ -34,24 +37,39 @@ struct AggregateSpec {
   AggregateSpec Clone() const;
 };
 
-/// \brief Incremental accumulator for one aggregate over one group.
+/// \brief The state of one aggregate over every group of an operator, stored
+/// by column and indexed by group id.
+///
+/// Per group it keeps the number of cells folded (rows, for COUNT(*)) and,
+/// by function and argument type, one typed slot: a wrapping int64 sum (SUM
+/// of int64), a double sum (SUM of double; AVG, which widens int64 and date
+/// cells), or the MIN/MAX so far. A MIN/MAX slot is replaced only by a value
+/// that compares strictly lower (higher) the way Value::Compare does, so of
+/// equal values the first stays, and a NaN neither replaces nor is replaced.
 class AggState {
  public:
-  explicit AggState(AggFunc func) : func_(func) {}
+  /// `arg_type` is the argument's type, as Bind accepted it (ignored for
+  /// COUNT(*)); all `groups` groups start empty.
+  AggState(AggFunc func, DataType arg_type, size_t groups);
 
-  void Update(const Value& v);
-  /// Combines with row counting for count(*) (no argument evaluated).
-  void UpdateCountStar() { ++count_; }
+  /// Folds the non-null cells of `arg`, in row order, into their groups:
+  /// row r into group `group_of[r]`.
+  void Update(const Column& arg, std::span<const uint32_t> group_of);
+  /// COUNT(*): counts every row into its group.
+  void UpdateCountStar(std::span<const uint32_t> group_of);
 
-  Value Finish(DataType output_type) const;
+  /// Appends every group's result, in group id order, to `out`, a column of
+  /// the aggregate's output type. An empty group gives 0 for COUNT and null
+  /// for the others. Moves the string slots out.
+  void Finish(Column* out);
 
  private:
   AggFunc func_;
-  int64_t count_ = 0;
-  bool any_ = false;
-  double sum_ = 0;
-  int64_t isum_ = 0;
-  Value min_, max_;
+  DataType arg_type_;
+  std::vector<int64_t> counts_;
+  std::vector<int64_t> ints_;  // SUM of int64; MIN/MAX of bool, int64, date
+  std::vector<double> doubles_;  // SUM of double, AVG; MIN/MAX of double
+  std::vector<std::string> strings_;  // MIN/MAX of string
 };
 
 }  // namespace cloudviews

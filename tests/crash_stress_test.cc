@@ -41,8 +41,7 @@ std::string DateForDay(int i) {
   return buf;
 }
 
-JobDefinition MakeJob(const std::string& id, const std::string& date,
-                      PlanNodePtr plan) {
+JobDefinition MakeJob(const std::string& id, PlanNodePtr plan) {
   JobDefinition def;
   def.template_id = id;
   def.vc = "vc-" + id;
@@ -54,21 +53,21 @@ JobDefinition MakeJob(const std::string& id, const std::string& date,
 // Three recurring templates sharing the aggregate subgraph the analyzer
 // mines, with distinct downstream shapes and outputs.
 JobDefinition JobA(const std::string& date) {
-  return MakeJob("jobA", date,
+  return MakeJob("jobA",
                  PlanBuilder::From(SharedAggPlan(date))
                      .Sort({{"n", false}})
                      .Output("A_" + date)
                      .Build());
 }
 JobDefinition JobB(const std::string& date) {
-  return MakeJob("jobB", date,
+  return MakeJob("jobB",
                  PlanBuilder::From(SharedAggPlan(date))
                      .Filter(Gt(Col("n"), Lit(int64_t{0})))
                      .Output("B_" + date)
                      .Build());
 }
 JobDefinition JobC(const std::string& date) {
-  return MakeJob("jobC", date,
+  return MakeJob("jobC",
                  PlanBuilder::From(SharedAggPlan(date))
                      .Sort({{"total_latency", false}})
                      .Output("C_" + date)

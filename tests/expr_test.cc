@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "expr/aggregate.h"
 #include "expr/expr.h"
@@ -302,44 +303,80 @@ TEST(AggregateTest, NonCountWithoutArgFails) {
   EXPECT_TRUE(bad.Bind(TestSchema()).status().IsTypeError());
 }
 
+// One group's state: every row of `arg` folds into group 0, and Finish
+// yields that group's one cell.
+void FoldIntoOneGroup(AggState* state, const Column& arg) {
+  std::vector<uint32_t> group_of(arg.size(), 0);
+  state->Update(arg, group_of);
+}
+
+Value FinishOne(AggState* state, DataType output_type) {
+  Column out(output_type);
+  state->Finish(&out);
+  EXPECT_EQ(out.size(), 1u);
+  return out.GetValue(0);
+}
+
 TEST(AggStateTest, CountSkipsNulls) {
-  AggState st(AggFunc::kCount);
-  st.Update(Value::Int64(1));
-  st.Update(Value::Null(DataType::kInt64));
-  st.Update(Value::Int64(2));
-  EXPECT_EQ(st.Finish(DataType::kInt64).int64_value(), 2);
+  AggState st(AggFunc::kCount, DataType::kInt64, 1);
+  Column arg(DataType::kInt64);
+  arg.AppendInt64(1);
+  arg.AppendNull();
+  arg.AppendInt64(2);
+  FoldIntoOneGroup(&st, arg);
+  EXPECT_EQ(FinishOne(&st, DataType::kInt64).int64_value(), 2);
 }
 
 TEST(AggStateTest, SumMinMaxAvg) {
-  AggState sum(AggFunc::kSum), mn(AggFunc::kMin), mx(AggFunc::kMax),
-      avg(AggFunc::kAvg);
-  for (int64_t v : {3, 1, 2}) {
-    Value x = Value::Int64(v);
-    sum.Update(x);
-    mn.Update(x);
-    mx.Update(x);
-    avg.Update(x);
-  }
-  EXPECT_EQ(sum.Finish(DataType::kInt64).int64_value(), 6);
-  EXPECT_EQ(mn.Finish(DataType::kInt64).int64_value(), 1);
-  EXPECT_EQ(mx.Finish(DataType::kInt64).int64_value(), 3);
-  EXPECT_DOUBLE_EQ(avg.Finish(DataType::kDouble).double_value(), 2.0);
+  AggState sum(AggFunc::kSum, DataType::kInt64, 1),
+      mn(AggFunc::kMin, DataType::kInt64, 1),
+      mx(AggFunc::kMax, DataType::kInt64, 1),
+      avg(AggFunc::kAvg, DataType::kInt64, 1);
+  Column x(DataType::kInt64);
+  for (int64_t v : {3, 1, 2}) x.AppendInt64(v);
+  FoldIntoOneGroup(&sum, x);
+  FoldIntoOneGroup(&mn, x);
+  FoldIntoOneGroup(&mx, x);
+  FoldIntoOneGroup(&avg, x);
+  EXPECT_EQ(FinishOne(&sum, DataType::kInt64).int64_value(), 6);
+  EXPECT_EQ(FinishOne(&mn, DataType::kInt64).int64_value(), 1);
+  EXPECT_EQ(FinishOne(&mx, DataType::kInt64).int64_value(), 3);
+  EXPECT_DOUBLE_EQ(FinishOne(&avg, DataType::kDouble).double_value(), 2.0);
 }
 
 TEST(AggStateTest, Int64SumWrapsInsteadOfOverflowing) {
-  AggState sum(AggFunc::kSum);
-  sum.Update(Value::Int64(std::numeric_limits<int64_t>::max()));
-  sum.Update(Value::Int64(1));
-  EXPECT_EQ(sum.Finish(DataType::kInt64).int64_value(),
+  AggState sum(AggFunc::kSum, DataType::kInt64, 1);
+  Column x(DataType::kInt64);
+  x.AppendInt64(std::numeric_limits<int64_t>::max());
+  x.AppendInt64(1);
+  FoldIntoOneGroup(&sum, x);
+  EXPECT_EQ(FinishOne(&sum, DataType::kInt64).int64_value(),
             std::numeric_limits<int64_t>::min());
 }
 
 TEST(AggStateTest, EmptyInputYieldsNullOrZero) {
-  EXPECT_EQ(AggState(AggFunc::kCount).Finish(DataType::kInt64).int64_value(),
-            0);
-  EXPECT_TRUE(AggState(AggFunc::kSum).Finish(DataType::kInt64).is_null());
-  EXPECT_TRUE(AggState(AggFunc::kMin).Finish(DataType::kInt64).is_null());
-  EXPECT_TRUE(AggState(AggFunc::kAvg).Finish(DataType::kDouble).is_null());
+  AggState count(AggFunc::kCount, DataType::kInt64, 1);
+  AggState sum(AggFunc::kSum, DataType::kInt64, 1);
+  AggState mn(AggFunc::kMin, DataType::kInt64, 1);
+  AggState avg(AggFunc::kAvg, DataType::kInt64, 1);
+  EXPECT_EQ(FinishOne(&count, DataType::kInt64).int64_value(), 0);
+  EXPECT_TRUE(FinishOne(&sum, DataType::kInt64).is_null());
+  EXPECT_TRUE(FinishOne(&mn, DataType::kInt64).is_null());
+  EXPECT_TRUE(FinishOne(&avg, DataType::kDouble).is_null());
+}
+
+TEST(AggregateTest, SumOfDateFails) {
+  AggregateSpec bad{AggFunc::kSum, Col("d"), "x"};
+  EXPECT_TRUE(bad.Bind(TestSchema()).status().IsTypeError());
+  // AVG of a date stays legal: the average of the day numbers.
+  AggregateSpec avg{AggFunc::kAvg, Col("d"), "av"};
+  ASSERT_EQ(*avg.Bind(TestSchema()), DataType::kDouble);
+  AggState st(AggFunc::kAvg, DataType::kDate, 1);
+  Column days(DataType::kDate);
+  days.AppendInt64(17000);
+  days.AppendInt64(5);
+  FoldIntoOneGroup(&st, days);
+  EXPECT_DOUBLE_EQ(FinishOne(&st, DataType::kDouble).double_value(), 8502.5);
 }
 
 TEST(AggregateTest, SpecHashNormalizesArg) {

@@ -199,8 +199,7 @@ TEST(RetryWithBackoffTest, RetryGetsAFreshDrawFromTheInjector) {
 
 // --- End-to-end degradation -------------------------------------------------
 
-JobDefinition SharedJob(const std::string& id, const std::string& date,
-                        PlanNodePtr plan) {
+JobDefinition SharedJob(const std::string& id, PlanNodePtr plan) {
   JobDefinition def;
   def.template_id = id;
   def.vc = "vc-" + id;
@@ -223,7 +222,7 @@ class FaultPipelineTest : public ::testing::Test {
   static constexpr uint64_t kSeed = 42;
 
   static JobDefinition JobA(const std::string& date) {
-    return SharedJob("jobA", date,
+    return SharedJob("jobA",
                      PlanBuilder::From(SharedAggPlan(date))
                          .Sort({{"n", false}})
                          .Output("A_" + date)
@@ -231,7 +230,7 @@ class FaultPipelineTest : public ::testing::Test {
   }
   static JobDefinition JobB(const std::string& date,
                             const std::string& out_suffix = "") {
-    return SharedJob("jobB", date,
+    return SharedJob("jobB",
                      PlanBuilder::From(SharedAggPlan(date))
                          .Filter(Gt(Col("n"), Lit(int64_t{0})))
                          .Output("B_" + date + out_suffix)

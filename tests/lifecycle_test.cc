@@ -17,8 +17,7 @@ using testing_util::ClickSchema;
 using testing_util::SharedAggPlan;
 using testing_util::WriteClickStream;
 
-JobDefinition SharedJob(const std::string& id, const std::string& date,
-                        PlanNodePtr plan) {
+JobDefinition SharedJob(const std::string& id, PlanNodePtr plan) {
   JobDefinition def;
   def.template_id = id;
   def.vc = "vc-" + id;
@@ -38,14 +37,14 @@ class LifecycleTest : public ::testing::Test {
   }
 
   static JobDefinition JobA(const std::string& date) {
-    return SharedJob("jobA", date,
+    return SharedJob("jobA",
                      PlanBuilder::From(SharedAggPlan(date))
                          .Sort({{"n", false}})
                          .Output("A_" + date)
                          .Build());
   }
   static JobDefinition JobB(const std::string& date) {
-    return SharedJob("jobB", date,
+    return SharedJob("jobB",
                      PlanBuilder::From(SharedAggPlan(date))
                          .Filter(Gt(Col("n"), Lit(int64_t{0})))
                          .Output("B_" + date)
@@ -172,7 +171,7 @@ TEST_F(LifecycleTest, EarlyMaterializationSurvivesJobFailure) {
 
   // Failing job: annotated subgraph -> exploding UDO -> output.
   JobDefinition failing = SharedJob(
-      "jobA", "2018-01-02",
+      "jobA",
       PlanBuilder::From(SharedAggPlan("2018-01-02"))
           .Sort({{"n", false}})  // keep the shape matching jobA's template
           .Process("explode", "badlib", "0.1", Schema())

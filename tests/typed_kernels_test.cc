@@ -1,17 +1,28 @@
 // Every typed executor kernel against the boxed path it replaced: RowKey
 // against Value::HashInto, the row comparators against Value::Compare, the
-// selection-vector gathers against per-row AppendRowFrom, and the one-pass
-// string hash against values recorded from the two-pass version.
+// selection-vector gathers against per-row AppendRowFrom, the one-pass
+// string hash against values recorded from the two-pass version, and the
+// aggregate's group table and typed states against the per-group fold of
+// boxed values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "exec/batch_ops.h"
+#include "exec/executor.h"
+#include "expr/aggregate.h"
 #include "expr/expr.h"
+#include "plan/plan_builder.h"
 
 namespace cloudviews {
 namespace {
@@ -31,10 +42,10 @@ Schema KernelSchema() {
                  {"d2", DataType::kDouble}});
 }
 
-// A random cell: ~20% nulls, and small domains so that equal keys, shared
-// string prefixes and the edge values all recur.
-Value RandomCell(Rng& rng, DataType type) {
-  if (rng.Uniform(5) == 0) return Value::Null(type);
+// A random cell: ~20% nulls (none if `nulls` is false), and small domains
+// so that equal keys, shared string prefixes and the edge values all recur.
+Value RandomCell(Rng& rng, DataType type, bool nulls = true) {
+  if (nulls && rng.Uniform(5) == 0) return Value::Null(type);
   switch (type) {
     case DataType::kBool:
       return Value::Bool(rng.Uniform(2) == 1);
@@ -72,13 +83,13 @@ Value RandomCell(Rng& rng, DataType type) {
   return Value();
 }
 
-Batch RandomBatch(Rng& rng, size_t rows) {
+Batch RandomBatch(Rng& rng, size_t rows, bool nulls = true) {
   Schema schema = KernelSchema();
   Batch batch(schema);
   for (size_t r = 0; r < rows; ++r) {
     std::vector<Value> row;
     for (const Field& f : schema.fields()) {
-      row.push_back(RandomCell(rng, f.type));
+      row.push_back(RandomCell(rng, f.type, nulls));
     }
     EXPECT_TRUE(batch.AppendRow(row).ok());
   }
@@ -362,6 +373,294 @@ TEST(TypedKernelsTest, OnePassStringHashKeepsItsValues) {
     EXPECT_EQ(hs.hi, g.seeded_hi) << g.s;
     EXPECT_EQ(hs.lo, g.seeded_lo) << g.s;
   }
+}
+
+TEST(TypedKernelsTest, SameGroupKeyIsTheRowKeyEquality) {
+  Rng rng(5);
+  for (int round = 0; round < 5; ++round) {
+    Batch a = RandomBatch(rng, 80);
+    Batch b = RandomBatch(rng, 80);
+    for (const auto& cols : KeySets()) {
+      std::vector<uint64_t> hashes_a = GroupKeyHashes(a, cols);
+      std::vector<uint64_t> hashes_b = GroupKeyHashes(b, cols);
+      for (size_t ra = 0; ra < a.num_rows(); ++ra) {
+        for (size_t rb = 0; rb < b.num_rows(); ++rb) {
+          bool same = SameGroupKey(a, ra, b, rb, cols);
+          ASSERT_EQ(same, RowKey(a, ra, cols) == RowKey(b, rb, cols))
+              << "round " << round << " rows " << ra << "/" << rb;
+          if (same) {
+            ASSERT_EQ(hashes_a[ra], hashes_b[rb]);
+          }
+        }
+      }
+    }
+  }
+}
+
+// NULL, 0xdead, NULL, 0xdead. RowKey feeds a null to the hash as the int64
+// 0xdead, so an int64 key of 57005 has a null's RowKey.
+Batch NullsAndTheNullHashMarker() {
+  Batch batch(Schema({{"k", DataType::kInt64}}));
+  for (int r = 0; r < 4; ++r) {
+    if (r % 2 == 0) {
+      batch.column(0).AppendNull();
+    } else {
+      batch.column(0).AppendInt64(0xdead);
+    }
+  }
+  return batch;
+}
+
+// The per-group fold of boxed values that the aggregate operator ran before
+// its typed states, kept as the reference: one state per group and
+// aggregate, updated a Value at a time.
+class BoxedAggState {
+ public:
+  explicit BoxedAggState(AggFunc func) : func_(func) {}
+
+  void Update(const Value& v) {
+    if (v.is_null()) return;
+    ++count_;
+    switch (func_) {
+      case AggFunc::kCount:
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        if (v.type() == DataType::kInt64) {
+          isum_ = static_cast<int64_t>(static_cast<uint64_t>(isum_) +
+                                       static_cast<uint64_t>(v.int64_value()));
+          sum_ += static_cast<double>(v.int64_value());
+        } else {
+          sum_ += v.AsDouble();
+        }
+        break;
+      case AggFunc::kMin:
+        if (!any_ || v.Compare(min_) < 0) min_ = v;
+        break;
+      case AggFunc::kMax:
+        if (!any_ || v.Compare(max_) > 0) max_ = v;
+        break;
+    }
+    any_ = true;
+  }
+  void UpdateCountStar() { ++count_; }
+
+  Value Finish(DataType output_type) const {
+    switch (func_) {
+      case AggFunc::kCount:
+        return Value::Int64(count_);
+      case AggFunc::kSum:
+        if (!any_) return Value::Null(output_type);
+        return output_type == DataType::kInt64 ? Value::Int64(isum_)
+                                               : Value::Double(sum_);
+      case AggFunc::kAvg:
+        if (count_ == 0) return Value::Null(DataType::kDouble);
+        return Value::Double(sum_ / static_cast<double>(count_));
+      case AggFunc::kMin:
+        return any_ ? min_ : Value::Null(output_type);
+      case AggFunc::kMax:
+        return any_ ? max_ : Value::Null(output_type);
+    }
+    return Value::Null(output_type);
+  }
+
+ private:
+  AggFunc func_;
+  int64_t count_ = 0;
+  bool any_ = false;
+  double sum_ = 0;
+  int64_t isum_ = 0;
+  Value min_, max_;
+};
+
+Hash128 BoxedKey(const Batch& batch, size_t row, const std::vector<int>& cols) {
+  HashBuilder hb;
+  for (int c : cols) {
+    batch.column(static_cast<size_t>(c)).GetValue(row).HashInto(&hb);
+  }
+  return hb.Finish();
+}
+
+// The aggregate's output computed from boxed cells. Hash mode groups rows
+// by their boxed key hash, in first-occurrence order; stream mode starts a
+// group wherever a row's key differs from the row before it under
+// Value::Compare; no key columns make the one global group.
+Batch BoxedAggregate(const Batch& input, const std::vector<int>& key_cols,
+                     const std::vector<AggregateSpec>& aggs, bool stream,
+                     const Schema& out_schema) {
+  struct Group {
+    size_t first;
+    std::vector<BoxedAggState> states;
+  };
+  auto fresh = [&]() {
+    std::vector<BoxedAggState> states;
+    for (const auto& spec : aggs) states.emplace_back(spec.func);
+    return states;
+  };
+  std::vector<Group> groups;
+  if (key_cols.empty()) groups.push_back({0, fresh()});
+  std::unordered_map<Hash128, size_t, Hash128Hasher> index;
+  for (size_t r = 0; r < input.num_rows(); ++r) {
+    size_t g = 0;
+    if (!key_cols.empty() && stream) {
+      bool starts = r == 0;
+      for (int c : key_cols) {
+        const Column& col = input.column(static_cast<size_t>(c));
+        starts = starts || col.GetValue(r - 1).Compare(col.GetValue(r)) != 0;
+      }
+      if (starts) groups.push_back({r, fresh()});
+      g = groups.size() - 1;
+    } else if (!key_cols.empty()) {
+      auto [it, inserted] =
+          index.emplace(BoxedKey(input, r, key_cols), groups.size());
+      if (inserted) groups.push_back({r, fresh()});
+      g = it->second;
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (aggs[a].arg) {
+        int c = input.schema().FieldIndex(aggs[a].arg->ToString());
+        groups[g].states[a].Update(
+            input.column(static_cast<size_t>(c)).GetValue(r));
+      } else {
+        groups[g].states[a].UpdateCountStar();
+      }
+    }
+  }
+  Batch out(out_schema);
+  for (const Group& group : groups) {
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      out.column(k).AppendValue(
+          input.column(static_cast<size_t>(key_cols[k])).GetValue(group.first));
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const size_t c = key_cols.size() + a;
+      out.column(c).AppendValue(
+          group.states[a].Finish(out_schema.field(c).type));
+    }
+  }
+  return out;
+}
+
+// Runs Aggregate(keys, aggs) with `algorithm` over `input` stored as one
+// stream, and returns the output the executor wrote.
+Batch RunAggregate(const Batch& input, const std::vector<std::string>& keys,
+                   const std::vector<AggregateSpec>& aggs,
+                   AggAlgorithm algorithm, int morsel_rows, ThreadPool* pool,
+                   int workers) {
+  SimulatedClock clock;
+  StorageManager storage(&clock);
+  EXPECT_TRUE(storage
+                  .WriteStream(MakeStreamData("in", "g-in", input.schema(),
+                                              {input}, clock.Now()))
+                  .ok());
+  std::vector<AggregateSpec> specs;
+  for (const auto& spec : aggs) specs.push_back(spec.Clone());
+  auto agg = std::make_shared<AggregateNode>(
+      PlanBuilder::Extract("in", "in", "g-in", input.schema()).Build(), keys,
+      std::move(specs));
+  agg->set_algorithm(algorithm);
+  auto plan = PlanBuilder::From(agg).Output("out").Build();
+  EXPECT_TRUE(plan->Bind().ok());
+  AssignNodeIds(plan.get());
+  ExecContext ctx;
+  ctx.storage = &storage;
+  ctx.pool = pool;
+  ctx.options.worker_threads = workers;
+  ctx.options.morsel_rows = morsel_rows;
+  Executor exec(std::move(ctx));
+  auto run = exec.Execute(plan);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  auto handle = storage.OpenStream("out");
+  EXPECT_TRUE(handle.ok());
+  return CombineBatches((*handle)->schema, (*handle)->batches);
+}
+
+TEST(TypedKernelsTest, AggregateMatchesTheBoxedFold) {
+  const Schema schema = KernelSchema();
+  // Every Bind-legal pair of function and argument type, plus COUNT(*).
+  std::vector<AggregateSpec> aggs;
+  aggs.push_back({AggFunc::kCount, nullptr, "count_star"});
+  for (AggFunc func : {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
+                       AggFunc::kMax, AggFunc::kAvg}) {
+    for (const char* name : {"b", "i", "d", "s", "t"}) {
+      AggregateSpec spec{func, Col(name),
+                         std::string(AggFuncToString(func)) + "_" + name};
+      if (spec.Bind(schema).ok()) aggs.push_back(std::move(spec));
+    }
+  }
+  // COUNT and MIN and MAX take all five types, SUM two, AVG three.
+  ASSERT_EQ(aggs.size(), 1u + 5 + 2 + 5 + 5 + 3);
+
+  const std::vector<std::vector<std::string>> key_sets = {
+      {}, {"b"}, {"i"}, {"d"}, {"s"}, {"t"}, {"s", "i"}, {"d", "b", "t"}};
+  ThreadPool pool(3);
+  Rng rng(6);
+  for (bool nulls : {true, false}) {
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{300}}) {
+      const Batch data = RandomBatch(rng, rows, nulls);
+      for (const auto& keys : key_sets) {
+        std::vector<int> key_cols;
+        for (const auto& k : keys) key_cols.push_back(schema.FieldIndex(k));
+        for (bool stream : {false, true}) {
+          if (keys.empty() && stream) continue;  // global: one mode
+          // A stream aggregate reads its input clustered on the key: order
+          // the rows by their boxed key hash.
+          Batch input = data;
+          if (stream) {
+            std::vector<uint32_t> order(rows);
+            std::iota(order.begin(), order.end(), 0);
+            std::stable_sort(order.begin(), order.end(),
+                             [&](uint32_t x, uint32_t y) {
+                               return BoxedKey(data, x, key_cols) <
+                                      BoxedKey(data, y, key_cols);
+                             });
+            input = Batch(schema);
+            input.AppendSelected(data, order);
+          }
+          // The output schema is the bound plan's; any run gives it.
+          Batch first = RunAggregate(
+              input, keys, aggs,
+              stream ? AggAlgorithm::kStream : AggAlgorithm::kHash, 4096,
+              nullptr, 1);
+          const Batch want =
+              BoxedAggregate(input, key_cols, aggs, stream, first.schema());
+          for (int morsel_rows : {1, 7, 4096}) {
+            for (int workers : {1, 4}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "nulls " << nulls << " rows " << rows
+                           << " keys " << keys.size() << " stream " << stream
+                           << " morsel " << morsel_rows << " workers "
+                           << workers);
+              Batch got = RunAggregate(
+                  input, keys, aggs,
+                  stream ? AggAlgorithm::kStream : AggAlgorithm::kHash,
+                  morsel_rows, workers > 1 ? &pool : nullptr, workers);
+              ASSERT_EQ(got.num_rows(), want.num_rows());
+              ExpectSameBatch(got, want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TypedKernelsTest, NullKeyGroupsApartFromTheNullHashMarker) {
+  // The group table compares the cells, not the RowKey.
+  const Batch batch = NullsAndTheNullHashMarker();
+  const std::vector<int> cols = {0};
+  EXPECT_EQ(RowKey(batch, 0, cols), RowKey(batch, 1, cols));
+  EXPECT_FALSE(SameGroupKey(batch, 0, batch, 1, cols));
+  EXPECT_TRUE(SameGroupKey(batch, 0, batch, 2, cols));
+  EXPECT_TRUE(SameGroupKey(batch, 1, batch, 3, cols));
+
+  Batch out = RunAggregate(batch, {"k"},
+                           {{AggFunc::kCount, nullptr, "n"}},
+                           AggAlgorithm::kHash, 4096, nullptr, 1);
+  ASSERT_EQ(out.num_rows(), 2u);
+  EXPECT_TRUE(out.column(0).IsNull(0));
+  EXPECT_EQ(out.column(0).int64_data()[1], 0xdead);
+  EXPECT_EQ(out.column(1).int64_data(), (std::vector<int64_t>{2, 2}));
 }
 
 }  // namespace
